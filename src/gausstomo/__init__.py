@@ -16,13 +16,12 @@ from .estimation import (EstimationResult, MlOptions, UncertaintyEllipse,
                          hs_distance_sq, project_physical,
                          single_angle_second_moment, to_ellipse)
 from .fisher import (CrbReport, Fisher3, NumericalError, crb_het, crb_hom,
-                     crb_hypothetical, crb_report, critical_lambda_for_gamma,
-                     fisher_het, fisher_hom_closed, fisher_hom_quadrature,
-                     gamma_surface, gamma_table_csv, small_eta_asymptote)
+                     crb_report, critical_lambda_for_gamma, fisher_het,
+                     fisher_hom_closed, fisher_hom_quadrature, gamma_surface,
+                     small_eta_asymptote)
 from .regions import (DirectionVariancePair, NumericalBracketError, RegionAreas,
                       conditional_std, critical_lambda_equal_areas,
-                      marginal_std, region_area_scan_csv, region_areas,
-                      region_boundaries)
+                      marginal_std, region_areas, region_boundaries)
 from .sampling import (AnglePolicy, ContinuousSweep, PhaseSpaceSample,
                        QuadratureSample, SeedSpec, UniformGrid,
                        heterodyne_arrays, homodyne_arrays, raw_words,
@@ -34,12 +33,12 @@ __all__ = [
     "delta_offset", "effective_covariance", "q_covariance",
     "rotate_covariance", "squeezing_db", "wigner_covariance",
     "CrbReport", "Fisher3", "NumericalError", "crb_het", "crb_hom",
-    "crb_hypothetical", "crb_report", "critical_lambda_for_gamma",
+    "crb_report", "critical_lambda_for_gamma",
     "fisher_het", "fisher_hom_closed", "fisher_hom_quadrature",
-    "gamma_surface", "gamma_table_csv", "small_eta_asymptote",
+    "gamma_surface", "small_eta_asymptote",
     "DirectionVariancePair", "NumericalBracketError", "RegionAreas",
     "conditional_std", "critical_lambda_equal_areas", "marginal_std",
-    "region_area_scan_csv", "region_areas", "region_boundaries",
+    "region_areas", "region_boundaries",
     "AnglePolicy", "ContinuousSweep", "PhaseSpaceSample", "QuadratureSample",
     "SeedSpec", "UniformGrid", "heterodyne_arrays", "homodyne_arrays",
     "raw_words", "sample_heterodyne", "sample_homodyne",

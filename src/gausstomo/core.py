@@ -48,7 +48,9 @@ class Covariance2:
 
     g1 and g2 are the diagonal quadrature variances; the off-diagonal
     element equals g3/sqrt(2).  Only the three independent entries are
-    stored, so symmetry holds by construction.
+    stored, so symmetry holds by construction.  The entries may also be
+    float64 arrays of one shape, one covariance per element; trace, det and
+    add_offset then act elementwise.
     """
 
     g1: float
@@ -195,9 +197,15 @@ def wigner_covariance(spec: GaussianStateSpec) -> Covariance2:
     principal axes so that g3 = (mu/2)(lam - 1/lam) sin(2 phi)/sqrt(2);
     det G_W = mu^2/4 for every phi.
     """
-    a = spec.mu / (2.0 * spec.lam)
-    b = spec.mu * spec.lam / 2.0
-    c, s = math.cos(spec.phi), math.sin(spec.phi)
+    return wigner_covariance_of(spec.mu, spec.lam, spec.phi)
+
+
+def wigner_covariance_of(mu, lam, phi: float) -> Covariance2:
+    """wigner_covariance of unchecked parameters; mu and lam may be float64
+    arrays, whose entries get the scalar path's operations bit for bit."""
+    a = mu / (2.0 * lam)
+    b = mu * lam / 2.0
+    c, s = math.cos(phi), math.sin(phi)
     return Covariance2(a * c * c + b * s * s,
                        a * s * s + b * c * c,
                        (b - a) * SQRT2 * s * c)

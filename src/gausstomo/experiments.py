@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,17 +50,6 @@ _KEYS = {
     "crb-attainment": {"spec", "scheme", "n_values", "trials"},
     "fig5": {"spec", "n_values", "trials"},
 }
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One Monte Carlo trial outcome for the attainment experiments."""
-
-    trial_index: int
-    n: int
-    scheme: SchemeKind
-    hs_distance_sq: float
-    converged: bool
 
 
 def _require(cfg: dict, key: str, kind, what: str):
@@ -240,6 +228,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _column_format(values: tuple) -> tuple[str, tuple]:
+    """A column's %-format and cells, chosen once for the whole column:
+    floats take 17 significant digits, strings stay as they are, and any
+    other column goes through _fmt cell by cell."""
+    kinds = set(map(type, values))
+    if all(issubclass(kind, float) for kind in kinds):
+        return "%.17g", values
+    return "%s", values if kinds == {str} else tuple(map(_fmt, values))
+
+
 def _embedded_header(config: dict) -> str:
     return f"# gausstomo {__version__} config " + json.dumps(
         config, sort_keys=True, separators=(",", ":"))
@@ -249,7 +247,9 @@ def render_table(columns: list[str], rows: list[tuple], config: dict, fmt: str) 
     """Render a result table with the resolved config embedded."""
     if fmt == "csv":
         lines = [_embedded_header(config), ",".join(columns)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        if rows:
+            formats, cells = zip(*map(_column_format, zip(*rows)))
+            lines += map(",".join(formats).__mod__, zip(*cells))
         return "\n".join(lines) + "\n"
     doc = {"version": __version__, "config": config,
            "columns": columns, "rows": [list(r) for r in rows]}
@@ -285,10 +285,12 @@ def run_surface(config: dict) -> str:
     hypothetical = grid["mode"] == "hypothetical"
     rows = []
     for eta in grid["eta"]:
-        for report in gamma_surface(grid["lambda"], grid["mu"], eta,
-                                    hypothetical=hypothetical):
-            rows.append((report.spec.lam, report.spec.mu, eta,
-                         report.h_hom, report.h_het, report.gamma, grid["mode"]))
+        table = {key: column.tolist() for key, column in
+                 gamma_surface(grid["lambda"], grid["mu"], eta,
+                               hypothetical=hypothetical).items()}
+        size = len(table["lam"])
+        rows += zip(table["lam"], table["mu"], [eta] * size, table["h_hom"],
+                    table["h_het"], table["gamma"], [grid["mode"]] * size)
     return render_table(["lambda", "mu", "eta", "h_hom", "h_het", "gamma", "mode"],
                         rows, config, config["format"])
 
@@ -332,25 +334,48 @@ def run_simulate(config: dict) -> tuple[str, str]:
 
 
 def _read_data_table(path: Path) -> np.ndarray:
-    rows = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line[0].isalpha():
-            continue
-        rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
+    """The samples of a table `simulate` wrote, in CSV or JSON: two finite
+    numbers per row, else ConfigError naming the row.  In a CSV, '#' lines
+    are comments and the first other line may be a header."""
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read data file {path}: {exc}") from exc
+    if text.lstrip().startswith("{"):
+        try:
+            rows = [(f"row {k}", list(map(repr, row)))
+                    for k, row in enumerate(json.loads(text)["rows"], 1)]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ConfigError(f"{path} is not a JSON table with 'rows': {exc}") from exc
+    else:
+        rows = [(f"line {k}", line.strip().split(","))
+                for k, line in enumerate(text.splitlines(), 1)
+                if line.strip() and not line.lstrip().startswith("#")]
+        if rows and _floats(rows[0][1]) is None:
+            rows.pop(0)  # the header
+    data = []
+    for place, tokens in rows:
+        values = _floats(tokens)
+        if values is None or len(values) != 2 or not all(map(math.isfinite, values)):
+            raise ConfigError(f"{path}, {place}: expected two finite numbers, "
+                              f"got {','.join(tokens)!r}")
+        data.append(values)
+    if not data:
         raise ConfigError(f"no data rows found in {path}")
-    return np.asarray(rows, dtype=float)
+    return np.asarray(data)
+
+
+def _floats(tokens: list[str]) -> list[float] | None:
+    try:
+        return [float(token) for token in tokens]
+    except ValueError:
+        return None
 
 
 def run_estimate(config: dict) -> str:
     """Fit a covariance to a previously simulated (or imported) sample file."""
     path = Path(config["data_path"])
-    if not path.exists():
-        raise ConfigError(f"data file not found: {path}")
     data = _read_data_table(path)
-    if data.shape[1] != 2:
-        raise ConfigError(f"expected two columns in {path}, got {data.shape[1]}")
     if config["scheme"] == "homodyne":
         result = estimate_homodyne_ml((data[:, 0], data[:, 1]), config["eta"])
     else:
@@ -385,15 +410,12 @@ def _one_trial(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
 
 
 def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
-                seed: SeedSpec, lane: int, trials: int,
-                threads: int) -> list[TrialRecord]:
+                seed: SeedSpec, lane: int, trials: int, threads: int) -> list[float]:
+    """Squared HS distance of each trial's estimate from the truth, in trial order."""
     truth = wigner_covariance(spec)
 
-    def job(trial: int) -> TrialRecord:
-        hs, conv, _ = _one_trial(spec, scheme, n,
-                                 _trial_stream(seed, lane, trials, trial), truth)
-        return TrialRecord(trial_index=trial, n=n, scheme=scheme,
-                           hs_distance_sq=hs, converged=conv)
+    def job(trial: int) -> float:
+        return _one_trial(spec, scheme, n, _trial_stream(seed, lane, trials, trial), truth)[0]
 
     if threads == 1:
         return [job(t) for t in range(trials)]
@@ -414,9 +436,8 @@ def run_crb_attainment(config: dict, threads: int = 1) -> str:
     crb = crb_hom(spec) if scheme is SchemeKind.HOMODYNE else crb_het(spec)
     rows = []
     for lane, n in enumerate(config["n_values"]):
-        records = _run_trials(spec, scheme, n, seed, lane,
-                              config["trials"], threads)
-        mean_scaled = n * float(np.mean([r.hs_distance_sq for r in records]))
+        mean_scaled = n * float(np.mean(_run_trials(spec, scheme, n, seed, lane,
+                                                    config["trials"], threads)))
         rows.append((n, config["scheme"], mean_scaled, crb, mean_scaled / crb))
     return render_table(["N", "scheme", "mean_N_times_mse", "crb", "ratio"],
                         rows, config, config["format"])

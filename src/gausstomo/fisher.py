@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                   effective_covariance, wigner_covariance)
+                   delta_offset, effective_covariance, wigner_covariance_of)
 
 LD = np.longdouble
 SQRT2_LD = np.sqrt(LD(2))
@@ -115,12 +115,21 @@ def _eigenframe(cov: Covariance2) -> tuple[float, LD, LD]:
     return float(ang), d1, d2
 
 
-def _crb_hom_closed(trace, det):
-    return 2.0 * trace * (trace + 3.0 * math.sqrt(det))
+def _h_hom(g: Covariance2):
+    """Homodyne closed form over Tr and det of its data covariance."""
+    return 2.0 * g.trace * (g.trace + 3.0 * np.sqrt(g.det))
 
 
-def _crb_het_closed(trace, det):
-    return 2.0 * (trace * trace - det)
+def _h_het(g: Covariance2):
+    """Heterodyne closed form over Tr and det of its data covariance."""
+    return 2.0 * (g.trace * g.trace - g.det)
+
+
+# Schemes of the data covariances that (H_hom, H_het) close over, by
+# hypothetical mode: that comparison puts both closed forms on G_W itself,
+# the data covariance of HYPOTHETICAL_NO_AK (offset 0).
+_SCHEMES = {False: (SchemeKind.HOMODYNE, SchemeKind.HETERODYNE),
+            True: (SchemeKind.HYPOTHETICAL_NO_AK, SchemeKind.HYPOTHETICAL_NO_AK)}
 
 
 def crb_hom(spec: GaussianStateSpec) -> float:
@@ -129,29 +138,12 @@ def crb_hom(spec: GaussianStateSpec) -> float:
     Closed over Tr and det of the homodyne data covariance, hence
     independent of the orientation phi.
     """
-    g = effective_covariance(spec, SchemeKind.HOMODYNE)
-    return _crb_hom_closed(g.trace, g.det)
+    return float(_h_hom(effective_covariance(spec, SchemeKind.HOMODYNE)))
 
 
 def crb_het(spec: GaussianStateSpec) -> float:
     """Cramer-Rao bound on the scaled HS error for heterodyne tomography."""
-    g = effective_covariance(spec, SchemeKind.HETERODYNE)
-    return _crb_het_closed(g.trace, g.det)
-
-
-def crb_hypothetical(spec: GaussianStateSpec, form: SchemeKind) -> float:
-    """Either closed-form bound evaluated on G_W itself (both offsets zero).
-
-    `form` selects which scheme's formula to apply (HOMODYNE or HETERODYNE);
-    this is the only operation family that realises SchemeKind.HYPOTHETICAL_NO_AK,
-    where the two data covariances coincide with the Wigner one.
-    """
-    g = wigner_covariance(spec)
-    if form is SchemeKind.HOMODYNE:
-        return _crb_hom_closed(g.trace, g.det)
-    if form is SchemeKind.HETERODYNE:
-        return _crb_het_closed(g.trace, g.det)
-    raise DomainError("form must select the homodyne or heterodyne expression")
+    return float(_h_het(effective_covariance(spec, SchemeKind.HETERODYNE)))
 
 
 def _fisher_hom_frame(d1: LD, d2: LD) -> np.ndarray:
@@ -284,44 +276,36 @@ def crb_report(spec: GaussianStateSpec, hypothetical: bool = False) -> CrbReport
     gamma is formed as the ratio of the closed forms, never through matrix
     inversion, so surface scans stay free of conditioning noise.
     """
-    if hypothetical:
-        h_hom = crb_hypothetical(spec, SchemeKind.HOMODYNE)
-        h_het = crb_hypothetical(spec, SchemeKind.HETERODYNE)
-        beta = _beta_of(wigner_covariance(spec))
-    else:
-        h_hom = crb_hom(spec)
-        h_het = crb_het(spec)
-        beta = _beta_of(effective_covariance(spec, SchemeKind.HOMODYNE))
-    return CrbReport(h_hom=h_hom, h_het=h_het, gamma=h_het / h_hom, beta=beta, spec=spec)
+    hom, het = _SCHEMES[bool(hypothetical)]
+    g_hom = effective_covariance(spec, hom)
+    h_hom = float(_h_hom(g_hom))
+    h_het = float(_h_het(effective_covariance(spec, het)))
+    return CrbReport(h_hom=h_hom, h_het=h_het, gamma=h_het / h_hom,
+                     beta=_beta_of(g_hom), spec=spec)
 
 
 def gamma_surface(lambdas, mus, eta: float, hypothetical: bool = False,
-                  phi: float = 0.0) -> list[CrbReport]:
-    """Row-major table of CrbReport over a (lambda, mu) grid at fixed eta.
+                  phi: float = 0.0) -> dict[str, np.ndarray]:
+    """Both bounds and gamma over a (lambda, mu) grid at fixed eta and phi.
 
-    Rows iterate lambda in the outer loop and mu in the inner loop, in the
-    order given; output is deterministic and suitable for direct plotting.
+    Returns float64 columns ``lam``, ``mu``, ``h_hom``, ``h_het`` and
+    ``gamma``, one entry per grid point, with lambda in the outer loop and mu
+    in the inner loop, in the order given.  Every entry equals the matching
+    ``crb_report`` value bit for bit: the grid runs the same operations on
+    arrays.  Any invalid point raises DomainError.
     """
-    out = []
-    for lam in lambdas:
-        for mu in mus:
-            out.append(crb_report(GaussianStateSpec(mu=mu, lam=lam, phi=phi, eta=eta),
-                                  hypothetical=hypothetical))
-    return out
-
-
-def gamma_table_csv(reports: list[CrbReport]) -> str:
-    """Fixed-layout CSV of a gamma_surface table.
-
-    Header is exactly ``lambda,mu,eta,h_hom,h_het,gamma``; floats carry 17
-    significant digits so identical inputs reproduce identical bytes.
-    """
-    lines = ["lambda,mu,eta,h_hom,h_het,gamma"]
-    for r in reports:
-        lines.append(",".join(f"{v:.17g}" for v in
-                              (r.spec.lam, r.spec.mu, r.spec.eta,
-                               r.h_hom, r.h_het, r.gamma)))
-    return "\n".join(lines) + "\n"
+    # each domain check concerns one parameter, so checking every lambda and
+    # every mu once, beside a point of the other axis, covers the whole grid
+    if len(lambdas) and len(mus):
+        for lam, mu in [(lam, mus[0]) for lam in lambdas] + [(lambdas[0], mu) for mu in mus]:
+            GaussianStateSpec(mu=mu, lam=lam, phi=phi, eta=eta)
+    lam = np.repeat(np.asarray(lambdas, dtype=float), len(mus))
+    mu = np.tile(np.asarray(mus, dtype=float), len(lambdas))
+    wigner = wigner_covariance_of(mu, lam, phi)
+    hom, het = _SCHEMES[bool(hypothetical)]
+    h_hom = _h_hom(wigner.add_offset(delta_offset(eta, hom)))
+    h_het = _h_het(wigner.add_offset(delta_offset(eta, het)))
+    return {"lam": lam, "mu": mu, "h_hom": h_hom, "h_het": h_het, "gamma": h_het / h_hom}
 
 
 GAMMA_SEARCH_LAMBDA_MAX = 1e6

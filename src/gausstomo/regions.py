@@ -107,21 +107,6 @@ def region_areas(spec: GaussianStateSpec) -> RegionAreas:
                        s_Sigma=math.pi * math.sqrt(g_het.det))
 
 
-def region_area_scan_csv(lambdas, etas) -> str:
-    """CSV scan of both region areas over minimum-uncertainty states.
-
-    Header is exactly ``lambda,eta,s_sigma,s_Sigma`` with 17 significant
-    digits, one row per (lambda, eta) pair, eta in the outer loop.
-    """
-    lines = ["lambda,eta,s_sigma,s_Sigma"]
-    for eta in etas:
-        for lam in lambdas:
-            areas = region_areas(GaussianStateSpec(mu=1.0, lam=lam, eta=eta))
-            lines.append(",".join(f"{v:.17g}" for v in
-                                  (lam, eta, areas.s_sigma, areas.s_Sigma)))
-    return "\n".join(lines) + "\n"
-
-
 def _area_gap(lam: float, eta: float) -> float:
     """s_sigma - s_Sigma at mu = 1, divided by pi."""
     spec = GaussianStateSpec(mu=1.0, lam=lam, eta=eta)

@@ -164,7 +164,7 @@ def test_criterion_3_asymptote_and_monotonicity():
     t0 = time.perf_counter()
     grid = np.geomspace(1.0, 1e3, 50)
     table = gamma_surface(list(grid), list(grid), eta=1.0, hypothetical=True)
-    gammas = np.array([r.gamma for r in table]).reshape(50, 50)
+    gammas = table["gamma"].reshape(50, 50)
     nondecreasing = (np.all(np.diff(gammas, axis=0) >= -1e-12)
                      and np.all(np.diff(gammas, axis=1) >= -1e-12))
     corner = gammas[-1, -1]

@@ -2,7 +2,9 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 
+import numpy as np
 import pytest
 
 from gausstomo import __version__
@@ -64,6 +66,78 @@ class TestRenderAndReplay:
         cfg = {"experiment": "surface"}
         text = render_table(["a"], [(1 / 3,)], cfg, "csv")
         assert "0.33333333333333331" in text
+
+    # bytes of the writer for every cell type the runners emit
+    PINNED_ROWS = [(True, 3, -0.0, np.float64(0.1), math.nan, "real"),
+                   (False, -7, 0.0, 1 / 3, math.inf, "hypothetical"),
+                   (True, 0, 2.5, np.float64("nan"), -math.inf, "x")]
+    PINNED = {
+        "csv": textwrap.dedent(f"""\
+            # gausstomo {__version__} config {{"experiment":"surface"}}
+            flag,count,zero,x,y,label
+            true,3,-0,0.10000000000000001,nan,real
+            false,-7,0,0.33333333333333331,inf,hypothetical
+            true,0,2.5,nan,-inf,x
+            """),
+        "json": textwrap.dedent(f"""\
+            {{
+              "version": "{__version__}",
+              "config": {{
+                "experiment": "surface"
+              }},
+              "columns": [
+                "flag",
+                "count",
+                "zero",
+                "x",
+                "y",
+                "label"
+              ],
+              "rows": [
+                [
+                  true,
+                  3,
+                  -0.0,
+                  0.1,
+                  NaN,
+                  "real"
+                ],
+                [
+                  false,
+                  -7,
+                  0.0,
+                  0.3333333333333333,
+                  Infinity,
+                  "hypothetical"
+                ],
+                [
+                  true,
+                  0,
+                  2.5,
+                  NaN,
+                  -Infinity,
+                  "x"
+                ]
+              ]
+            }}
+            """),
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pinned_bytes(self, fmt):
+        text = render_table(["flag", "count", "zero", "x", "y", "label"],
+                            self.PINNED_ROWS, {"experiment": "surface"}, fmt)
+        assert text == self.PINNED[fmt]
+
+    @pytest.mark.parametrize("values, body", [
+        ([1, 2.5, True, "s", np.float64(1e-300)], "1\n2.5\ntrue\ns\n1e-300\n"),
+        ([False, True], "false\ntrue\n"),
+        ([np.float64(-0.0), 1e16, 5e-324], "-0\n10000000000000000\n4.9406564584124654e-324\n"),
+        ([], ""),
+    ])
+    def test_pinned_csv_columns(self, values, body):
+        text = render_table(["v"], [(v,) for v in values], {"experiment": "surface"}, "csv")
+        assert text.split("\n", 2)[2] == body
 
     def test_embedded_config_round_trip(self):
         cfg = resolve_config({"experiment": "regions",
@@ -175,6 +249,60 @@ class TestSimulateAndEstimate:
         assert doc["fingerprint"]["seed"] == {"master_seed": 8, "stream_id": 0}
         assert doc["result"]["converged"] is True
 
+    @pytest.mark.parametrize("scheme", ["heterodyne", "homodyne"])
+    def test_json_samples_fit_like_csv_samples(self, tmp_path, scheme):
+        fits = []
+        for fmt in ("csv", "json"):
+            sim = {"experiment": "simulate", "format": fmt,
+                   "spec": {"mu": 2.0, "lambda": 10.0, "eta": 0.5},
+                   "scheme": scheme, "n": 2000,
+                   "seed": {"master_seed": 8, "stream_id": 0}}
+            outputs = run_experiment(sim)
+            data = tmp_path / f"samples.{fmt}"
+            data.write_text(outputs[""])
+            (tmp_path / f"samples.{fmt}.meta.json").write_text(outputs[".meta.json"])
+            est = {"experiment": "estimate", "data_path": str(data),
+                   "scheme": scheme, "eta": 0.5, "format": "json"}
+            doc = json.loads(run_experiment(est)[""])
+            fits.append((doc["result"], doc["ellipse"], doc["fingerprint"]))
+        assert fits[0] == fits[1]
+        assert fits[0][2] == {"n": 2000, "seed": {"master_seed": 8, "stream_id": 0}}
+
+    @pytest.mark.parametrize("text, where", [
+        ("x,p\n1.0,2.0\nnan,1.0\n0.5,0.25\n-1.0,0.5\n", "line 3"),
+        ("# c\nx,p\n1.0,2.0\ninf,1.0\n", "line 4"),
+        ("x,p\n1.0,2.0\nx,p\n", "line 3"),
+        ("x,p\n1.0,2.0\n1.0,2.0,3.0\n", "line 3"),
+        ("nan,1.0\n1.0,2.0\n", "line 1"),
+        ('{"rows": [[1.0, 2.0], [NaN, 1.0]]}', "row 2"),
+        ('{"rows": [[1.0, 2.0], [true, 1.0]]}', "row 2"),
+        ('{"rows": [[1.0, 2.0], [null, 1.0]]}', "row 2"),
+    ], ids=["nan", "inf-after-comment", "second-header", "three-columns",
+            "nan-first-line", "json-nan", "json-true", "json-null"])
+    def test_bad_data_rows_are_config_errors(self, tmp_path, text, where):
+        data = tmp_path / "samples.csv"
+        data.write_text(text)
+        est = {"experiment": "estimate", "data_path": str(data),
+               "scheme": "heterodyne", "eta": 0.5, "format": "json"}
+        with pytest.raises(ConfigError, match=where):
+            run_experiment(est)
+
+    def test_unreadable_data_file_is_config_error(self, tmp_path):
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\xff\xfe1,2\n")
+        for path in (tmp_path, binary):
+            est = {"experiment": "estimate", "data_path": str(path),
+                   "scheme": "heterodyne", "eta": 0.5, "format": "json"}
+            with pytest.raises(ConfigError, match="cannot read data file"):
+                run_experiment(est)
+
+    def test_plain_csv_without_header_is_read(self, tmp_path):
+        data = tmp_path / "samples.csv"
+        data.write_text("1.0,2.0\n0.5,0.25\n-1.0,0.5\n")
+        est = {"experiment": "estimate", "data_path": str(data),
+               "scheme": "heterodyne", "eta": 0.5, "format": "json"}
+        assert json.loads(run_experiment(est)[""])["fingerprint"]["n"] == 3
+
     def test_estimate_missing_file_is_config_error(self):
         est = {"experiment": "estimate", "data_path": "/nonexistent/data.csv",
                "scheme": "heterodyne", "eta": 0.5, "format": "json"}
@@ -268,6 +396,29 @@ class TestCli:
         assert proc.returncode == 2
         err = json.loads(proc.stderr.strip())
         assert err["error"] == "config"
+
+    @pytest.mark.parametrize("grid", [
+        '{"lambda": [1.0, 2.0], "mu": [1.0, 0.5], "eta": [1.0]}',
+        '{"lambda": [1.0, -1], "mu": [1.0], "eta": [1.0]}',
+        '{"lambda": [1.0], "mu": [1.0], "eta": [1.0, 0]}',
+        '{"lambda": [NaN], "mu": [1.0], "eta": [1.0], "mode": "hypothetical"}',
+    ])
+    def test_invalid_surface_point_exits_2(self, tmp_path, grid):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"experiment": "surface", "grid": %s}' % grid)
+        proc = self.run_cli("surface", "--config", str(cfg), "--out", str(tmp_path / "s.csv"))
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr.strip())["error"] == "domain"
+
+    def test_estimate_nan_row_exits_2(self, tmp_path):
+        data = tmp_path / "samples.csv"
+        data.write_text("x,p\n1.0,2.0\nnan,1.0\n0.5,0.25\n-1.0,0.5\n")
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"experiment": "estimate", "data_path": str(data),
+                                   "scheme": "heterodyne", "eta": 0.5, "format": "json"}))
+        proc = self.run_cli("estimate", "--config", str(cfg))
+        assert proc.returncode == 2
+        assert "line 3" in json.loads(proc.stderr.strip())["message"]
 
     def test_mismatched_experiment_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

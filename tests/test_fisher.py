@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from gausstomo import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                       crb_het, crb_hom, crb_hypothetical, crb_report,
-                       critical_lambda_for_gamma, effective_covariance,
-                       fisher_het, fisher_hom_closed, fisher_hom_quadrature,
-                       gamma_surface, gamma_table_csv, small_eta_asymptote)
+                       crb_het, crb_hom, crb_report, critical_lambda_for_gamma,
+                       delta_offset, effective_covariance, fisher_het,
+                       fisher_hom_closed, fisher_hom_quadrature, gamma_surface,
+                       small_eta_asymptote, wigner_covariance)
+from gausstomo.experiments import run_experiment
 from gausstomo.fisher import _fisher_hom_quadrature_cov
 
 SQRT2 = math.sqrt(2.0)
@@ -62,13 +63,16 @@ class TestClosedFormBounds:
             assert 2 * g_het.trace * (g_het.trace + 3 * math.sqrt(g_het.det)) > hom_form_on_het
             assert 2 * (g_het.trace ** 2 - g_het.det) > 2 * (g_hom.trace ** 2 - g_hom.det)
 
+    def test_beta_reported_only_for_anisotropic_data(self):
+        assert crb_report(GaussianStateSpec(1.0, 1.0)).beta is None
+        assert crb_report(GaussianStateSpec(1.0, 2.0)).beta is not None
+
 
 class TestHypothetical:
     def test_coherent_state_floor(self):
-        spec = GaussianStateSpec(1.0, 1.0)
-        assert crb_hypothetical(spec, SchemeKind.HOMODYNE) == pytest.approx(5.0)
-        assert crb_hypothetical(spec, SchemeKind.HETERODYNE) == pytest.approx(1.5)
-        report = crb_report(spec, hypothetical=True)
+        report = crb_report(GaussianStateSpec(1.0, 1.0), hypothetical=True)
+        assert report.h_hom == pytest.approx(5.0)
+        assert report.h_het == pytest.approx(1.5)
         assert report.gamma == pytest.approx(0.3, rel=1e-14)
 
     def test_ratio_approaches_one(self):
@@ -76,12 +80,21 @@ class TestHypothetical:
         assert report.gamma == pytest.approx(1.0, abs=1e-3)
 
     def test_het_form_on_unit_covariance(self):
-        assert crb_hypothetical(GaussianStateSpec(2.0, 1.0), SchemeKind.HETERODYNE) == \
+        assert crb_report(GaussianStateSpec(2.0, 1.0), hypothetical=True).h_het == \
             pytest.approx(6.0, rel=1e-14)
 
-    def test_form_selector_rejects_hypothetical_member(self):
+    def test_hypothetical_mode_is_offset_zero(self):
+        # both closed forms on G_W itself: the HYPOTHETICAL_NO_AK offset is
+        # zero at every efficiency, and the offset selector takes members only
+        for eta in (0.05, 0.5, 1.0):
+            assert delta_offset(eta, SchemeKind.HYPOTHETICAL_NO_AK) == 0.0
+        spec = GaussianStateSpec(3.0, 7.0, phi=0.4, eta=0.3)
+        g = wigner_covariance(spec)
+        report = crb_report(spec, hypothetical=True)
+        assert report.h_hom == 2 * g.trace * (g.trace + 3 * math.sqrt(g.det))
+        assert report.h_het == 2 * (g.trace * g.trace - g.det)
         with pytest.raises(DomainError):
-            crb_hypothetical(GaussianStateSpec(1.0, 1.0), SchemeKind.HYPOTHETICAL_NO_AK)
+            delta_offset(0.5, SchemeKind.HYPOTHETICAL_NO_AK.value)
 
     def test_ratio_range_and_floor_location(self):
         # the ratio lives in [3/10, 1); the floor is met exactly at lam = 1
@@ -190,41 +203,61 @@ class TestGammaSurface:
         lams = list(np.geomspace(1, 1000, 25))
         mus = [1.0, 3.0, 10.0]
         table = gamma_surface(lams, mus, eta=1.0, hypothetical=True)
-        assert table[0].gamma == pytest.approx(0.3, rel=1e-14)
-        gammas = np.array([r.gamma for r in table]).reshape(len(lams), len(mus))
+        assert table["gamma"][0] == pytest.approx(0.3, rel=1e-14)
+        gammas = table["gamma"].reshape(len(lams), len(mus))
         assert np.all(np.diff(gammas, axis=0) >= -1e-14)   # nondecreasing in lambda
         assert np.all(np.abs(np.diff(gammas, axis=1)) <= 1e-14)  # constant in mu
 
     def test_real_mode_gap_at_unit_efficiency(self):
         table = gamma_surface([1.0, 2.0, 8.0], [1.0], eta=1.0)
-        for report in table:
-            assert report.h_het - report.h_hom == pytest.approx(1.0, rel=1e-12)
+        for h_hom, h_het in zip(table["h_hom"], table["h_het"]):
+            assert h_het - h_hom == pytest.approx(1.0, rel=1e-12)
 
     def test_real_mode_benchmark_point(self):
-        report = gamma_surface([10.0], [2.0], eta=0.5)[0]
-        assert report.gamma == pytest.approx(CRB_HET_BENCH / CRB_HOM_BENCH, rel=1e-13)
-        assert report.gamma == pytest.approx(0.741, abs=5e-4)
+        gamma = gamma_surface([10.0], [2.0], eta=0.5)["gamma"][0]
+        assert gamma == pytest.approx(CRB_HET_BENCH / CRB_HOM_BENCH, rel=1e-13)
+        assert gamma == pytest.approx(0.741, abs=5e-4)
 
     def test_row_major_ordering(self):
         table = gamma_surface([1.0, 2.0], [3.0, 4.0], eta=1.0)
-        assert [(r.spec.lam, r.spec.mu) for r in table] == \
+        assert list(zip(table["lam"], table["mu"])) == \
             [(1.0, 3.0), (1.0, 4.0), (2.0, 3.0), (2.0, 4.0)]
 
-    def test_beta_reported_only_for_anisotropic_data(self):
-        table = gamma_surface([1.0, 2.0], [1.0], eta=1.0)
-        assert table[0].beta is None
-        assert table[1].beta is not None
+    @pytest.mark.parametrize("hypothetical", [False, True])
+    def test_grid_equals_scalar_reports_exactly(self, hypothetical):
+        lams, mus, phi = [0.05, 0.5, 1.0, 3.771, 250.0], [1.0, 1.736, 12.0], 2.2
+        for eta in (0.05, 1.0):
+            table = gamma_surface(lams, mus, eta, hypothetical=hypothetical, phi=phi)
+            points = [(lam, mu) for lam in lams for mu in mus]
+            assert len(table["gamma"]) == len(points)
+            for i, (lam, mu) in enumerate(points):
+                report = crb_report(GaussianStateSpec(mu, lam, phi, eta),
+                                    hypothetical=hypothetical)
+                assert (table["lam"][i], table["mu"][i]) == (lam, mu)
+                assert table["h_hom"][i] == report.h_hom
+                assert table["h_het"][i] == report.h_het
+                assert table["gamma"][i] == report.gamma
+
+    @pytest.mark.parametrize("lams, mus, eta", [
+        ([1.0, 2.0], [1.0, 0.5], 1.0), ([1.0, -1.0], [1.0], 1.0),
+        ([1.0], [1.0], 0.0), ([1.0], [1.0], 1.5), ([math.nan], [1.0], 1.0),
+        ([1.0], [math.inf], 1.0)])
+    def test_invalid_points_raise(self, lams, mus, eta):
+        with pytest.raises(DomainError):
+            gamma_surface(lams, mus, eta)
 
     def test_csv_layout_is_fixed_and_reproducible(self):
-        table = gamma_surface([1.0, 3.0], [2.0], eta=0.5)
-        text = gamma_table_csv(table)
-        lines = text.splitlines()
-        assert lines[0] == "lambda,mu,eta,h_hom,h_het,gamma"
+        cfg = {"experiment": "surface",
+               "grid": {"lambda": [1.0, 3.0], "mu": [2.0], "eta": [0.5]}}
+        text = run_experiment(cfg)[""]
+        lines = text.splitlines()[1:]
+        assert lines[0] == "lambda,mu,eta,h_hom,h_het,gamma,mode"
         assert len(lines) == 3
         first = lines[1].split(",")
         assert float(first[0]) == 1.0 and float(first[1]) == 2.0
-        assert float(first[5]) == pytest.approx(table[0].gamma, rel=1e-16)
-        assert text == gamma_table_csv(gamma_surface([1.0, 3.0], [2.0], eta=0.5))
+        gamma = gamma_surface([1.0, 3.0], [2.0], eta=0.5)["gamma"][0]
+        assert float(first[5]) == pytest.approx(gamma, rel=1e-16)
+        assert text == run_experiment(cfg)[""]
 
 
 class TestCriticalLambda:

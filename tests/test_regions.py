@@ -5,8 +5,9 @@ import pytest
 
 from gausstomo import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
                        conditional_std, critical_lambda_equal_areas,
-                       effective_covariance, marginal_std, region_area_scan_csv,
-                       region_areas, region_boundaries)
+                       effective_covariance, marginal_std, region_areas,
+                       region_boundaries)
+from gausstomo.experiments import render_table
 
 
 def random_pd_covariances(n, seed):
@@ -179,9 +180,21 @@ class TestCriticalLambdaEqualAreas:
 
 
 class TestAreaScanCsv:
+    """A region-area scan written by the one table writer, render_table."""
+
+    @staticmethod
+    def scan_csv(lambdas, etas):
+        rows = []
+        for eta in etas:
+            for lam in lambdas:
+                areas = region_areas(GaussianStateSpec(mu=1.0, lam=lam, eta=eta))
+                rows.append((lam, eta, areas.s_sigma, areas.s_Sigma))
+        return render_table(["lambda", "eta", "s_sigma", "s_Sigma"], rows,
+                            {"experiment": "regions"}, "csv")
+
     def test_layout_and_values(self):
-        text = region_area_scan_csv([1.0, 2.0], [1.0])
-        lines = text.splitlines()
+        text = self.scan_csv([1.0, 2.0], [1.0])
+        lines = text.splitlines()[1:]
         assert lines[0] == "lambda,eta,s_sigma,s_Sigma"
         assert len(lines) == 3
         row = dict(zip(lines[0].split(","), lines[2].split(",")))
@@ -190,6 +203,6 @@ class TestAreaScanCsv:
         assert float(row["s_Sigma"]) == pytest.approx(areas.s_Sigma, rel=1e-16)
 
     def test_deterministic_bytes(self):
-        a = region_area_scan_csv([0.5, 1.5], [0.8, 1.0])
-        b = region_area_scan_csv([0.5, 1.5], [0.8, 1.0])
-        assert a == b and len(a.splitlines()) == 5
+        a = self.scan_csv([0.5, 1.5], [0.8, 1.0])
+        b = self.scan_csv([0.5, 1.5], [0.8, 1.0])
+        assert a == b and len(a.splitlines()[1:]) == 5
