@@ -19,13 +19,11 @@ from .fisher import (CrbReport, Fisher3, NumericalError, crb_het, crb_hom,
                      crb_report, critical_lambda_for_gamma, fisher_het,
                      fisher_hom_closed, fisher_hom_quadrature, gamma_surface,
                      small_eta_asymptote)
-from .regions import (DirectionVariancePair, NumericalBracketError, RegionAreas,
-                      conditional_std, critical_lambda_equal_areas,
-                      marginal_std, region_areas, region_boundaries)
-from .sampling import (AnglePolicy, ContinuousSweep, PhaseSpaceSample,
-                       QuadratureSample, SeedSpec, UniformGrid,
-                       heterodyne_arrays, homodyne_arrays, raw_words,
-                       sample_heterodyne, sample_homodyne)
+from .regions import (DirectionVariancePair, RegionAreas, conditional_std,
+                      critical_lambda_equal_areas, marginal_std, region_areas,
+                      region_boundaries)
+from .sampling import (AnglePolicy, ContinuousSweep, SeedSpec, UniformGrid,
+                       heterodyne_arrays, homodyne_arrays, raw_words)
 
 __all__ = [
     "__version__",
@@ -36,12 +34,11 @@ __all__ = [
     "crb_report", "critical_lambda_for_gamma",
     "fisher_het", "fisher_hom_closed", "fisher_hom_quadrature",
     "gamma_surface", "small_eta_asymptote",
-    "DirectionVariancePair", "NumericalBracketError", "RegionAreas",
+    "DirectionVariancePair", "RegionAreas",
     "conditional_std", "critical_lambda_equal_areas", "marginal_std",
     "region_areas", "region_boundaries",
-    "AnglePolicy", "ContinuousSweep", "PhaseSpaceSample", "QuadratureSample",
-    "SeedSpec", "UniformGrid", "heterodyne_arrays", "homodyne_arrays",
-    "raw_words", "sample_heterodyne", "sample_homodyne",
+    "AnglePolicy", "ContinuousSweep", "SeedSpec", "UniformGrid",
+    "heterodyne_arrays", "homodyne_arrays", "raw_words",
     "EstimationResult", "MlOptions", "UncertaintyEllipse",
     "estimate_heterodyne", "estimate_homodyne_ml", "hs_distance_sq",
     "project_physical", "single_angle_second_moment", "to_ellipse",

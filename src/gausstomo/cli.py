@@ -18,7 +18,6 @@ from ._version import __version__
 from .core import DomainError
 from .experiments import ConfigError, resolve_config, run_experiment
 from .fisher import NumericalError
-from .regions import NumericalBracketError
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -82,8 +81,6 @@ def _run(experiment: str, config: str | None, out: str | None, **overrides):
     cfg = _load_config(config, experiment, overrides)
     threads = overrides.get("threads") or 1
     target = out if out is not None else cfg.get("output_path", "-")
-    if not isinstance(target, str):
-        _fail(EXIT_CONFIG, "config", f"'output_path' must be a string, got {target!r}")
     try:
         resolve_config(cfg)
         outputs = run_experiment(cfg, threads=threads)
@@ -91,7 +88,7 @@ def _run(experiment: str, config: str | None, out: str | None, **overrides):
         _fail(EXIT_CONFIG, "config", str(exc))
     except DomainError as exc:
         _fail(EXIT_CONFIG, "domain", str(exc))
-    except (NumericalError, NumericalBracketError, FloatingPointError) as exc:
+    except (NumericalError, FloatingPointError) as exc:
         _fail(EXIT_NUMERICAL, "numerical", str(exc))
     _write_outputs(outputs, target)
 

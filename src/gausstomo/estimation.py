@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Covariance2, DomainError, SchemeKind, SQRT2, delta_offset
-from .sampling import PhaseSpaceSample
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -113,8 +112,7 @@ def project_physical(cov: Covariance2) -> Covariance2:
     return Covariance2(g1, g2, g3)
 
 
-def estimate_heterodyne(data: list[PhaseSpaceSample] | np.ndarray,
-                        eta: float) -> EstimationResult:
+def estimate_heterodyne(data: np.ndarray, eta: float) -> EstimationResult:
     """Efficient closed-form estimator from heterodyne phase-space pairs.
 
     The state mean is known to be zero, so the maximum-likelihood data
@@ -126,10 +124,7 @@ def estimate_heterodyne(data: list[PhaseSpaceSample] | np.ndarray,
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta = {eta} must lie in (0, 1]")
-    if isinstance(data, np.ndarray):
-        z = np.asarray(data, dtype=float)
-    else:
-        z = np.array([(d.x, d.p) for d in data], dtype=float)
+    z = np.asarray(data, dtype=float)
     if z.ndim != 2 or z.shape[1] != 2:
         raise DomainError("heterodyne data must be an (n, 2) array of (x, p) pairs")
     n = z.shape[0]
@@ -162,14 +157,10 @@ class MlOptions:
 
 
 def _angles_values(data) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(data, tuple) and len(data) == 2:
-        theta = np.asarray(data[0], dtype=float)
-        x = np.asarray(data[1], dtype=float)
-    else:
-        arr = np.array([(d.theta, d.x) for d in data], dtype=float)
-        if arr.size == 0:
-            raise DomainError("homodyne data must be nonempty")
-        theta, x = arr[:, 0], arr[:, 1]
+    if not (isinstance(data, tuple) and len(data) == 2):
+        raise DomainError("homodyne data must be a (theta, x) pair of arrays")
+    theta = np.asarray(data[0], dtype=float)
+    x = np.asarray(data[1], dtype=float)
     if theta.shape != x.shape or theta.ndim != 1:
         raise DomainError("homodyne data must be matching 1-d angle/value arrays")
     return theta, x
@@ -197,7 +188,7 @@ def _moment_init(v: np.ndarray, x2: np.ndarray, theta: np.ndarray) -> np.ndarray
     return np.array([mbar, mbar, 0.0])
 
 
-def estimate_homodyne_ml(data, eta: float,
+def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray], eta: float,
                          options: MlOptions = MlOptions()) -> EstimationResult:
     """Maximum-likelihood covariance fit to homodyne records.
 
@@ -210,9 +201,9 @@ def estimate_homodyne_ml(data, eta: float,
     fallback while the Hessian is indefinite.  Convergence requires the
     trace-scaled per-sample gradient norm to reach `gradient_tol`.
 
-    `data` is a list of QuadratureSample or a (theta, x) array pair; the
-    angles must take at least three distinct values or the three-parameter
-    model is unidentifiable.
+    `data` is a (theta, x) pair of matching 1-d arrays; the angles must
+    take at least three distinct values or the three-parameter model is
+    unidentifiable.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta = {eta} must lie in (0, 1]")

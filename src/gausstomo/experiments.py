@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                   wigner_covariance)
+from .core import DomainError, GaussianStateSpec, SchemeKind, wigner_covariance
 from .estimation import (EstimationResult, estimate_heterodyne,
                          estimate_homodyne_ml, hs_distance_sq, to_ellipse)
 from .fisher import crb_het, crb_hom, gamma_surface
@@ -398,24 +397,17 @@ def _trial_stream(seed: SeedSpec, lane: int, trials: int, trial: int) -> SeedSpe
     return seed.stream(1 + lane * trials + trial)
 
 
-def _one_trial(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
-               stream: SeedSpec, truth: Covariance2) -> tuple[float, bool, EstimationResult]:
-    if scheme is SchemeKind.HOMODYNE:
-        thetas, xs = homodyne_arrays(spec, n, ContinuousSweep(), stream)
-        result = estimate_homodyne_ml((thetas, xs), spec.eta)
-    else:
-        xs, ps = heterodyne_arrays(spec, n, stream)
-        result = estimate_heterodyne(np.column_stack([xs, ps]), spec.eta)
-    return hs_distance_sq(result.g_wigner, truth), result.converged, result
-
-
 def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
-                seed: SeedSpec, lane: int, trials: int, threads: int) -> list[float]:
-    """Squared HS distance of each trial's estimate from the truth, in trial order."""
-    truth = wigner_covariance(spec)
-
-    def job(trial: int) -> float:
-        return _one_trial(spec, scheme, n, _trial_stream(seed, lane, trials, trial), truth)[0]
+                seed: SeedSpec, lane: int, trials: int,
+                threads: int) -> list[EstimationResult]:
+    """Each trial's estimate from its own seed stream, in trial order."""
+    def job(trial: int) -> EstimationResult:
+        stream = _trial_stream(seed, lane, trials, trial)
+        if scheme is SchemeKind.HOMODYNE:
+            records = homodyne_arrays(spec, n, ContinuousSweep(), stream)
+            return estimate_homodyne_ml(records, spec.eta)
+        xs, ps = heterodyne_arrays(spec, n, stream)
+        return estimate_heterodyne(np.column_stack([xs, ps]), spec.eta)
 
     if threads == 1:
         return [job(t) for t in range(trials)]
@@ -434,10 +426,12 @@ def run_crb_attainment(config: dict, threads: int = 1) -> str:
     seed = _seed_of(config)
     scheme = _SCHEMES[config["scheme"]]
     crb = crb_hom(spec) if scheme is SchemeKind.HOMODYNE else crb_het(spec)
+    truth = wigner_covariance(spec)
     rows = []
     for lane, n in enumerate(config["n_values"]):
-        mean_scaled = n * float(np.mean(_run_trials(spec, scheme, n, seed, lane,
-                                                    config["trials"], threads)))
+        results = _run_trials(spec, scheme, n, seed, lane, config["trials"], threads)
+        mean_scaled = n * float(np.mean([hs_distance_sq(r.g_wigner, truth)
+                                         for r in results]))
         rows.append((n, config["scheme"], mean_scaled, crb, mean_scaled / crb))
     return render_table(["N", "scheme", "mean_N_times_mse", "crb", "ratio"],
                         rows, config, config["format"])
@@ -458,33 +452,25 @@ def run_fig5(config: dict, threads: int = 1) -> str:
     columns = ["n", "scheme", "kind", "trial_index", "axis_major", "axis_minor",
                "orientation", "hs_distance_sq", "converged", "representative"]
     rows = []
-    trials = config["trials"]
     lanes = [(scheme, n) for scheme in (SchemeKind.HOMODYNE, SchemeKind.HETERODYNE)
              for n in config["n_values"]]
     for lane, (scheme, n) in enumerate(lanes):
         rows.append((n, scheme.value, "true", -1,
                      true_ellipse.semi_axis_major, true_ellipse.semi_axis_minor,
                      true_ellipse.orientation, 0.0, True, False))
-
-        def job(trial: int):
-            hs, conv, result = _one_trial(spec, scheme, n,
-                                          _trial_stream(seed, lane, trials, trial),
-                                          truth)
+        hs_values = []
+        for trial, result in enumerate(_run_trials(spec, scheme, n, seed, lane,
+                                                   config["trials"], threads)):
             eff = result.g_effective
             if eff.is_positive_definite():
                 ell = to_ellipse(eff)
                 axes = (ell.semi_axis_major, ell.semi_axis_minor, ell.orientation)
             else:
                 axes = (math.nan, math.nan, math.nan)
-            return (n, scheme.value, "estimate", trial, *axes, hs, conv, trial == 0)
-
-        if threads == 1:
-            trial_rows = [job(t) for t in range(trials)]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                trial_rows = list(pool.map(job, range(trials)))
-        rows.extend(trial_rows)
-        mean_hs = float(np.mean([r[7] for r in trial_rows]))
+            hs_values.append(hs_distance_sq(result.g_wigner, truth))
+            rows.append((n, scheme.value, "estimate", trial, *axes, hs_values[-1],
+                         result.converged, trial == 0))
+        mean_hs = float(np.mean(hs_values))
         rows.append((n, scheme.value, "aggregate", -1,
                      math.nan, math.nan, math.nan, mean_hs, True, False))
     return render_table(columns, rows, config, config["format"])

@@ -21,14 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
                    SQRT2, effective_covariance)
-
-
-class NumericalBracketError(RuntimeError):
-    """Root bracketing failed; raised instead of silently extrapolating."""
 
 
 @dataclass(frozen=True)
@@ -107,42 +101,20 @@ def region_areas(spec: GaussianStateSpec) -> RegionAreas:
                        s_Sigma=math.pi * math.sqrt(g_het.det))
 
 
-def _area_gap(lam: float, eta: float) -> float:
-    """s_sigma - s_Sigma at mu = 1, divided by pi."""
-    spec = GaussianStateSpec(mu=1.0, lam=lam, eta=eta)
-    areas = region_areas(spec)
-    return (areas.s_sigma - areas.s_Sigma) / math.pi
-
-
-LAMBDA_CRIT_BRACKET_LO = 1e-6
-
-
-def critical_lambda_equal_areas(eta: float, tol: float = 1e-12) -> float:
+def critical_lambda_equal_areas(eta: float) -> float:
     """Squeezing at which the two region areas coincide (lambda < 1 branch).
 
-    Solved for minimum-uncertainty states (mu = 1) by bisection on
-    [1e-6, 1]; the reciprocal is the lambda > 1 solution of the same
-    state rotated by pi/2.  The bracket is checked for exactly one sign
-    change before bisecting.
+    For minimum-uncertainty states (mu = 1) write t = (lambda + 1/lambda)/2.
+    The areas are pi (t/2 + (1 - eta)/(2 eta)) and pi sqrt(1/4 + d t + d^2)
+    with d = (2 - eta)/(2 eta), so equal areas means
+    t^2 - 2t/eta - (3 - 2 eta)/eta^2 - 1 = 0.  The constant term is
+    negative, so the quadratic has exactly one positive root,
+    t* = (1 + sqrt(eta^2 - 2 eta + 4))/eta, and t* > 1 on (0, 1] because
+    sqrt(eta^2 - 2 eta + 4) >= sqrt(3) > eta - 1.  The branch is
+    lambda = 1/(t* + sqrt(t*^2 - 1)), written without cancellation; its
+    reciprocal is the lambda > 1 solution of the same state rotated by pi/2.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta = {eta} must lie in (0, 1]")
-    lo, hi = LAMBDA_CRIT_BRACKET_LO, 1.0
-    flo, fhi = _area_gap(lo, eta), _area_gap(hi, eta)
-    if not (flo > 0.0 > fhi):
-        raise NumericalBracketError(
-            f"area gap does not change sign on [{lo}, {hi}] at eta = {eta}")
-    # coarse scan guards against multiple crossings (none are expected)
-    grid = np.geomspace(lo, hi, 64)
-    signs = np.sign([_area_gap(x, eta) for x in grid])
-    flips = int(np.sum(signs[:-1] * signs[1:] < 0))
-    if flips != 1:
-        raise NumericalBracketError(
-            f"expected exactly one area crossing on the branch, found {flips}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _area_gap(mid, eta) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    t = (1.0 + math.sqrt(eta * eta - 2.0 * eta + 4.0)) / eta
+    return 1.0 / (t + math.sqrt(t * t - 1.0))

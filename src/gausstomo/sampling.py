@@ -58,22 +58,6 @@ class SeedSpec:
 
 
 @dataclass(frozen=True)
-class QuadratureSample:
-    """One homodyne record: local-oscillator phase and measured quadrature."""
-
-    theta: float
-    x: float
-
-
-@dataclass(frozen=True)
-class PhaseSpaceSample:
-    """One heterodyne record: simultaneously measured quadrature pair."""
-
-    x: float
-    p: float
-
-
-@dataclass(frozen=True)
 class ContinuousSweep:
     """Local-oscillator phase drawn uniformly on [0, pi) per shot."""
 
@@ -122,8 +106,23 @@ def _marginal_variances(cov: Covariance2, thetas: np.ndarray) -> np.ndarray:
     return cov.g1 * c * c + cov.g2 * s * s + SQRT2 * cov.g3 * s * c
 
 
-def _homodyne_arrays(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
-                     seed: SeedSpec, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def homodyne_arrays(spec: GaussianStateSpec, n: int,
+                    angle_policy: AnglePolicy | None = None,
+                    seed: SeedSpec = SeedSpec(0),
+                    start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Draw homodyne records [start, start + n) as arrays (theta, x).
+
+    x_i is zero-mean Gaussian with variance C(theta_i) = u^T G_hom u; the
+    state mean is fixed at zero, only the profile is modelled.  Default
+    angle policy is the continuous sweep (the infinite-quadrature limit);
+    a UniformGrid(d) realises a finite set of d angle settings with
+    balanced counts.  Samples [start, start + n) equal the same slice of
+    the full run, so workers covering disjoint windows reproduce the
+    single-threaded sequence exactly after reassembly.
+    """
+    if n < 1:
+        raise DomainError(f"n = {n} must be at least 1")
+    policy = ContinuousSweep() if angle_policy is None else angle_policy
     words = raw_words(seed, _WORDS_PER_SAMPLE * start, _WORDS_PER_SAMPLE * n)
     words = words.reshape(n, _WORDS_PER_SAMPLE)
     if isinstance(policy, ContinuousSweep):
@@ -146,65 +145,17 @@ def _cholesky_lower(cov: Covariance2) -> tuple[float, float, float]:
     return l11, l21, l22
 
 
-def _heterodyne_arrays(spec: GaussianStateSpec, n: int, seed: SeedSpec,
-                       start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def heterodyne_arrays(spec: GaussianStateSpec, n: int,
+                      seed: SeedSpec = SeedSpec(0),
+                      start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Draw heterodyne phase-space pairs [start, start + n) as arrays (x, p).
+
+    The pairs are i.i.d. from the heterodyne data Gaussian with covariance
+    G_W + (2 - eta)/(2 eta) I, sampled through its Cholesky factor.
+    """
+    if n < 1:
+        raise DomainError(f"n = {n} must be at least 1")
     words = raw_words(seed, _WORDS_PER_SAMPLE * start, _WORDS_PER_SAMPLE * n)
     z = _standard_normal(words).reshape(n, _WORDS_PER_SAMPLE)
     l11, l21, l22 = _cholesky_lower(effective_covariance(spec, SchemeKind.HETERODYNE))
     return l11 * z[:, 0], l21 * z[:, 0] + l22 * z[:, 1]
-
-
-def sample_homodyne(spec: GaussianStateSpec, n: int,
-                    angle_policy: AnglePolicy | None = None,
-                    seed: SeedSpec = SeedSpec(0)) -> list[QuadratureSample]:
-    """Draw n homodyne records (theta_i, x_i).
-
-    x_i is zero-mean Gaussian with variance C(theta_i) = u^T G_hom u; the
-    state mean is fixed at zero, only the profile is modelled.  Default
-    angle policy is the continuous sweep (the infinite-quadrature limit);
-    a UniformGrid(d) realises a finite set of d angle settings with
-    balanced counts.
-    """
-    if n < 1:
-        raise DomainError(f"n = {n} must be at least 1")
-    policy = ContinuousSweep() if angle_policy is None else angle_policy
-    thetas, x = _homodyne_arrays(spec, n, policy, seed)
-    return [QuadratureSample(float(t), float(v)) for t, v in zip(thetas, x)]
-
-
-def sample_heterodyne(spec: GaussianStateSpec, n: int,
-                      seed: SeedSpec = SeedSpec(0)) -> list[PhaseSpaceSample]:
-    """Draw n i.i.d. phase-space pairs from the heterodyne data Gaussian.
-
-    The covariance is G_W + (2 - eta)/(2 eta) I, sampled through its
-    Cholesky factor.
-    """
-    if n < 1:
-        raise DomainError(f"n = {n} must be at least 1")
-    x, p = _heterodyne_arrays(spec, n, seed)
-    return [PhaseSpaceSample(float(a), float(b)) for a, b in zip(x, p)]
-
-
-def homodyne_arrays(spec: GaussianStateSpec, n: int,
-                    angle_policy: AnglePolicy | None = None,
-                    seed: SeedSpec = SeedSpec(0),
-                    start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Array view of sample_homodyne, with an optional window start.
-
-    Samples [start, start + n) equal the same slice of the full run, so
-    workers covering disjoint windows reproduce the single-threaded
-    sequence exactly after reassembly.
-    """
-    if n < 1:
-        raise DomainError(f"n = {n} must be at least 1")
-    policy = ContinuousSweep() if angle_policy is None else angle_policy
-    return _homodyne_arrays(spec, n, policy, seed, start)
-
-
-def heterodyne_arrays(spec: GaussianStateSpec, n: int,
-                      seed: SeedSpec = SeedSpec(0),
-                      start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Array view of sample_heterodyne, with an optional window start."""
-    if n < 1:
-        raise DomainError(f"n = {n} must be at least 1")
-    return _heterodyne_arrays(spec, n, seed, start)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from gausstomo import (Covariance2, DomainError, GaussianStateSpec,
-                       PhaseSpaceSample, QuadratureSample, SchemeKind, SeedSpec,
-                       crb_het, crb_hom, estimate_heterodyne,
+                       SchemeKind, SeedSpec, crb_het, crb_hom, estimate_heterodyne,
                        estimate_homodyne_ml, heterodyne_arrays, homodyne_arrays,
                        hs_distance_sq, project_physical, rotate_covariance,
                        single_angle_second_moment, to_ellipse,
@@ -84,7 +83,7 @@ class TestHeterodyneEstimator:
     def test_antipodal_pair_closed_form(self):
         # sample covariance diag(1, 0); offset subtraction may leave an
         # unphysical estimate at tiny n, reported as-is
-        data = [PhaseSpaceSample(1.0, 0.0), PhaseSpaceSample(-1.0, 0.0)]
+        data = np.array([[1.0, 0.0], [-1.0, 0.0]])
         result = estimate_heterodyne(data, eta=1.0)
         assert result.g_effective == Covariance2(1.0, 0.0, 0.0)
         assert result.g_wigner.g1 == pytest.approx(0.5)
@@ -136,7 +135,7 @@ class TestHeterodyneEstimator:
 
     def test_rejects_tiny_or_malformed_input(self):
         with pytest.raises(DomainError):
-            estimate_heterodyne([PhaseSpaceSample(1.0, 0.0)], eta=1.0)
+            estimate_heterodyne(np.array([[1.0, 0.0]]), eta=1.0)
         with pytest.raises(DomainError):
             estimate_heterodyne(np.zeros((5, 3)), eta=1.0)
         with pytest.raises(DomainError):
@@ -208,8 +207,7 @@ class TestHomodyneMl:
         assert abs(mean - bound) < max(3 * se, 0.08 * bound)
 
     def test_accepts_sample_objects(self):
-        samples = [QuadratureSample(0.0, 0.7), QuadratureSample(1.0, -0.2),
-                   QuadratureSample(2.0, 0.4), QuadratureSample(0.5, 0.1)]
+        samples = (np.array([0.0, 1.0, 2.0, 0.5]), np.array([0.7, -0.2, 0.4, 0.1]))
         result = estimate_homodyne_ml(samples, eta=1.0)
         assert result.scheme is SchemeKind.HOMODYNE
 

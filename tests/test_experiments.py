@@ -7,7 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from gausstomo import __version__
+from gausstomo import DomainError, GaussianStateSpec, __version__, region_areas
 from gausstomo.experiments import (ConfigError, extract_embedded_config,
                                    render_table, resolve_config, run_experiment)
 
@@ -368,6 +368,19 @@ class TestFig5:
         reps = [r for r in rows if dict(zip(header, r))["representative"] == "true"]
         assert len(reps) == 2  # one per scheme
 
+    @pytest.mark.parametrize("master_seed", range(6))
+    def test_thread_count_never_changes_bytes(self, master_seed):
+        # a seed whose run fails must fail with the same message at both counts
+        cfg = {"experiment": "fig5", "trials": 20,
+               "seed": {"master_seed": master_seed, "stream_id": 0}}
+        outcomes = []
+        for threads in (1, 4):
+            try:
+                outcomes.append(run_experiment(cfg, threads=threads)[""])
+            except DomainError as exc:
+                outcomes.append(f"DomainError: {exc}")
+        assert outcomes[0] == outcomes[1]
+
 
 class TestCli:
     def run_cli(self, *args):
@@ -419,6 +432,26 @@ class TestCli:
         proc = self.run_cli("estimate", "--config", str(cfg))
         assert proc.returncode == 2
         assert "line 3" in json.loads(proc.stderr.strip())["message"]
+
+    def test_non_string_output_path_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "lambda-crit", "eta_values": [1.0],
+                                   "output_path": 3}))
+        proc = self.run_cli("lambda-crit", "--config", str(cfg))
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "config" and "output_path" in err["message"]
+
+    def test_lambda_crit_at_tiny_efficiency(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "lambda-crit", "eta_values": [1e-6]}))
+        proc = self.run_cli("lambda-crit", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        header, rows = rows_of(proc.stdout)
+        lam = float(dict(zip(header, rows[0]))["lambda_crit"])
+        assert lam == pytest.approx(1.667e-7, rel=1e-3)
+        areas = region_areas(GaussianStateSpec(1.0, lam, eta=1e-6))
+        assert areas.s_sigma == pytest.approx(areas.s_Sigma, rel=1e-10)
 
     def test_mismatched_experiment_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
