@@ -19,8 +19,9 @@ import numpy as np
 
 from ._version import __version__
 from .core import DomainError, GaussianStateSpec, SchemeKind, wigner_covariance
-from .estimation import (EstimationResult, estimate_heterodyne,
-                         estimate_homodyne_ml, hs_distance_sq, to_ellipse)
+from .estimation import (_BLOCK_SAMPLES, EstimationResult, estimate_heterodyne,
+                         estimate_homodyne_ml, estimate_homodyne_ml_block,
+                         hs_distance_sq, to_ellipse)
 from .fisher import crb_het, crb_hom, gamma_surface
 from .regions import critical_lambda_equal_areas, region_boundaries
 from .sampling import (ContinuousSweep, SeedSpec, UniformGrid,
@@ -400,19 +401,30 @@ def _trial_stream(seed: SeedSpec, lane: int, trials: int, trial: int) -> SeedSpe
 def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
                 seed: SeedSpec, lane: int, trials: int,
                 threads: int) -> list[EstimationResult]:
-    """Each trial's estimate from its own seed stream, in trial order."""
-    def job(trial: int) -> EstimationResult:
-        stream = _trial_stream(seed, lane, trials, trial)
-        if scheme is SchemeKind.HOMODYNE:
-            records = homodyne_arrays(spec, n, ContinuousSweep(), stream)
-            return estimate_homodyne_ml(records, spec.eta)
-        xs, ps = heterodyne_arrays(spec, n, stream)
-        return estimate_heterodyne(np.column_stack([xs, ps]), spec.eta)
+    """Each trial's estimate from its own seed stream, in trial order.
 
+    A job fits one trial, or for homodyne one block of trials of up to
+    _BLOCK_SAMPLES samples in all.
+    """
+    size = max(1, _BLOCK_SAMPLES // n) if scheme is SchemeKind.HOMODYNE else 1
+
+    def job(first: int) -> list[EstimationResult]:
+        streams = [_trial_stream(seed, lane, trials, t)
+                   for t in range(first, min(first + size, trials))]
+        if scheme is SchemeKind.HETERODYNE:
+            return [estimate_heterodyne(np.column_stack(heterodyne_arrays(spec, n, stream)),
+                                        spec.eta) for stream in streams]
+        records = [homodyne_arrays(spec, n, ContinuousSweep(), stream) for stream in streams]
+        thetas, xs = (np.stack(column) for column in zip(*records))
+        return estimate_homodyne_ml_block(thetas, xs, spec.eta)
+
+    starts = range(0, trials, size)
     if threads == 1:
-        return [job(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(job, range(trials)))
+        blocks = [job(first) for first in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = list(pool.map(job, starts))
+    return [result for block in blocks for result in block]
 
 
 def run_crb_attainment(config: dict, threads: int = 1) -> str:

@@ -20,10 +20,11 @@ import pytest
 from gausstomo import (Covariance2, GaussianStateSpec, SchemeKind, SeedSpec,
                        conditional_std, crb_het, crb_hom, crb_report,
                        critical_lambda_equal_areas, estimate_heterodyne,
-                       estimate_homodyne_ml, fisher_het, fisher_hom_quadrature,
+                       estimate_homodyne_ml_block, fisher_het, fisher_hom_quadrature,
                        gamma_surface, heterodyne_arrays, homodyne_arrays,
                        hs_distance_sq, marginal_std, region_areas,
                        squeezing_db, wigner_covariance)
+from gausstomo.estimation import _BLOCK_SAMPLES
 from gausstomo.experiments import extract_embedded_config, run_experiment
 
 PASS = "PASS"
@@ -241,17 +242,24 @@ def test_criterion_4_variance_inequality():
 
 def _scaled_mse(spec: GaussianStateSpec, scheme: SchemeKind, n: int, trials: int,
                 seed: SeedSpec) -> float:
+    """N times the mean squared HS distance over trials on the streams
+    seed.stream(t); homodyne trials are fitted in blocks of up to
+    _BLOCK_SAMPLES samples, as the Monte Carlo runners fit them."""
     truth = wigner_covariance(spec)
+    size = max(1, _BLOCK_SAMPLES // n) if scheme is SchemeKind.HOMODYNE else 1
     total = 0.0
-    for t in range(trials):
-        stream = seed.stream(t)
+    for first in range(0, trials, size):
+        streams = [seed.stream(t) for t in range(first, min(first + size, trials))]
         if scheme is SchemeKind.HOMODYNE:
-            thetas, x = homodyne_arrays(spec, n, seed=stream)
-            result = estimate_homodyne_ml((thetas, x), eta=spec.eta)
+            draws = [homodyne_arrays(spec, n, seed=stream) for stream in streams]
+            results = estimate_homodyne_ml_block(np.stack([d[0] for d in draws]),
+                                                 np.stack([d[1] for d in draws]),
+                                                 eta=spec.eta)
         else:
-            x, p = heterodyne_arrays(spec, n, stream)
-            result = estimate_heterodyne(np.column_stack([x, p]), eta=spec.eta)
-        total += hs_distance_sq(result.g_wigner, truth)
+            x, p = heterodyne_arrays(spec, n, streams[0])
+            results = [estimate_heterodyne(np.column_stack([x, p]), eta=spec.eta)]
+        for result in results:
+            total += hs_distance_sq(result.g_wigner, truth)
     return n * total / trials
 
 

@@ -1,14 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gausstomo import (Covariance2, DomainError, GaussianStateSpec,
-                       SchemeKind, SeedSpec, crb_het, crb_hom, estimate_heterodyne,
-                       estimate_homodyne_ml, heterodyne_arrays, homodyne_arrays,
+from gausstomo import (ContinuousSweep, Covariance2, DomainError, GaussianStateSpec,
+                       MlOptions, SchemeKind, SeedSpec, crb_het, crb_hom,
+                       estimate_heterodyne, estimate_homodyne_ml,
+                       estimate_homodyne_ml_block, heterodyne_arrays, homodyne_arrays,
                        hs_distance_sq, project_physical, rotate_covariance,
                        single_angle_second_moment, to_ellipse,
                        wigner_covariance)
+from gausstomo.estimation import _evaluate
 
 SQRT2 = math.sqrt(2.0)
 FIG5 = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
@@ -231,3 +234,78 @@ class TestHomodyneMl:
         ref = float(np.sum(-0.5 * (x * x / cvar + np.log(cvar))
                            - 0.5 * math.log(2 * math.pi)))
         assert result.loglik == pytest.approx(ref, rel=1e-12)
+
+
+def fig5_lane(master_seed: int, lane: int, n: int, trials: int = 20):
+    """The homodyne records of one lane of `gausstomo fig5`, as (trials, n) arrays."""
+    records = [homodyne_arrays(FIG5, n, ContinuousSweep(),
+                               SeedSpec(master_seed, 0).stream(1 + lane * trials + t))
+               for t in range(trials)]
+    return np.stack([r[0] for r in records]), np.stack([r[1] for r in records])
+
+
+def result_bits(r) -> tuple:
+    """Every field of an EstimationResult, floats as their exact hex form."""
+    floats = (r.g_wigner.g1, r.g_wigner.g2, r.g_wigner.g3,
+              r.g_effective.g1, r.g_effective.g2, r.g_effective.g3, r.loglik)
+    return tuple(float(x).hex() for x in floats) + (r.iterations, r.converged, r.scheme)
+
+
+class TestHomodyneMlBlock:
+    @pytest.mark.parametrize("master_seed", [0, 1])
+    @pytest.mark.parametrize("lane, n", [(0, 50), (1, 100), (2, 150)])
+    def test_rows_equal_single_fits(self, master_seed, lane, n):
+        thetas, xs = fig5_lane(master_seed, lane, n)
+        block = estimate_homodyne_ml_block(thetas, xs, FIG5.eta)
+        singles = [estimate_homodyne_ml((t, x), FIG5.eta) for t, x in zip(thetas, xs)]
+        assert [result_bits(r) for r in block] == [result_bits(r) for r in singles]
+        # each block holds a fit that stalls on a flat likelihood
+        limit = MlOptions().max_iterations
+        assert any(not r.converged and r.iterations < limit for r in block)
+        if (master_seed, n) == (1, 50):
+            assert [r.iterations for r in block].count(limit) == 1
+
+    def test_options_reach_every_row(self):
+        thetas, xs = fig5_lane(1, 0, 50, trials=8)
+        for options in (MlOptions(max_iterations=0), MlOptions(max_iterations=3),
+                        MlOptions(max_halvings=0), MlOptions(max_halvings=1),
+                        MlOptions(gradient_tol=1e-3)):
+            block = estimate_homodyne_ml_block(thetas, xs, FIG5.eta, options)
+            singles = [estimate_homodyne_ml((t, x), FIG5.eta, options)
+                       for t, x in zip(thetas, xs)]
+            assert [result_bits(r) for r in block] == [result_bits(r) for r in singles]
+        assert all(r.iterations == 0 for r in
+                   estimate_homodyne_ml_block(thetas, xs, FIG5.eta, MlOptions(max_iterations=0)))
+
+    def test_empty_block(self):
+        assert estimate_homodyne_ml_block(np.zeros((0, 10)), np.zeros((0, 10)), 1.0) == []
+
+    def test_rejects_malformed_blocks(self):
+        thetas, xs = fig5_lane(0, 0, 50, trials=3)
+        with pytest.raises(DomainError):
+            estimate_homodyne_ml_block(thetas[0], xs[0], FIG5.eta)
+        with pytest.raises(DomainError):
+            estimate_homodyne_ml_block(thetas, xs[:2], FIG5.eta)
+        with pytest.raises(DomainError):
+            estimate_homodyne_ml_block(thetas[:, :2], xs[:, :2], FIG5.eta)
+        with pytest.raises(DomainError):
+            estimate_homodyne_ml_block(thetas, xs, 0.0)
+        thetas = thetas.copy()
+        thetas[1] = np.where(np.arange(50) % 2 == 0, 0.0, 1.0)
+        with pytest.raises(DomainError, match="3 distinct angles"):
+            estimate_homodyne_ml_block(thetas, xs, FIG5.eta)
+        # NaN angles count once, as np.unique counts them
+        thetas[1, :3] = [np.nan, np.nan, 2.0]
+        with pytest.raises(DomainError, match="3 distinct angles"):
+            estimate_homodyne_ml_block(thetas[1:2, :3], xs[1:2, :3], FIG5.eta)
+
+    def test_far_off_step_is_rejected_quietly(self):
+        # a trial step of this size overflows a * a to inf
+        thetas, xs = fig5_lane(0, 0, 50, trials=1)
+        c, s = np.cos(thetas), np.sin(thetas)
+        v = np.stack([c * c, s * s, SQRT2 * s * c], axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, f = _evaluate(np.array([[416.7, -763.0, -131.6]]), v, xs * xs)
+        assert g[0, 0] == math.inf
+        assert not f[0] > -1e300

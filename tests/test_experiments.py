@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -8,8 +9,29 @@ import numpy as np
 import pytest
 
 from gausstomo import DomainError, GaussianStateSpec, __version__, region_areas
+from gausstomo.estimation import _BLOCK_SAMPLES
 from gausstomo.experiments import (ConfigError, extract_embedded_config,
                                    render_table, resolve_config, run_experiment)
+
+# Homodyne crb-attainment whose lanes split into several fit blocks:
+# N = 7000 takes 4 trials a block (4 + 1), N = 17000 > _BLOCK_SAMPLES / 2 one.
+SPLIT_CRB = {"experiment": "crb-attainment",
+             "spec": {"mu": 2.0, "lambda": 10.0, "eta": 0.5},
+             "scheme": "homodyne", "n_values": [7000, 17000], "trials": 5,
+             "seed": {"master_seed": 11, "stream_id": 0}}
+
+# sha256 of output bytes, as numpy 2 with OpenBLAS on x86-64 computes them
+# (the last bits depend on the BLAS and libm).  A change to the homodyne
+# fit that moves a bit of these tables must update the digest and say why.
+PINNED_SHA256 = {
+    # gausstomo fig5 --trials 20 --seed 0
+    "fig5": "d6cce4985d6521c428584396f2f66c09782a76f914d58c154a5ece64c70105a3",
+    "split-crb": "ec724679e62ef702d09056124938e9f3e7cb858889dabe09f3d6fc4a5ebc1fef",
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def rows_of(csv_text):
@@ -331,6 +353,13 @@ class TestCrbAttainment:
         pooled = run_experiment(base, threads=8)[""]
         assert single == pooled
 
+    def test_split_blocks_never_change_bytes(self):
+        assert 7000 < _BLOCK_SAMPLES < 2 * 17000
+        outputs = {threads: run_experiment(SPLIT_CRB, threads=threads)[""]
+                   for threads in (1, 2, 3)}
+        assert outputs[1] == outputs[2] == outputs[3]
+        assert sha256(outputs[1]) == PINNED_SHA256["split-crb"]
+
     def test_threads_key_is_not_a_config_field(self):
         with pytest.raises(ConfigError):
             resolve_config({"experiment": "fig5", "trials": 1, "threads": 4})
@@ -380,6 +409,11 @@ class TestFig5:
             except DomainError as exc:
                 outcomes.append(f"DomainError: {exc}")
         assert outcomes[0] == outcomes[1]
+
+    def test_pinned_bytes(self):
+        cfg = {"experiment": "fig5", "trials": 20,
+               "seed": {"master_seed": 0, "stream_id": 0}}
+        assert sha256(run_experiment(cfg)[""]) == PINNED_SHA256["fig5"]
 
 
 class TestCli:
