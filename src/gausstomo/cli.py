@@ -33,10 +33,15 @@ def _load_config(config_path: str | None, experiment: str, overrides: dict) -> d
     if config_path:
         try:
             text = sys.stdin.read() if config_path == "-" \
-                else Path(config_path).read_text()
+                else Path(config_path).read_text(encoding="utf-8")
             cfg = json.loads(text)
         except FileNotFoundError:
             _fail(EXIT_CONFIG, "config", f"config file not found: {config_path}")
+        except OSError as exc:
+            _fail(EXIT_CONFIG, "config",
+                  f"config file cannot be read: {config_path}: {exc.strerror}")
+        except UnicodeDecodeError:
+            _fail(EXIT_CONFIG, "config", f"config file is not UTF-8 text: {config_path}")
         except json.JSONDecodeError as exc:
             _fail(EXIT_CONFIG, "config", f"config file is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
@@ -70,16 +75,20 @@ def _write_outputs(outputs: dict[str, str], out: str):
         sys.stdout.write(outputs[""])
         return
     base = Path(out)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    for suffix, content in outputs.items():
-        target = base if suffix == "" else Path(str(base) + suffix)
-        with open(target, "w", newline="\n") as fh:
-            fh.write(content)
+    try:
+        base.parent.mkdir(parents=True, exist_ok=True)
+        for suffix, content in outputs.items():
+            target = base if suffix == "" else Path(str(base) + suffix)
+            with open(target, "w", newline="\n") as fh:
+                fh.write(content)
+    except OSError as exc:
+        _fail(EXIT_CONFIG, "config",
+              f"cannot write output {out}: {exc.strerror}: {exc.filename}")
 
 
 def _run(experiment: str, config: str | None, out: str | None, **overrides):
     cfg = _load_config(config, experiment, overrides)
-    threads = overrides.get("threads") or 1
+    threads = 1 if overrides.get("threads") is None else overrides["threads"]
     target = out if out is not None else cfg.get("output_path", "-")
     try:
         resolve_config(cfg)

@@ -233,10 +233,17 @@ def _params_from_g(g: np.ndarray) -> list:
     return [math.log(a), b, math.log(cc)]
 
 
+def _exp_or_inf(x: float) -> float:
+    # math.exp, not np.exp: they differ in the last bit on some inputs.  An
+    # overflow gives inf, as np.exp would, so the line search rejects the step.
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def _exp(values: np.ndarray) -> np.ndarray:
-    # math.exp, not np.exp: they differ in the last bit on some inputs, and
-    # math.exp raises OverflowError where np.exp would return inf
-    return np.fromiter(map(math.exp, values.ravel()), dtype=float,
+    return np.fromiter(map(_exp_or_inf, values.ravel()), dtype=float,
                        count=values.size).reshape(values.shape)
 
 

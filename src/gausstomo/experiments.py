@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -422,6 +421,8 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
     if threads == 1:
         blocks = [job(first) for first in starts]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(job, starts))
     return [result for block in blocks for result in block]

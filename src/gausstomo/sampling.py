@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
-from scipy.special import ndtri
 
 from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
                    SQRT2, effective_covariance)
@@ -82,6 +80,8 @@ def raw_words(seed: SeedSpec, start: int, count: int) -> np.ndarray:
     Positions the Philox counter directly at the containing block, so a
     worker can read any window of the stream without generating its prefix.
     """
+    from numpy.random import Philox
+
     if count == 0:
         return np.zeros(0, dtype=np.uint64)
     key = np.array([seed.master_seed, seed.stream_id], dtype=np.uint64)
@@ -90,6 +90,17 @@ def raw_words(seed: SeedSpec, start: int, count: int) -> np.ndarray:
     gen = Philox(key=key, counter=block0)
     words = gen.random_raw(nblocks * _WORDS_PER_BLOCK)
     return words[offset:offset + count]
+
+
+def ndtri(p: np.ndarray) -> np.ndarray:
+    """scipy.special.ndtri, the inverse standard normal CDF.
+
+    scipy.special is imported at the first call, not with this module:
+    it is most of the package's import time, and only sampling needs it.
+    """
+    from scipy import special
+
+    return special.ndtri(p)
 
 
 def _uniform01(words: np.ndarray) -> np.ndarray:

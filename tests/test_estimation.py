@@ -11,7 +11,7 @@ from gausstomo import (ContinuousSweep, Covariance2, DomainError, GaussianStateS
                        hs_distance_sq, project_physical, rotate_covariance,
                        single_angle_second_moment, to_ellipse,
                        wigner_covariance)
-from gausstomo.estimation import _evaluate
+from gausstomo.estimation import _evaluate, _exp
 
 SQRT2 = math.sqrt(2.0)
 FIG5 = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
@@ -309,3 +309,26 @@ class TestHomodyneMlBlock:
             g, f = _evaluate(np.array([[416.7, -763.0, -131.6]]), v, xs * xs)
         assert g[0, 0] == math.inf
         assert not f[0] > -1e300
+
+    def test_overflowing_exp_is_inf(self):
+        values = np.array([[0.0, -1.5], [709.0, 1e3]])
+        out = _exp(values)
+        assert out[0].tolist() == [1.0, math.exp(-1.5)]
+        assert out[1].tolist() == [math.exp(709.0), math.inf]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, f = _evaluate(np.array([[800.0, 0.0, 0.0]]), np.ones((1, 3, 3)),
+                             np.ones((1, 3)))
+        assert g[0, 0] == math.inf
+        assert not f[0] > -1e300
+
+    def test_step_that_overflows_exp_is_rejected(self):
+        # a full Newton step on this N = 3 record leaves exp's range
+        spec = GaussianStateSpec(mu=20.0, lam=100.0, phi=0.7, eta=0.3)
+        thetas, xs = homodyne_arrays(spec, 3, ContinuousSweep(), SeedSpec(1, 148))
+        result = estimate_homodyne_ml((thetas, xs), spec.eta)
+        assert math.isfinite(result.loglik)
+        assert result.g_effective.is_positive_definite()
+        block = estimate_homodyne_ml_block(np.stack([thetas] * 2), np.stack([xs] * 2),
+                                           spec.eta)
+        assert [result_bits(r) for r in block] == [result_bits(result)] * 2

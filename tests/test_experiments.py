@@ -360,6 +360,15 @@ class TestCrbAttainment:
         assert outputs[1] == outputs[2] == outputs[3]
         assert sha256(outputs[1]) == PINNED_SHA256["split-crb"]
 
+    def test_overflowing_newton_step_finishes(self):
+        cfg = {"experiment": "crb-attainment",
+               "spec": {"mu": 20.0, "lambda": 100.0, "phi": 0.7, "eta": 0.3},
+               "scheme": "homodyne", "n_values": [3, 5, 10, 20], "trials": 200,
+               "seed": {"master_seed": 1, "stream_id": 0}}
+        header, rows = rows_of(run_experiment(cfg)[""])
+        ratios = [float(dict(zip(header, row))["ratio"]) for row in rows]
+        assert len(ratios) == 4 and all(math.isfinite(r) and r > 0 for r in ratios)
+
     def test_threads_key_is_not_a_config_field(self):
         with pytest.raises(ConfigError):
             resolve_config({"experiment": "fig5", "trials": 1, "threads": 4})
@@ -417,9 +426,9 @@ class TestFig5:
 
 
 class TestCli:
-    def run_cli(self, *args):
+    def run_cli(self, *args, input=None):
         return subprocess.run([sys.executable, "-m", "gausstomo.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, input=input)
 
     def test_stdout_run(self):
         proc = self.run_cli("lambda-crit", "--config", "/dev/stdin")
@@ -528,3 +537,36 @@ class TestCli:
             outs.append(path.read_text())
         assert outs[0] == outs[1]
         assert outs[0] != outs[2]
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, kind):
+        if kind == "directory":
+            cfg = tmp_path
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_bytes(b'{"experiment": "lambda-crit", "eta_values": [0.5], '
+                            b'"note": "\xff"}')
+        proc = self.run_cli("lambda-crit", "--config", str(cfg))
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "config" and str(cfg) in err["message"]
+
+    def test_unwritable_out_exits_2(self, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        for out in (tmp_path, blocker / "x.csv"):
+            proc = self.run_cli("lambda-crit", "--out", str(out),
+                                "--config", "-", input='{"eta_values": [0.5]}')
+            assert proc.returncode == 2, proc.stderr
+            err = json.loads(proc.stderr.strip())
+            assert err["error"] == "config" and str(out) in err["message"]
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_non_positive_threads_exit_2(self, threads):
+        proc = self.run_cli("regions", "--mu", "1.0", "--lambda", "2.0",
+                            "--threads", threads)
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr.strip())
+        assert err == {"error": "config",
+                       "message": f"threads must be a positive integer, got {threads}"}

@@ -1,0 +1,126 @@
+"""Start-up cost: the closed-form paths never import the sampling-only modules.
+
+scipy.special (for ndtri), numpy.random (for Philox) and concurrent.futures
+(for the thread pool) are imported at first use.  Each import check runs in
+a fresh interpreter whose PYTHONPATH is the src/ directory of the package
+under test, so it tests this tree and not an installed copy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import gausstomo
+from gausstomo import GaussianStateSpec, SeedSpec, heterodyne_arrays, homodyne_arrays
+from gausstomo.sampling import _uniform01, raw_words
+
+SRC = str(Path(gausstomo.__file__).resolve().parents[1])
+DEFERRED = ("scipy", "numpy.random", "concurrent.futures")
+
+
+def loaded_after(code: str) -> list[str]:
+    """The DEFERRED modules in sys.modules after a fresh interpreter runs code."""
+    script = textwrap.dedent(code) + textwrap.dedent(f"""
+        import json, sys
+        print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))
+    """)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_experiment_code(cfg: dict, threads: int = 1) -> str:
+    return f"""
+        from gausstomo.experiments import run_experiment
+        assert run_experiment({cfg!r}, threads={threads})[""]
+    """
+
+
+def test_cli_import_loads_no_sampling_module():
+    assert loaded_after("import gausstomo.cli") == []
+
+
+@pytest.fixture(scope="module")
+def sample_files(tmp_path_factory):
+    """Plain two-column CSV records for estimate, one file per scheme."""
+    root = tmp_path_factory.mktemp("samples")
+    spec = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
+    arrays = {"homodyne": homodyne_arrays(spec, 200, seed=SeedSpec(3)),
+              "heterodyne": heterodyne_arrays(spec, 200, seed=SeedSpec(3))}
+    paths = {}
+    for scheme, columns in arrays.items():
+        paths[scheme] = root / f"{scheme}.csv"
+        np.savetxt(paths[scheme], np.column_stack(columns), delimiter=",")
+    return paths
+
+
+CLOSED_FORM = {
+    "surface-real": {"experiment": "surface",
+                     "grid": {"lambda": [1.0, 10.0], "mu": [1.0, 3.0],
+                              "eta": [0.5, 1.0], "mode": "real"}},
+    "surface-hypothetical": {"experiment": "surface",
+                             "grid": {"lambda": [1.0, 10.0], "mu": [1.0, 3.0],
+                                      "eta": [0.5, 1.0], "mode": "hypothetical"}},
+    "lambda-crit": {"experiment": "lambda-crit", "eta_values": [0.3, 0.5]},
+    "regions": {"experiment": "regions", "spec": {"mu": 2.0, "lambda": 10.0}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM))
+def test_closed_form_experiments_never_load_scipy(name):
+    assert loaded_after(run_experiment_code(CLOSED_FORM[name])) == []
+
+
+@pytest.mark.parametrize("scheme", ["homodyne", "heterodyne"])
+def test_estimate_never_loads_scipy(scheme, sample_files):
+    cfg = {"experiment": "estimate", "data_path": str(sample_files[scheme]),
+           "scheme": scheme, "eta": 0.5, "format": "json"}
+    assert loaded_after(run_experiment_code(cfg)) == []
+
+
+def test_sampling_loads_its_modules_on_first_use():
+    # the check above is not vacuous: a draw on two threads loads all three
+    cfg = {"experiment": "crb-attainment", "spec": {"mu": 2.0, "lambda": 10.0},
+           "scheme": "heterodyne", "n_values": [10], "trials": 4}
+    assert loaded_after(run_experiment_code(cfg, threads=2)) == list(DEFERRED)
+
+
+def test_ndtri_is_scipy_ndtri_bit_for_bit():
+    from scipy.special import ndtri
+
+    from gausstomo import sampling
+
+    extremes = _uniform01(np.array([0, 2 ** 64 - 1], dtype=np.uint64))
+    u = np.concatenate([_uniform01(raw_words(SeedSpec(5, 2), 0, 4096)), extremes,
+                        [2.0 ** -54, 1.0 - 2.0 ** -54, 0.5]])
+    got = sampling.ndtri(u)
+    assert got.dtype == np.float64
+    assert got.tobytes() == ndtri(u).tobytes()
+
+
+def test_samplers_look_up_ndtri_and_raw_words_at_call_time(monkeypatch):
+    # a per-layer tracer wraps these module attributes in place
+    from gausstomo import sampling
+
+    calls = []
+
+    def counting(fn, name):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(sampling, "ndtri", counting(sampling.ndtri, "ndtri"))
+    monkeypatch.setattr(sampling, "raw_words", counting(sampling.raw_words, "raw_words"))
+    spec = GaussianStateSpec(mu=1.0, lam=1.0)
+    sampling.homodyne_arrays(spec, 8)
+    sampling.heterodyne_arrays(spec, 8)
+    assert calls == ["raw_words", "ndtri"] * 2
