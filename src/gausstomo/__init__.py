@@ -9,12 +9,12 @@ reproducible CSV/JSON tables.
 
 from ._version import __version__
 from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                   delta_offset, effective_covariance, q_covariance,
-                   rotate_covariance, squeezing_db, wigner_covariance)
+                   delta_offset, effective_covariance, rotate_covariance,
+                   squeezing_db, wigner_covariance)
 from .estimation import (EstimationResult, MlOptions, UncertaintyEllipse,
                          estimate_heterodyne, estimate_homodyne_ml,
-                         estimate_homodyne_ml_block, hs_distance_sq, project_physical,
-                         single_angle_second_moment, to_ellipse)
+                         estimate_homodyne_ml_block, hs_distance_sq,
+                         project_physical, to_ellipse)
 from .fisher import (CrbReport, Fisher3, NumericalError, crb_het, crb_hom,
                      crb_report, critical_lambda_for_gamma, fisher_het,
                      fisher_hom_closed, fisher_hom_quadrature, gamma_surface,
@@ -28,8 +28,8 @@ from .sampling import (AnglePolicy, ContinuousSweep, SeedSpec, UniformGrid,
 __all__ = [
     "__version__",
     "Covariance2", "DomainError", "GaussianStateSpec", "SchemeKind",
-    "delta_offset", "effective_covariance", "q_covariance",
-    "rotate_covariance", "squeezing_db", "wigner_covariance",
+    "delta_offset", "effective_covariance", "rotate_covariance",
+    "squeezing_db", "wigner_covariance",
     "CrbReport", "Fisher3", "NumericalError", "crb_het", "crb_hom",
     "crb_report", "critical_lambda_for_gamma",
     "fisher_het", "fisher_hom_closed", "fisher_hom_quadrature",
@@ -42,5 +42,5 @@ __all__ = [
     "EstimationResult", "MlOptions", "UncertaintyEllipse",
     "estimate_heterodyne", "estimate_homodyne_ml", "estimate_homodyne_ml_block",
     "hs_distance_sq",
-    "project_physical", "single_angle_second_moment", "to_ellipse",
+    "project_physical", "to_ellipse",
 ]

@@ -72,15 +72,6 @@ class Covariance2:
         q = self.g3 / SQRT2
         return np.array([[self.g1, q], [q, self.g2]])
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Covariance2":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise DomainError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if abs(m[0, 1] - m[1, 0]) > 1e-12 * (1.0 + abs(m[0, 1])):
-            raise DomainError("matrix is not symmetric")
-        return cls(float(m[0, 0]), float(m[1, 1]), float(SQRT2 * 0.5 * (m[0, 1] + m[1, 0])))
-
     def add_offset(self, delta: float) -> "Covariance2":
         """Return G + delta * identity."""
         return Covariance2(self.g1 + delta, self.g2 + delta, self.g3)
@@ -214,16 +205,6 @@ def wigner_covariance_of(mu, lam, phi: float) -> Covariance2:
 def effective_covariance(spec: GaussianStateSpec, scheme: SchemeKind) -> Covariance2:
     """Covariance of the data distribution seen by a detection scheme."""
     return wigner_covariance(spec).add_offset(delta_offset(spec.eta, scheme))
-
-
-def q_covariance(spec: GaussianStateSpec) -> Covariance2:
-    """Covariance of the Husimi Q function: G_W + identity/(2 eta).
-
-    This exceeds the heterodyne homodyne-loss offset by exactly one half:
-    delta_het = delta_hom + 1/(2 eta), and q_covariance coincides with
-    effective_covariance(..., HETERODYNE) only at eta = 1.
-    """
-    return wigner_covariance(spec).add_offset(1.0 / (2.0 * spec.eta))
 
 
 def squeezing_db(spec: GaussianStateSpec) -> tuple[float, float]:

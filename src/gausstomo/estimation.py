@@ -470,15 +470,3 @@ def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray], eta: float,
         raise DomainError(f"eta = {eta} must lie in (0, 1]")
     theta, x = _angles_values(data)
     return estimate_homodyne_ml_block(theta[None], x[None], eta, options)[0]
-
-
-def single_angle_second_moment(x: np.ndarray) -> float:
-    """Closed-form ML of the marginal variance for data at one fixed angle.
-
-    The one-parameter sub-problem of the homodyne likelihood: the optimum
-    is the plain second moment.  Used as an optimizer oracle by the tests.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        raise DomainError("need at least one sample")
-    return float(np.mean(x * x))

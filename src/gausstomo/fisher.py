@@ -8,28 +8,23 @@ over the matrix invariants of the scheme's effective covariance G:
     H_hom = 2 Tr(G) (Tr(G) + 3 sqrt(det G)),     G = G_W + delta_hom * I
     H_het = 2 ((Tr G)^2 - det G),                G = G_W + delta_het * I
 
-Full 3x3 matrices are built in the eigenframe of G and transported back
-with the orthogonal basis-change congruence F -> M F M^T.
-
-Internal linear algebra runs in extended precision (np.longdouble): the
-Fisher matrix of a strongly squeezed state has a condition number of
-order (lam^2 (1 + delta/g_min)^-1)^2, up to 1e8 on the tested domain, and
-plain float64 inversion could not certify the inverse-trace identities at
-the tolerances the test suite pins.
+Every Fisher matrix is built in float64 in the eigenframe of G, which the
+spec gives directly: G is diag(mu/(2 lam), mu lam/2) + delta I rotated by
+phi, so its eigenvalues are sums of positive terms and nothing cancels.
+In that frame F13 = F23 = 0, and the basis change to the fixed frame is
+orthogonal, so Tr F^-1 is the inverse trace of the 2x2 (g1, g2) block plus
+1/F33.  The fixed-frame matrix is the congruence M F M^T.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
+from .core import (SQRT2, Covariance2, DomainError, GaussianStateSpec, SchemeKind,
                    delta_offset, effective_covariance, wigner_covariance_of)
-
-LD = np.longdouble
-SQRT2_LD = np.sqrt(LD(2))
 
 # Node-bunching strength for the homodyne Fisher quadrature (see
 # fisher_hom_quadrature).  Widens the effective analyticity strip of the
@@ -44,48 +39,32 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class Fisher3:
-    """3x3 symmetric scaled Fisher matrix over (g1, g2, g3).
+    """3x3 scaled Fisher matrix over (g1, g2, g3), held in its eigenframe.
 
-    `matrix` is kept in extended precision.  When the matrix was built
-    from a closed form in the eigenframe, `frame` holds that (block)
-    eigenframe matrix and `inverse_trace` uses it through numerically
-    stable scalar formulas; otherwise a direct adjugate inverse is used.
+    `frame` is the matrix in the eigenframe of the data covariance, where
+    F13 = F23 = 0; `angle` is the rotation that carries that frame onto the
+    fixed one.
     """
 
-    matrix: np.ndarray
-    frame: np.ndarray | None = field(default=None, repr=False)
+    frame: np.ndarray
+    angle: float
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=LD)
-        if m.shape != (3, 3):
-            raise DomainError(f"Fisher matrix must be 3x3, got {m.shape}")
-        object.__setattr__(self, "matrix", 0.5 * (m + m.T))
-
-    def as_float64(self) -> np.ndarray:
-        return self.matrix.astype(float)
-
-    def is_positive_semidefinite(self, rel_tol: float = 1e-10) -> bool:
-        evals = np.linalg.eigvalsh(self.as_float64())
-        scale = float(np.max(np.abs(self.matrix)))
-        return bool(evals.min() >= -rel_tol * scale)
+    @property
+    def matrix(self) -> np.ndarray:
+        """The matrix in the fixed (g1, g2, g3) coordinates."""
+        m = _basis_congruence(self.angle)
+        return m @ self.frame @ m.T
 
     def inverse_trace(self) -> float:
-        src = self.frame if self.frame is not None else self.matrix
-        return float(_inverse_trace_3x3(np.asarray(src, dtype=LD)))
+        f = self.frame
+        det = f[0, 0] * f[1, 1] - f[0, 1] * f[0, 1]
+        if not (det > 0 and f[2, 2] > 0):
+            raise NumericalError("Fisher matrix is numerically singular")
+        return float((f[0, 0] + f[1, 1]) / det + 1.0 / f[2, 2])
 
 
-def _inverse_trace_3x3(f: np.ndarray) -> LD:
-    """Tr(F^-1) of a symmetric PD 3x3 via the adjugate, in extended precision."""
-    a, b, c = f[0, 0], f[0, 1], f[0, 2]
-    d, e = f[1, 1], f[1, 2]
-    g = f[2, 2]
-    a11 = d * g - e * e
-    a22 = a * g - c * c
-    a33 = a * d - b * b
-    det = a * a11 - b * (b * g - e * c) + c * (b * e - d * c)
-    if not det > 0:
-        raise NumericalError("Fisher matrix is numerically singular")
-    return (a11 + a22 + a33) / det
+def _frame(f11: float, f22: float, f12: float, f33: float) -> np.ndarray:
+    return np.array([[f11, f12, 0.0], [f12, f22, 0.0], [0.0, 0.0, f33]])
 
 
 def _basis_congruence(angle: float) -> np.ndarray:
@@ -95,24 +74,19 @@ def _basis_congruence(angle: float) -> np.ndarray:
     covariance with coordinates g' in the rotated basis has coordinates
     M g' in the fixed basis, and Fisher matrices transport as M F' M^T.
     """
-    c, s = np.cos(LD(angle)), np.sin(LD(angle))
-    sc = s * c
-    return np.array([
-        [c * c, s * s, -SQRT2_LD * sc],
-        [s * s, c * c, SQRT2_LD * sc],
-        [SQRT2_LD * sc, -SQRT2_LD * sc, c * c - s * s],
-    ], dtype=LD)
+    c, s = math.cos(angle), math.sin(angle)
+    sc = SQRT2 * s * c
+    return np.array([[c * c, s * s, -sc], [s * s, c * c, sc], [sc, -sc, c * c - s * s]])
 
 
-def _eigenframe(cov: Covariance2) -> tuple[float, LD, LD]:
-    """(angle, d1, d2): rotation angle and eigenframe diagonal of a covariance."""
-    g1, g2, g3 = LD(cov.g1), LD(cov.g2), LD(cov.g3)
-    q = g3 / SQRT2_LD
-    ang = 0.5 * np.arctan2(2 * q, g1 - g2)
-    c, s = np.cos(ang), np.sin(ang)
-    d1 = g1 * c * c + g2 * s * s + 2 * q * s * c
-    d2 = (g1 + g2) - d1
-    return float(ang), d1, d2
+def _frame_variances(spec: GaussianStateSpec, scheme: SchemeKind) -> tuple[float, float]:
+    """Eigenvalues (d1, d2) of the scheme's data covariance.
+
+    The covariance is diag(d1, d2) rotated by phi, so its eigenframe is
+    reached from the fixed one by the angle -phi.
+    """
+    delta = delta_offset(spec.eta, scheme)
+    return spec.mu / (2.0 * spec.lam) + delta, spec.mu * spec.lam / 2.0 + delta
 
 
 def _h_hom(g: Covariance2):
@@ -146,101 +120,61 @@ def crb_het(spec: GaussianStateSpec) -> float:
     return float(_h_het(effective_covariance(spec, SchemeKind.HETERODYNE)))
 
 
-def _fisher_hom_frame(d1: LD, d2: LD) -> np.ndarray:
-    """Homodyne Fisher matrix in the eigenframe (g3 = 0), regularised.
-
-    With delta = d1 - d2 and s = d1 + d2 + 2 sqrt(d1 d2), the textbook
-    entries written in beta = s/delta are 0/0 at d1 = d2; clearing the
-    beta powers leaves forms that stay finite for every delta:
-
-        F11 = (delta + 3 s)/(delta + s)^3
-        F22 = (delta - 3 s)/(delta - s)^3
-        F12 = 1/(s^2 - delta^2),   F33 = 2/(s^2 - delta^2)
-    """
-    s = d1 + d2 + 2 * np.sqrt(d1 * d2)
-    d = d1 - d2
-    f = np.zeros((3, 3), dtype=LD)
-    f[0, 0] = (d + 3 * s) / (d + s) ** 3
-    f[1, 1] = (d - 3 * s) / (d - s) ** 3
-    f[0, 1] = f[1, 0] = 1 / (s * s - d * d)
-    f[2, 2] = 2 / (s * s - d * d)
-    return f
-
-
-def _fisher_het_frame(d1: LD, d2: LD) -> np.ndarray:
-    """Heterodyne Fisher matrix in the eigenframe: exactly diagonal."""
-    return np.diag(np.array([1 / (2 * d1 * d1), 1 / (2 * d2 * d2),
-                             1 / (2 * d1 * d2)], dtype=LD))
-
-
-def _transport(frame: np.ndarray, angle: float) -> Fisher3:
-    m = _basis_congruence(angle)
-    return Fisher3(matrix=m @ frame @ m.T, frame=frame)
-
-
 def fisher_hom_closed(spec: GaussianStateSpec) -> Fisher3:
     """Closed-form scaled Fisher matrix for homodyne tomography.
 
-    Built in the eigenframe of the homodyne data covariance and transported
-    back by the basis congruence; its inverse trace reproduces crb_hom.
+    With r = sqrt(d1 d2), x = 2 (d1 + r) and y = 2 (d2 + r), the eigenframe
+    entries are sums of positive terms, finite also at d1 = d2:
+
+        F11 = 2 (2 d1 + d2 + 3 r)/x^3,   F22 = 2 (d1 + 2 d2 + 3 r)/y^3,
+        F12 = F33/2 = 1/(x y).
+
+    Its inverse trace reproduces crb_hom.
     """
-    cov = effective_covariance(spec, SchemeKind.HOMODYNE)
-    ang, d1, d2 = _eigenframe(cov)
-    return _transport(_fisher_hom_frame(d1, d2), ang)
+    d1, d2 = _frame_variances(spec, SchemeKind.HOMODYNE)
+    r = math.sqrt(d1 * d2)
+    x, y = 2.0 * (d1 + r), 2.0 * (d2 + r)
+    f12 = 1.0 / (x * y)
+    return Fisher3(_frame(2.0 * (2.0 * d1 + d2 + 3.0 * r) / x ** 3,
+                          2.0 * (d1 + 2.0 * d2 + 3.0 * r) / y ** 3, f12, 2.0 * f12),
+                   -spec.phi)
 
 
 def fisher_het(spec: GaussianStateSpec) -> Fisher3:
-    """Closed-form scaled Fisher matrix for heterodyne tomography."""
-    cov = effective_covariance(spec, SchemeKind.HETERODYNE)
-    ang, d1, d2 = _eigenframe(cov)
-    return _transport(_fisher_het_frame(d1, d2), ang)
+    """Closed-form scaled Fisher matrix for heterodyne tomography.
 
-
-def _fisher_hom_quadrature_cov(cov: Covariance2, nodes: int) -> Fisher3:
-    """Quadrature of the angle-resolved Fisher integral for a raw covariance.
-
-    Integrates f(theta) = grad C grad C^T / (2 C^2), C(theta) = u^T G u,
-    over theta in [0, pi) with uniform weight.  The integrand has complex
-    poles a distance ~sqrt(g_min/g_max) off the axis near the minor-axis
-    angle, so a uniform rule would need >> nodes points once the state is
-    strongly squeezed; instead the periodic trapezoid rule is applied in a
-    substituted variable theta(t) = theta0 + t - kappa sin(2t) that bunches
-    nodes around the minor axis and keeps spectral convergence uniformly
-    over the supported parameter range.
+    Exactly diagonal in the eigenframe: 1/(2 d1^2), 1/(2 d2^2), 1/(2 d1 d2).
     """
-    if nodes < 8:
-        raise DomainError(f"nodes = {nodes} must be at least 8")
-    g1, g2, g3 = LD(cov.g1), LD(cov.g2), LD(cov.g3)
-    q = g3 / SQRT2_LD
-    ang = 0.5 * np.arctan2(2 * q, g1 - g2)
-    c0, s0 = np.cos(ang), np.sin(ang)
-    d1 = g1 * c0 * c0 + g2 * s0 * s0 + 2 * q * s0 * c0
-    theta0 = ang if d1 <= (g1 + g2) - d1 else ang + 0.5 * np.pi
-
-    t = np.arange(nodes, dtype=LD) * (np.pi / LD(nodes))
-    theta = theta0 + t - BUNCH_KAPPA * np.sin(2 * t)
-    wsub = 1 - 2 * BUNCH_KAPPA * np.cos(2 * t)
-    c, s = np.cos(theta), np.sin(theta)
-    cc, ss, sc = c * c, s * s, s * c
-    cvar = g1 * cc + g2 * ss + 2 * q * sc
-    if np.any(cvar <= 0):
-        raise DomainError("marginal variance C(theta) is not positive; "
-                          "covariance is non-physical")
-    w = wsub / (2 * cvar * cvar * LD(nodes))
-    v3 = SQRT2_LD * sc
-    f = np.empty((3, 3), dtype=LD)
-    f[0, 0] = np.sum(w * cc * cc)
-    f[1, 1] = np.sum(w * ss * ss)
-    f[2, 2] = np.sum(w * v3 * v3)
-    f[0, 1] = f[1, 0] = np.sum(w * cc * ss)
-    f[0, 2] = f[2, 0] = np.sum(w * cc * v3)
-    f[1, 2] = f[2, 1] = np.sum(w * ss * v3)
-    return Fisher3(matrix=f)
+    d1, d2 = _frame_variances(spec, SchemeKind.HETERODYNE)
+    return Fisher3(_frame(0.5 / (d1 * d1), 0.5 / (d2 * d2), 0.0, 0.5 / (d1 * d2)),
+                   -spec.phi)
 
 
 def fisher_hom_quadrature(spec: GaussianStateSpec, nodes: int = 256) -> Fisher3:
-    """Numerical route to the homodyne Fisher matrix (converges to the closed form)."""
-    return _fisher_hom_quadrature_cov(effective_covariance(spec, SchemeKind.HOMODYNE), nodes)
+    """Numerical route to the homodyne Fisher matrix (converges to the closed form).
+
+    Integrates f(theta) = v v^T / (2 C^2), v = (c^2, s^2, sqrt2 s c), over
+    theta in [0, pi) with uniform weight, in the eigenframe where
+    C(theta) = d1 c^2 + d2 s^2.  There F13 and F23 vanish by symmetry and
+    F33 = 2 F12, since v3^2 = 2 c^2 s^2.  The integrand has complex poles a
+    distance ~sqrt(d_min/d_max) off the axis near the minor axis, so a
+    uniform rule would need >> nodes points once the state is strongly
+    squeezed; instead the periodic trapezoid rule is applied in a
+    substituted variable theta(t) = theta0 + t - kappa sin(2t) that bunches
+    nodes around the minor axis theta0 and keeps spectral convergence
+    uniformly over the supported parameter range.
+    """
+    if nodes < 8:
+        raise DomainError(f"nodes = {nodes} must be at least 8")
+    d1, d2 = _frame_variances(spec, SchemeKind.HOMODYNE)
+    t = np.arange(nodes) * (math.pi / nodes)
+    theta = (0.0 if d1 <= d2 else 0.5 * math.pi) + t - BUNCH_KAPPA * np.sin(2 * t)
+    cc, ss = np.cos(theta) ** 2, np.sin(theta) ** 2
+    cvar = d1 * cc + d2 * ss
+    w = (1.0 - 2.0 * BUNCH_KAPPA * np.cos(2 * t)) / (2.0 * nodes * cvar * cvar)
+    f12 = np.sum(w * cc * ss)
+    return Fisher3(_frame(np.sum(w * cc * cc), np.sum(w * ss * ss), f12, 2.0 * f12),
+                   -spec.phi)
 
 
 @dataclass(frozen=True)
@@ -308,43 +242,33 @@ def gamma_surface(lambdas, mus, eta: float, hypothetical: bool = False,
     return {"lam": lam, "mu": mu, "h_hom": h_hom, "h_het": h_het, "gamma": h_het / h_hom}
 
 
-GAMMA_SEARCH_LAMBDA_MAX = 1e6
-
-
-def critical_lambda_for_gamma(mu: float, eta: float,
-                              tol: float = 1e-9) -> float | None:
+def critical_lambda_for_gamma(mu: float, eta: float) -> float | None:
     """Smallest lambda >= 1 where gamma(lambda; mu, eta) crosses one.
 
-    Bracket expansion by doubling on [1, 1e6] followed by bisection; returns
-    None when gamma - 1 never changes sign there (a valid outcome: e.g. at
-    mu = 1 and eta = 1 the ratio stays above one for every squeezing).
+    With t = (lambda + 1/lambda)/2, each data covariance has
+    T = Tr G = mu t + 2 delta and D = det G = mu^2/4 + delta mu t + delta^2,
+    so gamma = 1 reads L(t) = 3 T_hom sqrt(D_hom), where
+    L = T_het^2 - D_het - T_hom^2 is linear in t.  Squaring gives the cubic
+    L^2 = 9 T_hom^2 D_hom; its real roots with t >= 1 and L >= 0 are the
+    crossings, and the smallest maps back to lambda = t + sqrt(t^2 - 1).
+    Returns None when there is none (a valid outcome: e.g. at mu = 1 and
+    eta = 1 the ratio stays above one for every squeezing).
     """
-
-    def f(lam: float) -> float:
-        return crb_report(GaussianStateSpec(mu=mu, lam=lam, eta=eta)).gamma - 1.0
-
-    lo, flo = 1.0, f(1.0)
-    if flo == 0.0:
-        return 1.0
-    hi = 2.0
-    while hi <= GAMMA_SEARCH_LAMBDA_MAX:
-        fhi = f(hi)
-        if flo * fhi <= 0.0:
-            break
-        lo, flo = hi, fhi
-        hi *= 2.0
-    else:
+    GaussianStateSpec(mu=mu, lam=1.0, eta=eta)  # validates mu and eta
+    dh =delta_offset(eta, SchemeKind.HOMODYNE)
+    de = delta_offset(eta, SchemeKind.HETERODYNE)
+    # polynomials in t, highest power first
+    t_hom = np.array([mu, 2.0 * dh])
+    d_hom = np.array([dh * mu, 0.25 * mu * mu + dh * dh])
+    ell = np.array([mu * (3.0 * de - 4.0 * dh), 3.0 * de * de - 4.0 * dh * dh - 0.25 * mu * mu])
+    cubic = np.polysub(9.0 * np.polymul(np.polymul(t_hom, t_hom), d_hom),
+                       np.polymul(ell, ell))
+    ts = [r.real for r in np.roots(cubic)
+          if r.imag == 0.0 and r.real >= 1.0 and np.polyval(ell, r.real) >= 0.0]
+    if not ts:
         return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    t = min(ts)
+    return float(t + math.sqrt((t - 1.0) * (t + 1.0)))
 
 
 def small_eta_asymptote(spec_at_eta, eta0: float = 1e-4,

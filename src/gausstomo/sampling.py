@@ -104,8 +104,11 @@ def ndtri(p: np.ndarray) -> np.ndarray:
 
 
 def _uniform01(words: np.ndarray) -> np.ndarray:
-    # 53-bit mantissa in (0, 1), strictly inside so ndtri stays finite
-    return (words >> np.uint64(11)).astype(float) * 2.0 ** -53 + 2.0 ** -54
+    # 53-bit mantissa in (0, 1), strictly inside so ndtri stays finite: the
+    # top mantissa (2^53 - 1) 2^-53 + 2^-54 rounds to 1.0, so it is clamped
+    # to 1 - 2^-53, which no other word reaches
+    u = (words >> np.uint64(11)).astype(float) * 2.0 ** -53 + 2.0 ** -54
+    return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 
 def _standard_normal(words: np.ndarray) -> np.ndarray:

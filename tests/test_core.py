@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gausstomo import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                       delta_offset, effective_covariance, q_covariance,
-                       rotate_covariance, squeezing_db, wigner_covariance)
+                       delta_offset, effective_covariance, rotate_covariance,
+                       squeezing_db, wigner_covariance)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -30,13 +30,6 @@ class TestCovariance2:
             assert cov.trace == pytest.approx(np.trace(m), rel=1e-14)
             assert cov.det == pytest.approx(np.linalg.det(m), rel=1e-12)
             assert cov.is_positive_definite()
-
-    def test_matrix_round_trip(self):
-        cov = Covariance2(1.3, 0.4, -0.25)
-        back = Covariance2.from_matrix(cov.as_matrix())
-        assert back.g1 == pytest.approx(cov.g1)
-        assert back.g2 == pytest.approx(cov.g2)
-        assert back.g3 == pytest.approx(cov.g3)
 
     def test_eigenvalues_against_numpy(self):
         rng = np.random.default_rng(2)
@@ -167,28 +160,6 @@ class TestEffectiveCovariance:
         assert het.g1 - hom.g1 == pytest.approx(0.5, rel=1e-14)
         assert het.g2 - hom.g2 == pytest.approx(0.5, rel=1e-14)
         assert het.g3 == hom.g3
-
-
-class TestQCovariance:
-    def test_ideal_vacuum(self):
-        cov = q_covariance(GaussianStateSpec(mu=1.0, lam=1.0))
-        assert (cov.g1, cov.g2, cov.g3) == (1.0, 1.0, 0.0)
-
-    def test_ideal_squeezed(self):
-        cov = q_covariance(GaussianStateSpec(mu=1.0, lam=2.0))
-        assert cov.g1 == pytest.approx(0.75, rel=1e-15)
-        assert cov.g2 == pytest.approx(1.5, rel=1e-15)
-
-    def test_lossy_vacuum(self):
-        cov = q_covariance(GaussianStateSpec(mu=1.0, lam=1.0, eta=0.5))
-        assert cov.g1 == pytest.approx(1.5, rel=1e-15)
-        assert cov.g2 == pytest.approx(1.5, rel=1e-15)
-
-    def test_matches_heterodyne_only_at_unit_efficiency(self):
-        ideal = GaussianStateSpec(mu=1.5, lam=3.0, eta=1.0)
-        assert q_covariance(ideal) == effective_covariance(ideal, SchemeKind.HETERODYNE)
-        lossy = GaussianStateSpec(mu=1.5, lam=3.0, eta=0.5)
-        assert q_covariance(lossy) != effective_covariance(lossy, SchemeKind.HETERODYNE)
 
 
 class TestSqueezingDb:

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gausstomo import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
+from gausstomo import (DomainError, GaussianStateSpec, SchemeKind,
                        crb_het, crb_hom, crb_report, critical_lambda_for_gamma,
                        delta_offset, effective_covariance, fisher_het,
                        fisher_hom_closed, fisher_hom_quadrature, gamma_surface,
                        small_eta_asymptote, wigner_covariance)
 from gausstomo.experiments import run_experiment
-from gausstomo.fisher import _fisher_hom_quadrature_cov
 
 SQRT2 = math.sqrt(2.0)
 
@@ -123,7 +122,7 @@ class TestFisherMatrices:
         assert f.inverse_trace() == pytest.approx(5.0, rel=1e-12)
         # isotropic data covariance c*I has F = [[3,1,0],[1,3,0],[0,0,2]]/(16 c^2)
         ref = np.array([[3, 1, 0], [1, 3, 0], [0, 0, 2]]) / 4.0
-        assert np.allclose(f.as_float64(), ref, rtol=1e-12)
+        assert np.allclose(f.matrix, ref, rtol=1e-12)
 
     def test_het_matches_direct_fisher_formula(self):
         # independent oracle: F_kl = Tr(G^-1 Gamma_k G^-1 Gamma_l)/2
@@ -134,14 +133,14 @@ class TestFisherMatrices:
             ginv = np.linalg.inv(g)
             ref = np.array([[0.5 * np.trace(ginv @ ga @ ginv @ gb) for gb in gammas]
                             for ga in gammas])
-            f = fisher_het(spec).as_float64()
+            f = fisher_het(spec).matrix
             assert np.allclose(f, ref, rtol=1e-9, atol=1e-12 * np.abs(ref).max())
 
     def test_het_diagonal_in_eigenframe(self):
-        f = fisher_het(GaussianStateSpec(1.0, 2.0)).as_float64()
+        f = fisher_het(GaussianStateSpec(1.0, 2.0)).matrix
         ref = 0.5 * np.diag([1 / 0.75 ** 2, 1 / 1.5 ** 2, 1 / (0.75 * 1.5)])
         assert np.allclose(f, ref, rtol=1e-13)
-        unit = fisher_het(GaussianStateSpec(1.0, 1.0)).as_float64()
+        unit = fisher_het(GaussianStateSpec(1.0, 1.0)).matrix
         assert np.allclose(unit, 0.5 * np.eye(3), rtol=1e-13)
 
     def test_het_inverse_trace_matches_bound(self):
@@ -151,9 +150,10 @@ class TestFisherMatrices:
 
     def test_positive_semidefinite(self):
         for spec in random_specs(50, seed=16):
-            assert fisher_hom_closed(spec).is_positive_semidefinite()
-            assert fisher_het(spec).is_positive_semidefinite()
-            assert fisher_hom_quadrature(spec, 128).is_positive_semidefinite()
+            for f in (fisher_hom_closed(spec), fisher_het(spec),
+                      fisher_hom_quadrature(spec, 128)):
+                m = f.matrix
+                assert np.linalg.eigvalsh(m).min() >= -1e-10 * np.abs(m).max()
 
     def test_beta_identity(self):
         # eigenvalue-gap form of the homodyne bound against the invariant form
@@ -174,8 +174,8 @@ class TestQuadrature:
 
     def test_matches_closed_form_entrywise(self):
         for spec in random_specs(150, seed=18):
-            fq = fisher_hom_quadrature(spec, 256).as_float64()
-            fc = fisher_hom_closed(spec).as_float64()
+            fq = fisher_hom_quadrature(spec, 256).matrix
+            fc = fisher_hom_closed(spec).matrix
             scale = np.abs(fc).max()
             assert np.allclose(fq, fc, rtol=1e-8, atol=1e-8 * scale)
 
@@ -185,17 +185,27 @@ class TestQuadrature:
 
     def test_doubling_nodes_is_stable_once_converged(self):
         spec = GaussianStateSpec(2.0, 10.0, eta=0.5)
-        a = fisher_hom_quadrature(spec, 512).as_float64()
-        b = fisher_hom_quadrature(spec, 1024).as_float64()
+        a = fisher_hom_quadrature(spec, 512).matrix
+        b = fisher_hom_quadrature(spec, 1024).matrix
         assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
 
     def test_rejects_too_few_nodes(self):
         with pytest.raises(DomainError):
             fisher_hom_quadrature(GaussianStateSpec(1.0, 1.0), 4)
 
-    def test_rejects_nonphysical_covariance(self):
-        with pytest.raises(DomainError):
-            _fisher_hom_quadrature_cov(Covariance2(1.0, -0.5, 0.0), 64)
+    def test_fixed_frame_matrix_equals_plain_trapezoid(self):
+        # the eigenframe quadrature carried to the fixed frame by the basis
+        # congruence, against a uniform trapezoid rule run in the fixed frame
+        nodes = 4096
+        theta = np.arange(nodes) * (math.pi / nodes)
+        c, s = np.cos(theta), np.sin(theta)
+        v = np.stack([c * c, s * s, SQRT2 * s * c])
+        for spec in random_specs(20, seed=19, lam_max=30):
+            g = effective_covariance(spec, SchemeKind.HOMODYNE)
+            cvar = np.array([g.g1, g.g2, g.g3]) @ v
+            ref = (v / (2 * cvar * cvar * nodes)) @ v.T
+            f = fisher_hom_quadrature(spec, 256).matrix
+            assert np.allclose(f, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 class TestGammaSurface:
@@ -280,6 +290,53 @@ class TestCriticalLambda:
     def test_known_crossing_location(self):
         # frozen from a bisection against the closed forms
         assert critical_lambda_for_gamma(1.0, 0.5) == pytest.approx(3.34398, abs=1e-4)
+
+    def test_matches_doubling_bisection(self):
+        # the search this closed form replaced: doubling bracket on [1, 1e6],
+        # then bisection to an absolute width of 1e-9
+        def bisection(mu, eta, tol=1e-9):
+            def f(lam):
+                return crb_report(GaussianStateSpec(mu=mu, lam=lam, eta=eta)).gamma - 1.0
+
+            lo, flo = 1.0, f(1.0)
+            if flo == 0.0:
+                return 1.0
+            hi = 2.0
+            while hi <= 1e6:
+                fhi = f(hi)
+                if flo * fhi <= 0.0:
+                    break
+                lo, flo = hi, fhi
+                hi *= 2.0
+            else:
+                return None
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                fmid = f(mid)
+                if fmid == 0.0:
+                    return mid
+                if flo * fmid < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fmid
+            return 0.5 * (lo + hi)
+
+        roots = 0
+        for mu in np.linspace(1.0, 2.5, 13):
+            for eta in np.linspace(0.05, 1.0, 12):
+                want = bisection(float(mu), float(eta))
+                got = critical_lambda_for_gamma(float(mu), float(eta))
+                assert (got is None) == (want is None), (mu, eta, got, want)
+                if want is not None:
+                    roots += 1
+                    assert got == pytest.approx(want, rel=1e-9)
+        assert roots >= 20
+
+    def test_returns_roots_beyond_the_old_search_cap(self):
+        # the doubling search stopped at lambda = 2^19; the crossing runs off
+        # to infinity as (mu, eta) -> (1, 1)
+        root = critical_lambda_for_gamma(1.0 + 1e-9, 1.0)
+        assert root == pytest.approx(6.6667e8, rel=1e-4)
 
 
 class TestSmallEtaAsymptote:

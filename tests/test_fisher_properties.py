@@ -1,0 +1,51 @@
+"""Property checks of the Fisher layer and the gamma = 1 crossing."""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gausstomo import (GaussianStateSpec, crb_het, crb_hom, crb_report,
+                       critical_lambda_for_gamma, fisher_het, fisher_hom_closed,
+                       fisher_hom_quadrature)
+
+# the domain of acceptance criterion 1
+MU = st.floats(1.0, 20.0)
+LAM = st.floats(1.0, 100.0)
+PHI = st.floats(0.0, math.pi, exclude_max=True)
+ETA = st.floats(0.05, 1.0)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(MU, LAM, ETA, PHI, PHI)
+def test_inverse_traces_and_bounds_do_not_depend_on_phi(mu, lam, eta, phi_a, phi_b):
+    a = GaussianStateSpec(mu, lam, phi_a, eta)
+    b = GaussianStateSpec(mu, lam, phi_b, eta)
+    # phi enters a Fisher matrix only through the congruence to the fixed frame
+    for fisher in (fisher_hom_closed, fisher_het, fisher_hom_quadrature):
+        assert fisher(a).inverse_trace() == fisher(b).inverse_trace()
+    assert crb_hom(a) == pytest.approx(crb_hom(b), rel=1e-12)
+    assert crb_het(a) == pytest.approx(crb_het(b), rel=1e-12)
+
+
+@PROPERTY
+@given(MU, LAM, PHI, ETA)
+def test_quadrature_inverse_trace_is_the_homodyne_bound(mu, lam, phi, eta):
+    spec = GaussianStateSpec(mu, lam, phi, eta)
+    assert fisher_hom_quadrature(spec, 256).inverse_trace() == \
+        pytest.approx(crb_hom(spec), rel=1e-8)
+
+
+@PROPERTY
+@given(st.floats(1.0, 3.0), ETA)
+def test_gamma_is_one_at_every_crossing(mu, eta):
+    root = critical_lambda_for_gamma(mu, eta)
+    assume(root is not None)
+    assert root >= 1.0
+    assert crb_report(GaussianStateSpec(mu, root, eta=eta)).gamma == \
+        pytest.approx(1.0, abs=1e-8)

@@ -7,6 +7,7 @@ from numpy.random import Philox
 from gausstomo import (DomainError, GaussianStateSpec, SchemeKind, SeedSpec,
                        UniformGrid, effective_covariance, heterodyne_arrays,
                        homodyne_arrays, raw_words)
+from gausstomo.sampling import _standard_normal, _uniform01
 
 FIG5 = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
 VACUUM = GaussianStateSpec(mu=1.0, lam=1.0)
@@ -51,6 +52,17 @@ class TestRawWords:
         quads_a = {tuple(a[i:i + 4]) for i in range(0, 4096, 4)}
         quads_b = {tuple(b[i:i + 4]) for i in range(0, 4096, 4)}
         assert not quads_a & quads_b
+
+
+class TestUniforms:
+    def test_top_word_stays_below_one(self):
+        # (2^53 - 1) 2^-53 + 2^-54 rounds to 1.0, where ndtri is +inf
+        top = np.array([2 ** 64 - 1], dtype=np.uint64)
+        assert _uniform01(top)[0] == 1.0 - 2.0 ** -53
+        assert np.isfinite(_standard_normal(top)[0])
+        # the next mantissa down keeps its value, so no other draw moves
+        below = np.array([2 ** 64 - 2 ** 11 - 1, 0], dtype=np.uint64)
+        assert list(_uniform01(below)) == [1.0 - 2.0 ** -52, 2.0 ** -54]
 
 
 class TestHomodyneSampling:
