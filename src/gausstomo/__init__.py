@@ -12,8 +12,9 @@ from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
                    delta_offset, effective_covariance, rotate_covariance,
                    squeezing_db, wigner_covariance)
 from .estimation import (EstimationResult, MlOptions, UncertaintyEllipse,
-                         estimate_heterodyne, estimate_homodyne_ml,
-                         estimate_homodyne_ml_block, hs_distance_sq,
+                         estimate_heterodyne, estimate_heterodyne_block,
+                         estimate_homodyne_ml, estimate_homodyne_ml_block,
+                         hs_distance_sq,
                          project_physical, to_ellipse)
 from .fisher import (CrbReport, Fisher3, NumericalError, crb_het, crb_hom,
                      crb_report, critical_lambda_for_gamma, fisher_het,
@@ -40,7 +41,7 @@ __all__ = [
     "AnglePolicy", "ContinuousSweep", "SeedSpec", "UniformGrid",
     "heterodyne_arrays", "homodyne_arrays", "raw_words",
     "EstimationResult", "MlOptions", "UncertaintyEllipse",
-    "estimate_heterodyne", "estimate_homodyne_ml", "estimate_homodyne_ml_block",
-    "hs_distance_sq",
+    "estimate_heterodyne", "estimate_heterodyne_block", "estimate_homodyne_ml",
+    "estimate_homodyne_ml_block", "hs_distance_sq",
     "project_physical", "to_ellipse",
 ]

@@ -120,35 +120,50 @@ def estimate_heterodyne(data: np.ndarray, eta: float) -> EstimationResult:
     by N, no mean subtraction), which is exactly unbiased for the
     heterodyne data covariance at every N; subtracting the offset
     (2 - eta)/(2 eta) I yields the Wigner-covariance estimate that
-    attains the Cramer-Rao bound asymptotically.
+    attains the Cramer-Rao bound asymptotically.  `data` is an (n, 2)
+    array of (x, p) pairs; this is the block estimate of one trial.
     """
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"eta = {eta} must lie in (0, 1]")
     z = np.asarray(data, dtype=float)
     if z.ndim != 2 or z.shape[1] != 2:
         raise DomainError("heterodyne data must be an (n, 2) array of (x, p) pairs")
-    n = z.shape[0]
+    return estimate_heterodyne_block(z[None, :, 0], z[None, :, 1], eta)[0]
+
+
+def estimate_heterodyne_block(xs: np.ndarray, ps: np.ndarray,
+                              eta: float) -> list[EstimationResult]:
+    """estimate_heterodyne of each row of (trials, N) x and p arrays; each
+    result equals that row's own estimate bit for bit, since a row mean
+    sums in the order the mean of that row alone does."""
+    if not 0.0 < eta <= 1.0:
+        raise DomainError(f"eta = {eta} must lie in (0, 1]")
+    x = np.asarray(xs, dtype=float)
+    p = np.asarray(ps, dtype=float)
+    if x.shape != p.shape or x.ndim != 2:
+        raise DomainError("heterodyne blocks must be matching 2-d (trials, N) "
+                          "x/p arrays")
+    n = x.shape[1]
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    s11 = float(np.mean(z[:, 0] * z[:, 0]))
-    s22 = float(np.mean(z[:, 1] * z[:, 1]))
-    s12 = float(np.mean(z[:, 0] * z[:, 1]))
-    g_eff = Covariance2(s11, s22, SQRT2 * s12)
+    moments = (np.mean(a * b, axis=1).tolist() for a, b in ((x, x), (p, p), (x, p)))
     delta = delta_offset(eta, SchemeKind.HETERODYNE)
-    det = g_eff.det
-    if det > 0.0:
-        # at the optimum sum z^T S^-1 z = 2N, so the likelihood closes
-        loglik = -n - 0.5 * n * math.log(det) - n * LOG_2PI
-    else:
-        loglik = float("-inf")
-    return EstimationResult(g_wigner=g_eff.add_offset(-delta),
-                            g_effective=g_eff,
-                            loglik=loglik, iterations=0, converged=True,
-                            scheme=SchemeKind.HETERODYNE)
+    results = []
+    for s11, s22, s12 in zip(*moments):
+        g_eff = Covariance2(s11, s22, SQRT2 * s12)
+        det = g_eff.det
+        if det > 0.0:
+            # at the optimum sum z^T S^-1 z = 2N, so the likelihood closes
+            loglik = -n - 0.5 * n * math.log(det) - n * LOG_2PI
+        else:
+            loglik = float("-inf")
+        results.append(EstimationResult(g_wigner=g_eff.add_offset(-delta),
+                                        g_effective=g_eff,
+                                        loglik=loglik, iterations=0, converged=True,
+                                        scheme=SchemeKind.HETERODYNE))
+    return results
 
 
-# samples in one stacked (rows, N) array of the homodyne fit: trials per
-# block in the Monte Carlo runners, and candidate rows per halving chunk
+# samples in one stacked (rows, N) array: trials per block in the Monte
+# Carlo runners, and candidate rows per halving chunk of the homodyne fit
 _BLOCK_SAMPLES = 2 ** 15
 
 
@@ -184,30 +199,29 @@ def _moment_starts(v: np.ndarray, x2: np.ndarray, theta: np.ndarray) -> np.ndarr
     Solves mean(v)^T g = mean(x^2) on the angle bins [0, pi/3), [pi/3,
     2 pi/3) and [2 pi/3, inf); angles below 0 fall in none.  It falls back
     to g = (m, m, 0), with m the mean of x^2, when a bin is empty or the
-    solution is not positive definite.  With the samples sorted by bin,
-    each bin is one slice in sample order, and its sums take the
-    summation orders of v[:, bin].mean(axis=1) and x2[bin].mean() on a
-    single trial: a running sum from 0.0 for v, and numpy's pairwise sum
-    for x^2.
+    solution is not positive definite.  Each bin sum takes the summation
+    order of v[:, bin].mean(axis=1) and x2[bin].mean() on a single trial:
+    a running sum from 0.0 in sample order for v, which np.bincount adds,
+    and numpy's pairwise sum of the bin's samples, in order, for x^2.
     """
+    trials = x2.shape[0]
     bins = np.minimum((theta // (math.pi / 3)).astype(int), 2)
-    key = np.maximum(bins, -1).astype(np.int8)  # -1: below every bin
-    order = np.argsort(key, axis=1, kind="stable")
-    v_sorted = np.take_along_axis(v, order[:, None, :], axis=2)
-    x2_sorted = np.take_along_axis(x2, order, axis=1)
-    counts = np.stack([(key == k).sum(axis=1) for k in range(-1, 3)], axis=1)
+    key = np.maximum(bins, -1) + 1  # 0: below every bin
+    counts = np.stack([(key == k).sum(axis=1) for k in range(4)], axis=1)
     starts = [np.array([m, m, 0.0]) for m in x2.mean(axis=1)]
     full = np.flatnonzero(counts[:, 1:].min(axis=1) > 0)
     if full.size:
-        v_sums, x2_sums = [], []
-        for t, (skip, e0, e1, e2) in zip(full, np.cumsum(counts[full], axis=1).tolist()):
-            slices = ((skip, e0), (e0, e1), (e1, e2))
-            # + 0.0: the running sum starts from 0.0, not from the first sample
-            v_sums.append([np.add.accumulate(v_sorted[t, :, lo:hi], axis=1)[:, -1] + 0.0
-                           for lo, hi in slices])
-            x2_sums.append([np.add.reduce(x2_sorted[t, lo:hi]) for lo, hi in slices])
-        vbar = np.array(v_sums) / counts[full, 1:, None]
-        mbar = np.array(x2_sums) / counts[full, 1:]
+        # one slot per (row, component, key), in the order of v's samples
+        slots = np.arange(0, 4 * 3 * trials, 4).reshape(trials, 3, 1) + key[:, None, :]
+        v_sums = np.bincount(slots.ravel(), weights=v.ravel(),
+                             minlength=4 * 3 * trials).reshape(trials, 3, 4)
+        vbar = v_sums[full, :, 1:].transpose(0, 2, 1) / counts[full, 1:, None]
+        # each bin one slice of the samples sorted by bin, in sample order
+        order = np.argsort(key, axis=1, kind="stable")
+        x2_sorted = np.take_along_axis(x2, order, axis=1)
+        ends = np.cumsum(counts[full], axis=1).tolist()
+        mbar = np.array([[np.add.reduce(x2_sorted[t, lo:hi]) for lo, hi in zip(e, e[1:])]
+                         for t, e in zip(full, ends)]) / counts[full, 1:]
         try:
             solved = np.linalg.solve(vbar, mbar[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -254,8 +268,10 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(p: np.ndarray, v: np.ndarray, x2: np.ndarray):
-    """(g, loglik) of parameter rows p of shape (..., 3), each on its data:
-    v (..., 3, N) and x2 (..., N) broadcast against p's leading axes.
+    """(g, loglik, cvar, scales) of parameter rows p of shape (..., 3),
+    each on its data: v (..., 3, N) and x2 (..., N) broadcast against p's
+    leading axes.  cvar holds the variances C_j = v_j^T g, and scales the
+    exponentiated parameters (a, c).
 
     The log-likelihood is -inf where some C_j <= 0.  A far-off trial step
     overflows to inf or nan here and the line search rejects it, so those
@@ -264,14 +280,17 @@ def _evaluate(p: np.ndarray, v: np.ndarray, x2: np.ndarray):
     with np.errstate(all="ignore"):
         scales = _exp(p[..., ::2])
         a, b, cc = scales[..., 0], p[..., 1], scales[..., 1]
-        g = np.stack([a * a, b * b + cc * cc, SQRT2 * a * b], axis=-1)
+        g = np.empty(p.shape)
+        np.multiply(a, a, out=g[..., 0])
+        np.add(b * b, cc * cc, out=g[..., 1])
+        np.multiply(SQRT2 * a, b, out=g[..., 2])
         cvar = np.matmul(g[..., None, :], v)[..., 0, :]
         f = -0.5 * np.add.reduce(x2 / cvar + np.log(cvar), axis=-1) \
             - 0.5 * x2.shape[-1] * LOG_2PI
         invalid = (cvar <= 0.0).any(axis=-1)
         if invalid.any():
             f[invalid] = -math.inf
-    return g, f
+    return g, f, cvar, scales
 
 
 def _newton_ok(hess: np.ndarray) -> bool:
@@ -281,29 +300,29 @@ def _newton_ok(hess: np.ndarray) -> bool:
         return False
 
 
-def _ascent_directions(p, v, x2, cvar, grad_g) -> np.ndarray:
+# (matrix, row, column) of each nonzero chain-rule entry: the Jacobian of g
+# in the parameters, then the second derivatives of g1, g2 and g3
+_CHAIN_ENTRIES = (np.array([0, 0, 0, 0, 0, 1, 2, 2, 3, 3, 3]),
+                  np.array([0, 1, 1, 2, 2, 0, 1, 2, 0, 0, 1]),
+                  np.array([0, 1, 2, 0, 1, 0, 1, 2, 0, 1, 0]))
+
+
+def _ascent_directions(p, scales, v, x2, cvar, grad_g) -> np.ndarray:
     """Each row's step in (ln a, b, ln c): Newton where the chained Hessian
     is negative definite, else unit steepest ascent."""
-    a, cc = _exp(p[:, ::2]).T
+    a, cc = scales.T
     b = p[:, 1]
     curv = 1.0 / (cvar * cvar) - 2.0 * x2 / (cvar ** 3)
     hess_g = 0.5 * np.einsum("tiN,tN,tjN->tij", v, curv, v)
-    # per row: the Jacobian of g in the parameters, then the second
-    # derivatives of g1, g2 and g3; these are added as whole matrices, so
-    # that an inf or nan gradient component reaches every entry
+    # per row: the Jacobian and the three second-derivative matrices; these
+    # are added as whole matrices, so that an inf or nan gradient component
+    # reaches every entry
     sa = SQRT2 * a
     sab = sa * b
     mats = np.zeros((len(a), 4, 3, 3))
-    mats[:, 0, 0, 0] = 2 * a * a
-    mats[:, 0, 1, 1] = 2 * b
-    mats[:, 0, 1, 2] = 2 * cc * cc
-    mats[:, 0, 2, 0] = sab
-    mats[:, 0, 2, 1] = sa
-    mats[:, 1, 0, 0] = 4 * a * a
-    mats[:, 2, 1, 1] = 2
-    mats[:, 2, 2, 2] = 4 * cc * cc
-    mats[:, 3, 0, 0] = sab
-    mats[:, 3, 0, 1] = mats[:, 3, 1, 0] = sa
+    mats[(slice(None), *_CHAIN_ENTRIES)] = np.array(
+        [2 * a * a, 2 * b, 2 * cc * cc, sab, sa, 4 * a * a, np.full_like(a, 2.0),
+         4 * cc * cc, sab, sa, sa]).T
     jac, jac_t = mats[:, 0], mats[:, 0].transpose(0, 2, 1)
     terms = grad_g[:, :, None, None] * mats[:, 1:]
     hess_p = jac_t @ hess_g @ jac + terms[:, 0] + terms[:, 1] + terms[:, 2]
@@ -332,8 +351,8 @@ def _line_search(p, step, f, v, x2, max_halvings: int):
     window of k at a time, until each row has a step that beats f or has
     none left.  A round holds _BLOCK_SAMPLES / 8 samples at first and
     twice as many each round up to _BLOCK_SAMPLES, but always at least one
-    halving per row.  Returns (found, (p, g, f)), where the tuple holds the
-    accepted steps' values in the rows marked found.
+    halving per row.  Returns (found, (p, g, f, cvar, scales)), where the
+    tuple holds the accepted steps' values in the rows marked found.
     """
     if max_halvings < 1:
         return np.zeros(len(p), dtype=bool), None
@@ -373,34 +392,34 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray, options: MlOptions)
     Returns (g, loglik, iterations, converged) per row.
     """
     trials, n = x2.shape
-    g, f = _evaluate(p, v, x2)
+    g, f, cvar, scales = _evaluate(p, v, x2)
     g_out, f_out = g.copy(), f.copy()
     iterations = np.zeros(trials, dtype=int)
     converged = np.zeros(trials, dtype=bool)
     live = np.arange(trials)
     for it in range(1, options.max_iterations + 1):
         iterations[live] = it
-        cvar = np.matmul(g[:, None, :], v)[:, 0]
         resid = x2 / (cvar * cvar) - 1.0 / cvar
         grad_g = 0.5 * np.add.reduce(v * resid[:, None, :], axis=-1)
         done = _norms(grad_g) * (g[:, 0] + g[:, 1]) / n <= options.gradient_tol
         if done.any():
             converged[live[done]] = True
             g_out[live], f_out[live] = g, f
-            live, p, g, f, v, x2, cvar, grad_g = (
-                arr[~done] for arr in (live, p, g, f, v, x2, cvar, grad_g))
+            live, p, g, f, cvar, scales, v, x2, grad_g = (
+                arr[~done] for arr in (live, p, g, f, cvar, scales, v, x2, grad_g))
             if not live.size:
                 break
-        step = _ascent_directions(p, v, x2, cvar, grad_g)
+        step = _ascent_directions(p, scales, v, x2, cvar, grad_g)
         found, accepted = _line_search(p, step, f, v, x2, options.max_halvings)
         if found.all():
-            p, g, f = accepted
+            p, g, f, cvar, scales = accepted
             continue
-        for old, new in zip((p, g, f), accepted or ()):
+        for old, new in zip((p, g, f, cvar, scales), accepted or ()):
             old[found] = new[found]
         # likelihood flat to machine precision but gradient target missed
         g_out[live], f_out[live] = g, f
-        live, p, g, f, v, x2 = (arr[found] for arr in (live, p, g, f, v, x2))
+        live, p, g, f, cvar, scales, v, x2 = (
+            arr[found] for arr in (live, p, g, f, cvar, scales, v, x2))
         if not live.size:
             break
     g_out[live], f_out[live] = g, f

@@ -19,8 +19,8 @@ import numpy as np
 from ._version import __version__
 from .core import DomainError, GaussianStateSpec, SchemeKind, wigner_covariance
 from .estimation import (_BLOCK_SAMPLES, EstimationResult, estimate_heterodyne,
-                         estimate_homodyne_ml, estimate_homodyne_ml_block,
-                         hs_distance_sq, to_ellipse)
+                         estimate_heterodyne_block, estimate_homodyne_ml,
+                         estimate_homodyne_ml_block, hs_distance_sq, to_ellipse)
 from .fisher import crb_het, crb_hom, gamma_surface
 from .regions import critical_lambda_equal_areas, region_boundaries
 from .sampling import (ContinuousSweep, SeedSpec, UniformGrid,
@@ -402,19 +402,17 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
                 threads: int) -> list[EstimationResult]:
     """Each trial's estimate from its own seed stream, in trial order.
 
-    A job fits one trial, or for homodyne one block of trials of up to
-    _BLOCK_SAMPLES samples in all.
+    A job draws and estimates one block of trials, of up to _BLOCK_SAMPLES
+    samples in all but at least one trial, as stacked (trials, n) arrays.
     """
-    size = max(1, _BLOCK_SAMPLES // n) if scheme is SchemeKind.HOMODYNE else 1
+    size = max(1, _BLOCK_SAMPLES // n)
 
     def job(first: int) -> list[EstimationResult]:
         streams = [_trial_stream(seed, lane, trials, t)
                    for t in range(first, min(first + size, trials))]
         if scheme is SchemeKind.HETERODYNE:
-            return [estimate_heterodyne(np.column_stack(heterodyne_arrays(spec, n, stream)),
-                                        spec.eta) for stream in streams]
-        records = [homodyne_arrays(spec, n, ContinuousSweep(), stream) for stream in streams]
-        thetas, xs = (np.stack(column) for column in zip(*records))
+            return estimate_heterodyne_block(*heterodyne_arrays(spec, n, streams), spec.eta)
+        thetas, xs = homodyne_arrays(spec, n, ContinuousSweep(), streams)
         return estimate_homodyne_ml_block(thetas, xs, spec.eta)
 
     starts = range(0, trials, size)

@@ -255,14 +255,20 @@ def critical_lambda_for_gamma(mu: float, eta: float) -> float | None:
     eta = 1 the ratio stays above one for every squeezing).
     """
     GaussianStateSpec(mu=mu, lam=1.0, eta=eta)  # validates mu and eta
-    dh =delta_offset(eta, SchemeKind.HOMODYNE)
-    de = delta_offset(eta, SchemeKind.HETERODYNE)
-    # polynomials in t, highest power first
-    t_hom = np.array([mu, 2.0 * dh])
-    d_hom = np.array([dh * mu, 0.25 * mu * mu + dh * dh])
-    ell = np.array([mu * (3.0 * de - 4.0 * dh), 3.0 * de * de - 4.0 * dh * dh - 0.25 * mu * mu])
-    cubic = np.polysub(9.0 * np.polymul(np.polymul(t_hom, t_hom), d_hom),
-                       np.polymul(ell, ell))
+    dh = delta_offset(eta, SchemeKind.HOMODYNE)
+    # The coefficients are written in dh and m = mu^2 - 1, with
+    # delta_het = 2 dh + 1/2, so that none cancels near (mu, eta) = (1, 1),
+    # where the crossing runs off to infinity: at eta = 1 the t^2 one is
+    # 9 mu^4/4 - (3 mu/2)^2 = 9 mu^2 m / 4.  m = (mu - 1)(mu + 1) is exact
+    # to rounding, where mu * mu - 1 would cancel.
+    m = (mu - 1.0) * (mu + 1.0)
+    b = 0.5 - 0.25 * m + dh * (6.0 + 8.0 * dh)
+    ell = np.array([mu * (1.5 + 2.0 * dh), b])
+    # 9 T_hom^2 D_hom - L^2, highest power of t first
+    cubic = np.array([9.0 * dh * mu ** 3,
+                      mu * mu * (2.25 * m + dh * (41.0 * dh - 6.0)),
+                      mu * (0.75 * m - 1.5 + dh * (10.0 * m - 11.0 + dh * (40.0 * dh - 48.0))),
+                      9.0 * dh * dh * (mu * mu + 4.0 * dh * dh) - b * b])
     ts = [r.real for r in np.roots(cubic)
           if r.imag == 0.0 and r.real >= 1.0 and np.polyval(ell, r.real) >= 0.0]
     if not ts:

@@ -17,6 +17,7 @@ phase-space pair.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,9 +121,24 @@ def _marginal_variances(cov: Covariance2, thetas: np.ndarray) -> np.ndarray:
     return cov.g1 * c * c + cov.g2 * s * s + SQRT2 * cov.g3 * s * c
 
 
+def _as_block(seed: SeedSpec | Sequence[SeedSpec]) -> tuple[list[SeedSpec], bool]:
+    """(seeds, single): one seed is drawn as the block of one."""
+    if isinstance(seed, SeedSpec):
+        return [seed], True
+    return list(seed), False
+
+
+def _block_words(seeds: list[SeedSpec], start: int, n: int) -> np.ndarray:
+    """(trials, n, 2) words of samples [start, start + n), one row per stream."""
+    words = np.empty((len(seeds), _WORDS_PER_SAMPLE * n), dtype=np.uint64)
+    for row, seed in zip(words, seeds):
+        row[:] = raw_words(seed, _WORDS_PER_SAMPLE * start, _WORDS_PER_SAMPLE * n)
+    return words.reshape(len(seeds), n, _WORDS_PER_SAMPLE)
+
+
 def homodyne_arrays(spec: GaussianStateSpec, n: int,
                     angle_policy: AnglePolicy | None = None,
-                    seed: SeedSpec = SeedSpec(0),
+                    seed: SeedSpec | Sequence[SeedSpec] = SeedSpec(0),
                     start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Draw homodyne records [start, start + n) as arrays (theta, x).
 
@@ -133,22 +149,25 @@ def homodyne_arrays(spec: GaussianStateSpec, n: int,
     balanced counts.  Samples [start, start + n) equal the same slice of
     the full run, so workers covering disjoint windows reproduce the
     single-threaded sequence exactly after reassembly.
+
+    A sequence of seeds draws a block: (trials, n) arrays whose row k
+    equals the draw from seeds[k] alone.
     """
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
     policy = ContinuousSweep() if angle_policy is None else angle_policy
-    words = raw_words(seed, _WORDS_PER_SAMPLE * start, _WORDS_PER_SAMPLE * n)
-    words = words.reshape(n, _WORDS_PER_SAMPLE)
+    seeds, single = _as_block(seed)
+    words = _block_words(seeds, start, n)
     if isinstance(policy, ContinuousSweep):
-        thetas = math.pi * (words[:, 0] >> np.uint64(11)).astype(float) * 2.0 ** -53
+        thetas = math.pi * (words[..., 0] >> np.uint64(11)).astype(float) * 2.0 ** -53
     elif isinstance(policy, UniformGrid):
         idx = (np.arange(start, start + n) % policy.d).astype(float)
-        thetas = math.pi * idx / policy.d
+        thetas = np.tile(math.pi * idx / policy.d, (len(seeds), 1))
     else:
         raise DomainError(f"unknown angle policy {policy!r}")
     cov = effective_covariance(spec, SchemeKind.HOMODYNE)
-    x = np.sqrt(_marginal_variances(cov, thetas)) * _standard_normal(words[:, 1])
-    return thetas, x
+    x = np.sqrt(_marginal_variances(cov, thetas)) * _standard_normal(words[..., 1])
+    return (thetas[0], x[0]) if single else (thetas, x)
 
 
 def _cholesky_lower(cov: Covariance2) -> tuple[float, float, float]:
@@ -160,16 +179,19 @@ def _cholesky_lower(cov: Covariance2) -> tuple[float, float, float]:
 
 
 def heterodyne_arrays(spec: GaussianStateSpec, n: int,
-                      seed: SeedSpec = SeedSpec(0),
+                      seed: SeedSpec | Sequence[SeedSpec] = SeedSpec(0),
                       start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Draw heterodyne phase-space pairs [start, start + n) as arrays (x, p).
 
     The pairs are i.i.d. from the heterodyne data Gaussian with covariance
-    G_W + (2 - eta)/(2 eta) I, sampled through its Cholesky factor.
+    G_W + (2 - eta)/(2 eta) I, sampled through its Cholesky factor.  A
+    sequence of seeds draws (trials, n) arrays, one row per seed, as
+    homodyne_arrays does.
     """
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
-    words = raw_words(seed, _WORDS_PER_SAMPLE * start, _WORDS_PER_SAMPLE * n)
-    z = _standard_normal(words).reshape(n, _WORDS_PER_SAMPLE)
+    seeds, single = _as_block(seed)
+    z = _standard_normal(_block_words(seeds, start, n))
     l11, l21, l22 = _cholesky_lower(effective_covariance(spec, SchemeKind.HETERODYNE))
-    return l11 * z[:, 0], l21 * z[:, 0] + l22 * z[:, 1]
+    x, p = l11 * z[..., 0], l21 * z[..., 0] + l22 * z[..., 1]
+    return (x[0], p[0]) if single else (x, p)

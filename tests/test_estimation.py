@@ -1,16 +1,19 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from gausstomo import (ContinuousSweep, Covariance2, DomainError, GaussianStateSpec,
-                       MlOptions, SchemeKind, SeedSpec, crb_het, crb_hom,
-                       estimate_heterodyne, estimate_homodyne_ml,
-                       estimate_homodyne_ml_block, heterodyne_arrays, homodyne_arrays,
-                       hs_distance_sq, project_physical, rotate_covariance,
-                       to_ellipse, wigner_covariance)
-from gausstomo.estimation import _evaluate, _exp
+from gausstomo import (ContinuousSweep, Covariance2, DomainError, EstimationResult,
+                       GaussianStateSpec, MlOptions, SchemeKind, SeedSpec, crb_het,
+                       crb_hom, estimate_heterodyne, estimate_heterodyne_block,
+                       estimate_homodyne_ml, estimate_homodyne_ml_block,
+                       heterodyne_arrays, homodyne_arrays, hs_distance_sq,
+                       project_physical, rotate_covariance, to_ellipse,
+                       wigner_covariance)
+from gausstomo.estimation import (_evaluate, _exp, _moment_starts, _params_from_g,
+                                  _solve_or_none)
 
 SQRT2 = math.sqrt(2.0)
 FIG5 = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
@@ -142,6 +145,93 @@ class TestHeterodyneEstimator:
             estimate_heterodyne(np.zeros((5, 3)), eta=1.0)
         with pytest.raises(DomainError):
             estimate_heterodyne(np.zeros((5, 2)), eta=0.0)
+
+
+class TestHeterodyneBlock:
+    @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 1000])
+    def test_rows_equal_single_estimates(self, n):
+        xs, ps = heterodyne_arrays(FIG5, n, [SeedSpec(51, t) for t in range(5)])
+        block = estimate_heterodyne_block(xs, ps, FIG5.eta)
+        assert len(block) == 5
+        for x, p, result in zip(xs, ps, block):
+            single = estimate_heterodyne(np.column_stack([x, p]), FIG5.eta)
+            for field in dataclasses.fields(EstimationResult):
+                assert getattr(result, field.name) == getattr(single, field.name)
+            # and the summation order of the moments before the block form
+            assert result.g_effective == Covariance2(float(np.mean(x * x)),
+                                                     float(np.mean(p * p)),
+                                                     SQRT2 * float(np.mean(x * p)))
+
+    def test_empty_block(self):
+        assert estimate_heterodyne_block(np.zeros((0, 10)), np.zeros((0, 10)), 1.0) == []
+
+    def test_rejects_malformed_blocks(self):
+        xs, ps = heterodyne_arrays(FIG5, 10, [SeedSpec(52, t) for t in range(3)])
+        with pytest.raises(DomainError):
+            estimate_heterodyne_block(xs[0], ps[0], FIG5.eta)
+        with pytest.raises(DomainError):
+            estimate_heterodyne_block(xs, ps[:2], FIG5.eta)
+        with pytest.raises(DomainError, match="at least 2 samples"):
+            estimate_heterodyne_block(xs[:, :1], ps[:, :1], FIG5.eta)
+        with pytest.raises(DomainError):
+            estimate_heterodyne_block(xs, ps, 0.0)
+
+
+def moment_starts_by_sorting(v, x2, theta):
+    """_moment_starts as it was before the bincount: the samples sorted by
+    bin, then a running sum from 0.0 of each bin's v and a pairwise sum of
+    its x^2, trial by trial."""
+    bins = np.minimum((theta // (math.pi / 3)).astype(int), 2)
+    key = np.maximum(bins, -1).astype(np.int8)
+    order = np.argsort(key, axis=1, kind="stable")
+    v_sorted = np.take_along_axis(v, order[:, None, :], axis=2)
+    x2_sorted = np.take_along_axis(x2, order, axis=1)
+    counts = np.stack([(key == k).sum(axis=1) for k in range(-1, 3)], axis=1)
+    starts = [np.array([m, m, 0.0]) for m in x2.mean(axis=1)]
+    full = np.flatnonzero(counts[:, 1:].min(axis=1) > 0)
+    if full.size:
+        v_sums, x2_sums = [], []
+        for t, (skip, e0, e1, e2) in zip(full, np.cumsum(counts[full], axis=1).tolist()):
+            slices = ((skip, e0), (e0, e1), (e1, e2))
+            v_sums.append([np.add.accumulate(v_sorted[t, :, lo:hi], axis=1)[:, -1] + 0.0
+                           for lo, hi in slices])
+            x2_sums.append([np.add.reduce(x2_sorted[t, lo:hi]) for lo, hi in slices])
+        vbar = np.array(v_sums) / counts[full, 1:, None]
+        mbar = np.array(x2_sums) / counts[full, 1:]
+        try:
+            solved = np.linalg.solve(vbar, mbar[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            solved = [_solve_or_none(*pair) for pair in zip(vbar, mbar)]
+        for t, g in zip(full, solved):
+            if g is not None and g[0] > 0 and g[1] > 0 and g[0] * g[1] - 0.5 * g[2] ** 2 > 0:
+                starts[t] = g
+    return np.array([_params_from_g(g) for g in starts], dtype=float).reshape(-1, 3)
+
+
+class TestMomentStarts:
+    @pytest.mark.parametrize("n", [3, 4, 9, 50, 129, 1000])
+    def test_equals_the_sorting_version(self, n):
+        rng = np.random.default_rng(60 + n)
+        trials = 12
+        # angles below 0 fall in no bin
+        theta = rng.uniform(-0.4, math.pi, (trials, n))
+        theta[1] = rng.uniform(0.0, 2 * math.pi / 3, n)  # the last bin empty
+        theta[2] = rng.uniform(math.pi / 3, 2 * math.pi / 3, n)  # one bin only
+        theta[3, : (n + 1) // 2] = -1.0
+        x = rng.standard_normal((trials, n)) * rng.uniform(0.1, 3.0, (trials, 1))
+        c, s = np.cos(theta), np.sin(theta)
+        v = np.stack([c * c, s * s, SQRT2 * s * c], axis=1)
+        got = _moment_starts(v, x * x, theta)
+        want = moment_starts_by_sorting(v, x * x, theta)
+        assert got.shape == want.shape == (trials, 3)
+        assert (got == want).all()
+
+    def test_equals_the_sorting_version_on_a_fig5_lane(self):
+        thetas, xs = fig5_lane(0, 0, 50)
+        c, s = np.cos(thetas), np.sin(thetas)
+        v = np.stack([c * c, s * s, SQRT2 * s * c], axis=1)
+        assert (_moment_starts(v, xs * xs, thetas)
+                == moment_starts_by_sorting(v, xs * xs, thetas)).all()
 
 
 class TestHomodyneMl:
@@ -305,7 +395,7 @@ class TestHomodyneMlBlock:
         v = np.stack([c * c, s * s, SQRT2 * s * c], axis=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g, f = _evaluate(np.array([[416.7, -763.0, -131.6]]), v, xs * xs)
+            g, f, _, _ = _evaluate(np.array([[416.7, -763.0, -131.6]]), v, xs * xs)
         assert g[0, 0] == math.inf
         assert not f[0] > -1e300
 
@@ -316,7 +406,7 @@ class TestHomodyneMlBlock:
         assert out[1].tolist() == [math.exp(709.0), math.inf]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g, f = _evaluate(np.array([[800.0, 0.0, 0.0]]), np.ones((1, 3, 3)),
+            g, f, _, _ = _evaluate(np.array([[800.0, 0.0, 0.0]]), np.ones((1, 3, 3)),
                              np.ones((1, 3)))
         assert g[0, 0] == math.inf
         assert not f[0] > -1e300

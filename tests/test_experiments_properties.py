@@ -1,0 +1,54 @@
+"""Property check of config resolution: resolving a resolved config
+changes nothing, which is what makes embedded-config replay byte-exact."""
+
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gausstomo.experiments import resolve_config
+
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+def numbers(lo, hi):
+    """Ints and floats alike: resolution turns list numbers into floats."""
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)), st.floats(lo, hi))
+
+
+SPECS = st.fixed_dictionaries({"mu": numbers(1.0, 20.0), "lambda": numbers(1.0, 100.0),
+                               "phi": st.floats(0.0, math.pi, exclude_max=True),
+                               "eta": st.floats(0.05, 1.0)})
+SEEDS = st.fixed_dictionaries({"master_seed": st.integers(0, 2 ** 64 - 1)},
+                              optional={"stream_id": st.integers(0, 2 ** 64 - 1)})
+N_VALUES = st.lists(st.integers(2, 10 ** 5), min_size=1, max_size=4)
+COMMON = {"format": st.sampled_from(["csv", "json"]), "seed": SEEDS,
+          "output_path": st.text(max_size=8)}
+
+FIG5 = st.fixed_dictionaries(
+    {"experiment": st.just("fig5"), "trials": st.integers(1, 1000)},
+    optional={"spec": SPECS, "n_values": N_VALUES, **COMMON})
+CRB = st.fixed_dictionaries(
+    {"experiment": st.just("crb-attainment"), "spec": SPECS,
+     "scheme": st.sampled_from(["homodyne", "heterodyne"]), "n_values": N_VALUES,
+     "trials": st.integers(1, 1000)},
+    optional=COMMON)
+SURFACE = st.fixed_dictionaries(
+    {"experiment": st.just("surface"),
+     "grid": st.fixed_dictionaries(
+         {"lambda": st.lists(numbers(1.0, 100.0), min_size=1, max_size=4),
+          "mu": st.lists(numbers(1.0, 20.0), min_size=1, max_size=4)},
+         optional={"eta": st.one_of(numbers(0.05, 1.0),
+                                    st.lists(numbers(0.05, 1.0), min_size=1, max_size=3)),
+                   "mode": st.sampled_from(["real", "hypothetical"])})},
+    optional=COMMON)
+
+
+@PROPERTY
+@given(st.one_of(FIG5, CRB, SURFACE))
+def test_resolution_is_idempotent(config):
+    resolved = resolve_config(config)
+    assert resolve_config(resolved) == resolved

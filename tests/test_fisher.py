@@ -338,6 +338,45 @@ class TestCriticalLambda:
         root = critical_lambda_for_gamma(1.0 + 1e-9, 1.0)
         assert root == pytest.approx(6.6667e8, rel=1e-4)
 
+    def test_matches_a_60_digit_solve_near_the_corner(self):
+        # the crossing runs off to infinity as (mu, eta) -> (1, 1); the
+        # reference squares gamma = 1 from the trace and determinant of each
+        # scheme's data covariance, and solves the cubic in 60 digits
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+
+        def times(a, b):
+            out = [mp.mpf(0)] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            return out
+
+        def reference(mu, eta):
+            mu, eta = mp.mpf(mu), mp.mpf(eta)
+            dh, de = (1 - eta) / (2 * eta), (2 - eta) / (2 * eta)
+            # polynomials in t = (lambda + 1/lambda)/2, highest power first
+            trace = {d: [mu, 2 * d] for d in (dh, de)}
+            det = {d: [d * mu, mu * mu / 4 + d * d] for d in (dh, de)}
+            ell = [x - y - z for x, y, z in zip(times(trace[de], trace[de]),
+                                                [0] + det[de],
+                                                times(trace[dh], trace[dh]))][1:]
+            lhs = [9 * c for c in times(times(trace[dh], trace[dh]), det[dh])]
+            cubic = [x - y for x, y in zip(lhs, [0] + times(ell, ell))]
+            while cubic[0] == 0:
+                cubic.pop(0)
+            ts = [mp.re(r) for r in mp.polyroots(cubic, maxsteps=200, extraprec=200)
+                  if abs(mp.im(r)) < mp.mpf(10) ** -40 and mp.re(r) >= 1
+                  and ell[0] * mp.re(r) + ell[1] >= 0]
+            t = min(ts)
+            return t + mp.sqrt(t * t - 1)
+
+        for mu, eta in ((1.0 + 1e-9, 1.0), (1.0 + 1e-6, 1.0), (1.0 + 1e-5, 1.0 - 1e-9)):
+            want = reference(mu, eta)
+            got = critical_lambda_for_gamma(mu, eta)
+            assert abs(got - want) / want <= 1e-12, (mu, eta, got, want)
+
 
 class TestSmallEtaAsymptote:
     def test_exact_at_coherent_state(self):
