@@ -157,11 +157,22 @@ class GaussianStateSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GaussianStateSpec":
-        try:
-            return cls(mu=float(d["mu"]), lam=float(d["lambda"]),
-                       phi=float(d.get("phi", 0.0)), eta=float(d.get("eta", 1.0)))
-        except KeyError as exc:
-            raise DomainError(f"state record is missing key {exc}") from exc
+        return cls(*(float(json_number(d, key, "state", default)) for key, default
+                     in (("mu", None), ("lambda", None), ("phi", 0.0), ("eta", 1.0))))
+
+
+def json_number(record: dict, key: str, kind: str, default: float | None = None):
+    """record[key], or default if the key is absent and a default is given;
+    DomainError naming the key unless the value is a JSON number (an int or
+    a float, not a bool)."""
+    if key not in record:
+        if default is None:
+            raise DomainError(f"{kind} record is missing key '{key}'")
+        return default
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{kind} key '{key}' must be a number, got {value!r}")
+    return value
 
 
 def delta_offset(eta: float, scheme: SchemeKind) -> float:

@@ -206,7 +206,7 @@ def _moment_starts(v: np.ndarray, x2: np.ndarray, theta: np.ndarray) -> np.ndarr
     """
     trials = x2.shape[0]
     bins = np.minimum((theta // (math.pi / 3)).astype(int), 2)
-    key = np.maximum(bins, -1) + 1  # 0: below every bin
+    key = (np.maximum(bins, -1) + 1).astype(np.int8)  # 0: below every bin
     counts = np.stack([(key == k).sum(axis=1) for k in range(4)], axis=1)
     starts = [np.array([m, m, 0.0]) for m in x2.mean(axis=1)]
     full = np.flatnonzero(counts[:, 1:].min(axis=1) > 0)

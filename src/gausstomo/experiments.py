@@ -55,7 +55,7 @@ def _require(cfg: dict, key: str, kind, what: str):
     if key not in cfg:
         raise ConfigError(f"experiment '{cfg.get('experiment')}' requires '{key}' ({what})")
     value = cfg[key]
-    if kind is float and isinstance(value, int):
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind):
         raise ConfigError(f"'{key}' must be {what}, got {type(value).__name__}")
@@ -230,10 +230,26 @@ def _fmt(value) -> str:
 def _column_format(values: tuple) -> tuple[str, tuple]:
     """A column's %-format and cells, chosen once for the whole column:
     floats take 17 significant digits, strings stay as they are, and any
-    other column goes through _fmt cell by cell."""
+    other column goes through _fmt cell by cell.
+
+    A float column with at most len/4 distinct values formats each value
+    once.  The values are counted only when the first one recurs within
+    the first len/4 cells: a surface's grid axes and hypothetical-mode
+    bounds always pass that scan when they pass the count, and the scan
+    turns an all-distinct column away at about 1/300 of that column's
+    formatting time (a set of its values costs about 1/8).  A column
+    holding a zero is formatted cell by cell, since 0.0 and -0.0 are one
+    set member but print as 0 and -0."""
     kinds = set(map(type, values))
     if all(issubclass(kind, float) for kind in kinds):
-        return "%.17g", values
+        quarter = len(values) // 4
+        if values[0] not in values[1:quarter + 1]:
+            return "%.17g", values
+        distinct = set(values)
+        if len(distinct) > quarter or 0.0 in distinct:
+            return "%.17g", values
+        text = {value: "%.17g" % value for value in distinct}
+        return "%s", tuple(map(text.__getitem__, values))
     return "%s", values if kinds == {str} else tuple(map(_fmt, values))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                   SQRT2, effective_covariance)
+                   SQRT2, effective_covariance, json_number)
 
 _WORDS_PER_SAMPLE = 2
 _WORDS_PER_BLOCK = 4  # one Philox4x64 counter increment yields four words
@@ -50,10 +50,17 @@ class SeedSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SeedSpec":
-        try:
-            return cls(master_seed=int(d["master_seed"]), stream_id=int(d.get("stream_id", 0)))
-        except KeyError as exc:
-            raise DomainError(f"seed record is missing key {exc}") from exc
+        """The seed of a JSON record; an integral float such as 3.0 counts as
+        that integer, and any other non-integer value raises DomainError."""
+        ids = []
+        for key, default in (("master_seed", None), ("stream_id", 0)):
+            value = json_number(d, key, "seed", default)
+            if isinstance(value, float):
+                if not value.is_integer():
+                    raise DomainError(f"seed key '{key}' must be an integer, got {value!r}")
+                value = int(value)
+            ids.append(value)
+        return cls(*ids)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 
 from gausstomo import DomainError, GaussianStateSpec, __version__, region_areas
 from gausstomo.estimation import _BLOCK_SAMPLES
-from gausstomo.experiments import (ConfigError, extract_embedded_config,
+from gausstomo.experiments import (ConfigError, _column_format, extract_embedded_config,
                                    render_table, resolve_config, run_experiment)
 
 # Homodyne crb-attainment whose lanes split into several fit blocks:
@@ -27,7 +27,16 @@ PINNED_SHA256 = {
     # gausstomo fig5 --trials 20 --seed 0
     "fig5": "d6cce4985d6521c428584396f2f66c09782a76f914d58c154a5ece64c70105a3",
     "split-crb": "ec724679e62ef702d09056124938e9f3e7cb858889dabe09f3d6fc4a5ebc1fef",
+    # SURFACE_GRID in each mode
+    "surface-real": "cd4fe9b566b025dc0372f61b2fed93c9af8307fe55f1b74b94ba6a23a7ccd081",
+    "surface-hypothetical":
+        "19bde8210a0c876ac8d075c95937ad681d613459ac961e17e5475623d7fb3c9c",
 }
+
+# 80 rows, eta outer: every column but real mode's bounds repeats, and the
+# hypothetical bounds repeat with a period of a quarter of the table
+SURFACE_GRID = {"lambda": [1.0, 1.7, 3.771, 12.5, 100.0], "mu": [1.0, 1.736, 2.5, 20.0],
+                "eta": [0.05, 0.3, 0.7, 1.0]}
 
 
 def sha256(text: str) -> str:
@@ -76,6 +85,11 @@ class TestConfigResolution:
         assert cfg["n_values"] == [50, 100, 150]
         assert cfg["seed"] == {"master_seed": 0, "stream_id": 0}
         assert cfg["format"] == "csv"
+
+    def test_integral_seed_float_resolves_to_its_integer(self):
+        cfg = resolve_config({"experiment": "lambda-crit", "eta_values": [0.5],
+                              "seed": {"master_seed": 3.0, "stream_id": 2**64 - 1}})
+        assert json.dumps(cfg["seed"]) == '{"master_seed": 3, "stream_id": 18446744073709551615}'
 
     def test_estimate_requires_json_format(self):
         with pytest.raises(ConfigError):
@@ -185,7 +199,42 @@ class TestRenderAndReplay:
         assert first == second
 
 
+class TestColumnFormat:
+    @staticmethod
+    def per_cell(rows):
+        return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+
+    def test_repeated_floats_print_like_each_cell(self):
+        nan = math.nan
+        cycle = [nan, math.inf, -math.inf, np.float64(0.1), 0.1, 1 / 3,
+                 np.float64(-2.5), np.float64("nan"), nan]
+        repeated = [float("nan") if k % 50 == 7 else cycle[k % len(cycle)]
+                    for k in range(1000)]
+        signed_zeros = [(-0.0, 0.0, np.float64(-0.0), 2.5)[k % 4] for k in range(1000)]
+        mixed = [(repeated, signed_zeros)[k % 2][k] for k in range(1000)]
+        distinct = [k / 7 for k in range(1000)]
+        assert _column_format(tuple(repeated))[0] == "%s"  # formatted once per value
+        assert _column_format(tuple(signed_zeros))[0] == "%.17g"
+        rows = list(zip(repeated, signed_zeros, mixed, distinct))
+        text = render_table(["a", "b", "c", "d"], rows, {"experiment": "surface"}, "csv")
+        assert text.split("\n", 2)[2] == self.per_cell(rows)
+
+    @pytest.mark.parametrize("mode", ["real", "hypothetical"])
+    def test_surface_prints_like_each_cell(self, mode):
+        text = run_experiment({"experiment": "surface",
+                               "grid": {**SURFACE_GRID, "mode": mode}})[""]
+        _, rows = rows_of(text)
+        floats = [tuple(map(float, row[:6])) for row in rows]
+        assert [",".join(row[:6]) + "\n" for row in rows] == \
+            self.per_cell(floats).splitlines(keepends=True)
+
+
 class TestSurface:
+    @pytest.mark.parametrize("mode", ["real", "hypothetical"])
+    def test_pinned_bytes(self, mode):
+        cfg = {"experiment": "surface", "grid": {**SURFACE_GRID, "mode": mode}}
+        assert sha256(run_experiment(cfg)[""]) == PINNED_SHA256[f"surface-{mode}"]
+
     def test_hypothetical_floor_row(self):
         cfg = {"experiment": "surface",
                "grid": {"lambda": [1.0, 2.0], "mu": [1.0], "eta": 1.0,
@@ -561,6 +610,32 @@ class TestCli:
             err = json.loads(proc.stderr.strip())
             assert err["error"] == "config" and str(out) in err["message"]
         assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("experiment, config, key", [
+        *(("lambda-crit", {"eta_values": [0.5], "seed": seed}, key) for seed, key in (
+            ({"master_seed": None}, "master_seed"),
+            ({"master_seed": "abc"}, "master_seed"),
+            ({"master_seed": [1]}, "master_seed"),
+            ({"master_seed": 1.5}, "master_seed"),
+            ({"master_seed": True}, "master_seed"),
+            ({"master_seed": math.inf}, "master_seed"),
+            ({"master_seed": 0, "stream_id": "1"}, "stream_id"))),
+        *(("regions", {"spec": {"lambda": 2.0, **spec}}, key) for spec, key in (
+            ({"mu": None}, "mu"),
+            ({"mu": "x"}, "mu"),
+            ({"mu": 2.0, "phi": [0]}, "phi"),
+            ({"mu": "2"}, "mu"),
+            ({"mu": True}, "mu"))),
+        ("estimate", {"data_path": "x.csv", "scheme": "heterodyne", "eta": True,
+                      "format": "json"}, "eta"),
+    ])
+    def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, experiment, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment, **config}))
+        proc = self.run_cli(experiment, "--config", str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "config" and f"'{key}'" in err["message"]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_non_positive_threads_exit_2(self, threads):
