@@ -70,10 +70,20 @@ class EstimationResult:
                 "scheme": self.scheme.value}
 
 
+def _square(d: float) -> float:
+    # ** 2, not d * d: on some inputs they round differently.  A float
+    # square that overflows raises, so it is inf here, as d * d would be.
+    try:
+        return d ** 2
+    except OverflowError:
+        return math.inf
+
+
 def hs_distance_sq(a: Covariance2, b: Covariance2) -> float:
     """Squared Hilbert-Schmidt distance; the (g1, g2, g3) basis is
-    trace-orthonormal, so this equals Tr[(A - B)^2]."""
-    return (a.g1 - b.g1) ** 2 + (a.g2 - b.g2) ** 2 + (a.g3 - b.g3) ** 2
+    trace-orthonormal, so this equals Tr[(A - B)^2].  It is inf when a
+    component difference squares past the float range."""
+    return _square(a.g1 - b.g1) + _square(a.g2 - b.g2) + _square(a.g3 - b.g3)
 
 
 def to_ellipse(cov: Covariance2) -> UncertaintyEllipse:
@@ -257,8 +267,14 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _exp(values: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(_exp_or_inf, values.ravel()), dtype=float,
-                       count=values.size).reshape(values.shape)
+    """math.exp of each value; the builtin is mapped over Python floats, and
+    only an array where some value overflows pays for _exp_or_inf."""
+    flat = values.ravel().tolist()
+    try:
+        out = np.fromiter(map(math.exp, flat), dtype=float, count=len(flat))
+    except OverflowError:
+        out = np.fromiter(map(_exp_or_inf, flat), dtype=float, count=len(flat))
+    return out.reshape(values.shape)
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -279,17 +295,18 @@ def _evaluate(p: np.ndarray, v: np.ndarray, x2: np.ndarray):
     """
     with np.errstate(all="ignore"):
         scales = _exp(p[..., ::2])
-        a, b, cc = scales[..., 0], p[..., 1], scales[..., 1]
+        b = p[..., 1]
         g = np.empty(p.shape)
-        np.multiply(a, a, out=g[..., 0])
-        np.add(b * b, cc * cc, out=g[..., 1])
-        np.multiply(SQRT2 * a, b, out=g[..., 2])
+        # a^2 and c^2 first, then c^2 is replaced by sqrt2 a b
+        np.multiply(scales, scales, out=g[..., ::2])
+        np.add(b * b, g[..., 2], out=g[..., 1])
+        np.multiply(SQRT2 * scales[..., 0], b, out=g[..., 2])
         cvar = np.matmul(g[..., None, :], v)[..., 0, :]
         f = -0.5 * np.add.reduce(x2 / cvar + np.log(cvar), axis=-1) \
             - 0.5 * x2.shape[-1] * LOG_2PI
-        invalid = (cvar <= 0.0).any(axis=-1)
-        if invalid.any():
-            f[invalid] = -math.inf
+        nonpositive = cvar <= 0.0
+        if np.count_nonzero(nonpositive):
+            f[nonpositive.any(axis=-1)] = -math.inf
     return g, f, cvar, scales
 
 
@@ -300,29 +317,39 @@ def _newton_ok(hess: np.ndarray) -> bool:
         return False
 
 
-# (matrix, row, column) of each nonzero chain-rule entry: the Jacobian of g
-# in the parameters, then the second derivatives of g1, g2 and g3
-_CHAIN_ENTRIES = (np.array([0, 0, 0, 0, 0, 1, 2, 2, 3, 3, 3]),
-                  np.array([0, 1, 1, 2, 2, 0, 1, 2, 0, 0, 1]),
-                  np.array([0, 1, 2, 0, 1, 0, 1, 2, 0, 1, 0]))
+# Each row's chain-rule matrices as slots of its chain entries: the
+# Jacobian of g in the parameters, then the second derivatives of g1, g2
+# and g3, each 3x3 row-major.  Slots 0-6 hold 2a^2, 2c^2, 4a^2, 4c^2, 2b,
+# sqrt2 a and sqrt2 a b, slot 7 holds 0 and slot 8 holds 2.
+_CHAIN_SLOTS = np.array([[0, 7, 7, 7, 4, 1, 6, 5, 7],
+                         [2, 7, 7, 7, 7, 7, 7, 7, 7],
+                         [7, 7, 7, 7, 8, 7, 7, 7, 3],
+                         [6, 5, 7, 5, 7, 7, 7, 7, 7]]).ravel()
+# k of the products (k a) a, (k c) c in slots 0-3, and slots 7 and 8
+_CHAIN_FACTORS = np.array([[2.0], [4.0]])
+_CHAIN_CONSTANTS = np.array([0.0, 2.0])
 
 
 def _ascent_directions(p, scales, v, x2, cvar, grad_g) -> np.ndarray:
     """Each row's step in (ln a, b, ln c): Newton where the chained Hessian
     is negative definite, else unit steepest ascent."""
-    a, cc = scales.T
+    rows = len(p)
     b = p[:, 1]
     curv = 1.0 / (cvar * cvar) - 2.0 * x2 / (cvar ** 3)
     hess_g = 0.5 * np.einsum("tiN,tN,tjN->tij", v, curv, v)
     # per row: the Jacobian and the three second-derivative matrices; these
     # are added as whole matrices, so that an inf or nan gradient component
     # reaches every entry
-    sa = SQRT2 * a
-    sab = sa * b
-    mats = np.zeros((len(a), 4, 3, 3))
-    mats[(slice(None), *_CHAIN_ENTRIES)] = np.array(
-        [2 * a * a, 2 * b, 2 * cc * cc, sab, sa, 4 * a * a, np.full_like(a, 2.0),
-         4 * cc * cc, sab, sa, sa]).T
+    entries = np.empty((rows, 9))
+    ac = scales[:, None, :]
+    np.multiply(_CHAIN_FACTORS * ac, ac, out=entries[:, :4].reshape(rows, 2, 2))
+    np.multiply(2.0, b, out=entries[:, 4])
+    sa = np.multiply(SQRT2, scales[:, 0], out=entries[:, 5])
+    np.multiply(sa, b, out=entries[:, 6])
+    entries[:, 7:] = _CHAIN_CONSTANTS
+    # np.take gives C-contiguous matrices, as fancy indexing would not: the
+    # matrix products below round differently on other layouts
+    mats = np.take(entries, _CHAIN_SLOTS, axis=1).reshape(rows, 4, 3, 3)
     jac, jac_t = mats[:, 0], mats[:, 0].transpose(0, 2, 1)
     terms = grad_g[:, :, None, None] * mats[:, 1:]
     hess_p = jac_t @ hess_g @ jac + terms[:, 0] + terms[:, 1] + terms[:, 2]
@@ -331,7 +358,7 @@ def _ascent_directions(p, scales, v, x2, cvar, grad_g) -> np.ndarray:
         newton = np.linalg.eigvalsh(hess_p).max(axis=-1) < 0.0
     except np.linalg.LinAlgError:
         newton = np.array([_newton_ok(h) for h in hess_p], dtype=bool)
-    if newton.all():
+    if np.count_nonzero(newton) == len(newton):
         return np.linalg.solve(hess_p, -grad_p[:, :, None])[:, :, 0]
     step = np.empty_like(grad_p)
     ascent = grad_p[~newton]
@@ -361,7 +388,7 @@ def _line_search(p, step, f, v, x2, max_halvings: int):
     found = accepted[2] > f
     n = x2.shape[1]
     k, budget = 1, _BLOCK_SAMPLES // 8
-    while k < max_halvings and not found.all():
+    while k < max_halvings and np.count_nonzero(found) < len(found):
         open_ = np.flatnonzero(~found)
         w = max(1, min(max_halvings - k, budget // (open_.size * n)))
         t = np.ldexp(1.0, -np.arange(k, k + w))
@@ -375,9 +402,10 @@ def _line_search(p, step, f, v, x2, max_halvings: int):
         if hit.size:
             # the first winning halving of each row that has one
             first = wins[hit].argmax(axis=1)
+            won = open_[hit]
             for target, value in zip(accepted, values):
-                target[open_[hit]] = value[hit, first]
-            found[open_[hit]] = True
+                target[won] = value[hit, first]
+            found[won] = True
         k += w
         budget = min(2 * budget, _BLOCK_SAMPLES)
     return found, accepted
@@ -402,7 +430,9 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray, options: MlOptions)
         resid = x2 / (cvar * cvar) - 1.0 / cvar
         grad_g = 0.5 * np.add.reduce(v * resid[:, None, :], axis=-1)
         done = _norms(grad_g) * (g[:, 0] + g[:, 1]) / n <= options.gradient_tol
-        if done.any():
+        # the masks are tested with np.count_nonzero, which costs a third
+        # of .any() or .all() on a few rows
+        if np.count_nonzero(done):
             converged[live[done]] = True
             g_out[live], f_out[live] = g, f
             live, p, g, f, cvar, scales, v, x2, grad_g = (
@@ -411,7 +441,7 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray, options: MlOptions)
                 break
         step = _ascent_directions(p, scales, v, x2, cvar, grad_g)
         found, accepted = _line_search(p, step, f, v, x2, options.max_halvings)
-        if found.all():
+        if np.count_nonzero(found) == len(found):
             p, g, f, cvar, scales = accepted
             continue
         for old, new in zip((p, g, f, cvar, scales), accepted or ()):
@@ -458,12 +488,12 @@ def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
     g, f, iterations, converged = _fit_block(v, x2, _moment_starts(v, x2, theta), options)
     delta = delta_offset(eta, SchemeKind.HOMODYNE)
     results = []
-    for k in range(len(x)):
-        g_eff = Covariance2(float(g[k, 0]), float(g[k, 1]), float(g[k, 2]))
+    for g_row, loglik, its, conv in zip(g.tolist(), f.tolist(), iterations.tolist(),
+                                        converged.tolist()):
+        g_eff = Covariance2(*g_row)
         results.append(EstimationResult(g_wigner=g_eff.add_offset(-delta),
-                                        g_effective=g_eff, loglik=float(f[k]),
-                                        iterations=int(iterations[k]),
-                                        converged=bool(converged[k]),
+                                        g_effective=g_eff, loglik=loglik,
+                                        iterations=its, converged=conv,
                                         scheme=SchemeKind.HOMODYNE))
     return results
 

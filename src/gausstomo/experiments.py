@@ -398,14 +398,25 @@ def run_estimate(config: dict) -> str:
     fingerprint: dict = {"n": int(data.shape[0])}
     sidecar = path.with_suffix(path.suffix + ".meta.json")
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
-        fingerprint["seed"] = meta.get("seed")
+        fingerprint["seed"] = _sidecar_seed(sidecar)
     doc = {"version": __version__, "config": config,
            "result": result.to_json_dict(),
            "ellipse": (to_ellipse(result.g_effective).to_json_dict()
                        if result.g_effective.is_positive_definite() else None),
            "fingerprint": fingerprint}
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _sidecar_seed(sidecar: Path):
+    """The seed that a `simulate` sidecar records; ConfigError naming the
+    sidecar if it cannot be read or is not a JSON object."""
+    try:
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read sidecar {sidecar}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigError(f"sidecar {sidecar} is not a JSON object")
+    return meta.get("seed")
 
 
 def _trial_stream(seed: SeedSpec, lane: int, trials: int, trial: int) -> SeedSpec:

@@ -17,6 +17,7 @@ phase-space pair.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -27,6 +28,9 @@ from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
 
 _WORDS_PER_SAMPLE = 2
 _WORDS_PER_BLOCK = 4  # one Philox4x64 counter increment yields four words
+_WORD_MASK = 2 ** 64 - 1
+# per thread: the Philox generator that raw_words re-keys for every stream
+_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -87,15 +91,31 @@ def raw_words(seed: SeedSpec, start: int, count: int) -> np.ndarray:
 
     Positions the Philox counter directly at the containing block, so a
     worker can read any window of the stream without generating its prefix.
+    Each thread re-keys one generator of its own: setting the state costs
+    less than building a Philox, which first draws OS entropy for a seed
+    that the key then replaces.
     """
-    from numpy.random import Philox
-
     if count == 0:
         return np.zeros(0, dtype=np.uint64)
-    key = np.array([seed.master_seed, seed.stream_id], dtype=np.uint64)
     block0, offset = divmod(start, _WORDS_PER_BLOCK)
+    if not 0 <= block0 < 2 ** 256:
+        raise DomainError(f"start = {start} lies outside the stream's 2^258 words")
     nblocks = (offset + count + _WORDS_PER_BLOCK - 1) // _WORDS_PER_BLOCK
-    gen = Philox(key=key, counter=block0)
+    gen = getattr(_THREAD, "philox", None)
+    if gen is None:
+        # made at the thread's first draw, so that importing the package
+        # does not import numpy.random
+        from numpy.random import Philox
+
+        gen = _THREAD.philox = Philox(0)
+    # the state Philox(key=..., counter=block0) starts in: the 256-bit
+    # counter as four little-endian words, and an empty output buffer
+    gen.state = {"bit_generator": "Philox",
+                 "state": {"counter": [(block0 >> shift) & _WORD_MASK
+                                       for shift in (0, 64, 128, 192)],
+                           "key": [seed.master_seed, seed.stream_id]},
+                 "buffer": [0] * _WORDS_PER_BLOCK, "buffer_pos": _WORDS_PER_BLOCK,
+                 "has_uint32": 0, "uinteger": 0}
     words = gen.random_raw(nblocks * _WORDS_PER_BLOCK)
     return words[offset:offset + count]
 

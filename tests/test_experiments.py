@@ -645,3 +645,44 @@ class TestCli:
         err = json.loads(proc.stderr.strip())
         assert err == {"error": "config",
                        "message": f"threads must be a positive integer, got {threads}"}
+
+    @pytest.mark.parametrize("experiment, config, column", [
+        ("fig5", {"spec": {"mu": 2.0, "lambda": 10.0, "eta": 1e-300}}, "hs_distance_sq"),
+        ("crb-attainment", {"spec": {"mu": 2.0, "lambda": 10.0, "eta": 1e-300},
+                            "scheme": "homodyne"}, "mean_N_times_mse"),
+        ("crb-attainment", {"spec": {"mu": 1.0, "lambda": 1e200, "eta": 0.5},
+                            "scheme": "homodyne"}, "mean_N_times_mse"),
+    ])
+    def test_distance_that_overflows_is_inf(self, tmp_path, experiment, config, column):
+        # a squared component of the HS distance leaves the float range
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "n_values": [20],
+                                   "trials": 2, **config}))
+        proc = self.run_cli(experiment, "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        header, rows = rows_of(proc.stdout)
+        cells = [dict(zip(header, row)) for row in rows]
+        if experiment == "fig5":
+            cells = [c for c in cells if c["kind"] == "aggregate"]
+        assert "inf" in {c[column] for c in cells}
+
+    @pytest.mark.parametrize("kind", ["not-json", "not-an-object", "directory", "not-utf8"])
+    def test_bad_sidecar_exits_2(self, tmp_path, kind):
+        data = tmp_path / "samples.csv"
+        data.write_text("x,p\n1.0,2.0\n0.5,0.25\n-1.0,0.5\n")
+        sidecar = tmp_path / "samples.csv.meta.json"
+        if kind == "not-json":
+            sidecar.write_text('{"seed": ')
+        elif kind == "not-an-object":
+            sidecar.write_text('[{"seed": 1}]')
+        elif kind == "directory":
+            sidecar.mkdir()
+        else:
+            sidecar.write_bytes(b'{"seed": "\xff"}')
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"experiment": "estimate", "data_path": str(data),
+                                   "scheme": "heterodyne", "eta": 0.5, "format": "json"}))
+        proc = self.run_cli("estimate", "--config", str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "config" and str(sidecar) in err["message"]
