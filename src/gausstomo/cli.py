@@ -51,17 +51,17 @@ def _load_config(config_path: str | None, experiment: str, overrides: dict) -> d
         _fail(EXIT_CONFIG, "config",
               f"config is for experiment {cfg['experiment']!r}, invoked as {experiment!r}")
 
+    # a flag overrides a key of an object (or absent) spec or seed; any
+    # other value is left for resolution to reject
     spec_overrides = {k: overrides[k] for k in ("mu", "lambda", "eta") if overrides.get(k) is not None}
-    if spec_overrides:
-        spec = dict(cfg.get("spec", {}))
-        spec.update(spec_overrides)
-        cfg["spec"] = spec
+    spec, seed = cfg.get("spec", {}), cfg.get("seed", {})
+    if spec_overrides and isinstance(spec, dict):
+        cfg["spec"] = {**spec, **spec_overrides}
     for key in ("n", "trials"):
         if overrides.get(key) is not None:
             cfg[key] = overrides[key]
-    if overrides.get("seed") is not None:
-        cfg["seed"] = {"master_seed": overrides["seed"],
-                       "stream_id": dict(cfg.get("seed", {})).get("stream_id", 0)}
+    if overrides.get("seed") is not None and isinstance(seed, dict):
+        cfg["seed"] = {"master_seed": overrides["seed"], "stream_id": seed.get("stream_id", 0)}
     if overrides.get("format") is not None:
         cfg["format"] = overrides["format"]
     return cfg

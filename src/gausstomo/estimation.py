@@ -203,20 +203,26 @@ def _distinct_counts(theta: np.ndarray) -> np.ndarray:
     return 1 + new.sum(axis=1)
 
 
+def _angle_keys(theta: np.ndarray) -> np.ndarray:
+    """The moment-start bin of each angle: 1, 2 or 3 for [0, pi/3), [pi/3,
+    2 pi/3) or [2 pi/3, inf], and 0 below 0 or for nan."""
+    edge = math.pi / 3
+    return (theta >= 0).astype(np.int8) + (theta >= edge) + (theta >= 2 * edge)
+
+
 def _moment_starts(v: np.ndarray, x2: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Each row's moment-matched start, as Cholesky parameters.
 
     Solves mean(v)^T g = mean(x^2) on the angle bins [0, pi/3), [pi/3,
-    2 pi/3) and [2 pi/3, inf); angles below 0 fall in none.  It falls back
-    to g = (m, m, 0), with m the mean of x^2, when a bin is empty or the
-    solution is not positive definite.  Each bin sum takes the summation
+    2 pi/3) and [2 pi/3, inf]; angles below 0, and nan, fall in none.  It
+    falls back to g = (m, m, 0), with m the mean of x^2, when a bin is empty
+    or the solution is not positive definite.  Each bin sum takes the summation
     order of v[:, bin].mean(axis=1) and x2[bin].mean() on a single trial:
     a running sum from 0.0 in sample order for v, which np.bincount adds,
     and numpy's pairwise sum of the bin's samples, in order, for x^2.
     """
     trials = x2.shape[0]
-    bins = np.minimum((theta // (math.pi / 3)).astype(int), 2)
-    key = (np.maximum(bins, -1) + 1).astype(np.int8)  # 0: below every bin
+    key = _angle_keys(theta)
     counts = np.stack([(key == k).sum(axis=1) for k in range(4)], axis=1)
     starts = [np.array([m, m, 0.0]) for m in x2.mean(axis=1)]
     full = np.flatnonzero(counts[:, 1:].min(axis=1) > 0)
@@ -236,9 +242,11 @@ def _moment_starts(v: np.ndarray, x2: np.ndarray, theta: np.ndarray) -> np.ndarr
             solved = np.linalg.solve(vbar, mbar[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             solved = [_solve_or_none(*pair) for pair in zip(vbar, mbar)]
-        for t, g in zip(full, solved):
-            if g is not None and g[0] > 0 and g[1] > 0 and g[0] * g[1] - 0.5 * g[2] ** 2 > 0:
-                starts[t] = g
+        # a positivity test that overflows to inf or nan still decides
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t, g in zip(full, solved):
+                if g is not None and g[0] > 0 and g[1] > 0 and g[0] * g[1] - 0.5 * g[2] ** 2 > 0:
+                    starts[t] = g
     return np.array([_params_from_g(g) for g in starts], dtype=float).reshape(-1, 3)
 
 
@@ -427,7 +435,8 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray, options: MlOptions)
     live = np.arange(trials)
     for it in range(1, options.max_iterations + 1):
         iterations[live] = it
-        resid = x2 / (cvar * cvar) - 1.0 / cvar
+        with np.errstate(over="ignore"):  # a huge variance squares to inf
+            resid = x2 / (cvar * cvar) - 1.0 / cvar
         grad_g = 0.5 * np.add.reduce(v * resid[:, None, :], axis=-1)
         done = _norms(grad_g) * (g[:, 0] + g[:, 1]) / n <= options.gradient_tol
         # the masks are tested with np.count_nonzero, which costs a third

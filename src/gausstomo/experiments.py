@@ -1,11 +1,12 @@
 """Experiment harness: validated configs, deterministic runners, plot-ready files.
 
-Every runner resolves an ExperimentConfig (filling defaults, rejecting
-unknown keys), computes its table, and writes CSV or JSON with the fully
-resolved config and toolkit version embedded, so any output file can be
-re-run into a byte-identical copy.  Monte Carlo trials draw their
-randomness from per-trial derived seed streams, which makes the output
-independent of the worker-thread count.
+Every experiment is one entry of the EXPERIMENTS table: its runner and its
+config fields.  A config is resolved against that table (filling defaults,
+rejecting unknown keys), and the runner computes its table and writes CSV
+or JSON with the fully resolved config and toolkit version embedded, so
+any output file can be re-run into a byte-identical copy.  Monte Carlo
+trials draw their randomness from per-trial derived seed streams, which
+makes the output independent of the worker-thread count.
 """
 
 from __future__ import annotations
@@ -31,95 +32,108 @@ class ConfigError(ValueError):
     """Invalid or incomplete experiment configuration."""
 
 
-EXPERIMENTS = ("surface", "regions", "lambda-crit", "simulate", "estimate",
-               "crb-attainment", "fig5")
+# Value checks of the experiment tables below: each takes a raw config
+# value and its key, and returns the value to embed or raises ConfigError
+# naming the key.
 
-_SCHEMES = {"homodyne": SchemeKind.HOMODYNE, "heterodyne": SchemeKind.HETERODYNE}
-
-# config keys accepted per experiment, beyond the common ones; output_path
-# names the write target and is not part of the experiment identity, so it
-# is validated here but never embedded in outputs
-_COMMON_KEYS = {"experiment", "format", "seed", "output_path"}
-_KEYS = {
-    "surface": {"grid"},
-    "regions": {"spec", "samples"},
-    "lambda-crit": {"eta_values"},
-    "simulate": {"spec", "scheme", "n", "angle_policy"},
-    "estimate": {"data_path", "scheme", "eta"},
-    "crb-attainment": {"spec", "scheme", "n_values", "trials"},
-    "fig5": {"spec", "n_values", "trials"},
-}
+def _choice(*options: str):
+    def check(value, key):
+        if value not in options:
+            raise ConfigError(f"'{key}' must be one of {options}, got {value!r}")
+        return value
+    return check
 
 
-def _require(cfg: dict, key: str, kind, what: str):
-    if key not in cfg:
-        raise ConfigError(f"experiment '{cfg.get('experiment')}' requires '{key}' ({what})")
-    value = cfg[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind):
-        raise ConfigError(f"'{key}' must be {what}, got {type(value).__name__}")
+def _integer(least: int):
+    def check(value, key):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(f"'{key}' must be an integer >= {least}, got {value!r}")
+        return value
+    return check
+
+
+def _number(value, key) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{key}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _efficiency(value, key) -> float:
+    eta = _number(value, key)
+    if not 0.0 < eta <= 1.0:
+        raise ConfigError(f"'{key}' must lie in (0, 1], got {eta}")
+    return eta
+
+
+def _text(value, key) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"'{key}' must be a string, got {value!r}")
     return value
 
 
-def _positive_int(cfg: dict, key: str) -> int:
-    v = _require(cfg, key, int, "a positive integer")
-    if isinstance(v, bool) or v < 1:
-        raise ConfigError(f"'{key}' must be a positive integer, got {v!r}")
-    return v
+def _list_of(item, lone: bool = False):
+    """A nonempty list of items; with lone, one item stands for its list."""
+    def check(value, key):
+        if lone and not isinstance(value, list):
+            value = [value]
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"'{key}' must be a nonempty list")
+        return [item(x, key) for x in value]
+    return check
 
 
-def _number_list(obj, key: str) -> list[float]:
-    if not isinstance(obj, list) or not obj or \
-            not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj):
-        raise ConfigError(f"'{key}' must be a nonempty list of numbers")
-    return [float(x) for x in obj]
-
-
-def _parse_spec(obj) -> GaussianStateSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError("'spec' must be an object with mu/lambda/phi/eta")
-    unknown = set(obj) - {"mu", "lambda", "phi", "eta"}
+def _known(value, keys, key) -> dict:
+    """value, if it is an object whose keys are all among keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{key}' must be an object with keys {'/'.join(keys)}")
+    unknown = set(value) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown spec keys: {sorted(unknown)}")
-    try:
-        return GaussianStateSpec.from_json_dict(obj)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"unknown keys in '{key}': {sorted(unknown)}")
+    return value
 
 
-def _parse_seed(obj) -> SeedSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError("'seed' must be an object with master_seed/stream_id")
-    unknown = set(obj) - {"master_seed", "stream_id"}
-    if unknown:
-        raise ConfigError(f"unknown seed keys: {sorted(unknown)}")
-    try:
-        return SeedSpec.from_json_dict(obj)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+def _record(cls, *keys: str):
+    """An object of the given keys, embedded as cls reads and writes it."""
+    return lambda value, key: cls.from_json_dict(_known(value, keys, key)).to_json_dict()
 
 
-def _parse_policy(obj):
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ConfigError("'angle_policy' must be {'type': 'sweep'} or "
-                          "{'type': 'grid', 'd': <int>}")
-    if obj["type"] == "sweep":
-        if set(obj) != {"type"}:
-            raise ConfigError("sweep policy takes no extra keys")
-        return ContinuousSweep()
-    if obj["type"] == "grid":
-        if set(obj) != {"type", "d"}:
-            raise ConfigError("grid policy takes exactly the key 'd'")
-        d = obj["d"]
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise ConfigError(f"grid size 'd' must be a positive integer, got {d!r}")
-        return UniformGrid(d)
-    raise ConfigError(f"unknown angle policy type {obj['type']!r}")
+def _object(fields: dict):
+    """An object resolved against its own field table."""
+    return lambda value, key: _resolve(_known(value, fields, key), fields, key, key + ".")
+
+
+def _angle_policy(value, key) -> dict:
+    """{'type': 'sweep'} or {'type': 'grid', 'd': <integer >= 1>}, embedded as given."""
+    kind = value.get("type") if isinstance(value, dict) else None
+    if kind not in ("sweep", "grid") or \
+            set(value) != ({"type"} if kind == "sweep" else {"type", "d"}):
+        raise ConfigError(f"'{key}' must be {{'type': 'sweep'}} or {{'type': 'grid', 'd': <int>}}")
+    if kind == "grid":
+        _integer(1)(value["d"], key + ".d")
+    return dict(value)
+
+
+_REQUIRED = object()
+
+
+def _resolve(obj: dict, fields: dict, where: str, prefix: str = "") -> dict:
+    """The fields of obj, each checked or defaulted, in table order: fields
+    maps each key to (check, default or _REQUIRED)."""
+    out = {}
+    for key, (check, default) in fields.items():
+        value = obj.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"'{where}' requires '{prefix}{key}'")
+        try:
+            out[key] = check(value, prefix + key)
+        except (DomainError, OverflowError) as exc:
+            raise ConfigError(f"'{prefix}{key}': {exc}") from exc
+    return out
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate a config mapping and fill defaults; returns the resolved dict.
+    """Validate a config mapping against its experiment's table in
+    EXPERIMENTS and fill defaults; returns the resolved dict.
 
     Unknown keys are rejected.  Resolution is idempotent: resolving an
     already-resolved config returns an equal mapping, which is what makes
@@ -127,95 +141,22 @@ def resolve_config(raw: dict) -> dict:
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    cfg = dict(raw)
-    exp = cfg.get("experiment")
-    if exp not in EXPERIMENTS:
-        raise ConfigError(f"'experiment' must be one of {EXPERIMENTS}, got {exp!r}")
-    allowed = _COMMON_KEYS | _KEYS[exp]
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys for '{exp}': {sorted(unknown)}")
-
-    out: dict = {"experiment": exp}
-    fmt = cfg.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"'format' must be 'csv' or 'json', got {fmt!r}")
-    out["format"] = fmt
-    if "output_path" in cfg and not isinstance(cfg["output_path"], str):
-        raise ConfigError(f"'output_path' must be a string, got {cfg['output_path']!r}")
-    seed = _parse_seed(cfg.get("seed", {"master_seed": 0, "stream_id": 0}))
-
-    if exp == "surface":
-        grid = _require(cfg, "grid", dict, "an object")
-        unknown = set(grid) - {"lambda", "mu", "eta", "mode"}
-        if unknown:
-            raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
-        lambdas = _number_list(grid.get("lambda"), "grid.lambda")
-        mus = _number_list(grid.get("mu"), "grid.mu")
-        etas = grid.get("eta", [1.0])
-        if isinstance(etas, (int, float)) and not isinstance(etas, bool):
-            etas = [float(etas)]
-        etas = _number_list(etas, "grid.eta")
-        mode = grid.get("mode", "real")
-        if mode not in ("real", "hypothetical"):
-            raise ConfigError(f"grid.mode must be 'real' or 'hypothetical', got {mode!r}")
-        out["grid"] = {"lambda": lambdas, "mu": mus, "eta": etas, "mode": mode}
-    elif exp == "regions":
-        out["spec"] = _parse_spec(_require(cfg, "spec", dict, "a state object")).to_json_dict()
-        samples = cfg.get("samples", 256)
-        if not isinstance(samples, int) or isinstance(samples, bool) or samples < 4:
-            raise ConfigError(f"'samples' must be an integer >= 4, got {samples!r}")
-        out["samples"] = samples
-    elif exp == "lambda-crit":
-        out["eta_values"] = _number_list(cfg.get("eta_values"), "eta_values")
-    elif exp == "simulate":
-        out["spec"] = _parse_spec(_require(cfg, "spec", dict, "a state object")).to_json_dict()
-        scheme = _require(cfg, "scheme", str, "'homodyne' or 'heterodyne'")
-        if scheme not in _SCHEMES:
-            raise ConfigError(f"'scheme' must be 'homodyne' or 'heterodyne', got {scheme!r}")
-        out["scheme"] = scheme
-        out["n"] = _positive_int(cfg, "n")
-        policy = cfg.get("angle_policy", {"type": "sweep"})
-        _parse_policy(policy)
-        if scheme == "heterodyne" and policy != {"type": "sweep"}:
-            raise ConfigError("'angle_policy' applies only to homodyne simulation")
-        out["angle_policy"] = policy
-        out["seed"] = seed.to_json_dict()
-        return out
-    elif exp == "estimate":
-        out["data_path"] = _require(cfg, "data_path", str, "a path")
-        scheme = _require(cfg, "scheme", str, "'homodyne' or 'heterodyne'")
-        if scheme not in _SCHEMES:
-            raise ConfigError(f"'scheme' must be 'homodyne' or 'heterodyne', got {scheme!r}")
-        out["scheme"] = scheme
-        eta = _require(cfg, "eta", float, "a number in (0, 1]")
-        if not 0.0 < eta <= 1.0:
-            raise ConfigError(f"'eta' must lie in (0, 1], got {eta}")
-        out["eta"] = eta
-        if fmt != "json":
-            raise ConfigError("estimate emits a JSON document; set format to 'json'")
-        return out
-    elif exp in ("crb-attainment", "fig5"):
-        if exp == "crb-attainment":
-            out["spec"] = _parse_spec(_require(cfg, "spec", dict, "a state object")).to_json_dict()
-            scheme = _require(cfg, "scheme", str, "'homodyne' or 'heterodyne'")
-            if scheme not in _SCHEMES:
-                raise ConfigError(f"'scheme' must be 'homodyne' or 'heterodyne', got {scheme!r}")
-            out["scheme"] = scheme
-            n_values = cfg.get("n_values")
-        else:
-            spec_obj = cfg.get("spec", {"mu": 2.0, "lambda": 10.0, "phi": 0.0, "eta": 0.5})
-            out["spec"] = _parse_spec(spec_obj).to_json_dict()
-            n_values = cfg.get("n_values", [50, 100, 150])
-        if not isinstance(n_values, list) or not n_values or \
-                not all(isinstance(x, int) and not isinstance(x, bool) and x > 1 for x in n_values):
-            raise ConfigError("'n_values' must be a nonempty list of integers > 1")
-        out["n_values"] = list(n_values)
-        out["trials"] = _positive_int(cfg, "trials")
-        out["seed"] = seed.to_json_dict()
-        return out
-
-    out["seed"] = seed.to_json_dict()
+    exp = raw.get("experiment")
+    if not isinstance(exp, str) or exp not in EXPERIMENTS:
+        raise ConfigError(f"'experiment' must be one of {tuple(EXPERIMENTS)}, got {exp!r}")
+    # output_path names the write target, not the experiment, so it is
+    # checked here but never embedded in outputs
+    _text(raw.get("output_path", ""), "output_path")
+    _, fields = EXPERIMENTS[exp]
+    body = {key: value for key, value in raw.items() if key not in ("experiment", "output_path")}
+    out = {"experiment": exp, **_resolve(_known(body, fields, exp), fields, exp)}
+    if exp == "simulate" and out["scheme"] == "heterodyne" \
+            and out["angle_policy"] != {"type": "sweep"}:
+        raise ConfigError("'angle_policy' applies only to homodyne simulation")
+    if exp == "estimate":
+        if out["format"] != "json":
+            raise ConfigError("estimate emits a JSON document; set 'format' to 'json'")
+        del out["seed"]
     return out
 
 
@@ -289,7 +230,7 @@ def _seed_of(config: dict) -> SeedSpec:
     return SeedSpec.from_json_dict(config["seed"])
 
 
-def run_surface(config: dict) -> str:
+def run_surface(config: dict, threads: int = 1) -> dict[str, str]:
     """Performance-ratio table over a (lambda, mu, eta) grid.
 
     Columns: lambda,mu,eta,h_hom,h_het,gamma,mode.  Hypothetical mode
@@ -306,34 +247,33 @@ def run_surface(config: dict) -> str:
         size = len(table["lam"])
         rows += zip(table["lam"], table["mu"], [eta] * size, table["h_hom"],
                     table["h_het"], table["gamma"], [grid["mode"]] * size)
-    return render_table(["lambda", "mu", "eta", "h_hom", "h_het", "gamma", "mode"],
-                        rows, config, config["format"])
+    return {"": render_table(["lambda", "mu", "eta", "h_hom", "h_het", "gamma", "mode"],
+                             rows, config, config["format"])}
 
 
-def run_regions(config: dict) -> str:
+def run_regions(config: dict, threads: int = 1) -> dict[str, str]:
     """Polar uncertainty boundaries sigma_theta / Sigma_theta for one state."""
     pairs = region_boundaries(_spec_of(config), config["samples"])
     rows = [(p.theta, p.sigma, p.Sigma) for p in pairs]
-    return render_table(["theta", "sigma", "Sigma"], rows, config, config["format"])
+    return {"": render_table(["theta", "sigma", "Sigma"], rows, config, config["format"])}
 
 
-def run_lambda_crit(config: dict) -> str:
+def run_lambda_crit(config: dict, threads: int = 1) -> dict[str, str]:
     """Equal-area squeezing threshold against detector efficiency."""
     rows = [(eta, critical_lambda_equal_areas(eta)) for eta in config["eta_values"]]
-    return render_table(["eta", "lambda_crit"], rows, config, config["format"])
+    return {"": render_table(["eta", "lambda_crit"], rows, config, config["format"])}
 
 
-def run_simulate(config: dict) -> tuple[str, str]:
-    """Synthetic records plus a JSON sidecar describing how to replay them.
-
-    Returns (table, sidecar).  Homodyne tables have columns theta,x;
-    heterodyne tables x,p.
+def run_simulate(config: dict, threads: int = 1) -> dict[str, str]:
+    """Synthetic records plus a '.meta.json' sidecar describing how to
+    replay them.  Homodyne tables have columns theta,x; heterodyne tables x,p.
     """
     spec = _spec_of(config)
     seed = _seed_of(config)
     n = config["n"]
     if config["scheme"] == "homodyne":
-        policy = _parse_policy(config["angle_policy"])
+        policy = config["angle_policy"]
+        policy = UniformGrid(policy["d"]) if policy["type"] == "grid" else ContinuousSweep()
         thetas, xs = homodyne_arrays(spec, n, policy, seed)
         table = render_table(["theta", "x"], list(zip(thetas, xs)),
                              config, config["format"])
@@ -345,7 +285,7 @@ def run_simulate(config: dict) -> tuple[str, str]:
                           "scheme": config["scheme"],
                           "angle_policy": config.get("angle_policy"),
                           "n": n, "seed": config["seed"]}, indent=2) + "\n"
-    return table, sidecar
+    return {"": table, ".meta.json": sidecar}
 
 
 def _read_data_table(path: Path) -> np.ndarray:
@@ -387,7 +327,7 @@ def _floats(tokens: list[str]) -> list[float] | None:
         return None
 
 
-def run_estimate(config: dict) -> str:
+def run_estimate(config: dict, threads: int = 1) -> dict[str, str]:
     """Fit a covariance to a previously simulated (or imported) sample file."""
     path = Path(config["data_path"])
     data = _read_data_table(path)
@@ -404,7 +344,7 @@ def run_estimate(config: dict) -> str:
            "ellipse": (to_ellipse(result.g_effective).to_json_dict()
                        if result.g_effective.is_positive_definite() else None),
            "fingerprint": fingerprint}
-    return json.dumps(doc, indent=2) + "\n"
+    return {"": json.dumps(doc, indent=2) + "\n"}
 
 
 def _sidecar_seed(sidecar: Path):
@@ -453,7 +393,7 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
     return [result for block in blocks for result in block]
 
 
-def run_crb_attainment(config: dict, threads: int = 1) -> str:
+def run_crb_attainment(config: dict, threads: int = 1) -> dict[str, str]:
     """Scaled Monte Carlo MSE against the Cramer-Rao bound, per sample size.
 
     Columns: N,scheme,mean_N_times_mse,crb,ratio.  The ratio approaches one
@@ -462,7 +402,7 @@ def run_crb_attainment(config: dict, threads: int = 1) -> str:
     """
     spec = _spec_of(config)
     seed = _seed_of(config)
-    scheme = _SCHEMES[config["scheme"]]
+    scheme = SchemeKind(config["scheme"])
     crb = crb_hom(spec) if scheme is SchemeKind.HOMODYNE else crb_het(spec)
     truth = wigner_covariance(spec)
     rows = []
@@ -471,11 +411,11 @@ def run_crb_attainment(config: dict, threads: int = 1) -> str:
         mean_scaled = n * float(np.mean([hs_distance_sq(r.g_wigner, truth)
                                          for r in results]))
         rows.append((n, config["scheme"], mean_scaled, crb, mean_scaled / crb))
-    return render_table(["N", "scheme", "mean_N_times_mse", "crb", "ratio"],
-                        rows, config, config["format"])
+    return {"": render_table(["N", "scheme", "mean_N_times_mse", "crb", "ratio"],
+                             rows, config, config["format"])}
 
 
-def run_fig5(config: dict, threads: int = 1) -> str:
+def run_fig5(config: dict, threads: int = 1) -> dict[str, str]:
     """Uncertainty-ellipse reconstruction benchmark at moderate sample sizes.
 
     For each N and scheme: the true Wigner ellipse, one representative
@@ -511,16 +451,45 @@ def run_fig5(config: dict, threads: int = 1) -> str:
         mean_hs = float(np.mean(hs_values))
         rows.append((n, scheme.value, "aggregate", -1,
                      math.nan, math.nan, math.nan, mean_hs, True, False))
-    return render_table(columns, rows, config, config["format"])
+    return {"": render_table(columns, rows, config, config["format"])}
 
 
-_RUNNERS = {
-    "surface": run_surface,
-    "regions": run_regions,
-    "lambda-crit": run_lambda_crit,
-    "estimate": run_estimate,
-    "crb-attainment": run_crb_attainment,
-    "fig5": run_fig5,
+_SPEC = _record(GaussianStateSpec, "mu", "lambda", "phi", "eta")
+_SCHEME = (_choice("homodyne", "heterodyne"), _REQUIRED)
+_NUMBERS = _list_of(_number)
+_N_VALUES = _list_of(_integer(2))
+_TRIALS = (_integer(1), _REQUIRED)
+_GRID = _object({"lambda": (_NUMBERS, _REQUIRED), "mu": (_NUMBERS, _REQUIRED),
+                 "eta": (_list_of(_number, lone=True), [1.0]),
+                 "mode": (_choice("real", "hypothetical"), "real")})
+
+
+def _experiment(run, **fields) -> tuple:
+    """(run, fields), the experiment's own fields between format and seed."""
+    return run, {"format": (_choice("csv", "json"), "csv"), **fields,
+                 "seed": (_record(SeedSpec, "master_seed", "stream_id"),
+                          {"master_seed": 0, "stream_id": 0})}
+
+
+# Every experiment's runner and config fields, in resolved-config order:
+# {key: (check, default or _REQUIRED)}.  A runner takes the resolved config
+# and the worker-thread count, which only the Monte Carlo runners use, and
+# returns {output name suffix: content}.
+EXPERIMENTS = {
+    "surface": _experiment(run_surface, grid=(_GRID, _REQUIRED)),
+    "regions": _experiment(run_regions, spec=(_SPEC, _REQUIRED), samples=(_integer(4), 256)),
+    "lambda-crit": _experiment(run_lambda_crit, eta_values=(_NUMBERS, _REQUIRED)),
+    "simulate": _experiment(run_simulate, spec=(_SPEC, _REQUIRED), scheme=_SCHEME,
+                            n=(_integer(1), _REQUIRED),
+                            angle_policy=(_angle_policy, {"type": "sweep"})),
+    "estimate": _experiment(run_estimate, data_path=(_text, _REQUIRED), scheme=_SCHEME,
+                            eta=(_efficiency, _REQUIRED)),
+    "crb-attainment": _experiment(run_crb_attainment, spec=(_SPEC, _REQUIRED),
+                                  scheme=_SCHEME, n_values=(_N_VALUES, _REQUIRED),
+                                  trials=_TRIALS),
+    "fig5": _experiment(run_fig5,
+                        spec=(_SPEC, {"mu": 2.0, "lambda": 10.0, "phi": 0.0, "eta": 0.5}),
+                        n_values=(_N_VALUES, [50, 100, 150]), trials=_TRIALS),
 }
 
 
@@ -535,10 +504,5 @@ def run_experiment(config: dict, threads: int = 1) -> dict[str, str]:
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     resolved = resolve_config(config)
-    experiment = resolved["experiment"]
-    if experiment == "simulate":
-        table, sidecar = run_simulate(resolved)
-        return {"": table, ".meta.json": sidecar}
-    if experiment in ("crb-attainment", "fig5"):
-        return {"": _RUNNERS[experiment](resolved, threads)}
-    return {"": _RUNNERS[experiment](resolved)}
+    run, _ = EXPERIMENTS[resolved["experiment"]]
+    return run(resolved, threads)

@@ -90,8 +90,10 @@ def _frame_variances(spec: GaussianStateSpec, scheme: SchemeKind) -> tuple[float
 
 
 def _h_hom(g: Covariance2):
-    """Homodyne closed form over Tr and det of its data covariance."""
-    return 2.0 * g.trace * (g.trace + 3.0 * np.sqrt(g.det))
+    """Homodyne closed form over Tr and det of its data covariance; inf
+    where it leaves the float range."""
+    with np.errstate(over="ignore"):
+        return 2.0 * g.trace * (g.trace + 3.0 * np.sqrt(g.det))
 
 
 def _h_het(g: Covariance2):

@@ -188,8 +188,13 @@ def homodyne_arrays(spec: GaussianStateSpec, n: int,
     if isinstance(policy, ContinuousSweep):
         thetas = math.pi * (words[..., 0] >> np.uint64(11)).astype(float) * 2.0 ** -53
     elif isinstance(policy, UniformGrid):
-        idx = (np.arange(start, start + n) % policy.d).astype(float)
-        thetas = np.tile(math.pi * idx / policy.d, (len(seeds), 1))
+        idx = np.arange(start, start + n)
+        if policy.d < start + n:  # else the reduction is the identity
+            idx %= policy.d
+        # a d beyond the float range is scaled down by a power of two first
+        shift = max(0, policy.d.bit_length() - 1000)
+        thetas = np.tile(np.ldexp(math.pi * idx.astype(float) / (policy.d >> shift), -shift),
+                         (len(seeds), 1))
     else:
         raise DomainError(f"unknown angle policy {policy!r}")
     cov = effective_covariance(spec, SchemeKind.HOMODYNE)

@@ -12,8 +12,8 @@ from gausstomo import (ContinuousSweep, Covariance2, DomainError, EstimationResu
                        heterodyne_arrays, homodyne_arrays, hs_distance_sq,
                        project_physical, rotate_covariance, to_ellipse,
                        wigner_covariance)
-from gausstomo.estimation import (_evaluate, _exp, _moment_starts, _params_from_g,
-                                  _solve_or_none)
+from gausstomo.estimation import (_angle_keys, _evaluate, _exp, _moment_starts,
+                                  _params_from_g, _solve_or_none)
 
 SQRT2 = math.sqrt(2.0)
 FIG5 = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
@@ -225,6 +225,11 @@ class TestMomentStarts:
         want = moment_starts_by_sorting(v, x * x, theta)
         assert got.shape == want.shape == (trials, 3)
         assert (got == want).all()
+
+    def test_angle_keys(self):
+        # an angle beyond the int64 range, or inf, still lands in the last bin
+        theta = np.array([0.1, 1.2, 2.5, 1e19, math.inf, math.nan])
+        assert _angle_keys(theta).tolist() == [1, 2, 3, 3, 3, 0]
 
     def test_equals_the_sorting_version_on_a_fig5_lane(self):
         thetas, xs = fig5_lane(0, 0, 50)

@@ -10,8 +10,10 @@ import pytest
 
 from gausstomo import DomainError, GaussianStateSpec, __version__, region_areas
 from gausstomo.estimation import _BLOCK_SAMPLES
-from gausstomo.experiments import (ConfigError, _column_format, extract_embedded_config,
-                                   render_table, resolve_config, run_experiment)
+from gausstomo.cli import main
+from gausstomo.experiments import (EXPERIMENTS, ConfigError, _column_format,
+                                   extract_embedded_config, render_table, resolve_config,
+                                   run_experiment)
 
 # Homodyne crb-attainment whose lanes split into several fit blocks:
 # N = 7000 takes 4 trials a block (4 + 1), N = 17000 > _BLOCK_SAMPLES / 2 one.
@@ -37,6 +39,46 @@ PINNED_SHA256 = {
 # hypothetical bounds repeat with a period of a quarter of the table
 SURFACE_GRID = {"lambda": [1.0, 1.7, 3.771, 12.5, 100.0], "mu": [1.0, 1.736, 2.5, 20.0],
                 "eta": [0.05, 0.3, 0.7, 1.0]}
+
+
+# one config per experiment, its keys out of order, and the JSON text of its
+# resolution: JSON outputs keep the resolved key order, so that order is
+# output bytes
+RESOLVED_TEXT = {
+    "surface": ({"experiment": "surface", "seed": {"stream_id": 2, "master_seed": 1},
+                 "grid": {"mode": "hypothetical", "mu": [1, 2.5], "lambda": [3]}},
+                '{"experiment": "surface", "format": "csv", "grid": {"lambda": [3.0], '
+                '"mu": [1.0, 2.5], "eta": [1.0], "mode": "hypothetical"}, '
+                '"seed": {"master_seed": 1, "stream_id": 2}}'),
+    "regions": ({"spec": {"lambda": 2, "mu": 1.5}, "experiment": "regions"},
+                '{"experiment": "regions", "format": "csv", "spec": {"mu": 1.5, '
+                '"lambda": 2.0, "phi": 0.0, "eta": 1.0}, "samples": 256, '
+                '"seed": {"master_seed": 0, "stream_id": 0}}'),
+    "lambda-crit": ({"eta_values": [1, 0.25], "format": "json", "experiment": "lambda-crit"},
+                    '{"experiment": "lambda-crit", "format": "json", "eta_values": [1.0, 0.25], '
+                    '"seed": {"master_seed": 0, "stream_id": 0}}'),
+    "simulate": ({"experiment": "simulate", "n": 5, "scheme": "homodyne",
+                  "spec": {"eta": 0.5, "mu": 2, "lambda": 10},
+                  "angle_policy": {"d": 4, "type": "grid"}, "output_path": "x.csv"},
+                 '{"experiment": "simulate", "format": "csv", "spec": {"mu": 2.0, '
+                 '"lambda": 10.0, "phi": 0.0, "eta": 0.5}, "scheme": "homodyne", "n": 5, '
+                 '"angle_policy": {"d": 4, "type": "grid"}, '
+                 '"seed": {"master_seed": 0, "stream_id": 0}}'),
+    "estimate": ({"experiment": "estimate", "format": "json", "eta": 1, "scheme": "heterodyne",
+                  "data_path": "x.csv", "seed": {"master_seed": 3}},
+                 '{"experiment": "estimate", "format": "json", "data_path": "x.csv", '
+                 '"scheme": "heterodyne", "eta": 1.0}'),
+    "crb-attainment": ({"experiment": "crb-attainment", "trials": 3, "n_values": [10],
+                        "scheme": "heterodyne", "spec": {"mu": 2, "lambda": 10, "eta": 0.5}},
+                       '{"experiment": "crb-attainment", "format": "csv", "spec": {"mu": 2.0, '
+                       '"lambda": 10.0, "phi": 0.0, "eta": 0.5}, "scheme": "heterodyne", '
+                       '"n_values": [10], "trials": 3, '
+                       '"seed": {"master_seed": 0, "stream_id": 0}}'),
+    "fig5": ({"experiment": "fig5", "trials": 2},
+             '{"experiment": "fig5", "format": "csv", "spec": {"mu": 2.0, "lambda": 10.0, '
+             '"phi": 0.0, "eta": 0.5}, "n_values": [50, 100, 150], "trials": 2, '
+             '"seed": {"master_seed": 0, "stream_id": 0}}'),
+}
 
 
 def sha256(text: str) -> str:
@@ -95,6 +137,14 @@ class TestConfigResolution:
         with pytest.raises(ConfigError):
             resolve_config({"experiment": "estimate", "data_path": "x.csv",
                             "scheme": "homodyne", "eta": 1.0, "format": "csv"})
+
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_resolved_json_text(self, experiment):
+        config, text = RESOLVED_TEXT[experiment]
+        assert json.dumps(resolve_config(config)) == text
+
+    def test_cli_commands_are_the_experiments(self):
+        assert list(main.commands) == list(EXPERIMENTS)
 
 
 class TestRenderAndReplay:
@@ -476,7 +526,9 @@ class TestFig5:
 
 class TestCli:
     def run_cli(self, *args, input=None):
-        return subprocess.run([sys.executable, "-m", "gausstomo.cli", *args],
+        # the tier-1 warning policy, which does not reach a subprocess by itself
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-m", "gausstomo.cli", *args],
                               capture_output=True, text=True, input=input)
 
     def test_stdout_run(self):
@@ -558,6 +610,32 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         cfg = extract_embedded_config(out.read_text())
         assert cfg["spec"]["lambda"] == 1.0
+
+    @pytest.mark.parametrize("config, flag, key", [
+        ({"experiment": "regions", "spec": 5}, ("--mu", "2"), "spec"),
+        ({"experiment": "regions", "spec": [["mu", 1]]}, ("--lambda", "2"), "spec"),
+        ({"experiment": "lambda-crit", "eta_values": [0.5], "seed": "abc"},
+         ("--seed", "3"), "seed"),
+    ])
+    def test_flag_on_a_non_object_exits_2(self, tmp_path, config, flag, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        proc = self.run_cli(config["experiment"], "--config", str(cfg), *flag)
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "config" and f"'{key}'" in err["message"]
+
+    def test_grid_beyond_int64_finishes(self, tmp_path):
+        cfg = tmp_path / "sim.json"
+        d = 10 ** 30
+        cfg.write_text(json.dumps({"experiment": "simulate", "spec": {"mu": 1.0, "lambda": 1.0},
+                                   "scheme": "homodyne", "n": 4,
+                                   "angle_policy": {"type": "grid", "d": d}}))
+        out = tmp_path / "samples.csv"
+        proc = self.run_cli("simulate", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        header, rows = rows_of(out.read_text())
+        assert [float(row[0]) for row in rows] == [math.pi * j / d for j in range(4)]
 
     def test_simulate_requires_real_output_path(self, tmp_path):
         cfg = tmp_path / "sim.json"

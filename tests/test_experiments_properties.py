@@ -1,6 +1,7 @@
 """Property check of config resolution: resolving a resolved config
 changes nothing, which is what makes embedded-config replay byte-exact."""
 
+import json
 import math
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from gausstomo.experiments import resolve_config
 
-PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 def numbers(lo, hi):
@@ -45,10 +46,31 @@ SURFACE = st.fixed_dictionaries(
                                     st.lists(numbers(0.05, 1.0), min_size=1, max_size=3)),
                    "mode": st.sampled_from(["real", "hypothetical"])})},
     optional=COMMON)
+REGIONS = st.fixed_dictionaries(
+    {"experiment": st.just("regions"), "spec": SPECS},
+    optional={"samples": st.integers(4, 10 ** 4), **COMMON})
+LAMBDA_CRIT = st.fixed_dictionaries(
+    {"experiment": st.just("lambda-crit"),
+     "eta_values": st.lists(numbers(0.05, 1.0), min_size=1, max_size=4)},
+    optional=COMMON)
+POLICIES = st.one_of(st.just({"type": "sweep"}),
+                     st.builds(lambda d: {"type": "grid", "d": d}, st.integers(1, 2 ** 70)))
+SIMULATE = st.one_of(*(st.fixed_dictionaries(
+    {"experiment": st.just("simulate"), "spec": SPECS, "scheme": st.just(scheme),
+     "n": st.integers(1, 10 ** 6)},
+    optional={"angle_policy": policies, **COMMON})
+    for scheme, policies in (("homodyne", POLICIES), ("heterodyne", st.just({"type": "sweep"})))))
+ESTIMATE = st.fixed_dictionaries(
+    {"experiment": st.just("estimate"), "data_path": st.text(max_size=8),
+     "scheme": st.sampled_from(["homodyne", "heterodyne"]), "eta": numbers(0.05, 1.0),
+     "format": st.just("json")},
+    optional={"seed": SEEDS, "output_path": COMMON["output_path"]})
 
 
 @PROPERTY
-@given(st.one_of(FIG5, CRB, SURFACE))
+@given(st.one_of(SURFACE, REGIONS, LAMBDA_CRIT, SIMULATE, ESTIMATE, CRB, FIG5))
 def test_resolution_is_idempotent(config):
     resolved = resolve_config(config)
-    assert resolve_config(resolved) == resolved
+    again = resolve_config(resolved)
+    assert again == resolved
+    assert json.dumps(again) == json.dumps(resolved)  # key order is output bytes

@@ -114,6 +114,15 @@ class TestHomodyneSampling:
         counts = np.unique(thetas, return_counts=True)[1]
         assert counts.max() - counts.min() <= 1
 
+    @pytest.mark.parametrize("d", [2 ** 63, 10 ** 30, 2 ** 1100], ids=["2^63", "10^30", "2^1100"])
+    def test_uniform_grid_beyond_int64(self, d):
+        # start + n < d, so no index is reduced mod d; a d beyond the float
+        # range is scaled down by a power of two, exactly so for d = 2^1100
+        thetas, _ = homodyne_arrays(VACUUM, 4, UniformGrid(d), seed=SeedSpec(4), start=3)
+        want = [math.ldexp(math.pi * j, -1100) if d == 2 ** 1100 else math.pi * j / d
+                for j in range(3, 7)]
+        assert thetas.tolist() == want
+
     def test_grid_policy_validation(self):
         with pytest.raises(DomainError):
             UniformGrid(0)
