@@ -220,15 +220,67 @@ def crb_report(spec: GaussianStateSpec, hypothetical: bool = False) -> CrbReport
                      beta=_beta_of(g_hom), spec=spec)
 
 
+def _past_range(g: Covariance2):
+    """Where a closed form over g leaves the float range.  Both are at least
+    (3/2) Tr^2, and an entry of g that overflowed makes Tr inf, or nan
+    through inf * 0."""
+    return ~(g.trace * g.trace < np.inf)
+
+
+def _in_range(g: Covariance2, past) -> Covariance2:
+    """g with the identity at the points past the float range."""
+    return Covariance2(np.where(past, 1.0, g.g1), np.where(past, 1.0, g.g2),
+                       np.where(past, 0.0, g.g3))
+
+
+def _rescaled_gamma(lam, mu, eta: float, hom: SchemeKind, het: SchemeKind):
+    """gamma at points where a bound leaves the float range.
+
+    Both closed forms are homogeneous of degree two in the data covariance,
+    and its Tr and det are those of diag(mu q/2, mu r/2) + delta I, with
+    r = max(lam, 1/lam) and q = 1/r, whatever phi.  So the ratio is taken on
+    that covariance scaled by 2^-k, where k is the exponent of the largest
+    of mu r and the offsets, and each entry is formed from mantissas and
+    exponents so that none overflows on the way.
+    """
+    m_lam, e_lam = np.frexp(lam)
+    m_mu, e_mu = np.frexp(mu)
+    flip = lam < 1.0
+    # r = m_r 2^e_r: lam, or 1/lam = (1/m_lam) 2^-e_lam
+    m_r, e_r = np.where(flip, 1.0 / m_lam, m_lam), np.where(flip, -e_lam, e_lam)
+    q = np.where(flip, lam, 1.0 / lam)
+    # below eta = 2^-60, c - eta rounds to c, so the offset (c - eta)/(2 eta)
+    # is c/(2 eta) to the last bit and scales exactly with eta: it is taken
+    # at eta 2^j, where it cannot overflow, and carries the 2^j in its exponent
+    j = max(0, -60 - math.frexp(eta)[1])
+    offsets = {scheme: math.frexp(delta_offset(math.ldexp(eta, j), scheme))
+               for scheme in (hom, het)}
+    k = e_mu + e_r
+    for m_d, e_d in offsets.values():
+        if m_d:
+            k = np.maximum(k, e_d + j)
+
+    def scaled(scheme: SchemeKind) -> Covariance2:
+        m_d, e_d = offsets[scheme]
+        delta = np.ldexp(m_d, e_d + j - k)
+        return Covariance2(np.ldexp(0.5 * m_mu * q, e_mu - k) + delta,
+                           np.ldexp(0.5 * m_mu * m_r, e_mu + e_r - k) + delta, 0.0)
+
+    return _h_het(scaled(het)) / _h_hom(scaled(hom))
+
+
 def gamma_surface(lambdas, mus, eta: float, hypothetical: bool = False,
                   phi: float = 0.0) -> dict[str, np.ndarray]:
     """Both bounds and gamma over a (lambda, mu) grid at fixed eta and phi.
 
     Returns float64 columns ``lam``, ``mu``, ``h_hom``, ``h_het`` and
     ``gamma``, one entry per grid point, with lambda in the outer loop and mu
-    in the inner loop, in the order given.  Every entry equals the matching
-    ``crb_report`` value bit for bit: the grid runs the same operations on
-    arrays.  Any invalid point raises DomainError.
+    in the inner loop, in the order given.  Every finite bound and its gamma
+    equal the matching ``crb_report`` values bit for bit: the grid runs the
+    same operations on arrays.  A bound beyond the float range reads inf,
+    and gamma there is still the finite ratio of the two bounds, taken on
+    data covariances scaled by a power of two.  Any invalid point raises
+    DomainError.
     """
     # each domain check concerns one parameter, so checking every lambda and
     # every mu once, beside a point of the other axis, covers the whole grid
@@ -237,11 +289,27 @@ def gamma_surface(lambdas, mus, eta: float, hypothetical: bool = False,
             GaussianStateSpec(mu=mu, lam=lam, phi=phi, eta=eta)
     lam = np.repeat(np.asarray(lambdas, dtype=float), len(mus))
     mu = np.tile(np.asarray(mus, dtype=float), len(lambdas))
-    wigner = wigner_covariance_of(mu, lam, phi)
     hom, het = _SCHEMES[bool(hypothetical)]
-    h_hom = _h_hom(wigner.add_offset(delta_offset(eta, hom)))
-    h_het = _h_het(wigner.add_offset(delta_offset(eta, het)))
-    return {"lam": lam, "mu": mu, "h_hom": h_hom, "h_het": h_het, "gamma": h_het / h_hom}
+    with np.errstate(over="ignore", invalid="ignore"):
+        wigner = wigner_covariance_of(mu, lam, phi)
+        g_hom = wigner.add_offset(delta_offset(eta, hom))
+        g_het = wigner.add_offset(delta_offset(eta, het))
+        h_hom, h_het = _h_hom(g_hom), _h_het(g_het)
+        gamma = h_het / h_hom
+        if np.isfinite(h_hom).all() and np.isfinite(h_het).all():
+            return {"lam": lam, "mu": mu, "h_hom": h_hom, "h_het": h_het, "gamma": gamma}
+        # beyond the float range an entry overflows to inf, or turns nan
+        # through inf * 0 or inf - inf
+        past_hom, past_het = _past_range(g_hom), _past_range(g_het)
+    # again with in-range stand-ins at those points, so that any other
+    # warning, such as a det that cancelled below zero, still shows
+    with np.errstate(over="ignore"):
+        h_hom = np.where(past_hom, np.inf, _h_hom(_in_range(g_hom, past_hom)))
+        h_het = np.where(past_het, np.inf, _h_het(_in_range(g_het, past_het)))
+        far = np.isinf(h_hom) | np.isinf(h_het)
+        gamma = np.divide(h_het, h_hom, out=np.empty_like(h_hom), where=~far)
+        gamma[far] = _rescaled_gamma(lam[far], mu[far], eta, hom, het)
+    return {"lam": lam, "mu": mu, "h_hom": h_hom, "h_het": h_het, "gamma": gamma}
 
 
 def critical_lambda_for_gamma(mu: float, eta: float) -> float | None:

@@ -29,7 +29,8 @@ from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
 _WORDS_PER_SAMPLE = 2
 _WORDS_PER_BLOCK = 4  # one Philox4x64 counter increment yields four words
 _WORD_MASK = 2 ** 64 - 1
-# per thread: the Philox generator that raw_words re-keys for every stream
+# per thread: the Generator(Philox) that _seek re-keys for every stream, and
+# the scratch buffer that the samplers draw their uniforms into
 _THREAD = threading.local()
 
 
@@ -86,61 +87,71 @@ class UniformGrid:
 AnglePolicy = ContinuousSweep | UniformGrid
 
 
+def _seek(seed: SeedSpec, start: int):
+    """This thread's Generator(Philox), positioned at word `start` of the
+    seed's stream, O(1) in start.
+
+    Each thread re-keys one generator of its own: setting the state costs
+    less than building a Philox, which first draws OS entropy for a seed
+    that the key then replaces.
+    """
+    block0, offset = divmod(start, _WORDS_PER_BLOCK)
+    if not 0 <= block0 < 2 ** 256:
+        raise DomainError(f"start = {start} lies outside the stream's 2^258 words")
+    gen = getattr(_THREAD, "generator", None)
+    if gen is None:
+        # made at the thread's first draw, so that importing the package
+        # does not import numpy.random
+        from numpy.random import Generator, Philox
+
+        gen = _THREAD.generator = Generator(Philox(0))
+    bitgen = gen.bit_generator
+    # the state Philox(key=..., counter=block0) starts in: the 256-bit
+    # counter as four little-endian words, and an empty output buffer
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": [(block0 >> shift) & _WORD_MASK
+                                          for shift in (0, 64, 128, 192)],
+                              "key": [seed.master_seed, seed.stream_id]},
+                    "buffer": [0] * _WORDS_PER_BLOCK, "buffer_pos": _WORDS_PER_BLOCK,
+                    "has_uint32": 0, "uinteger": 0}
+    if offset:
+        bitgen.random_raw(offset, output=False)
+    return gen
+
+
 def raw_words(seed: SeedSpec, start: int, count: int) -> np.ndarray:
     """uint64 words [start, start + count) of the stream, O(1) in start.
 
     Positions the Philox counter directly at the containing block, so a
     worker can read any window of the stream without generating its prefix.
-    Each thread re-keys one generator of its own: setting the state costs
-    less than building a Philox, which first draws OS entropy for a seed
-    that the key then replaces.
     """
     if count == 0:
         return np.zeros(0, dtype=np.uint64)
-    block0, offset = divmod(start, _WORDS_PER_BLOCK)
-    if not 0 <= block0 < 2 ** 256:
-        raise DomainError(f"start = {start} lies outside the stream's 2^258 words")
-    nblocks = (offset + count + _WORDS_PER_BLOCK - 1) // _WORDS_PER_BLOCK
-    gen = getattr(_THREAD, "philox", None)
-    if gen is None:
-        # made at the thread's first draw, so that importing the package
-        # does not import numpy.random
-        from numpy.random import Philox
-
-        gen = _THREAD.philox = Philox(0)
-    # the state Philox(key=..., counter=block0) starts in: the 256-bit
-    # counter as four little-endian words, and an empty output buffer
-    gen.state = {"bit_generator": "Philox",
-                 "state": {"counter": [(block0 >> shift) & _WORD_MASK
-                                       for shift in (0, 64, 128, 192)],
-                           "key": [seed.master_seed, seed.stream_id]},
-                 "buffer": [0] * _WORDS_PER_BLOCK, "buffer_pos": _WORDS_PER_BLOCK,
-                 "has_uint32": 0, "uinteger": 0}
-    words = gen.random_raw(nblocks * _WORDS_PER_BLOCK)
-    return words[offset:offset + count]
+    return _seek(seed, start).bit_generator.random_raw(count)
 
 
-def ndtri(p: np.ndarray) -> np.ndarray:
-    """scipy.special.ndtri, the inverse standard normal CDF.
+def ndtri(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """scipy.special.ndtri, the inverse standard normal CDF, into out if given.
 
     scipy.special is imported at the first call, not with this module:
     it is most of the package's import time, and only sampling needs it.
     """
     from scipy import special
 
-    return special.ndtri(p)
+    return special.ndtri(p, out)
 
 
-def _uniform01(words: np.ndarray) -> np.ndarray:
-    # 53-bit mantissa in (0, 1), strictly inside so ndtri stays finite: the
-    # top mantissa (2^53 - 1) 2^-53 + 2^-54 rounds to 1.0, so it is clamped
-    # to 1 - 2^-53, which no other word reaches
-    u = (words >> np.uint64(11)).astype(float) * 2.0 ** -53 + 2.0 ** -54
+def _open_interval(u: np.ndarray) -> np.ndarray:
+    # the 53-bit mantissas (w >> 11) 2^-53 moved in place to the midpoints
+    # of their cells, strictly inside (0, 1) so ndtri stays finite: the top
+    # mantissa (2^53 - 1) 2^-53 + 2^-54 rounds to 1.0, so it is clamped to
+    # 1 - 2^-53, which no other word reaches
+    u += 2.0 ** -54
     return np.minimum(u, 1.0 - 2.0 ** -53, out=u)
 
 
-def _standard_normal(words: np.ndarray) -> np.ndarray:
-    return ndtri(_uniform01(words))
+def _normals_in_place(u: np.ndarray) -> np.ndarray:
+    return ndtri(_open_interval(u), u)
 
 
 def _marginal_variances(cov: Covariance2, thetas: np.ndarray) -> np.ndarray:
@@ -155,12 +166,23 @@ def _as_block(seed: SeedSpec | Sequence[SeedSpec]) -> tuple[list[SeedSpec], bool
     return list(seed), False
 
 
-def _block_words(seeds: list[SeedSpec], start: int, n: int) -> np.ndarray:
-    """(trials, n, 2) words of samples [start, start + n), one row per stream."""
-    words = np.empty((len(seeds), _WORDS_PER_SAMPLE * n), dtype=np.uint64)
-    for row, seed in zip(words, seeds):
-        row[:] = raw_words(seed, _WORDS_PER_SAMPLE * start, _WORDS_PER_SAMPLE * n)
-    return words.reshape(len(seeds), n, _WORDS_PER_SAMPLE)
+def _uniforms(seeds: list[SeedSpec], start: int, n: int) -> np.ndarray:
+    """(trials, n, 2) mantissas (w >> 11) 2^-53 of the words of samples
+    [start, start + n), one row per stream, in this thread's scratch buffer.
+
+    numpy's Generator.random makes each double from one Philox word exactly
+    so.  The buffer grows to the largest block the thread has drawn and is
+    reused, so a draw writes into pages already mapped; the view is valid
+    until the thread's next draw, and no sampler returns it.
+    """
+    size = len(seeds) * _WORDS_PER_SAMPLE * n
+    buffer = getattr(_THREAD, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _THREAD.buffer = np.empty(size)
+    u = buffer[:size].reshape(len(seeds), _WORDS_PER_SAMPLE * n)
+    for row, seed in zip(u, seeds):
+        _seek(seed, _WORDS_PER_SAMPLE * start).random(out=row)
+    return u.reshape(len(seeds), n, _WORDS_PER_SAMPLE)
 
 
 def homodyne_arrays(spec: GaussianStateSpec, n: int,
@@ -184,9 +206,11 @@ def homodyne_arrays(spec: GaussianStateSpec, n: int,
         raise DomainError(f"n = {n} must be at least 1")
     policy = ContinuousSweep() if angle_policy is None else angle_policy
     seeds, single = _as_block(seed)
-    words = _block_words(seeds, start, n)
+    u = _uniforms(seeds, start, n)
     if isinstance(policy, ContinuousSweep):
-        thetas = math.pi * (words[..., 0] >> np.uint64(11)).astype(float) * 2.0 ** -53
+        # pi (w >> 11) 2^-53, scaled by the power of two after rounding as
+        # before it
+        thetas = math.pi * u[..., 0]
     elif isinstance(policy, UniformGrid):
         idx = np.arange(start, start + n)
         if policy.d < start + n:  # else the reduction is the identity
@@ -198,7 +222,8 @@ def homodyne_arrays(spec: GaussianStateSpec, n: int,
     else:
         raise DomainError(f"unknown angle policy {policy!r}")
     cov = effective_covariance(spec, SchemeKind.HOMODYNE)
-    x = np.sqrt(_marginal_variances(cov, thetas)) * _standard_normal(words[..., 1])
+    x = np.sqrt(_marginal_variances(cov, thetas))
+    x *= _normals_in_place(u[..., 1])
     return (thetas[0], x[0]) if single else (thetas, x)
 
 
@@ -223,7 +248,12 @@ def heterodyne_arrays(spec: GaussianStateSpec, n: int,
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
     seeds, single = _as_block(seed)
-    z = _standard_normal(_block_words(seeds, start, n))
+    z = _normals_in_place(_uniforms(seeds, start, n))
     l11, l21, l22 = _cholesky_lower(effective_covariance(spec, SchemeKind.HETERODYNE))
-    x, p = l11 * z[..., 0], l21 * z[..., 0] + l22 * z[..., 1]
+    # one allocation for both outputs: a pair of fresh ones would grow the
+    # heap past malloc's trim threshold, and every draw would refault them
+    x, p = np.empty((2, len(seeds), n))
+    np.multiply(l11, z[..., 0], out=x)
+    np.multiply(l21, z[..., 0], out=p)
+    p += np.multiply(l22, z[..., 1], out=z[..., 1])
     return (x[0], p[0]) if single else (x, p)

@@ -567,6 +567,25 @@ class TestCli:
         assert proc.returncode == 2
         assert json.loads(proc.stderr.strip())["error"] == "domain"
 
+    def test_surface_beyond_the_float_range_reads_inf(self, tmp_path):
+        # every bound here overflows a float, through inf * 0 and inf - inf
+        # on the way; gamma stays the finite ratio of the closed forms
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "surface",
+                                   "grid": {"lambda": [1e200, 1e300], "mu": [1, 1e100],
+                                            "eta": [1e-300, 0.5]}}))
+        proc = self.run_cli("surface", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        header, rows = rows_of(proc.stdout)
+        assert len(rows) == 8
+        for row in rows:
+            cells = dict(zip(header, row))
+            assert cells["h_hom"] == cells["h_het"] == "inf"
+            assert 0.0 < float(cells["gamma"]) < 2.0
+        # small eta: the offsets dominate, and gamma is the plateau 6/5
+        assert float(dict(zip(header, rows[0]))["gamma"]) == pytest.approx(1.2, rel=1e-12)
+
     def test_estimate_nan_row_exits_2(self, tmp_path):
         data = tmp_path / "samples.csv"
         data.write_text("x,p\n1.0,2.0\nnan,1.0\n0.5,0.25\n-1.0,0.5\n")

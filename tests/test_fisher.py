@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -247,6 +248,36 @@ class TestGammaSurface:
                 assert table["h_hom"][i] == report.h_hom
                 assert table["h_het"][i] == report.h_het
                 assert table["gamma"][i] == report.gamma
+
+    @pytest.mark.parametrize("hypothetical", [False, True])
+    @pytest.mark.parametrize("eta", [5e-324, 1e-310, 1e-300, 2.0 ** -61, 0.5, 1.0])
+    def test_bounds_beyond_the_float_range(self, hypothetical, eta):
+        # a bound that overflows reads inf; gamma is still the ratio of the
+        # closed forms in Tr and det, here taken in 60 digits
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        lams = [5e-324, 1e-300, 0.5, 3.0, 1e160, 1e300, 1.7e308]
+        mus = [1.0, 1e100, 1e160, 1.7e308]
+        table = gamma_surface(lams, mus, eta, hypothetical=hypothetical, phi=0.7)
+
+        def reference(lam, mu):
+            lam, mu, e = mp.mpf(lam), mp.mpf(mu), mp.mpf(eta)
+            t = (lam + 1 / lam) / 2
+            dh, de = (0, 0) if hypothetical else ((1 - e) / (2 * e), (2 - e) / (2 * e))
+            (th, dth), (te, dte) = ((mu * t + 2 * d, mu * mu / 4 + d * mu * t + d * d)
+                                    for d in (dh, de))
+            return 2 * th * (th + 3 * mp.sqrt(dth)), 2 * (te * te - dte)
+
+        for lam, mu, h_hom, h_het, gamma in zip(*(table[k] for k in
+                                                  ("lam", "mu", "h_hom", "h_het", "gamma"))):
+            ref_hom, ref_het = reference(lam, mu)
+            for got, want in ((h_hom, ref_hom), (h_het, ref_het)):
+                if want > sys.float_info.max:
+                    assert got == math.inf
+                else:
+                    assert got == pytest.approx(float(want), rel=1e-9)
+            assert gamma == pytest.approx(float(ref_het / ref_hom), rel=1e-14)
 
     @pytest.mark.parametrize("lams, mus, eta", [
         ([1.0, 2.0], [1.0, 0.5], 1.0), ([1.0, -1.0], [1.0], 1.0),

@@ -7,7 +7,7 @@ from numpy.random import Philox
 from gausstomo import (DomainError, GaussianStateSpec, SchemeKind, SeedSpec,
                        UniformGrid, effective_covariance, heterodyne_arrays,
                        homodyne_arrays, raw_words)
-from gausstomo.sampling import _standard_normal, _uniform01
+from gausstomo.sampling import _normals_in_place, _open_interval
 
 FIG5 = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
 VACUUM = GaussianStateSpec(mu=1.0, lam=1.0)
@@ -56,13 +56,16 @@ class TestRawWords:
 
 class TestUniforms:
     def test_top_word_stays_below_one(self):
-        # (2^53 - 1) 2^-53 + 2^-54 rounds to 1.0, where ndtri is +inf
-        top = np.array([2 ** 64 - 1], dtype=np.uint64)
-        assert _uniform01(top)[0] == 1.0 - 2.0 ** -53
-        assert np.isfinite(_standard_normal(top)[0])
+        # (2^53 - 1) 2^-53 + 2^-54 rounds to 1.0, where ndtri is +inf; the
+        # mantissas are those Generator.random makes of the words
+        def mantissas(*words):
+            return (np.array(words, dtype=np.uint64) >> np.uint64(11)).astype(float) * 2.0 ** -53
+
+        assert _open_interval(mantissas(2 ** 64 - 1))[0] == 1.0 - 2.0 ** -53
+        assert np.isfinite(_normals_in_place(mantissas(2 ** 64 - 1))[0])
         # the next mantissa down keeps its value, so no other draw moves
-        below = np.array([2 ** 64 - 2 ** 11 - 1, 0], dtype=np.uint64)
-        assert list(_uniform01(below)) == [1.0 - 2.0 ** -52, 2.0 ** -54]
+        below = mantissas(2 ** 64 - 2 ** 11 - 1, 0)
+        assert list(_open_interval(below)) == [1.0 - 2.0 ** -52, 2.0 ** -54]
 
 
 class TestHomodyneSampling:
