@@ -8,7 +8,8 @@ stored as the triple (g1, g2, g3),
 
 which is the coordinate vector of G in the trace-orthonormal basis
 {diag(1,0), diag(0,1), offdiag(1/sqrt 2)}.  Fisher matrices, estimators
-and distances all share this coordinate system.
+and distances all share this coordinate system.  Rotation invariants of
+a data covariance are taken from its eigenvalues (`data_variances`).
 """
 
 from __future__ import annotations
@@ -48,9 +49,7 @@ class Covariance2:
 
     g1 and g2 are the diagonal quadrature variances; the off-diagonal
     element equals g3/sqrt(2).  Only the three independent entries are
-    stored, so symmetry holds by construction.  The entries may also be
-    float64 arrays of one shape, one covariance per element; trace, det and
-    add_offset then act elementwise.
+    stored, so symmetry holds by construction.
     """
 
     g1: float
@@ -199,18 +198,21 @@ def wigner_covariance(spec: GaussianStateSpec) -> Covariance2:
     principal axes so that g3 = (mu/2)(lam - 1/lam) sin(2 phi)/sqrt(2);
     det G_W = mu^2/4 for every phi.
     """
-    return wigner_covariance_of(spec.mu, spec.lam, spec.phi)
-
-
-def wigner_covariance_of(mu, lam, phi: float) -> Covariance2:
-    """wigner_covariance of unchecked parameters; mu and lam may be float64
-    arrays, whose entries get the scalar path's operations bit for bit."""
-    a = mu / (2.0 * lam)
-    b = mu * lam / 2.0
-    c, s = math.cos(phi), math.sin(phi)
+    a = spec.mu / (2.0 * spec.lam)
+    b = spec.mu * spec.lam / 2.0
+    c, s = math.cos(spec.phi), math.sin(spec.phi)
     return Covariance2(a * c * c + b * s * s,
                        a * s * s + b * c * c,
                        (b - a) * SQRT2 * s * c)
+
+
+def data_variances(mu, lam, eta: float, scheme: SchemeKind):
+    """Eigenvalues (mu/(2 lam) + delta, mu lam/2 + delta) of the scheme's
+    data covariance, whatever phi: sums of positive terms, so Tr and det
+    formed from them do not cancel.  mu and lam may be float64 arrays; nothing
+    is validated."""
+    delta = delta_offset(eta, scheme)
+    return mu / (2.0 * lam) + delta, mu * lam / 2.0 + delta
 
 
 def effective_covariance(spec: GaussianStateSpec, scheme: SchemeKind) -> Covariance2:

@@ -3,17 +3,20 @@
 For N copies measured by either scheme, the scaled Fisher matrix F over
 the parameters (g1, g2, g3) bounds the scaled Hilbert-Schmidt error of any
 unbiased covariance estimator from below by Tr F^-1.  Both bounds close
-over the matrix invariants of the scheme's effective covariance G:
+over Tr and det of the scheme's data covariance G = G_W + delta I, which is
+diag(d1, d2) rotated by phi, with d1 = mu/(2 lam) + delta and
+d2 = mu lam/2 + delta (`core.data_variances`):
 
-    H_hom = 2 Tr(G) (Tr(G) + 3 sqrt(det G)),     G = G_W + delta_hom * I
-    H_het = 2 ((Tr G)^2 - det G),                G = G_W + delta_het * I
+    H_hom = 2 T (T + 3 sqrt(D)),   H_het = 2 (T^2 - D),   T = d1 + d2, D = d1 d2.
 
-Every Fisher matrix is built in float64 in the eigenframe of G, which the
-spec gives directly: G is diag(mu/(2 lam), mu lam/2) + delta I rotated by
-phi, so its eigenvalues are sums of positive terms and nothing cancels.
-In that frame F13 = F23 = 0, and the basis change to the fixed frame is
-orthogonal, so Tr F^-1 is the inverse trace of the 2x2 (g1, g2) block plus
-1/F33.  The fixed-frame matrix is the congruence M F M^T.
+So every bound, on floats and arrays alike, is exactly phi-free and free of
+cancellation.  A bound reads inf where T^2 overflows; gamma = H_het/H_hom
+is then taken on the eigenvalues scaled by a power of two.
+
+Every Fisher matrix is built in float64 in that eigenframe, reached from
+the fixed frame by the angle -phi.  There F13 = F23 = 0, and the basis
+change is orthogonal, so Tr F^-1 is the inverse trace of the 2x2 (g1, g2)
+block plus 1/F33.  The fixed-frame matrix is the congruence M F M^T.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SQRT2, Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                   delta_offset, effective_covariance, wigner_covariance_of)
+from .core import (SQRT2, DomainError, GaussianStateSpec, SchemeKind, data_variances,
+                   delta_offset)
 
 # Node-bunching strength for the homodyne Fisher quadrature (see
 # fisher_hom_quadrature).  Widens the effective analyticity strip of the
@@ -79,26 +82,26 @@ def _basis_congruence(angle: float) -> np.ndarray:
     return np.array([[c * c, s * s, -sc], [s * s, c * c, sc], [sc, -sc, c * c - s * s]])
 
 
-def _frame_variances(spec: GaussianStateSpec, scheme: SchemeKind) -> tuple[float, float]:
-    """Eigenvalues (d1, d2) of the scheme's data covariance.
-
-    The covariance is diag(d1, d2) rotated by phi, so its eigenframe is
-    reached from the fixed one by the angle -phi.
-    """
-    delta = delta_offset(spec.eta, scheme)
-    return spec.mu / (2.0 * spec.lam) + delta, spec.mu * spec.lam / 2.0 + delta
+def _h_hom(d1, d2):
+    """Homodyne closed form over the eigenvalues of its data covariance."""
+    t = d1 + d2
+    return 2.0 * t * (t + 3.0 * np.sqrt(d1 * d2))
 
 
-def _h_hom(g: Covariance2):
-    """Homodyne closed form over Tr and det of its data covariance; inf
-    where it leaves the float range."""
-    with np.errstate(over="ignore"):
-        return 2.0 * g.trace * (g.trace + 3.0 * np.sqrt(g.det))
+def _h_het(d1, d2):
+    """Heterodyne closed form over the eigenvalues of its data covariance."""
+    t = d1 + d2
+    return 2.0 * (t * t - d1 * d2)
 
 
-def _h_het(g: Covariance2):
-    """Heterodyne closed form over Tr and det of its data covariance."""
-    return 2.0 * (g.trace * g.trace - g.det)
+def _bound(closed_form, scheme: SchemeKind, mu, lam, eta: float):
+    """A closed form on the scheme's data covariance, for floats or arrays;
+    inf where Tr^2 overflows (both forms are at least (3/2) Tr^2).  Only
+    there can an operation overflow or turn nan, through inf * 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2 = data_variances(mu, lam, eta, scheme)
+        t = d1 + d2
+        return np.where(t * t < np.inf, closed_form(d1, d2), np.inf)
 
 
 # Schemes of the data covariances that (H_hom, H_het) close over, by
@@ -109,17 +112,14 @@ _SCHEMES = {False: (SchemeKind.HOMODYNE, SchemeKind.HETERODYNE),
 
 
 def crb_hom(spec: GaussianStateSpec) -> float:
-    """Cramer-Rao bound on the scaled HS error for homodyne tomography.
-
-    Closed over Tr and det of the homodyne data covariance, hence
-    independent of the orientation phi.
-    """
-    return float(_h_hom(effective_covariance(spec, SchemeKind.HOMODYNE)))
+    """Cramer-Rao bound on the scaled HS error for homodyne tomography;
+    independent of phi, and inf past the float range."""
+    return float(_bound(_h_hom, SchemeKind.HOMODYNE, spec.mu, spec.lam, spec.eta))
 
 
 def crb_het(spec: GaussianStateSpec) -> float:
     """Cramer-Rao bound on the scaled HS error for heterodyne tomography."""
-    return float(_h_het(effective_covariance(spec, SchemeKind.HETERODYNE)))
+    return float(_bound(_h_het, SchemeKind.HETERODYNE, spec.mu, spec.lam, spec.eta))
 
 
 def fisher_hom_closed(spec: GaussianStateSpec) -> Fisher3:
@@ -133,7 +133,7 @@ def fisher_hom_closed(spec: GaussianStateSpec) -> Fisher3:
 
     Its inverse trace reproduces crb_hom.
     """
-    d1, d2 = _frame_variances(spec, SchemeKind.HOMODYNE)
+    d1, d2 = data_variances(spec.mu, spec.lam, spec.eta, SchemeKind.HOMODYNE)
     r = math.sqrt(d1 * d2)
     x, y = 2.0 * (d1 + r), 2.0 * (d2 + r)
     f12 = 1.0 / (x * y)
@@ -147,7 +147,7 @@ def fisher_het(spec: GaussianStateSpec) -> Fisher3:
 
     Exactly diagonal in the eigenframe: 1/(2 d1^2), 1/(2 d2^2), 1/(2 d1 d2).
     """
-    d1, d2 = _frame_variances(spec, SchemeKind.HETERODYNE)
+    d1, d2 = data_variances(spec.mu, spec.lam, spec.eta, SchemeKind.HETERODYNE)
     return Fisher3(_frame(0.5 / (d1 * d1), 0.5 / (d2 * d2), 0.0, 0.5 / (d1 * d2)),
                    -spec.phi)
 
@@ -168,7 +168,7 @@ def fisher_hom_quadrature(spec: GaussianStateSpec, nodes: int = 256) -> Fisher3:
     """
     if nodes < 8:
         raise DomainError(f"nodes = {nodes} must be at least 8")
-    d1, d2 = _frame_variances(spec, SchemeKind.HOMODYNE)
+    d1, d2 = data_variances(spec.mu, spec.lam, spec.eta, SchemeKind.HOMODYNE)
     t = np.arange(nodes) * (math.pi / nodes)
     theta = (0.0 if d1 <= d2 else 0.5 * math.pi) + t - BUNCH_KAPPA * np.sin(2 * t)
     cc, ss = np.cos(theta) ** 2, np.sin(theta) ** 2
@@ -184,7 +184,7 @@ class CrbReport:
     """Bounds and their ratio for one scenario.
 
     beta is the eigenvalue-gap parameter of the homodyne closed form,
-    (Tr G_hom + 2 sqrt(det G_hom))/(d1 - d2); it diverges for isotropic
+    (Tr G_hom + 2 sqrt(det G_hom))/|d2 - d1|; it diverges for isotropic
     data covariances and is reported as None there.
     """
 
@@ -199,47 +199,13 @@ class CrbReport:
                 "beta": self.beta, "spec": self.spec.to_json_dict()}
 
 
-def _beta_of(cov: Covariance2) -> float | None:
-    d1, d2 = cov.eigenvalues()
-    if abs(d1 - d2) < 1e-8 * cov.trace:
-        return None
-    return (cov.trace + 2.0 * math.sqrt(cov.det)) / (d2 - d1)
+def _scaled_variances(mu, lam, eta: float, schemes) -> dict:
+    """(d1, d2), d1 <= d2, of each scheme's data covariance, all scaled by
+    one power of two so that none leaves the float range.  The closed forms
+    are homogeneous of degree two in them, so gamma is their ratio on these.
 
-
-def crb_report(spec: GaussianStateSpec, hypothetical: bool = False) -> CrbReport:
-    """Evaluate both bounds and gamma = H_het/H_hom for one spec.
-
-    gamma is formed as the ratio of the closed forms, never through matrix
-    inversion, so surface scans stay free of conditioning noise.
-    """
-    hom, het = _SCHEMES[bool(hypothetical)]
-    g_hom = effective_covariance(spec, hom)
-    h_hom = float(_h_hom(g_hom))
-    h_het = float(_h_het(effective_covariance(spec, het)))
-    return CrbReport(h_hom=h_hom, h_het=h_het, gamma=h_het / h_hom,
-                     beta=_beta_of(g_hom), spec=spec)
-
-
-def _past_range(g: Covariance2):
-    """Where a closed form over g leaves the float range.  Both are at least
-    (3/2) Tr^2, and an entry of g that overflowed makes Tr inf, or nan
-    through inf * 0."""
-    return ~(g.trace * g.trace < np.inf)
-
-
-def _in_range(g: Covariance2, past) -> Covariance2:
-    """g with the identity at the points past the float range."""
-    return Covariance2(np.where(past, 1.0, g.g1), np.where(past, 1.0, g.g2),
-                       np.where(past, 0.0, g.g3))
-
-
-def _rescaled_gamma(lam, mu, eta: float, hom: SchemeKind, het: SchemeKind):
-    """gamma at points where a bound leaves the float range.
-
-    Both closed forms are homogeneous of degree two in the data covariance,
-    and its Tr and det are those of diag(mu q/2, mu r/2) + delta I, with
-    r = max(lam, 1/lam) and q = 1/r, whatever phi.  So the ratio is taken on
-    that covariance scaled by 2^-k, where k is the exponent of the largest
+    They are mu q/2 + delta and mu r/2 + delta, with r = max(lam, 1/lam)
+    and q = 1/r.  The scale is 2^-k, where k is the exponent of the largest
     of mu r and the offsets, and each entry is formed from mantissas and
     exponents so that none overflows on the way.
     """
@@ -248,67 +214,76 @@ def _rescaled_gamma(lam, mu, eta: float, hom: SchemeKind, het: SchemeKind):
     flip = lam < 1.0
     # r = m_r 2^e_r: lam, or 1/lam = (1/m_lam) 2^-e_lam
     m_r, e_r = np.where(flip, 1.0 / m_lam, m_lam), np.where(flip, -e_lam, e_lam)
-    q = np.where(flip, lam, 1.0 / lam)
+    with np.errstate(over="ignore"):  # 1/lam, not taken where lam < 1
+        q = np.where(flip, lam, 1.0 / lam)
     # below eta = 2^-60, c - eta rounds to c, so the offset (c - eta)/(2 eta)
     # is c/(2 eta) to the last bit and scales exactly with eta: it is taken
     # at eta 2^j, where it cannot overflow, and carries the 2^j in its exponent
     j = max(0, -60 - math.frexp(eta)[1])
     offsets = {scheme: math.frexp(delta_offset(math.ldexp(eta, j), scheme))
-               for scheme in (hom, het)}
+               for scheme in schemes}
     k = e_mu + e_r
     for m_d, e_d in offsets.values():
         if m_d:
             k = np.maximum(k, e_d + j)
-
-    def scaled(scheme: SchemeKind) -> Covariance2:
-        m_d, e_d = offsets[scheme]
+    scaled = {}
+    for scheme, (m_d, e_d) in offsets.items():
         delta = np.ldexp(m_d, e_d + j - k)
-        return Covariance2(np.ldexp(0.5 * m_mu * q, e_mu - k) + delta,
-                           np.ldexp(0.5 * m_mu * m_r, e_mu + e_r - k) + delta, 0.0)
+        scaled[scheme] = (np.ldexp(0.5 * m_mu * q, e_mu - k) + delta,
+                          np.ldexp(0.5 * m_mu * m_r, e_mu + e_r - k) + delta)
+    return scaled
 
-    return _h_het(scaled(het)) / _h_hom(scaled(hom))
+
+def _beta_of(d1, d2) -> float | None:
+    """beta from eigenvalues d1 <= d2; it is homogeneous of degree zero."""
+    t = d1 + d2
+    if d2 - d1 < 1e-8 * t:
+        return None
+    return float((t + 2.0 * np.sqrt(d1 * d2)) / (d2 - d1))
 
 
-def gamma_surface(lambdas, mus, eta: float, hypothetical: bool = False,
-                  phi: float = 0.0) -> dict[str, np.ndarray]:
-    """Both bounds and gamma over a (lambda, mu) grid at fixed eta and phi.
+def crb_report(spec: GaussianStateSpec, hypothetical: bool = False) -> CrbReport:
+    """Evaluate both bounds and gamma = H_het/H_hom for one spec.
+
+    It is the one-point ``gamma_surface``, so its bounds and gamma equal
+    the surface's bit for bit.  beta is taken on the scaled eigenvalues, so
+    it stays finite past the float range as well.
+    """
+    table = gamma_surface([spec.lam], [spec.mu], spec.eta, hypothetical)
+    hom = _SCHEMES[bool(hypothetical)][0]
+    beta = _beta_of(*_scaled_variances(spec.mu, spec.lam, spec.eta, (hom,))[hom])
+    return CrbReport(h_hom=float(table["h_hom"][0]), h_het=float(table["h_het"][0]),
+                     gamma=float(table["gamma"][0]), beta=beta, spec=spec)
+
+
+def gamma_surface(lambdas, mus, eta: float,
+                  hypothetical: bool = False) -> dict[str, np.ndarray]:
+    """Both bounds and gamma over a (lambda, mu) grid at fixed eta.
 
     Returns float64 columns ``lam``, ``mu``, ``h_hom``, ``h_het`` and
     ``gamma``, one entry per grid point, with lambda in the outer loop and mu
-    in the inner loop, in the order given.  Every finite bound and its gamma
-    equal the matching ``crb_report`` values bit for bit: the grid runs the
-    same operations on arrays.  A bound beyond the float range reads inf,
-    and gamma there is still the finite ratio of the two bounds, taken on
-    data covariances scaled by a power of two.  Any invalid point raises
-    DomainError.
+    in the inner loop, in the order given.  The bounds do not depend on phi,
+    and in real mode they equal ``crb_hom`` and ``crb_het`` bit for bit: the
+    grid runs the same operations on arrays.  A bound beyond the float range
+    reads inf, and gamma there is still the finite ratio of the two bounds,
+    taken on data covariances scaled by a power of two.  Any invalid point
+    raises DomainError.
     """
     # each domain check concerns one parameter, so checking every lambda and
     # every mu once, beside a point of the other axis, covers the whole grid
     if len(lambdas) and len(mus):
         for lam, mu in [(lam, mus[0]) for lam in lambdas] + [(lambdas[0], mu) for mu in mus]:
-            GaussianStateSpec(mu=mu, lam=lam, phi=phi, eta=eta)
+            GaussianStateSpec(mu=mu, lam=lam, eta=eta)
     lam = np.repeat(np.asarray(lambdas, dtype=float), len(mus))
     mu = np.tile(np.asarray(mus, dtype=float), len(lambdas))
     hom, het = _SCHEMES[bool(hypothetical)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        wigner = wigner_covariance_of(mu, lam, phi)
-        g_hom = wigner.add_offset(delta_offset(eta, hom))
-        g_het = wigner.add_offset(delta_offset(eta, het))
-        h_hom, h_het = _h_hom(g_hom), _h_het(g_het)
+    h_hom, h_het = _bound(_h_hom, hom, mu, lam, eta), _bound(_h_het, het, mu, lam, eta)
+    far = np.isinf(h_hom) | np.isinf(h_het)
+    with np.errstate(invalid="ignore"):  # inf/inf, replaced below
         gamma = h_het / h_hom
-        if np.isfinite(h_hom).all() and np.isfinite(h_het).all():
-            return {"lam": lam, "mu": mu, "h_hom": h_hom, "h_het": h_het, "gamma": gamma}
-        # beyond the float range an entry overflows to inf, or turns nan
-        # through inf * 0 or inf - inf
-        past_hom, past_het = _past_range(g_hom), _past_range(g_het)
-    # again with in-range stand-ins at those points, so that any other
-    # warning, such as a det that cancelled below zero, still shows
-    with np.errstate(over="ignore"):
-        h_hom = np.where(past_hom, np.inf, _h_hom(_in_range(g_hom, past_hom)))
-        h_het = np.where(past_het, np.inf, _h_het(_in_range(g_het, past_het)))
-        far = np.isinf(h_hom) | np.isinf(h_het)
-        gamma = np.divide(h_het, h_hom, out=np.empty_like(h_hom), where=~far)
-        gamma[far] = _rescaled_gamma(lam[far], mu[far], eta, hom, het)
+    if far.any():
+        scaled = _scaled_variances(mu[far], lam[far], eta, (hom, het))
+        gamma[far] = _h_het(*scaled[het]) / _h_hom(*scaled[hom])
     return {"lam": lam, "mu": mu, "h_hom": h_hom, "h_het": h_het, "gamma": gamma}
 
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                   SQRT2, effective_covariance)
+                   SQRT2, data_variances, effective_covariance)
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ def region_boundaries(spec: GaussianStateSpec, samples: int) -> list[DirectionVa
 
 
 def region_areas(spec: GaussianStateSpec) -> RegionAreas:
-    """Exact areas of the two uncertainty regions.
+    """Exact areas of the two uncertainty regions, from the eigenvalues of
+    each data covariance, so that they are exactly phi-free.
 
     The heterodyne boundary r = Sigma_theta is the ellipse of the
     heterodyne data covariance, area pi sqrt(det).  The homodyne boundary
@@ -95,10 +96,9 @@ def region_areas(spec: GaussianStateSpec) -> RegionAreas:
     isotropic part of G survives the angle average, so the area is
     (pi/2) Tr(G_hom) for arbitrary orientation and size.
     """
-    g_hom = effective_covariance(spec, SchemeKind.HOMODYNE)
-    g_het = effective_covariance(spec, SchemeKind.HETERODYNE)
-    return RegionAreas(s_sigma=0.5 * math.pi * g_hom.trace,
-                       s_Sigma=math.pi * math.sqrt(g_het.det))
+    d1, d2 = data_variances(spec.mu, spec.lam, spec.eta, SchemeKind.HOMODYNE)
+    e1, e2 = data_variances(spec.mu, spec.lam, spec.eta, SchemeKind.HETERODYNE)
+    return RegionAreas(s_sigma=0.5 * math.pi * (d1 + d2), s_Sigma=math.pi * math.sqrt(e1 * e2))
 
 
 def critical_lambda_equal_areas(eta: float) -> float:

@@ -8,7 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from gausstomo import DomainError, GaussianStateSpec, __version__, region_areas
+from gausstomo import DomainError, GaussianStateSpec, __version__, crb_hom, region_areas
 from gausstomo.estimation import _BLOCK_SAMPLES
 from gausstomo.cli import main
 from gausstomo.experiments import (EXPERIMENTS, ConfigError, _column_format,
@@ -585,6 +585,19 @@ class TestCli:
             assert 0.0 < float(cells["gamma"]) < 2.0
         # small eta: the offsets dominate, and gamma is the plateau 6/5
         assert float(dict(zip(header, rows[0]))["gamma"]) == pytest.approx(1.2, rel=1e-12)
+
+    def test_crb_of_a_rotated_squeezed_state(self, tmp_path):
+        # the bound is taken from the eigenvalues the spec gives; the triple's
+        # g1 g2 - g3^2/2 cancels below zero here, and the run exited 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "crb-attainment", "scheme": "homodyne",
+                                   "spec": {"mu": 1.0, "lambda": 1e10, "phi": 0.3},
+                                   "n_values": [10], "trials": 2}))
+        proc = self.run_cli("crb-attainment", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        header, rows = rows_of(proc.stdout)
+        assert float(dict(zip(header, rows[0]))["crb"]) == \
+            crb_hom(GaussianStateSpec(1.0, 1e10))
 
     def test_estimate_nan_row_exits_2(self, tmp_path):
         data = tmp_path / "samples.csv"

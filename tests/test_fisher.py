@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -51,8 +52,32 @@ class TestClosedFormBounds:
     def test_rotation_invariance(self):
         for spec in random_specs(100, seed=10):
             base = GaussianStateSpec(spec.mu, spec.lam, 0.0, spec.eta)
-            assert crb_hom(spec) == pytest.approx(crb_hom(base), rel=1e-12)
-            assert crb_het(spec) == pytest.approx(crb_het(base), rel=1e-12)
+            assert crb_hom(spec) == crb_hom(base)
+            assert crb_het(spec) == crb_het(base)
+
+    def test_rotated_squeezed_state_does_not_cancel(self):
+        # Tr and det are taken from the eigenvalues, never as g1 g2 - g3^2/2,
+        # which cancels to 0.28125 at lambda = 1e8 and below zero at 1e10
+        assert crb_hom(GaussianStateSpec(1.0, 1e8, phi=0.3)) == 5000000150000001.0
+        for lam in (1e8, 1e10):
+            spec = GaussianStateSpec(1.0, lam, phi=0.3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bounds = crb_hom(spec), crb_het(spec)
+            assert all(map(math.isfinite, bounds))
+            base = GaussianStateSpec(1.0, lam)
+            assert bounds == (crb_hom(base), crb_het(base))
+
+    def test_scalar_bounds_beyond_the_float_range_read_inf(self):
+        # the surface's overflow and gamma rules hold for one point as well
+        assert crb_het(GaussianStateSpec(1.0, 1e200, eta=1e-300)) == math.inf
+        spec = GaussianStateSpec(1e100, 1e300)
+        assert crb_hom(spec) == crb_het(spec) == math.inf
+        report = crb_report(spec)
+        assert report.h_hom == report.h_het == math.inf
+        assert math.isfinite(report.gamma)
+        assert report.gamma == gamma_surface([1e300], [1e100], 1.0)["gamma"][0]
+        assert report.beta == 1.0
 
     def test_heterodyne_offset_always_costs_more(self):
         # both closed forms increase with an added multiple of the identity
@@ -88,11 +113,15 @@ class TestHypothetical:
         # zero at every efficiency, and the offset selector takes members only
         for eta in (0.05, 0.5, 1.0):
             assert delta_offset(eta, SchemeKind.HYPOTHETICAL_NO_AK) == 0.0
+        # both are taken on the eigenvalues of G_W, whose product is mu^2/4
+        # exactly here, where the triple's g1 g2 - g3^2/2 cancels to 2.2499...93
         spec = GaussianStateSpec(3.0, 7.0, phi=0.4, eta=0.3)
-        g = wigner_covariance(spec)
+        d1, d2 = spec.mu / (2 * spec.lam), spec.mu * spec.lam / 2
+        tr, det = d1 + d2, d1 * d2
+        assert det == 2.25
         report = crb_report(spec, hypothetical=True)
-        assert report.h_hom == 2 * g.trace * (g.trace + 3 * math.sqrt(g.det))
-        assert report.h_het == 2 * (g.trace * g.trace - g.det)
+        assert report.h_hom == 2 * tr * (tr + 3 * math.sqrt(det))
+        assert report.h_het == 2 * (tr * tr - det)
         with pytest.raises(DomainError):
             delta_offset(0.5, SchemeKind.HYPOTHETICAL_NO_AK.value)
 
@@ -236,18 +265,25 @@ class TestGammaSurface:
 
     @pytest.mark.parametrize("hypothetical", [False, True])
     def test_grid_equals_scalar_reports_exactly(self, hypothetical):
+        # the surface has no phi; its columns equal the scalar bounds at
+        # phi = 2.2 bit for bit.  Hypothetical mode puts both closed forms at
+        # offset 0, which the homodyne offset is at eta = 1
         lams, mus, phi = [0.05, 0.5, 1.0, 3.771, 250.0], [1.0, 1.736, 12.0], 2.2
         for eta in (0.05, 1.0):
-            table = gamma_surface(lams, mus, eta, hypothetical=hypothetical, phi=phi)
+            table = gamma_surface(lams, mus, eta, hypothetical=hypothetical)
             points = [(lam, mu) for lam in lams for mu in mus]
             assert len(table["gamma"]) == len(points)
             for i, (lam, mu) in enumerate(points):
-                report = crb_report(GaussianStateSpec(mu, lam, phi, eta),
-                                    hypothetical=hypothetical)
+                spec = GaussianStateSpec(mu, lam, phi, 1.0 if hypothetical else eta)
+                if hypothetical:
+                    d1, d2 = mu / (2 * lam), mu * lam / 2
+                    h_het = 2 * ((d1 + d2) * (d1 + d2) - d1 * d2)
+                else:
+                    h_het = crb_het(spec)
                 assert (table["lam"][i], table["mu"][i]) == (lam, mu)
-                assert table["h_hom"][i] == report.h_hom
-                assert table["h_het"][i] == report.h_het
-                assert table["gamma"][i] == report.gamma
+                assert table["h_hom"][i] == crb_hom(spec)
+                assert table["h_het"][i] == h_het
+                assert table["gamma"][i] == h_het / crb_hom(spec)
 
     @pytest.mark.parametrize("hypothetical", [False, True])
     @pytest.mark.parametrize("eta", [5e-324, 1e-310, 1e-300, 2.0 ** -61, 0.5, 1.0])
@@ -259,7 +295,7 @@ class TestGammaSurface:
         mp.dps = 60
         lams = [5e-324, 1e-300, 0.5, 3.0, 1e160, 1e300, 1.7e308]
         mus = [1.0, 1e100, 1e160, 1.7e308]
-        table = gamma_surface(lams, mus, eta, hypothetical=hypothetical, phi=0.7)
+        table = gamma_surface(lams, mus, eta, hypothetical=hypothetical)
 
         def reference(lam, mu):
             lam, mu, e = mp.mpf(lam), mp.mpf(mu), mp.mpf(eta)

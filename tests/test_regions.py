@@ -128,6 +128,19 @@ class TestRegionAreas:
         assert areas.s_sigma / areas.s_Sigma == \
             pytest.approx(math.sqrt(lam) / 2, rel=1e-2)
 
+    def test_areas_do_not_depend_on_phi(self):
+        # taken from the eigenvalues of each data covariance; the triple's
+        # g1 g2 - g3^2/2 would give s_Sigma = 1570787.83 at phi = 0.3 here
+        base = region_areas(GaussianStateSpec(1.0, 1e12))
+        assert base.s_Sigma == pytest.approx(1570796.3267964674, rel=1e-15)
+        rng = np.random.default_rng(41)
+        for phi in [0.3, 1.2, 2.9, *rng.uniform(0.0, math.pi, 20)]:
+            assert region_areas(GaussianStateSpec(1.0, 1e12, phi=float(phi))) == base
+        for mu, lam, eta, phi in rng.uniform([1, 0.01, 0.05, 0], [20, 100, 1, math.pi],
+                                             (50, 4)):
+            assert region_areas(GaussianStateSpec(mu, lam, phi, eta)) == \
+                region_areas(GaussianStateSpec(mu, lam, 0.0, eta))
+
     def test_matches_polar_quadrature(self):
         # (1/2) integral r(theta)^2 dtheta with 2^14 nodes, both boundaries
         thetas = np.linspace(0, 2 * math.pi, 2 ** 14, endpoint=False)
