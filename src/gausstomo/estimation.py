@@ -70,20 +70,12 @@ class EstimationResult:
                 "scheme": self.scheme.value}
 
 
-def _square(d: float) -> float:
-    # ** 2, not d * d: on some inputs they round differently.  A float
-    # square that overflows raises, so it is inf here, as d * d would be.
-    try:
-        return d ** 2
-    except OverflowError:
-        return math.inf
-
-
 def hs_distance_sq(a: Covariance2, b: Covariance2) -> float:
     """Squared Hilbert-Schmidt distance; the (g1, g2, g3) basis is
     trace-orthonormal, so this equals Tr[(A - B)^2].  It is inf when a
     component difference squares past the float range."""
-    return _square(a.g1 - b.g1) + _square(a.g2 - b.g2) + _square(a.g3 - b.g3)
+    d1, d2, d3 = a.g1 - b.g1, a.g2 - b.g2, a.g3 - b.g3
+    return d1 * d1 + d2 * d2 + d3 * d3
 
 
 def to_ellipse(cov: Covariance2) -> UncertaintyEllipse:
@@ -154,10 +146,14 @@ def estimate_heterodyne_block(xs: np.ndarray, ps: np.ndarray,
     n = x.shape[1]
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
-    moments = (np.mean(a * b, axis=1).tolist() for a, b in ((x, x), (p, p), (x, p)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = [np.mean(a * b, axis=1) for a, b in ((x, x), (p, p), (x, p))]
+    if not all(np.isfinite(m).all() for m in moments):
+        raise DomainError("heterodyne data must have finite second moments in "
+                          "every trial")
     delta = delta_offset(eta, SchemeKind.HETERODYNE)
     results = []
-    for s11, s22, s12 in zip(*moments):
+    for s11, s22, s12 in zip(*(m.tolist() for m in moments)):
         g_eff = Covariance2(s11, s22, SQRT2 * s12)
         det = g_eff.det
         if det > 0.0:
@@ -211,84 +207,39 @@ def _angle_keys(theta: np.ndarray) -> np.ndarray:
 
 
 def _moment_starts(v: np.ndarray, x2: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Each row's moment-matched start, as Cholesky parameters.
+    """Each row's moment-matched start, as Cholesky parameters (ln a, b, ln c).
 
     Solves mean(v)^T g = mean(x^2) on the angle bins [0, pi/3), [pi/3,
     2 pi/3) and [2 pi/3, inf]; angles below 0, and nan, fall in none.  It
-    falls back to g = (m, m, 0), with m the mean of x^2, when a bin is empty
-    or the solution is not positive definite.  Each bin sum takes the summation
-    order of v[:, bin].mean(axis=1) and x2[bin].mean() on a single trial:
-    a running sum from 0.0 in sample order for v, which np.bincount adds,
-    and numpy's pairwise sum of the bin's samples, in order, for x^2.
+    falls back to g = (m, m, 0), with m the mean of x^2, when a bin is
+    empty, the bin means are singular or the solution is not positive
+    definite.  Every m must be positive and finite.
     """
     trials = x2.shape[0]
-    key = _angle_keys(theta)
-    counts = np.stack([(key == k).sum(axis=1) for k in range(4)], axis=1)
-    starts = [np.array([m, m, 0.0]) for m in x2.mean(axis=1)]
-    full = np.flatnonzero(counts[:, 1:].min(axis=1) > 0)
-    if full.size:
-        # one slot per (row, component, key), in the order of v's samples
-        slots = np.arange(0, 4 * 3 * trials, 4).reshape(trials, 3, 1) + key[:, None, :]
-        v_sums = np.bincount(slots.ravel(), weights=v.ravel(),
-                             minlength=4 * 3 * trials).reshape(trials, 3, 4)
-        vbar = v_sums[full, :, 1:].transpose(0, 2, 1) / counts[full, 1:, None]
-        # each bin one slice of the samples sorted by bin, in sample order
-        order = np.argsort(key, axis=1, kind="stable")
-        x2_sorted = np.take_along_axis(x2, order, axis=1)
-        ends = np.cumsum(counts[full], axis=1).tolist()
-        mbar = np.array([[np.add.reduce(x2_sorted[t, lo:hi]) for lo, hi in zip(e, e[1:])]
-                         for t, e in zip(full, ends)]) / counts[full, 1:]
-        try:
-            solved = np.linalg.solve(vbar, mbar[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            solved = [_solve_or_none(*pair) for pair in zip(vbar, mbar)]
-        # a positivity test that overflows to inf or nan still decides
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t, g in zip(full, solved):
-                if g is not None and g[0] > 0 and g[1] > 0 and g[0] * g[1] - 0.5 * g[2] ** 2 > 0:
-                    starts[t] = g
-    return np.array([_params_from_g(g) for g in starts], dtype=float).reshape(-1, 3)
+    m = x2.mean(axis=1)
+    # one slot per (row, bin key)
+    slots = (4 * np.arange(trials)[:, None] + _angle_keys(theta)).ravel()
 
+    def bin_sums(weights=None):
+        return np.bincount(slots, weights, 4 * trials).reshape(trials, 4)[:, 1:]
 
-def _solve_or_none(a: np.ndarray, b: np.ndarray):
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _params_from_g(g: np.ndarray) -> list:
-    """Cholesky parameters (ln a, b, ln c) of a covariance vector g."""
-    a = math.sqrt(g[0])
-    b = (g[2] / SQRT2) / a
-    cc = math.sqrt(max(g[1] - b * b, 1e-12))
-    return [math.log(a), b, math.log(cc)]
-
-
-def _exp_or_inf(x: float) -> float:
-    # math.exp, not np.exp: they differ in the last bit on some inputs.  An
-    # overflow gives inf, as np.exp would, so the line search rejects the step.
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
-def _exp(values: np.ndarray) -> np.ndarray:
-    """math.exp of each value; the builtin is mapped over Python floats, and
-    only an array where some value overflows pays for _exp_or_inf."""
-    flat = values.ravel().tolist()
-    try:
-        out = np.fromiter(map(math.exp, flat), dtype=float, count=len(flat))
-    except OverflowError:
-        out = np.fromiter(map(_exp_or_inf, flat), dtype=float, count=len(flat))
-    return out.reshape(values.shape)
-
-
-def _norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, through the same dot product that
-    np.linalg.norm takes for a single vector."""
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    counts = bin_sums()
+    full = np.flatnonzero(counts.min(axis=1) > 0)
+    vbar = np.stack([bin_sums(v[:, k].ravel()) for k in range(3)], axis=-1)[full] \
+        / counts[full, :, None]
+    mbar = bin_sums(x2.ravel())[full] / counts[full]
+    solvable = np.linalg.det(vbar) != 0.0
+    g = np.linalg.solve(vbar[solvable], mbar[solvable, :, None])[:, :, 0]
+    starts = np.zeros((trials, 3))
+    starts[:, 0] = starts[:, 1] = m
+    # a positivity test that overflows to inf or nan still decides
+    with np.errstate(over="ignore", invalid="ignore"):
+        positive = (g[:, 0] > 0) & (g[:, 1] > 0) & (g[:, 0] * g[:, 1] - 0.5 * g[:, 2] ** 2 > 0)
+    starts[full[solvable][positive]] = g[positive]
+    a = np.sqrt(starts[:, 0])
+    b = (starts[:, 2] / SQRT2) / a
+    c = np.sqrt(np.maximum(starts[:, 1] - b * b, 1e-12))
+    return np.stack([np.log(a), b, np.log(c)], axis=1)
 
 
 def _evaluate(p: np.ndarray, v: np.ndarray, x2: np.ndarray):
@@ -302,7 +253,7 @@ def _evaluate(p: np.ndarray, v: np.ndarray, x2: np.ndarray):
     floating-point warnings are silenced.
     """
     with np.errstate(all="ignore"):
-        scales = _exp(p[..., ::2])
+        scales = np.exp(p[..., ::2])
         b = p[..., 1]
         g = np.empty(p.shape)
         # a^2 and c^2 first, then c^2 is replaced by sqrt2 a b
@@ -316,13 +267,6 @@ def _evaluate(p: np.ndarray, v: np.ndarray, x2: np.ndarray):
         if np.count_nonzero(nonpositive):
             f[nonpositive.any(axis=-1)] = -math.inf
     return g, f, cvar, scales
-
-
-def _newton_ok(hess: np.ndarray) -> bool:
-    try:
-        return bool(np.linalg.eigvalsh(hess).max() < 0.0)
-    except np.linalg.LinAlgError:
-        return False
 
 
 # Each row's chain-rule matrices as slots of its chain entries: the
@@ -362,15 +306,14 @@ def _ascent_directions(p, scales, v, x2, cvar, grad_g) -> np.ndarray:
     terms = grad_g[:, :, None, None] * mats[:, 1:]
     hess_p = jac_t @ hess_g @ jac + terms[:, 0] + terms[:, 1] + terms[:, 2]
     grad_p = np.matmul(jac_t, grad_g[:, :, None])[:, :, 0]
-    try:
-        newton = np.linalg.eigvalsh(hess_p).max(axis=-1) < 0.0
-    except np.linalg.LinAlgError:
-        newton = np.array([_newton_ok(h) for h in hess_p], dtype=bool)
+    # eigvalsh raises on a nan matrix; such a row takes steepest ascent
+    newton = np.isfinite(hess_p).all(axis=(1, 2))
+    newton[newton] = np.linalg.eigvalsh(hess_p[newton]).max(axis=-1) < 0.0
     if np.count_nonzero(newton) == len(newton):
         return np.linalg.solve(hess_p, -grad_p[:, :, None])[:, :, 0]
     step = np.empty_like(grad_p)
     ascent = grad_p[~newton]
-    step[~newton] = ascent / _norms(ascent)[:, None]
+    step[~newton] = ascent / np.linalg.norm(ascent, axis=-1)[:, None]
     if newton.any():
         step[newton] = np.linalg.solve(hess_p[newton],
                                        -grad_p[newton][:, :, None])[:, :, 0]
@@ -438,7 +381,8 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray, options: MlOptions)
         with np.errstate(over="ignore"):  # a huge variance squares to inf
             resid = x2 / (cvar * cvar) - 1.0 / cvar
         grad_g = 0.5 * np.add.reduce(v * resid[:, None, :], axis=-1)
-        done = _norms(grad_g) * (g[:, 0] + g[:, 1]) / n <= options.gradient_tol
+        done = np.linalg.norm(grad_g, axis=-1) * (g[:, 0] + g[:, 1]) / n \
+            <= options.gradient_tol
         # the masks are tested with np.count_nonzero, which costs a third
         # of .any() or .all() on a few rows
         if np.count_nonzero(done):
@@ -491,9 +435,14 @@ def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
     if not len(x):
         return []
 
+    with np.errstate(over="ignore"):
+        x2 = x * x
+        m = x2.mean(axis=1)
+    if not np.all((m > 0.0) & (m < math.inf)):
+        raise DomainError("homodyne data must have a positive, finite mean of x^2 "
+                          "in every trial")
     c, s = np.cos(theta), np.sin(theta)
     v = np.stack([c * c, s * s, SQRT2 * s * c], axis=1)
-    x2 = x * x
     g, f, iterations, converged = _fit_block(v, x2, _moment_starts(v, x2, theta), options)
     delta = delta_offset(eta, SchemeKind.HOMODYNE)
     results = []
@@ -522,7 +471,8 @@ def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray], eta: float,
 
     `data` is a (theta, x) pair of matching 1-d arrays; the angles must
     take at least three distinct values or the three-parameter model is
-    unidentifiable.  This is the block fit of one trial.
+    unidentifiable, and the mean of x^2 must be positive and finite.  This
+    is the block fit of one trial.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta = {eta} must lie in (0, 1]")

@@ -27,8 +27,8 @@ SPLIT_CRB = {"experiment": "crb-attainment",
 # fit that moves a bit of these tables must update the digest and say why.
 PINNED_SHA256 = {
     # gausstomo fig5 --trials 20 --seed 0
-    "fig5": "d6cce4985d6521c428584396f2f66c09782a76f914d58c154a5ece64c70105a3",
-    "split-crb": "ec724679e62ef702d09056124938e9f3e7cb858889dabe09f3d6fc4a5ebc1fef",
+    "fig5": "ac32990a3dbe0abfe1c562a777da7b8b2a337ab85ebbdc057fa7a8a15153e518",
+    "split-crb": "2b9a27097e7c415142aa867511382afca6007ef72c2985b5cf2372f3dfd33fb9",
     # SURFACE_GRID in each mode
     "surface-real": "cd4fe9b566b025dc0372f61b2fed93c9af8307fe55f1b74b94ba6a23a7ccd081",
     "surface-hypothetical":
@@ -608,6 +608,24 @@ class TestCli:
         proc = self.run_cli("estimate", "--config", str(cfg))
         assert proc.returncode == 2
         assert "line 3" in json.loads(proc.stderr.strip())["message"]
+
+    @pytest.mark.parametrize("scheme, x, message", [
+        ("homodyne", 0.0, "mean of x^2"),
+        ("homodyne", 1e-200, "mean of x^2"),  # squares to 0
+        ("homodyne", 1e200, "mean of x^2"),  # squares past the float range
+        ("heterodyne", 1e200, "second moments"),
+    ])
+    def test_estimate_of_degenerate_data_exits_2(self, tmp_path, scheme, x, message):
+        # at every angle a zero variance fits, or none that a float holds
+        data = tmp_path / "samples.csv"
+        data.write_text("a,b\n" + "".join(f"{0.3 * k},{x!r}\n" for k in range(12)))
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"experiment": "estimate", "data_path": str(data),
+                                   "scheme": scheme, "eta": 0.5, "format": "json"}))
+        proc = self.run_cli("estimate", "--config", str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "domain" and message in err["message"]
 
     def test_non_string_output_path_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
