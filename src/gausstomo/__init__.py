@@ -8,15 +8,15 @@ reproducible CSV/JSON tables.
 """
 
 from ._version import __version__
-from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                   delta_offset, effective_covariance, rotate_covariance,
+from .core import (Covariance2, DomainError, GaussianStateSpec, NumericalError,
+                   SchemeKind, delta_offset, effective_covariance, rotate_covariance,
                    squeezing_db, wigner_covariance)
 from .estimation import (EstimationResult, MlOptions, UncertaintyEllipse,
                          estimate_heterodyne, estimate_heterodyne_block,
                          estimate_homodyne_ml, estimate_homodyne_ml_block,
                          hs_distance_sq,
                          project_physical, to_ellipse)
-from .fisher import (CrbReport, Fisher3, NumericalError, crb_het, crb_hom,
+from .fisher import (CrbReport, Fisher3, crb_het, crb_hom,
                      crb_report, critical_lambda_for_gamma, fisher_het,
                      fisher_hom_closed, fisher_hom_quadrature, gamma_surface,
                      small_eta_asymptote)
@@ -28,10 +28,10 @@ from .sampling import (AnglePolicy, ContinuousSweep, SeedSpec, UniformGrid,
 
 __all__ = [
     "__version__",
-    "Covariance2", "DomainError", "GaussianStateSpec", "SchemeKind",
+    "Covariance2", "DomainError", "GaussianStateSpec", "NumericalError", "SchemeKind",
     "delta_offset", "effective_covariance", "rotate_covariance",
     "squeezing_db", "wigner_covariance",
-    "CrbReport", "Fisher3", "NumericalError", "crb_het", "crb_hom",
+    "CrbReport", "Fisher3", "crb_het", "crb_hom",
     "crb_report", "critical_lambda_for_gamma",
     "fisher_het", "fisher_hom_closed", "fisher_hom_quadrature",
     "gamma_surface", "small_eta_asymptote",

@@ -15,9 +15,8 @@ from pathlib import Path
 import click
 
 from ._version import __version__
-from .core import DomainError
+from .core import DomainError, NumericalError
 from .experiments import ConfigError, resolve_config, run_experiment
-from .fisher import NumericalError
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3

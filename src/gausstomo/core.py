@@ -30,6 +30,10 @@ class DomainError(ValueError):
     """Raised when an input lies outside an operation's physical domain."""
 
 
+class NumericalError(RuntimeError):
+    """Raised when a numeric routine cannot certify its result."""
+
+
 class SchemeKind(enum.Enum):
     """Detection scheme selector.
 

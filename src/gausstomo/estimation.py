@@ -136,8 +136,6 @@ def estimate_heterodyne_block(xs: np.ndarray, ps: np.ndarray,
     """estimate_heterodyne of each row of (trials, N) x and p arrays; each
     result equals that row's own estimate bit for bit, since a row mean
     sums in the order the mean of that row alone does."""
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"eta = {eta} must lie in (0, 1]")
     x = np.asarray(xs, dtype=float)
     p = np.asarray(ps, dtype=float)
     if x.shape != p.shape or x.ndim != 2:
@@ -148,13 +146,28 @@ def estimate_heterodyne_block(xs: np.ndarray, ps: np.ndarray,
         raise DomainError(f"need at least 2 samples, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
         moments = [np.mean(a * b, axis=1) for a, b in ((x, x), (p, p), (x, p))]
+    return estimate_heterodyne_moments(*moments, n, eta)
+
+
+def estimate_heterodyne_moments(s11: np.ndarray, s22: np.ndarray, s12: np.ndarray,
+                                n: int, eta: float) -> list[EstimationResult]:
+    """The heterodyne estimate of each trial from its second moments
+    S11 = mean x^2, S22 = mean p^2 and S12 = mean x p over n samples.
+
+    The moment matrix is the estimated data covariance, and the offset
+    (2 - eta)/(2 eta) I off it the Wigner one.  DomainError unless every
+    moment is finite.
+    """
+    if not 0.0 < eta <= 1.0:
+        raise DomainError(f"eta = {eta} must lie in (0, 1]")
+    moments = (s11, s22, s12)
     if not all(np.isfinite(m).all() for m in moments):
         raise DomainError("heterodyne data must have finite second moments in "
                           "every trial")
     delta = delta_offset(eta, SchemeKind.HETERODYNE)
     results = []
-    for s11, s22, s12 in zip(*(m.tolist() for m in moments)):
-        g_eff = Covariance2(s11, s22, SQRT2 * s12)
+    for m11, m22, m12 in zip(*(m.tolist() for m in moments)):
+        g_eff = Covariance2(m11, m22, SQRT2 * m12)
         det = g_eff.det
         if det > 0.0:
             # at the optimum sum z^T S^-1 z = 2N, so the likelihood closes

@@ -20,12 +20,12 @@ import numpy as np
 from ._version import __version__
 from .core import DomainError, GaussianStateSpec, SchemeKind, wigner_covariance
 from .estimation import (_BLOCK_SAMPLES, EstimationResult, estimate_heterodyne,
-                         estimate_heterodyne_block, estimate_homodyne_ml,
+                         estimate_heterodyne_moments, estimate_homodyne_ml,
                          estimate_homodyne_ml_block, hs_distance_sq, to_ellipse)
 from .fisher import crb_het, crb_hom, gamma_surface
 from .regions import critical_lambda_equal_areas, region_boundaries
-from .sampling import (ContinuousSweep, SeedSpec, UniformGrid,
-                       heterodyne_arrays, homodyne_arrays)
+from .sampling import (ContinuousSweep, SeedSpec, UniformGrid, heterodyne_arrays,
+                       heterodyne_moments, homodyne_arrays)
 
 
 class ConfigError(ValueError):
@@ -369,17 +369,18 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
                 threads: int) -> list[EstimationResult]:
     """Each trial's estimate from its own seed stream, in trial order.
 
-    A job draws and estimates one block of trials, of up to _BLOCK_SAMPLES
-    samples in all but at least one trial, as stacked (trials, n) arrays.
+    Heterodyne trials draw their second moments in one call.  A homodyne
+    job draws and fits one block of trials, of up to _BLOCK_SAMPLES samples
+    in all but at least one trial, as stacked (trials, n) arrays.
     """
+    streams = [_trial_stream(seed, lane, trials, t) for t in range(trials)]
+    if scheme is SchemeKind.HETERODYNE:
+        return estimate_heterodyne_moments(*heterodyne_moments(spec, n, streams), n,
+                                           spec.eta)
     size = max(1, _BLOCK_SAMPLES // n)
 
     def job(first: int) -> list[EstimationResult]:
-        streams = [_trial_stream(seed, lane, trials, t)
-                   for t in range(first, min(first + size, trials))]
-        if scheme is SchemeKind.HETERODYNE:
-            return estimate_heterodyne_block(*heterodyne_arrays(spec, n, streams), spec.eta)
-        thetas, xs = homodyne_arrays(spec, n, ContinuousSweep(), streams)
+        thetas, xs = homodyne_arrays(spec, n, ContinuousSweep(), streams[first:first + size])
         return estimate_homodyne_ml_block(thetas, xs, spec.eta)
 
     starts = range(0, trials, size)

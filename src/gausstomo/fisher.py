@@ -26,18 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SQRT2, DomainError, GaussianStateSpec, SchemeKind, data_variances,
-                   delta_offset)
+from .core import (SQRT2, DomainError, GaussianStateSpec, NumericalError, SchemeKind,
+                   data_variances, delta_offset)
 
 # Node-bunching strength for the homodyne Fisher quadrature (see
 # fisher_hom_quadrature).  Widens the effective analyticity strip of the
 # integrand by 1/(1 - 2 kappa) = 10 while keeping the substitution map
 # monotone (kappa < 1/2).
 BUNCH_KAPPA = 0.45
-
-
-class NumericalError(RuntimeError):
-    """Raised when a numeric routine cannot certify its result."""
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ Word layout: sample i consumes the two 64-bit words (2i, 2i + 1) of its
 stream; homodyne uses word 2i for the quadrature angle (discarded under a
 deterministic angle grid, keeping the layout policy-independent) and word
 2i + 1 for the quadrature value, heterodyne uses both words for the
-phase-space pair.
+phase-space pair.  A heterodyne Monte Carlo trial drawn from its sufficient
+statistic (heterodyne_moments) reads words 0, 1 and 2 of its stream for
+c1^2, c2^2 and n21, and leaves word 3 unused.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                   SQRT2, effective_covariance, json_number)
+from .core import (Covariance2, DomainError, GaussianStateSpec, NumericalError,
+                   SchemeKind, SQRT2, effective_covariance, json_number)
 
 _WORDS_PER_SAMPLE = 2
 _WORDS_PER_BLOCK = 4  # one Philox4x64 counter increment yields four words
@@ -166,23 +168,30 @@ def _as_block(seed: SeedSpec | Sequence[SeedSpec]) -> tuple[list[SeedSpec], bool
     return list(seed), False
 
 
-def _uniforms(seeds: list[SeedSpec], start: int, n: int) -> np.ndarray:
-    """(trials, n, 2) mantissas (w >> 11) 2^-53 of the words of samples
-    [start, start + n), one row per stream, in this thread's scratch buffer.
+def _uniforms(seeds: list[SeedSpec], start: int, count: int) -> np.ndarray:
+    """(trials, count) mantissas (w >> 11) 2^-53 of the words
+    [start, start + count), one row per stream, in this thread's scratch
+    buffer.
 
     numpy's Generator.random makes each double from one Philox word exactly
     so.  The buffer grows to the largest block the thread has drawn and is
     reused, so a draw writes into pages already mapped; the view is valid
     until the thread's next draw, and no sampler returns it.
     """
-    size = len(seeds) * _WORDS_PER_SAMPLE * n
+    size = len(seeds) * count
     buffer = getattr(_THREAD, "buffer", None)
     if buffer is None or buffer.size < size:
         buffer = _THREAD.buffer = np.empty(size)
-    u = buffer[:size].reshape(len(seeds), _WORDS_PER_SAMPLE * n)
+    u = buffer[:size].reshape(len(seeds), count)
     for row, seed in zip(u, seeds):
-        _seek(seed, _WORDS_PER_SAMPLE * start).random(out=row)
-    return u.reshape(len(seeds), n, _WORDS_PER_SAMPLE)
+        _seek(seed, start).random(out=row)
+    return u
+
+
+def _sample_uniforms(seeds: list[SeedSpec], start: int, n: int) -> np.ndarray:
+    """(trials, n, 2) uniforms of the words of samples [start, start + n)."""
+    return _uniforms(seeds, _WORDS_PER_SAMPLE * start, _WORDS_PER_SAMPLE * n).reshape(
+        len(seeds), n, _WORDS_PER_SAMPLE)
 
 
 def homodyne_arrays(spec: GaussianStateSpec, n: int,
@@ -206,7 +215,7 @@ def homodyne_arrays(spec: GaussianStateSpec, n: int,
         raise DomainError(f"n = {n} must be at least 1")
     policy = ContinuousSweep() if angle_policy is None else angle_policy
     seeds, single = _as_block(seed)
-    u = _uniforms(seeds, start, n)
+    u = _sample_uniforms(seeds, start, n)
     if isinstance(policy, ContinuousSweep):
         # pi (w >> 11) 2^-53, scaled by the power of two after rounding as
         # before it
@@ -248,7 +257,7 @@ def heterodyne_arrays(spec: GaussianStateSpec, n: int,
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
     seeds, single = _as_block(seed)
-    z = _normals_in_place(_uniforms(seeds, start, n))
+    z = _normals_in_place(_sample_uniforms(seeds, start, n))
     l11, l21, l22 = _cholesky_lower(effective_covariance(spec, SchemeKind.HETERODYNE))
     # one allocation for both outputs: a pair of fresh ones would grow the
     # heap past malloc's trim threshold, and every draw would refault them
@@ -257,3 +266,130 @@ def heterodyne_arrays(spec: GaussianStateSpec, n: int,
     np.multiply(l21, z[..., 0], out=p)
     p += np.multiply(l22, z[..., 1], out=z[..., 1])
     return (x[0], p[0]) if single else (x, p)
+
+
+# scipy inverts the lower chi-square tail through a series it cuts at 2000
+# terms; past this many degrees of freedom that cut shows in the far tail
+# (a quantile off by 4e-14 relative at 10^6, by 1.4e-7 at 10^7), so there
+# every lower-tail variate is refined on the whole series
+_SCIPY_LOWER_TAIL_DOF = 10 ** 5
+_REFINE_STEPS = 8
+_SERIES_TERMS = 2 ** 22  # at most, per variate and Newton step
+# the series is summed for up to _SERIES_ROWS variates at once, in chunks of
+# _SERIES_WIDTH terms: a fixed shape, so a variate's bits never depend on
+# the variates summed beside it
+_SERIES_ROWS = 64
+_SERIES_WIDTH = 2 ** 12
+
+
+def _lower_gamma_log(a: float, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln P(a, h), S) for a > _SCIPY_LOWER_TAIL_DOF / 2 and 0 < h < a + 1,
+    where P(a, h) = h^a e^-h S / Gamma(a + 1) is the regularised lower
+    incomplete gamma and S = sum_k prod_{j <= k} h / (a + j).
+
+    The prefactor is taken as exp(-a phi) / sqrt(2 pi a) exp(-1/(12 a)), with
+    phi = s - log1p(s) and s = (h - a)/a: no cancellation of a ln h - h
+    against ln Gamma(a + 1), and the Stirling series past 1/(12 a) is below
+    1e-16.  S is summed until the geometric bound on its tail is below
+    2^-60 S, which leaves S unchanged by any later term; NumericalError if
+    that takes more than _SERIES_TERMS terms.
+    """
+    h = h[:, None]
+    series = np.ones(h.shape)
+    log_term = np.zeros(h.shape)
+    for first in range(1, _SERIES_TERMS, _SERIES_WIDTH):
+        j = np.arange(first, first + _SERIES_WIDTH)
+        logs = log_term - np.cumsum(np.log1p((a + j - h) / h), axis=1)
+        terms = np.exp(logs)
+        series += terms.sum(axis=1, keepdims=True)
+        log_term = logs[:, -1:]
+        ratio = h / (a + j[-1] + 1)  # bounds every later term ratio
+        if np.all(terms[:, -1:] * ratio <= 2.0 ** -60 * series * (1.0 - ratio)):
+            break
+    else:
+        raise NumericalError(f"the lower chi-square tail at {2 * a:.17g} degrees of "
+                             f"freedom needs more than {_SERIES_TERMS} series terms")
+    s = (h - a) / a  # h - a is exact for h in [a/2, 2a]
+    log_cdf = (-a * (s - np.log1p(s)) - 0.5 * math.log(2.0 * math.pi * a)
+               - 1.0 / (12.0 * a) + np.log(series))
+    return log_cdf[:, 0], series[:, 0]
+
+
+def _lower_gamma_quantile(a: float, h: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """h with P(a, h) = p, by Newton steps on ln P from the given h.
+
+    Each h takes steps until one moves it by at most 2^-45 relative, after
+    which its error is of the order of that step squared; NumericalError if
+    _REFINE_STEPS do not settle it or a step takes it to h <= 0.
+    """
+    h = h.copy()
+    log_p = np.log(p)
+    for first in range(0, len(h), _SERIES_ROWS):
+        rows = np.arange(first, min(first + _SERIES_ROWS, len(h)))
+        for _ in range(_REFINE_STEPS):
+            log_cdf, series = _lower_gamma_log(a, h[rows])
+            # d ln P / dh = a / (h S)
+            step = (log_cdf - log_p[rows]) * h[rows] * series / a
+            h[rows] -= step
+            if not np.all(h[rows] > 0.0):
+                break
+            rows = rows[np.abs(step) > 2.0 ** -45 * h[rows]]
+            if not rows.size:
+                break
+        if rows.size:
+            raise NumericalError(f"the lower chi-square tail at {2 * a:.17g} degrees "
+                                 f"of freedom did not settle in {_REFINE_STEPS} "
+                                 "Newton steps")
+    return h
+
+
+def _chi_square(dof: int, q: np.ndarray) -> np.ndarray:
+    """chi^2_dof variates whose upper-tail probabilities are q, in (0, 1).
+
+    scipy.special.chdtri inverts each q; past _SCIPY_LOWER_TAIL_DOF the
+    variates of the lower tail (q > 1/2, where 1 - q is exact) are refined
+    by _lower_gamma_quantile.
+    """
+    from scipy import special
+
+    x = special.chdtri(dof, q)
+    if dof > _SCIPY_LOWER_TAIL_DOF:
+        lower = q > 0.5
+        x[lower] = 2.0 * _lower_gamma_quantile(0.5 * dof, 0.5 * x[lower], 1.0 - q[lower])
+    return x
+
+
+def heterodyne_moments(spec: GaussianStateSpec, n: int,
+                       seed: SeedSpec | Sequence[SeedSpec] = SeedSpec(0)
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Second moments (S11, S22, S12) = mean (x^2, p^2, x p) of n heterodyne
+    samples, drawn from their sufficient statistic in O(1) of n.
+
+    n S = sum z z^T is Wishart with scale G_het and n degrees of freedom, so
+    by Bartlett's decomposition n S = (L A)(L A)^T, with L the Cholesky
+    factor of G_het and A = [[c1, 0], [n21, c2]] for independent
+    c1^2 ~ chi^2_n, c2^2 ~ chi^2_(n-1) and n21 ~ N(0, 1).  c1^2 and c2^2 are
+    the upper-tail quantiles of words 0 and 1 of the stream, n21 the normal
+    of word 2.  The moments have the distribution of those of
+    heterodyne_arrays(spec, n, seed), not their values.  A sequence of seeds
+    draws one array entry per seed; one seed draws arrays of one entry.
+    NumericalError past n = 2^53, where n and n - 1 stop being distinct
+    floats.
+    """
+    if n < 2:
+        raise DomainError(f"n = {n} must be at least 2")
+    if n > 2 ** 53:
+        raise NumericalError(f"n = {n} exceeds 2^53, past which the chi-square "
+                             "draws are not certified")
+    seeds, _ = _as_block(seed)
+    u = _open_interval(_uniforms(seeds, 0, 3))
+    c1 = np.sqrt(_chi_square(n, u[:, 0]))
+    c2 = np.sqrt(_chi_square(n - 1, u[:, 1]))
+    n21 = ndtri(u[:, 2])
+    l11, l21, l22 = _cholesky_lower(effective_covariance(spec, SchemeKind.HETERODYNE))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # L A = [[y1, 0], [y2, y3]]
+        y1 = l11 * c1
+        y2 = l21 * c1 + l22 * n21
+        y3 = l22 * c2
+        return y1 * y1 / n, (y2 * y2 + y3 * y3) / n, y1 * y2 / n

@@ -24,10 +24,11 @@ SPLIT_CRB = {"experiment": "crb-attainment",
 
 # sha256 of output bytes, as numpy 2 with OpenBLAS on x86-64 computes them
 # (the last bits depend on the BLAS and libm).  A change to the homodyne
-# fit that moves a bit of these tables must update the digest and say why.
+# fit or to the Monte Carlo draws that moves a bit of these tables must
+# update the digest and say why.
 PINNED_SHA256 = {
     # gausstomo fig5 --trials 20 --seed 0
-    "fig5": "ac32990a3dbe0abfe1c562a777da7b8b2a337ab85ebbdc057fa7a8a15153e518",
+    "fig5": "ac9682ad6745a1b1c16240c7ac14af94f43533903bfa29444365d450cd046a78",
     "split-crb": "2b9a27097e7c415142aa867511382afca6007ef72c2985b5cf2372f3dfd33fb9",
     # SURFACE_GRID in each mode
     "surface-real": "cd4fe9b566b025dc0372f61b2fed93c9af8307fe55f1b74b94ba6a23a7ccd081",
@@ -443,10 +444,11 @@ class TestCrbAttainment:
         assert float(row["ratio"]) == pytest.approx(1.0, abs=0.35)
         assert float(row["ratio"]) >= 0.9  # the bound can only be undershot by noise
 
-    def test_thread_count_never_changes_results(self):
+    @pytest.mark.parametrize("scheme", ["homodyne", "heterodyne"])
+    def test_thread_count_never_changes_results(self, scheme):
         base = {"experiment": "crb-attainment", "spec": {"mu": 2.0, "lambda": 10.0,
                                                          "eta": 0.5},
-                "scheme": "homodyne", "n_values": [200], "trials": 16,
+                "scheme": scheme, "n_values": [200], "trials": 16,
                 "seed": {"master_seed": 4, "stream_id": 0}}
         single = run_experiment(base, threads=1)[""]
         pooled = run_experiment(base, threads=8)[""]
@@ -598,6 +600,32 @@ class TestCli:
         header, rows = rows_of(proc.stdout)
         assert float(dict(zip(header, rows[0]))["crb"]) == \
             crb_hom(GaussianStateSpec(1.0, 1e10))
+
+    def test_heterodyne_moments_past_the_float_range_exit_2(self, tmp_path):
+        cfg = tmp_path / "crb.json"
+        cfg.write_text(json.dumps({"experiment": "crb-attainment", "scheme": "heterodyne",
+                                   "spec": {"mu": 1e300, "lambda": 1e10, "eta": 0.5},
+                                   "n_values": [50], "trials": 3}))
+        proc = self.run_cli("crb-attainment", "--config", str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "domain" and "second moments" in err["message"]
+
+    @pytest.mark.parametrize("n, code", [(10 ** 9, 0), (2 ** 53 + 1, 3)])
+    def test_heterodyne_crb_attainment_at_huge_n(self, tmp_path, n, code):
+        # the moments take O(1) memory in n: a billion samples finish, and
+        # past 2^53 the draw is refused as a numerical failure
+        cfg = tmp_path / "crb.json"
+        cfg.write_text(json.dumps({"experiment": "crb-attainment", "scheme": "heterodyne",
+                                   "spec": {"mu": 2.0, "lambda": 10.0, "eta": 0.5},
+                                   "n_values": [n], "trials": 4}))
+        proc = self.run_cli("crb-attainment", "--config", str(cfg))
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            header, rows = rows_of(proc.stdout)
+            assert math.isfinite(float(dict(zip(header, rows[0]))["ratio"]))
+        else:
+            assert json.loads(proc.stderr.strip())["error"] == "numerical"
 
     def test_estimate_nan_row_exits_2(self, tmp_path):
         data = tmp_path / "samples.csv"

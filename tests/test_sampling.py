@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-from gausstomo import (DomainError, GaussianStateSpec, SchemeKind, SeedSpec,
-                       UniformGrid, effective_covariance, heterodyne_arrays,
+from gausstomo import (DomainError, GaussianStateSpec, NumericalError, SchemeKind,
+                       SeedSpec, UniformGrid, effective_covariance, heterodyne_arrays,
                        homodyne_arrays, raw_words)
-from gausstomo.sampling import _normals_in_place, _open_interval
+from gausstomo import sampling
+from gausstomo.sampling import (_chi_square, _normals_in_place, _open_interval,
+                                heterodyne_moments)
 
 FIG5 = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
 VACUUM = GaussianStateSpec(mu=1.0, lam=1.0)
@@ -191,3 +193,82 @@ class TestHeterodyneSampling:
         for value, target in zip(acc, (cov.g1, cov.g2, 0.0)):
             se = max(target, 1.0) * math.sqrt(2 / (n * trials))
             assert abs(value - target) < 4 * se
+
+
+def _z_of_mean(values: np.ndarray, mean: float) -> float:
+    return (values.mean() - mean) / (values.std() / math.sqrt(values.size))
+
+
+def _z_of_variance(values: np.ndarray, variance: float) -> float:
+    # the standard error of a sample variance from the sample's 4th moment
+    d2 = (values - values.mean()) ** 2
+    return (d2.mean() - variance) / math.sqrt(d2.var() / values.size)
+
+
+class TestHeterodyneMoments:
+    # upper-tail probabilities from both ends of the uniforms that
+    # _open_interval reaches, [2^-54, 1 - 2^-53], and from the middle
+    TAILS = [2.0 ** -54, 2.0 ** -40, 1e-9, 1e-3, 0.25, 0.5 - 2.0 ** -53,
+             0.5 + 2.0 ** -53, 0.75, 1 - 1e-3, 1 - 1e-9, 1 - 2.0 ** -40, 1 - 2.0 ** -53]
+
+    @pytest.mark.parametrize("dof", [2, 3, 50, 10 ** 5, 10 ** 6, 10 ** 7, 10 ** 9])
+    def test_chi_square_inversion_matches_mpmath(self, dof):
+        # up to 10^5 degrees of freedom scipy's inversion alone, past it the
+        # refined lower tail; the quantile's relative error is the tail's
+        # error over h times the gamma density at h = x/2
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        a = mp.mpf(dof) / 2
+        for q, x in zip(self.TAILS, _chi_square(dof, np.array(self.TAILS))):
+            h = mp.mpf(float(x)) / 2
+            if q > 0.5:
+                tail = (mp.exp(a * mp.log(h) - h - mp.loggamma(a + 1))
+                        * mp.hyp1f1(1, a + 1, h, maxterms=10 ** 7))
+                error = tail - (1 - mp.mpf(q))
+            else:
+                error = mp.gammainc(a, h, mp.inf, regularized=True) - q
+            density = mp.exp((a - 1) * mp.log(h) - h - mp.loggamma(a))
+            assert abs(error) / (density * h) <= 5e-15, (q, x)
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7])
+    def test_agrees_in_distribution_with_per_sample_draw(self, phi):
+        # n S is Wishart(G, n): n S11/G11 and n S22/G22 are chi^2_n, and
+        # S12 has mean G12 and variance (G12^2 + G11 G22)/n; at phi = 0,
+        # n S22/G22 is c2^2 + n21^2 alone
+        spec = GaussianStateSpec(2.0, 10.0, phi=phi, eta=0.5)
+        cov = effective_covariance(spec, SchemeKind.HETERODYNE)
+        g11, g22, g12 = cov.g1, cov.g2, cov.g3 / math.sqrt(2)
+        n, trials = 50, 4000
+        seeds = [SeedSpec(61, t) for t in range(trials)]
+        x, p = heterodyne_arrays(spec, n, seeds)
+        routes = {"per-sample": (np.mean(x * x, axis=1), np.mean(p * p, axis=1),
+                                 np.mean(x * p, axis=1)),
+                  "bartlett": heterodyne_moments(spec, n, seeds)}
+        for route, (s11, s22, s12) in routes.items():
+            for values, mean, variance in ((n * s11 / g11, n, 2 * n),
+                                           (n * s22 / g22, n, 2 * n),
+                                           (s12, g12, (g12 * g12 + g11 * g22) / n)):
+                assert abs(_z_of_mean(values, mean)) < 4, route
+                assert abs(_z_of_variance(values, variance)) < 4, route
+
+    @pytest.mark.parametrize("n", [50, 10 ** 7])
+    def test_block_rows_equal_single_draws(self, n):
+        # at 10^7 the lower-tail variates are refined in groups of 64
+        seeds = [SeedSpec(62, t) for t in range(150)]
+        block = heterodyne_moments(FIG5, n, seeds)
+        for k in range(0, 150, 7):
+            single = heterodyne_moments(FIG5, n, seeds[k])
+            assert [m[k] for m in block] == [m[0] for m in single]
+
+    def test_rejects_too_few_or_too_many_samples(self):
+        with pytest.raises(DomainError):
+            heterodyne_moments(FIG5, 1)
+        with pytest.raises(NumericalError):
+            heterodyne_moments(FIG5, 2 ** 53 + 1)
+
+    @pytest.mark.parametrize("limit", ["_SERIES_TERMS", "_REFINE_STEPS"])
+    def test_unsettled_refinement_raises(self, monkeypatch, limit):
+        monkeypatch.setattr(sampling, limit, 0)
+        with pytest.raises(NumericalError):
+            heterodyne_moments(FIG5, 10 ** 7, [SeedSpec(63, t) for t in range(8)])
