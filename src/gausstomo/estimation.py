@@ -205,11 +205,19 @@ def _angles_values(data) -> tuple[np.ndarray, np.ndarray]:
     return theta, x
 
 
-def _distinct_counts(theta: np.ndarray) -> np.ndarray:
-    """np.unique(row).size of each row: equal values, and all NaNs, count once."""
-    s = np.sort(theta, axis=1)
-    new = (s[:, 1:] != s[:, :-1]) & ~(np.isnan(s[:, 1:]) & np.isnan(s[:, :-1]))
-    return 1 + new.sum(axis=1)
+def _too_few_angles(theta: np.ndarray) -> np.ndarray:
+    """np.unique(row).size < 3 of each row, without a sort: equal values,
+    +0.0 and -0.0, and all NaNs count once, and +-inf count as values.
+
+    A row takes three distinct values exactly when its least and greatest
+    non-NaN values differ and some entry is neither of them, being a value
+    strictly between or a NaN.
+    """
+    lo = np.fmin.reduce(theta, axis=1, keepdims=True)
+    hi = np.fmax.reduce(theta, axis=1, keepdims=True)
+    ends = theta <= lo
+    ends |= theta >= hi
+    return ~(lo[:, 0] < hi[:, 0]) | ends.all(axis=1)
 
 
 def _angle_keys(theta: np.ndarray) -> np.ndarray:
@@ -342,34 +350,47 @@ def _line_search(p, step, f, v, x2, max_halvings: int):
     window of k at a time, until each row has a step that beats f or has
     none left.  A round holds _BLOCK_SAMPLES / 8 samples at first and
     twice as many each round up to _BLOCK_SAMPLES, but always at least one
-    halving per row.  Returns (found, (p, g, f, cvar, scales)), where the
-    tuple holds the accepted steps' values in the rows marked found.
+    halving per row.  A row's search also ends at its first halving that
+    leaves all three parameters unchanged: fl(p + d) is monotone in d, so
+    every later halving leaves them unchanged too, and a candidate equal
+    to p, evaluated bit for bit as p was, cannot beat f.  Returns (found,
+    (p, g, f, cvar, scales)), where the tuple holds the accepted steps'
+    values in the rows marked found.
     """
     if max_halvings < 1:
         return np.zeros(len(p), dtype=bool), None
     cand = p + step
     accepted = (cand, *_evaluate(cand, v, x2))
     found = accepted[2] > f
+    searching = ~found
     n = x2.shape[1]
     k, budget = 1, _BLOCK_SAMPLES // 8
-    while k < max_halvings and np.count_nonzero(found) < len(found):
-        open_ = np.flatnonzero(~found)
+    while k < max_halvings and np.count_nonzero(searching):
+        open_ = np.flatnonzero(searching)
         w = max(1, min(max_halvings - k, budget // (open_.size * n)))
         t = np.ldexp(1.0, -np.arange(k, k + w))
         cand = p[open_, None, :] + t[:, None] * step[open_, None, :]
-        # a view, not a copy, when the open rows are consecutive
-        rows = slice(open_[0], open_[-1] + 1) \
-            if open_[-1] - open_[0] + 1 == open_.size else open_
-        values = (cand, *_evaluate(cand, v[rows, None], x2[rows, None]))
-        wins = values[2] > f[open_, None]
-        hit = np.flatnonzero(wins.any(axis=1))
-        if hit.size:
-            # the first winning halving of each row that has one
-            first = wins[hit].argmax(axis=1)
-            won = open_[hit]
-            for target, value in zip(accepted, values):
-                target[won] = value[hit, first]
-            found[won] = True
+        moved = (cand != p[open_, None, :]).any(axis=2)
+        # a row stops after this round once a halving in it is a no-op,
+        # and is not evaluated if the first one is
+        searching[open_[~moved[:, -1]]] = False
+        if np.count_nonzero(moved[:, 0]) < open_.size:
+            open_, cand = open_[moved[:, 0]], cand[moved[:, 0]]
+        if open_.size:
+            # a view, not a copy, when the open rows are consecutive
+            rows = slice(open_[0], open_[-1] + 1) \
+                if open_[-1] - open_[0] + 1 == open_.size else open_
+            values = (cand, *_evaluate(cand, v[rows, None], x2[rows, None]))
+            wins = values[2] > f[open_, None]
+            hit = np.flatnonzero(wins.any(axis=1))
+            if hit.size:
+                # the first winning halving of each row that has one
+                first = wins[hit].argmax(axis=1)
+                won = open_[hit]
+                for target, value in zip(accepted, values):
+                    target[won] = value[hit, first]
+                found[won] = True
+                searching[won] = False
         k += w
         budget = min(2 * budget, _BLOCK_SAMPLES)
     return found, accepted
@@ -432,6 +453,16 @@ def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
     row leaves the block when it converges or stalls.  Any invalid row
     raises the DomainError that estimate_homodyne_ml raises for it.
     """
+    return _fit_homodyne_block(thetas, xs, eta, options)
+
+
+def _fit_homodyne_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
+                        options: MlOptions = MlOptions(),
+                        trig: tuple[np.ndarray, np.ndarray] | None = None
+                        ) -> list[EstimationResult]:
+    """estimate_homodyne_ml_block, given the (cos, sin) of the angles as
+    trig or else computing them once the block has passed its checks, so
+    that an infinite angle warns only in a block that is fitted."""
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta = {eta} must lie in (0, 1]")
     theta = np.asarray(thetas, dtype=float)
@@ -439,13 +470,13 @@ def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
     if theta.shape != x.shape or theta.ndim != 2:
         raise DomainError("homodyne blocks must be matching 2-d (trials, N) "
                           "angle/value arrays")
-    n = x.shape[1]
+    trials, n = x.shape
     if n < 3:
         raise DomainError(f"need at least 3 samples, got {n}")
-    if (_distinct_counts(theta) < 3).any():
+    if _too_few_angles(theta).any():
         raise DomainError("homodyne data must span at least 3 distinct angles; "
                           "fewer leave the 3-parameter model unidentifiable")
-    if not len(x):
+    if not trials:
         return []
 
     with np.errstate(over="ignore"):
@@ -454,8 +485,14 @@ def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
     if not np.all((m > 0.0) & (m < math.inf)):
         raise DomainError("homodyne data must have a positive, finite mean of x^2 "
                           "in every trial")
-    c, s = np.cos(theta), np.sin(theta)
-    v = np.stack([c * c, s * s, SQRT2 * s * c], axis=1)
+    c, s = (np.cos(theta), np.sin(theta)) if trig is None else trig
+    # the rows (c^2, s^2, sqrt2 s c) written in place: stacking temporaries
+    # would map fresh pages for every block
+    v = np.empty((trials, 3, n))
+    np.multiply(c, c, out=v[:, 0])
+    np.multiply(s, s, out=v[:, 1])
+    np.multiply(SQRT2, s, out=v[:, 2])
+    v[:, 2] *= c
     g, f, iterations, converged = _fit_block(v, x2, _moment_starts(v, x2, theta), options)
     delta = delta_offset(eta, SchemeKind.HOMODYNE)
     results = []

@@ -19,13 +19,13 @@ import numpy as np
 
 from ._version import __version__
 from .core import DomainError, GaussianStateSpec, SchemeKind, wigner_covariance
-from .estimation import (_BLOCK_SAMPLES, EstimationResult, estimate_heterodyne,
-                         estimate_heterodyne_moments, estimate_homodyne_ml,
-                         estimate_homodyne_ml_block, hs_distance_sq, to_ellipse)
+from .estimation import (_BLOCK_SAMPLES, EstimationResult, _fit_homodyne_block,
+                         estimate_heterodyne, estimate_heterodyne_moments,
+                         estimate_homodyne_ml, hs_distance_sq, to_ellipse)
 from .fisher import crb_het, crb_hom, gamma_surface
 from .regions import critical_lambda_equal_areas, region_boundaries
-from .sampling import (ContinuousSweep, SeedSpec, UniformGrid, heterodyne_arrays,
-                       heterodyne_moments, homodyne_arrays)
+from .sampling import (ContinuousSweep, SeedSpec, UniformGrid, _homodyne_block,
+                       heterodyne_arrays, heterodyne_moments, homodyne_arrays)
 
 
 class ConfigError(ValueError):
@@ -371,7 +371,8 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
 
     Heterodyne trials draw their second moments in one call.  A homodyne
     job draws and fits one block of trials, of up to _BLOCK_SAMPLES samples
-    in all but at least one trial, as stacked (trials, n) arrays.
+    in all but at least one trial, as stacked (trials, n) arrays; the fit
+    takes the cosines and sines of the angles from the draw.
     """
     streams = [_trial_stream(seed, lane, trials, t) for t in range(trials)]
     if scheme is SchemeKind.HETERODYNE:
@@ -380,8 +381,9 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
     size = max(1, _BLOCK_SAMPLES // n)
 
     def job(first: int) -> list[EstimationResult]:
-        thetas, xs = homodyne_arrays(spec, n, ContinuousSweep(), streams[first:first + size])
-        return estimate_homodyne_ml_block(thetas, xs, spec.eta)
+        thetas, xs, c, s = _homodyne_block(spec, n, ContinuousSweep(),
+                                           streams[first:first + size])
+        return _fit_homodyne_block(thetas, xs, spec.eta, trig=(c, s))
 
     starts = range(0, trials, size)
     if threads == 1:

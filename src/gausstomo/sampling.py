@@ -156,11 +156,6 @@ def _normals_in_place(u: np.ndarray) -> np.ndarray:
     return ndtri(_open_interval(u), u)
 
 
-def _marginal_variances(cov: Covariance2, thetas: np.ndarray) -> np.ndarray:
-    c, s = np.cos(thetas), np.sin(thetas)
-    return cov.g1 * c * c + cov.g2 * s * s + SQRT2 * cov.g3 * s * c
-
-
 def _as_block(seed: SeedSpec | Sequence[SeedSpec]) -> tuple[list[SeedSpec], bool]:
     """(seeds, single): one seed is drawn as the block of one."""
     if isinstance(seed, SeedSpec):
@@ -211,10 +206,19 @@ def homodyne_arrays(spec: GaussianStateSpec, n: int,
     A sequence of seeds draws a block: (trials, n) arrays whose row k
     equals the draw from seeds[k] alone.
     """
+    thetas, x, _, _ = _homodyne_block(spec, n, angle_policy, seed, start)
+    return (thetas[0], x[0]) if isinstance(seed, SeedSpec) else (thetas, x)
+
+
+def _homodyne_block(spec: GaussianStateSpec, n: int, angle_policy: AnglePolicy | None,
+                    seed: SeedSpec | Sequence[SeedSpec], start: int = 0):
+    """(thetas, x, cos thetas, sin thetas) of the homodyne_arrays draw, as
+    (trials, n) arrays even for one seed; the Monte Carlo runner hands the
+    cosines and sines on to the fit."""
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
     policy = ContinuousSweep() if angle_policy is None else angle_policy
-    seeds, single = _as_block(seed)
+    seeds, _ = _as_block(seed)
     u = _sample_uniforms(seeds, start, n)
     if isinstance(policy, ContinuousSweep):
         # pi (w >> 11) 2^-53, scaled by the power of two after rounding as
@@ -231,9 +235,10 @@ def homodyne_arrays(spec: GaussianStateSpec, n: int,
     else:
         raise DomainError(f"unknown angle policy {policy!r}")
     cov = effective_covariance(spec, SchemeKind.HOMODYNE)
-    x = np.sqrt(_marginal_variances(cov, thetas))
+    c, s = np.cos(thetas), np.sin(thetas)
+    x = np.sqrt(cov.g1 * c * c + cov.g2 * s * s + SQRT2 * cov.g3 * s * c)
     x *= _normals_in_place(u[..., 1])
-    return (thetas[0], x[0]) if single else (thetas, x)
+    return thetas, x, c, s
 
 
 def _cholesky_lower(cov: Covariance2) -> tuple[float, float, float]:

@@ -12,8 +12,10 @@ from gausstomo import (ContinuousSweep, Covariance2, DomainError, EstimationResu
                        heterodyne_arrays, homodyne_arrays, hs_distance_sq,
                        project_physical, rotate_covariance, to_ellipse,
                        wigner_covariance)
-from gausstomo.estimation import (_angle_keys, _ascent_directions, _evaluate,
-                                  _moment_starts)
+from gausstomo import estimation
+from gausstomo.estimation import (_BLOCK_SAMPLES, _angle_keys, _ascent_directions,
+                                  _evaluate, _moment_starts)
+from gausstomo.experiments import _run_trials
 
 SQRT2 = math.sqrt(2.0)
 FIG5 = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
@@ -472,3 +474,106 @@ class TestHomodyneMlBlock:
         block = estimate_homodyne_ml_block(np.stack([thetas] * 2), np.stack([xs] * 2),
                                            spec.eta)
         assert [result_bits(r) for r in block] == [result_bits(result)] * 2
+
+
+CRB = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
+
+
+def crb_block(master_seed: int, first: int, n: int = 10_000, trials: int = 3):
+    """The homodyne records of trials [first, first + trials) of a one-lane,
+    60-trial `gausstomo crb-attainment` at the benchmark state."""
+    return homodyne_arrays(CRB, n, ContinuousSweep(),
+                           [SeedSpec(master_seed, 0).stream(1 + t)
+                            for t in range(first, first + trials)])
+
+
+def unpruned_line_search(p, step, f, v, x2, max_halvings):
+    """_line_search as it was before a no-op halving ended a row's search:
+    every row that no step has beaten f for tries all max_halvings."""
+    if max_halvings < 1:
+        return np.zeros(len(p), dtype=bool), None
+    cand = p + step
+    accepted = (cand, *estimation._evaluate(cand, v, x2))
+    found = accepted[2] > f
+    n = x2.shape[1]
+    k, budget = 1, _BLOCK_SAMPLES // 8
+    while k < max_halvings and np.count_nonzero(found) < len(found):
+        open_ = np.flatnonzero(~found)
+        w = max(1, min(max_halvings - k, budget // (open_.size * n)))
+        t = np.ldexp(1.0, -np.arange(k, k + w))
+        cand = p[open_, None, :] + t[:, None] * step[open_, None, :]
+        rows = slice(open_[0], open_[-1] + 1) \
+            if open_[-1] - open_[0] + 1 == open_.size else open_
+        values = (cand, *estimation._evaluate(cand, v[rows, None], x2[rows, None]))
+        wins = values[2] > f[open_, None]
+        hit = np.flatnonzero(wins.any(axis=1))
+        if hit.size:
+            first = wins[hit].argmax(axis=1)
+            won = open_[hit]
+            for target, value in zip(accepted, values):
+                target[won] = value[hit, first]
+            found[won] = True
+        k += w
+        budget = min(2 * budget, _BLOCK_SAMPLES)
+    return found, accepted
+
+
+class TestLineSearch:
+    def test_evaluation_is_the_same_in_every_layout(self):
+        # the halving stop rests on this: a candidate equal to p evaluates
+        # to p's own (g, f, cvar), whichever stack either was evaluated in
+        thetas, xs = crb_block(11, 0)
+        v, x2 = bin_vectors(thetas), xs * xs
+        rng = np.random.default_rng(62)
+        # eight parameter rows about each trial's start
+        p = _moment_starts(v, x2, thetas)[:, None, :] + rng.normal(0.0, 0.05, (3, 8, 3))
+
+        def bits(values, *index):
+            return [a[index].tobytes() for a in values[:3]]
+
+        alone = [[bits(_evaluate(p[r:r + 1, j], v[r:r + 1], x2[r:r + 1]), 0)
+                  for j in range(8)] for r in range(3)]
+        for j in range(8):
+            stack = _evaluate(np.ascontiguousarray(p[:, j]), v, x2)
+            assert [bits(stack, r) for r in range(3)] == [alone[r][j] for r in range(3)]
+        # a window against v[rows, None] with rows a slice, as the line
+        # search takes consecutive rows, and with rows a fancy index
+        for rows in (slice(0, 3), slice(1, 3), np.array([0, 1, 2]), np.array([0, 2])):
+            picked = np.arange(3)[rows]
+            for w in (1, 3, 8):
+                window = _evaluate(p[picked, :w], v[rows, None], x2[rows, None])
+                assert [[bits(window, i, j) for j in range(w)] for i in range(len(picked))] \
+                    == [alone[r][:w] for r in picked]
+
+    @pytest.mark.parametrize("n, trials", [(50, 20), (10_000, 6)])
+    def test_monte_carlo_lane_fits_what_the_public_path_fits(self, n, trials):
+        # the runner draws and fits through the samplers' and the fit's
+        # private bodies, with the draw's cosines and sines
+        seed, lane = SeedSpec(11), 1
+        got = _run_trials(CRB, SchemeKind.HOMODYNE, n, seed, lane, trials, 1)
+        streams = [seed.stream(1 + lane * trials + t) for t in range(trials)]
+        size = max(1, _BLOCK_SAMPLES // n)
+        want = [result for first in range(0, trials, size)
+                for result in estimate_homodyne_ml_block(
+                    *homodyne_arrays(CRB, n, ContinuousSweep(), streams[first:first + size]),
+                    CRB.eta)]
+        assert [result_bits(r) for r in got] == [result_bits(r) for r in want]
+
+    def test_stalled_row_stops_at_its_first_no_op_halving(self, monkeypatch):
+        # trial 1 of this block stalls at its third iteration
+        thetas, xs = crb_block(11, 0)
+        calls = []
+
+        def counting(p, v, x2):
+            calls.append(p.size // 3)
+            return _evaluate(p, v, x2)
+
+        monkeypatch.setattr(estimation, "_evaluate", counting)
+        pruned = estimate_homodyne_ml_block(thetas, xs, CRB.eta)
+        pruned_rows, calls[:] = sum(calls), []
+        monkeypatch.setattr(estimation, "_line_search", unpruned_line_search)
+        unpruned = estimate_homodyne_ml_block(thetas, xs, CRB.eta)
+        assert [result_bits(r) for r in pruned] == [result_bits(r) for r in unpruned]
+        assert [r.converged for r in pruned] == [True, False, True]
+        assert pruned[1].iterations < MlOptions().max_iterations
+        assert pruned_rows < sum(calls)
