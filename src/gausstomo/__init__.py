@@ -20,9 +20,8 @@ from .fisher import (CrbReport, Fisher3, crb_het, crb_hom,
                      crb_report, critical_lambda_for_gamma, fisher_het,
                      fisher_hom_closed, fisher_hom_quadrature, gamma_surface,
                      small_eta_asymptote)
-from .regions import (DirectionVariancePair, RegionAreas, conditional_std,
-                      critical_lambda_equal_areas, marginal_std, region_areas,
-                      region_boundaries)
+from .regions import (RegionAreas, conditional_std, critical_lambda_equal_areas,
+                      marginal_std, region_areas, region_boundaries)
 from .sampling import (AnglePolicy, ContinuousSweep, SeedSpec, UniformGrid,
                        heterodyne_arrays, homodyne_arrays, raw_words)
 
@@ -35,7 +34,7 @@ __all__ = [
     "crb_report", "critical_lambda_for_gamma",
     "fisher_het", "fisher_hom_closed", "fisher_hom_quadrature",
     "gamma_surface", "small_eta_asymptote",
-    "DirectionVariancePair", "RegionAreas",
+    "RegionAreas",
     "conditional_std", "critical_lambda_equal_areas", "marginal_std",
     "region_areas", "region_boundaries",
     "AnglePolicy", "ContinuousSweep", "SeedSpec", "UniformGrid",

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,30 +170,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _column_format(values: tuple) -> tuple[str, tuple]:
+class _Repeats(NamedTuple):
+    """A table column whose cell i is values[codes[i]]: a runner that knows
+    which cells repeat declares it, and each value is formatted once."""
+
+    values: Sequence
+    codes: Sequence[int]
+
+
+def _column_format(column: Sequence) -> tuple[str, Sequence]:
     """A column's %-format and cells, chosen once for the whole column:
     floats take 17 significant digits, strings stay as they are, and any
-    other column goes through _fmt cell by cell.
-
-    A float column with at most len/4 distinct values formats each value
-    once.  The values are counted only when the first one recurs within
-    the first len/4 cells: a surface's grid axes and hypothetical-mode
-    bounds always pass that scan when they pass the count, and the scan
-    turns an all-distinct column away at about 1/300 of that column's
-    formatting time (a set of its values costs about 1/8).  A column
-    holding a zero is formatted cell by cell, since 0.0 and -0.0 are one
-    set member but print as 0 and -0."""
-    kinds = set(map(type, values))
+    other column goes through _fmt cell by cell.  A _Repeats column formats
+    each of its values by these rules and looks its cells up."""
+    if isinstance(column, _Repeats):
+        fmt, values = _column_format(column.values)
+        text = [fmt % value for value in values]
+        return "%s", list(map(text.__getitem__, column.codes))
+    kinds = set(map(type, column))
     if all(issubclass(kind, float) for kind in kinds):
-        quarter = len(values) // 4
-        if values[0] not in values[1:quarter + 1]:
-            return "%.17g", values
-        distinct = set(values)
-        if len(distinct) > quarter or 0.0 in distinct:
-            return "%.17g", values
-        text = {value: "%.17g" % value for value in distinct}
-        return "%s", tuple(map(text.__getitem__, values))
-    return "%s", values if kinds == {str} else tuple(map(_fmt, values))
+        return "%.17g", column
+    return "%s", column if kinds == {str} else list(map(_fmt, column))
 
 
 def _embedded_header(config: dict) -> str:
@@ -199,16 +198,19 @@ def _embedded_header(config: dict) -> str:
         config, sort_keys=True, separators=(",", ":"))
 
 
-def render_table(columns: list[str], rows: list[tuple], config: dict, fmt: str) -> str:
-    """Render a result table with the resolved config embedded."""
+def render_table(names: list[str], columns: list[Sequence], config: dict, fmt: str) -> str:
+    """Render a result table, given one sequence (or _Repeats) per column,
+    with the resolved config embedded."""
     if fmt == "csv":
-        lines = [_embedded_header(config), ",".join(columns)]
-        if rows:
-            formats, cells = zip(*map(_column_format, zip(*rows)))
-            lines += map(",".join(formats).__mod__, zip(*cells))
+        formats, cells = zip(*map(_column_format, columns))
+        # "%s" cells are strings already, and a join is about twice as fast
+        row = ",".join if set(formats) == {"%s"} else ",".join(formats).__mod__
+        lines = [_embedded_header(config), ",".join(names), *map(row, zip(*cells))]
         return "\n".join(lines) + "\n"
+    columns = [list(map(c.values.__getitem__, c.codes)) if isinstance(c, _Repeats) else c
+               for c in columns]
     doc = {"version": __version__, "config": config,
-           "columns": columns, "rows": [list(r) for r in rows]}
+           "columns": names, "rows": list(map(list, zip(*columns)))}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -231,37 +233,52 @@ def _seed_of(config: dict) -> SeedSpec:
 
 
 def run_surface(config: dict, threads: int = 1) -> dict[str, str]:
-    """Performance-ratio table over a (lambda, mu, eta) grid.
+    """Performance-ratio table over a (lambda, mu, eta) grid, eta outermost,
+    then lambda, then mu.
 
     Columns: lambda,mu,eta,h_hom,h_het,gamma,mode.  Hypothetical mode
     evaluates both bound formulas on the bare Wigner covariance (the
-    no-measurement-penalty comparison); real mode uses the scheme offsets.
+    no-measurement-penalty comparison), which no eta enters, so its
+    (lambda, mu) block is computed once and repeated for every eta; real
+    mode uses the scheme offsets.
     """
     grid = config["grid"]
-    hypothetical = grid["mode"] == "hypothetical"
-    rows = []
-    for eta in grid["eta"]:
-        table = {key: column.tolist() for key, column in
-                 gamma_surface(grid["lambda"], grid["mu"], eta,
-                               hypothetical=hypothetical).items()}
-        size = len(table["lam"])
-        rows += zip(table["lam"], table["mu"], [eta] * size, table["h_hom"],
-                    table["h_het"], table["gamma"], [grid["mode"]] * size)
+    lambdas, mus, etas = grid["lambda"], grid["mu"], grid["eta"]
+    # cell i of each column is grid point (eta, lambda, mu) of these codes
+    shape = (len(etas), len(lambdas), len(mus))
+    cells = np.arange(math.prod(shape))
+    eta_codes, lam_codes, mu_codes = (c.tolist() for c in np.unravel_index(cells, shape))
+    keys = ("h_hom", "h_het", "gamma")
+    if grid["mode"] == "hypothetical":
+        table = gamma_surface(lambdas, mus, etas[0], hypothetical=True)
+        for eta in etas[1:]:
+            # rejected as the first point of its own block would be
+            GaussianStateSpec(mu=mus[0], lam=lambdas[0], eta=eta)
+        block_codes = (cells % (shape[1] * shape[2])).tolist()
+        bounds = [_Repeats(table[key].tolist(), block_codes) for key in keys]
+    else:
+        tables = [gamma_surface(lambdas, mus, eta) for eta in etas]
+        bounds = [np.concatenate([t[key] for t in tables]).tolist() for key in keys]
+    columns = [_Repeats(lambdas, lam_codes), _Repeats(mus, mu_codes),
+               _Repeats(etas, eta_codes), *bounds,
+               _Repeats([grid["mode"]], [0] * len(cells))]
     return {"": render_table(["lambda", "mu", "eta", "h_hom", "h_het", "gamma", "mode"],
-                             rows, config, config["format"])}
+                             columns, config, config["format"])}
 
 
 def run_regions(config: dict, threads: int = 1) -> dict[str, str]:
     """Polar uncertainty boundaries sigma_theta / Sigma_theta for one state."""
-    pairs = region_boundaries(_spec_of(config), config["samples"])
-    rows = [(p.theta, p.sigma, p.Sigma) for p in pairs]
-    return {"": render_table(["theta", "sigma", "Sigma"], rows, config, config["format"])}
+    columns = region_boundaries(_spec_of(config), config["samples"])
+    return {"": render_table(["theta", "sigma", "Sigma"], [c.tolist() for c in columns],
+                             config, config["format"])}
 
 
 def run_lambda_crit(config: dict, threads: int = 1) -> dict[str, str]:
     """Equal-area squeezing threshold against detector efficiency."""
-    rows = [(eta, critical_lambda_equal_areas(eta)) for eta in config["eta_values"]]
-    return {"": render_table(["eta", "lambda_crit"], rows, config, config["format"])}
+    etas = config["eta_values"]
+    return {"": render_table(["eta", "lambda_crit"],
+                             [etas, [critical_lambda_equal_areas(eta) for eta in etas]],
+                             config, config["format"])}
 
 
 def run_simulate(config: dict, threads: int = 1) -> dict[str, str]:
@@ -274,13 +291,10 @@ def run_simulate(config: dict, threads: int = 1) -> dict[str, str]:
     if config["scheme"] == "homodyne":
         policy = config["angle_policy"]
         policy = UniformGrid(policy["d"]) if policy["type"] == "grid" else ContinuousSweep()
-        thetas, xs = homodyne_arrays(spec, n, policy, seed)
-        table = render_table(["theta", "x"], list(zip(thetas, xs)),
-                             config, config["format"])
+        names, columns = ["theta", "x"], homodyne_arrays(spec, n, policy, seed)
     else:
-        xs, ps = heterodyne_arrays(spec, n, seed)
-        table = render_table(["x", "p"], list(zip(xs, ps)),
-                             config, config["format"])
+        names, columns = ["x", "p"], heterodyne_arrays(spec, n, seed)
+    table = render_table(names, [c.tolist() for c in columns], config, config["format"])
     sidecar = json.dumps({"version": __version__, "spec": config["spec"],
                           "scheme": config["scheme"],
                           "angle_policy": config.get("angle_policy"),
@@ -415,7 +429,7 @@ def run_crb_attainment(config: dict, threads: int = 1) -> dict[str, str]:
                                          for r in results]))
         rows.append((n, config["scheme"], mean_scaled, crb, mean_scaled / crb))
     return {"": render_table(["N", "scheme", "mean_N_times_mse", "crb", "ratio"],
-                             rows, config, config["format"])}
+                             list(zip(*rows)), config, config["format"])}
 
 
 def run_fig5(config: dict, threads: int = 1) -> dict[str, str]:
@@ -430,8 +444,8 @@ def run_fig5(config: dict, threads: int = 1) -> dict[str, str]:
     seed = _seed_of(config)
     truth = wigner_covariance(spec)
     true_ellipse = to_ellipse(truth)
-    columns = ["n", "scheme", "kind", "trial_index", "axis_major", "axis_minor",
-               "orientation", "hs_distance_sq", "converged", "representative"]
+    names = ["n", "scheme", "kind", "trial_index", "axis_major", "axis_minor",
+             "orientation", "hs_distance_sq", "converged", "representative"]
     rows = []
     lanes = [(scheme, n) for scheme in (SchemeKind.HOMODYNE, SchemeKind.HETERODYNE)
              for n in config["n_values"]]
@@ -454,7 +468,7 @@ def run_fig5(config: dict, threads: int = 1) -> dict[str, str]:
         mean_hs = float(np.mean(hs_values))
         rows.append((n, scheme.value, "aggregate", -1,
                      math.nan, math.nan, math.nan, mean_hs, True, False))
-    return {"": render_table(columns, rows, config, config["format"])}
+    return {"": render_table(names, list(zip(*rows)), config, config["format"])}
 
 
 _SPEC = _record(GaussianStateSpec, "mu", "lambda", "phi", "eta")

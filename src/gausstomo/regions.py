@@ -21,17 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                   SQRT2, data_variances, effective_covariance)
+import numpy as np
 
-
-@dataclass(frozen=True)
-class DirectionVariancePair:
-    """Marginal (sigma) and conditional (Sigma) standard deviations at one angle."""
-
-    theta: float
-    sigma: float
-    Sigma: float
+from .core import (Covariance2, DomainError, GaussianStateSpec, NumericalError,
+                   SchemeKind, SQRT2, data_variances, effective_covariance)
 
 
 @dataclass(frozen=True)
@@ -42,8 +35,9 @@ class RegionAreas:
     s_Sigma: float
 
 
-def _direction_terms(cov: Covariance2, theta: float) -> tuple[float, float, float]:
-    c, s = math.cos(theta), math.sin(theta)
+def _direction_terms(cov: Covariance2, c, s):
+    """(u^T G u, v^T G v, u^T G v) for u = (c, s) and v = (-s, c); c and s
+    may be floats or float64 arrays, which run the same operations."""
     q = cov.g3 / SQRT2
     uu = cov.g1 * c * c + cov.g2 * s * s + 2.0 * q * s * c
     vv = cov.trace - uu
@@ -51,39 +45,57 @@ def _direction_terms(cov: Covariance2, theta: float) -> tuple[float, float, floa
     return uu, vv, uv
 
 
-def marginal_std(cov: Covariance2, theta: float) -> float:
-    """sigma_theta = sqrt(u^T G u) along the direction at angle theta."""
+def _check_positive_definite(cov: Covariance2) -> None:
     if not cov.is_positive_definite():
         raise DomainError(f"covariance is not positive definite: {cov}")
-    uu, _, _ = _direction_terms(cov, theta)
+
+
+def marginal_std(cov: Covariance2, theta: float) -> float:
+    """sigma_theta = sqrt(u^T G u) along the direction at angle theta."""
+    _check_positive_definite(cov)
+    uu, _, _ = _direction_terms(cov, math.cos(theta), math.sin(theta))
     return math.sqrt(uu)
 
 
 def conditional_std(cov: Covariance2, theta: float) -> float:
     """Sigma_theta = (u^T G^-1 u)^(-1/2), via (G_uu G_vv - G_uv^2)/G_vv."""
-    if not cov.is_positive_definite():
-        raise DomainError(f"covariance is not positive definite: {cov}")
-    uu, vv, uv = _direction_terms(cov, theta)
+    _check_positive_definite(cov)
+    uu, vv, uv = _direction_terms(cov, math.cos(theta), math.sin(theta))
     return math.sqrt((uu * vv - uv * uv) / vv)
 
 
-def region_boundaries(spec: GaussianStateSpec, samples: int) -> list[DirectionVariancePair]:
+def region_boundaries(spec: GaussianStateSpec,
+                      samples: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tabulate sigma_theta (homodyne data) and Sigma_theta (heterodyne data).
 
-    sigma comes from the homodyne effective covariance, Sigma from the
-    heterodyne one; angles are uniform on [0, 2 pi) for direct polar plotting.
+    Returns float64 arrays (theta, sigma, Sigma), with the angles uniform on
+    [0, 2 pi) for direct polar plotting.  sigma comes from the homodyne
+    effective covariance, Sigma from the heterodyne one; every entry equals
+    marginal_std or conditional_std at its angle bit for bit.
     """
     if samples < 4:
         raise DomainError(f"samples = {samples} must be at least 4")
     g_hom = effective_covariance(spec, SchemeKind.HOMODYNE)
     g_het = effective_covariance(spec, SchemeKind.HETERODYNE)
-    out = []
-    for k in range(samples):
-        theta = 2.0 * math.pi * k / samples
-        out.append(DirectionVariancePair(theta=theta,
-                                         sigma=marginal_std(g_hom, theta),
-                                         Sigma=conditional_std(g_het, theta)))
-    return out
+    _check_positive_definite(g_hom)
+    _check_positive_definite(g_het)
+    theta = 2.0 * math.pi * np.arange(samples) / samples
+    # math's cos and sin, as the scalar functions take them
+    angles = theta.tolist()
+    c = np.fromiter(map(math.cos, angles), float, samples)
+    s = np.fromiter(map(math.sin, angles), float, samples)
+    # IEEE arithmetic, silent as on Python floats: past the float range an
+    # entry reads inf or nan, as the scalar functions give it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sigma2, _, _ = _direction_terms(g_hom, c, s)
+        uu, vv, uv = _direction_terms(g_het, c, s)
+        big2 = (uu * vv - uv * uv) / vv
+    # where the scalar functions would divide by zero or take the root of a
+    # negative number, a variance has cancelled
+    if (vv == 0.0).any() or (sigma2 < 0.0).any() or (big2 < 0.0).any():
+        raise NumericalError(f"a direction variance of the data covariances of {spec} "
+                             "cancels to zero or below in float64")
+    return theta, np.sqrt(sigma2), np.sqrt(big2)
 
 
 def region_areas(spec: GaussianStateSpec) -> RegionAreas:

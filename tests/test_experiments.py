@@ -11,7 +11,7 @@ import pytest
 from gausstomo import DomainError, GaussianStateSpec, __version__, crb_hom, region_areas
 from gausstomo.estimation import _BLOCK_SAMPLES
 from gausstomo.cli import main
-from gausstomo.experiments import (EXPERIMENTS, ConfigError, _column_format,
+from gausstomo.experiments import (EXPERIMENTS, ConfigError, _Repeats,
                                    extract_embedded_config, render_table, resolve_config,
                                    run_experiment)
 
@@ -34,12 +34,46 @@ PINNED_SHA256 = {
     "surface-real": "cd4fe9b566b025dc0372f61b2fed93c9af8307fe55f1b74b94ba6a23a7ccd081",
     "surface-hypothetical":
         "19bde8210a0c876ac8d075c95937ad681d613459ac961e17e5475623d7fb3c9c",
+    # PINNED_TABLES, one per key: every table writer path in both formats
+    "regions-csv": "1718d715f8155830d65c20580715a0ff422abfdf19b6742890eaf2d428853eb5",
+    "regions-json": "4545f3f06170ee8c20ee65a74e34fa69d8de8bca0f13a9bb4d66596eb5385686",
+    "lambda-crit": "9bc3f936d975fd486e01ed1c776881a33f31086bd44ccf2d45e217fa818212a8",
+    "surface-real-json": "f1cda041bfc601320b024dfc8a18374af594fa71eebdf0c77229b5b1af0ee92d",
+    "surface-hypothetical-json":
+        "4551fdade7d9d2f56ccb0d64c3e781d2412ca8d994ce8d9ed40f345fbee52e16",
+    "simulate-grid-csv": "e767c61f6a999025c00d7cbd5be5d19fcc19de2a8fb3e19419bd1c36e2c6c2cc",
+    "simulate-grid-json": "068131db343edc0c3f305c153469c52ab2353cf136f3686c07e3b84d18977aa7",
+    "simulate-sweep-csv": "7cdd25ed4151322516ce894330265b88b309ea2d8a4ff82ef1717e4602acda22",
+    "simulate-sweep-json": "f45aa299c1bd6e38d9de45436726a3ad5e97ce81efdad4384172ddb962d2f710",
+    "simulate-heterodyne-csv":
+        "7971ad779269c165b1fe7adca8f8bbe98e52ba7d82e4199ac444b17ac5e2f8fc",
+    "simulate-heterodyne-json":
+        "51de541e34f925bd2fc2509fdd3b83340e0c26e02c40b943766bc4d9b39eaef7",
 }
 
 # 80 rows, eta outer: every column but real mode's bounds repeats, and the
 # hypothetical bounds repeat with a period of a quarter of the table
 SURFACE_GRID = {"lambda": [1.0, 1.7, 3.771, 12.5, 100.0], "mu": [1.0, 1.736, 2.5, 20.0],
                 "eta": [0.05, 0.3, 0.7, 1.0]}
+
+_PINNED_STATE = {"mu": 2.0, "lambda": 10.0, "phi": 0.7, "eta": 0.5}
+_PINNED_SEED = {"master_seed": 7, "stream_id": 1}
+PINNED_TABLES = {
+    **{f"regions-{fmt}": {"experiment": "regions", "format": fmt, "spec": _PINNED_STATE,
+                          "samples": 90} for fmt in ("csv", "json")},
+    "lambda-crit": {"experiment": "lambda-crit", "eta_values": [1.0, 0.8, 0.5, 0.05]},
+    **{f"surface-{mode}-json": {"experiment": "surface", "format": "json",
+                                "grid": {**SURFACE_GRID, "mode": mode}}
+       for mode in ("real", "hypothetical")},
+    **{f"simulate-{kind}-{fmt}": {"experiment": "simulate", "format": fmt,
+                                  "spec": _PINNED_STATE, "n": 40, "seed": _PINNED_SEED,
+                                  **extra}
+       for fmt in ("csv", "json")
+       for kind, extra in [("grid", {"scheme": "homodyne",
+                                     "angle_policy": {"type": "grid", "d": 4}}),
+                           ("sweep", {"scheme": "homodyne"}),
+                           ("heterodyne", {"scheme": "heterodyne"})]},
+}
 
 
 # one config per experiment, its keys out of order, and the JSON text of its
@@ -151,13 +185,14 @@ class TestConfigResolution:
 class TestRenderAndReplay:
     def test_floats_use_17_significant_digits(self):
         cfg = {"experiment": "surface"}
-        text = render_table(["a"], [(1 / 3,)], cfg, "csv")
+        text = render_table(["a"], [[1 / 3]], cfg, "csv")
         assert "0.33333333333333331" in text
 
-    # bytes of the writer for every cell type the runners emit
-    PINNED_ROWS = [(True, 3, -0.0, np.float64(0.1), math.nan, "real"),
-                   (False, -7, 0.0, 1 / 3, math.inf, "hypothetical"),
-                   (True, 0, 2.5, np.float64("nan"), -math.inf, "x")]
+    # bytes of the writer for every cell type the runners emit, one
+    # sequence per column
+    PINNED_COLUMNS = [(True, False, True), (3, -7, 0), (-0.0, 0.0, 2.5),
+                      (np.float64(0.1), 1 / 3, np.float64("nan")),
+                      (math.nan, math.inf, -math.inf), ("real", "hypothetical", "x")]
     PINNED = {
         "csv": textwrap.dedent(f"""\
             # gausstomo {__version__} config {{"experiment":"surface"}}
@@ -213,7 +248,17 @@ class TestRenderAndReplay:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_pinned_bytes(self, fmt):
         text = render_table(["flag", "count", "zero", "x", "y", "label"],
-                            self.PINNED_ROWS, {"experiment": "surface"}, fmt)
+                            self.PINNED_COLUMNS, {"experiment": "surface"}, fmt)
+        assert text == self.PINNED[fmt]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_pinned_bytes_of_declared_repeats(self, fmt):
+        # each column's values stored out of order, one of them unused, and
+        # looked up through its codes
+        columns = [_Repeats([c[2], "unused", c[0], c[1]], [2, 3, 0])
+                   for c in self.PINNED_COLUMNS]
+        text = render_table(["flag", "count", "zero", "x", "y", "label"],
+                            columns, {"experiment": "surface"}, fmt)
         assert text == self.PINNED[fmt]
 
     @pytest.mark.parametrize("values, body", [
@@ -223,8 +268,27 @@ class TestRenderAndReplay:
         ([], ""),
     ])
     def test_pinned_csv_columns(self, values, body):
-        text = render_table(["v"], [(v,) for v in values], {"experiment": "surface"}, "csv")
+        for column in (values, _Repeats(values, range(len(values)))):
+            text = render_table(["v"], [column], {"experiment": "surface"}, "csv")
+            assert text.split("\n", 2)[2] == body
+
+    @pytest.mark.parametrize("values, codes, body", [
+        # a value per code: -0.0 and 0.0 compare equal but print apart
+        ([0.0, -0.0, np.float64(-0.0)], [1, 0, 2, 1, 0], "-0\n0\n-0\n-0\n0\n"),
+        ([math.nan, np.float64(0.1), math.inf, -math.inf], [0, 3, 0, 1, 2],
+         "nan\n-inf\nnan\n0.10000000000000001\ninf\n"),
+        ([True, False], [1, 1, 0], "false\nfalse\ntrue\n"),
+        (["real"], [0, 0], "real\nreal\n"),
+        ([2.5], [], ""),
+    ])
+    def test_declared_repeats(self, values, codes, body):
+        column = _Repeats(values, codes)
+        text = render_table(["v"], [column], {"experiment": "surface"}, "csv")
         assert text.split("\n", 2)[2] == body
+        rows = json.loads(render_table(["v"], [column], {"experiment": "surface"},
+                                       "json"))["rows"]
+        cells = [values[code] for code in codes]
+        assert json.dumps(rows) == json.dumps([[cell] for cell in cells])
 
     def test_embedded_config_round_trip(self):
         cfg = resolve_config({"experiment": "regions",
@@ -250,6 +314,12 @@ class TestRenderAndReplay:
         assert first == second
 
 
+class TestPinnedTables:
+    @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+    def test_pinned_bytes(self, name):
+        assert sha256(run_experiment(PINNED_TABLES[name])[""]) == PINNED_SHA256[name]
+
+
 class TestColumnFormat:
     @staticmethod
     def per_cell(rows):
@@ -261,14 +331,19 @@ class TestColumnFormat:
                  np.float64(-2.5), np.float64("nan"), nan]
         repeated = [float("nan") if k % 50 == 7 else cycle[k % len(cycle)]
                     for k in range(1000)]
-        signed_zeros = [(-0.0, 0.0, np.float64(-0.0), 2.5)[k % 4] for k in range(1000)]
+        zeros = (-0.0, 0.0, np.float64(-0.0), 2.5)
+        signed_zeros = [zeros[k % 4] for k in range(1000)]
         mixed = [(repeated, signed_zeros)[k % 2][k] for k in range(1000)]
         distinct = [k / 7 for k in range(1000)]
-        assert _column_format(tuple(repeated))[0] == "%s"  # formatted once per value
-        assert _column_format(tuple(signed_zeros))[0] == "%.17g"
         rows = list(zip(repeated, signed_zeros, mixed, distinct))
-        text = render_table(["a", "b", "c", "d"], rows, {"experiment": "surface"}, "csv")
-        assert text.split("\n", 2)[2] == self.per_cell(rows)
+        declared = [_Repeats(cycle + [float("nan")],
+                             [len(cycle) if k % 50 == 7 else k % len(cycle)
+                              for k in range(1000)]),
+                    _Repeats(zeros, [k % 4 for k in range(1000)]), mixed, distinct]
+        for columns in ([repeated, signed_zeros, mixed, distinct], declared):
+            text = render_table(["a", "b", "c", "d"], columns, {"experiment": "surface"},
+                                "csv")
+            assert text.split("\n", 2)[2] == self.per_cell(rows)
 
     @pytest.mark.parametrize("mode", ["real", "hypothetical"])
     def test_surface_prints_like_each_cell(self, mode):
@@ -285,6 +360,15 @@ class TestSurface:
     def test_pinned_bytes(self, mode):
         cfg = {"experiment": "surface", "grid": {**SURFACE_GRID, "mode": mode}}
         assert sha256(run_experiment(cfg)[""]) == PINNED_SHA256[f"surface-{mode}"]
+
+    def test_hypothetical_mode_checks_every_eta(self):
+        # its bounds are computed at the first eta only, and the others still
+        # reject as they did when each had its own block
+        cfg = {"experiment": "surface",
+               "grid": {"lambda": [1, 2], "mu": [1], "eta": [0.5, 1.5],
+                        "mode": "hypothetical"}}
+        with pytest.raises(DomainError, match=r"^eta = 1\.5 must lie in \(0, 1\]$"):
+            run_experiment(cfg)
 
     def test_hypothetical_floor_row(self):
         cfg = {"experiment": "surface",
@@ -561,6 +645,7 @@ class TestCli:
         '{"lambda": [1.0, -1], "mu": [1.0], "eta": [1.0]}',
         '{"lambda": [1.0], "mu": [1.0], "eta": [1.0, 0]}',
         '{"lambda": [NaN], "mu": [1.0], "eta": [1.0], "mode": "hypothetical"}',
+        '{"lambda": [1, 2], "mu": [1], "eta": [0.5, 1.5], "mode": "hypothetical"}',
     ])
     def test_invalid_surface_point_exits_2(self, tmp_path, grid):
         cfg = tmp_path / "cfg.json"
@@ -568,6 +653,26 @@ class TestCli:
         proc = self.run_cli("surface", "--config", str(cfg), "--out", str(tmp_path / "s.csv"))
         assert proc.returncode == 2
         assert json.loads(proc.stderr.strip())["error"] == "domain"
+
+    @pytest.mark.parametrize("lam", [1e17, 1e-17])
+    def test_regions_whose_variance_cancels_exit_3(self, tmp_path, lam):
+        # v^T G v, formed as Tr G - u^T G u, cancels to zero on an axis here
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "regions", "spec": {"mu": 1, "lambda": lam},
+                                   "samples": 4}))
+        proc = self.run_cli("regions", "--config", str(cfg))
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stderr.strip())["error"] == "numerical"
+
+    def test_regions_past_the_float_range_finish_without_warnings(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "regions",
+                                   "spec": {"mu": 1e300, "lambda": 1, "eta": 1e-300},
+                                   "samples": 4}))
+        proc = self.run_cli("regions", "--config", str(cfg))
+        assert proc.returncode == 0 and proc.stderr == ""
+        _, rows = rows_of(proc.stdout)
+        assert [row[1] for row in rows] == ["9.9999999999999998e+149"] * 4
 
     def test_surface_beyond_the_float_range_reads_inf(self, tmp_path):
         # every bound here overflows a float, through inf * 0 and inf - inf

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from gausstomo import (GaussianStateSpec, crb_het, crb_hom, crb_report,
                        critical_lambda_for_gamma, fisher_het, fisher_hom_closed,
-                       fisher_hom_quadrature)
+                       fisher_hom_quadrature, gamma_surface)
 
 # the domain of acceptance criterion 1
 MU = st.floats(1.0, 20.0)
@@ -52,3 +53,24 @@ def test_gamma_is_one_at_every_crossing(mu, eta):
     assert root >= 1.0
     assert crb_report(GaussianStateSpec(mu, root, eta=eta)).gamma == \
         pytest.approx(1.0, abs=1e-8)
+
+
+# grid values from the acceptance domain and past the float range
+GRID_LAM = st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e-300, 1e200, 1e300])),
+                    min_size=1, max_size=4)
+GRID_MU = st.lists(st.one_of(st.floats(1.0, 20.0), st.sampled_from([1e100, 1e300])),
+                   min_size=1, max_size=3)
+ANY_ETA = st.one_of(ETA, st.sampled_from([1e-300, 5e-324, 1.0]))
+
+
+@PROPERTY
+@given(GRID_LAM, GRID_MU, ANY_ETA, ANY_ETA)
+def test_hypothetical_surface_does_not_depend_on_eta(lams, mus, eta_a, eta_b):
+    # the surface runner computes one hypothetical block and repeats it for
+    # every eta, so the columns must agree bit for bit
+    a = gamma_surface(lams, mus, eta_a, hypothetical=True)
+    b = gamma_surface(lams, mus, eta_b, hypothetical=True)
+    assert a.keys() == b.keys()
+    for key in a:
+        assert a[key].dtype == b[key].dtype == np.float64
+        assert a[key].tobytes() == b[key].tobytes()

@@ -7,7 +7,7 @@ from gausstomo import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
                        conditional_std, critical_lambda_equal_areas,
                        effective_covariance, marginal_std, region_areas,
                        region_boundaries)
-from gausstomo.experiments import render_table
+from gausstomo.experiments import _Repeats, render_table
 
 
 def random_pd_covariances(n, seed):
@@ -85,26 +85,26 @@ class TestConditionalStd:
 
 class TestRegionBoundaries:
     def test_coherent_state_circles(self):
-        pairs = region_boundaries(GaussianStateSpec(1.0, 1.0), 32)
-        for p in pairs:
-            assert p.Sigma == pytest.approx(1.0, rel=1e-13)
-            assert p.sigma == pytest.approx(1 / math.sqrt(2), rel=1e-13)
-            assert p.Sigma > p.sigma
+        theta, sigma, Sigma = region_boundaries(GaussianStateSpec(1.0, 1.0), 32)
+        assert Sigma == pytest.approx(np.ones(32), rel=1e-13)
+        assert sigma == pytest.approx(np.full(32, 1 / math.sqrt(2)), rel=1e-13)
+        assert np.all(Sigma > sigma)
 
     def test_elongated_state_crossover(self):
         # heterodyne wins except close to the principal axes
-        pairs = region_boundaries(GaussianStateSpec(1.0, 16.0), 360)
-        on_axis = [p for p in pairs if min(p.theta % math.pi,
-                                           math.pi - p.theta % math.pi) < 0.05]
-        diagonal = [p for p in pairs if abs(p.theta % math.pi - math.pi / 4) < 0.05]
-        assert all(p.sigma < p.Sigma for p in on_axis)
-        assert all(p.Sigma < p.sigma for p in diagonal)
+        theta, sigma, Sigma = region_boundaries(GaussianStateSpec(1.0, 16.0), 360)
+        folded = theta % math.pi
+        on_axis = np.minimum(folded, math.pi - folded) < 0.05
+        diagonal = np.abs(folded - math.pi / 4) < 0.05
+        assert on_axis.any() and diagonal.any()
+        assert np.all(sigma[on_axis] < Sigma[on_axis])
+        assert np.all(Sigma[diagonal] < sigma[diagonal])
 
     def test_output_shape(self):
-        pairs = region_boundaries(GaussianStateSpec(1.0, 2.0), 64)
-        assert len(pairs) == 64
-        thetas = [p.theta for p in pairs]
-        assert all(b > a for a, b in zip(thetas, thetas[1:]))
+        columns = region_boundaries(GaussianStateSpec(1.0, 2.0), 64)
+        assert len(columns) == 3
+        assert all(c.dtype == np.float64 and c.shape == (64,) for c in columns)
+        assert np.all(np.diff(columns[0]) > 0)
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(DomainError):
@@ -197,12 +197,13 @@ class TestAreaScanCsv:
 
     @staticmethod
     def scan_csv(lambdas, etas):
-        rows = []
-        for eta in etas:
-            for lam in lambdas:
-                areas = region_areas(GaussianStateSpec(mu=1.0, lam=lam, eta=eta))
-                rows.append((lam, eta, areas.s_sigma, areas.s_Sigma))
-        return render_table(["lambda", "eta", "s_sigma", "s_Sigma"], rows,
+        # eta outer, lambda inner: both axes are declared repeats
+        areas = [region_areas(GaussianStateSpec(mu=1.0, lam=lam, eta=eta))
+                 for eta in etas for lam in lambdas]
+        columns = [_Repeats(lambdas, list(range(len(lambdas))) * len(etas)),
+                   _Repeats(etas, [k for k in range(len(etas)) for _ in lambdas]),
+                   [a.s_sigma for a in areas], [a.s_Sigma for a in areas]]
+        return render_table(["lambda", "eta", "s_sigma", "s_Sigma"], columns,
                             {"experiment": "regions"}, "csv")
 
     def test_layout_and_values(self):
@@ -219,3 +220,6 @@ class TestAreaScanCsv:
         a = self.scan_csv([0.5, 1.5], [0.8, 1.0])
         b = self.scan_csv([0.5, 1.5], [0.8, 1.0])
         assert a == b and len(a.splitlines()[1:]) == 5
+        assert [line.split(",")[:2] for line in a.splitlines()[2:]] == \
+            [["0.5", "0.80000000000000004"], ["1.5", "0.80000000000000004"],
+             ["0.5", "1"], ["1.5", "1"]]

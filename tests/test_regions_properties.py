@@ -1,5 +1,6 @@
-"""Property check of the uncertainty regions: along every direction the
-conditional standard deviation is at most the marginal one."""
+"""Property checks of the uncertainty regions: along every direction the
+conditional standard deviation is at most the marginal one, and the
+tabulated boundaries are the scalar functions at each angle."""
 
 import math
 
@@ -9,7 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gausstomo import Covariance2, conditional_std, marginal_std
+from gausstomo import (Covariance2, GaussianStateSpec, SchemeKind, conditional_std,
+                       effective_covariance, marginal_std, region_boundaries)
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -29,3 +31,18 @@ def test_conditional_std_is_at_most_marginal(cov, theta):
     # rounding allowance relative to the matrix scale, as in acceptance
     # criterion 4
     assert conditional_std(cov, theta) <= marginal_std(cov, theta) + 1e-12 * math.sqrt(cov.trace)
+
+
+@PROPERTY
+@given(mu=st.floats(1.0, 1e3), lam=st.floats(1e-3, 1e3),
+       phi=st.floats(0.0, math.pi, exclude_max=True), eta=st.floats(1e-3, 1.0),
+       samples=st.integers(4, 300))
+def test_region_boundaries_are_the_scalar_functions(mu, lam, phi, eta, samples):
+    # every entry of the vectorised pass, bit for bit
+    spec = GaussianStateSpec(mu, lam, phi, eta)
+    theta, sigma, Sigma = region_boundaries(spec, samples)
+    g_hom = effective_covariance(spec, SchemeKind.HOMODYNE)
+    g_het = effective_covariance(spec, SchemeKind.HETERODYNE)
+    assert theta.tolist() == [2.0 * math.pi * k / samples for k in range(samples)]
+    assert sigma.tolist() == [marginal_std(g_hom, t) for t in theta.tolist()]
+    assert Sigma.tolist() == [conditional_std(g_het, t) for t in theta.tolist()]
