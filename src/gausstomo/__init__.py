@@ -9,9 +9,9 @@ reproducible CSV/JSON tables.
 
 from ._version import __version__
 from .core import (Covariance2, DomainError, GaussianStateSpec, NumericalError,
-                   SchemeKind, delta_offset, effective_covariance, rotate_covariance,
-                   squeezing_db, wigner_covariance)
-from .estimation import (EstimationResult, MlOptions, UncertaintyEllipse,
+                   SchemeKind, delta_offset, effective_covariance, squeezing_db,
+                   wigner_covariance)
+from .estimation import (BlockFit, EstimationResult, MlOptions, UncertaintyEllipse,
                          estimate_heterodyne, estimate_heterodyne_block,
                          estimate_homodyne_ml, estimate_homodyne_ml_block,
                          hs_distance_sq,
@@ -28,8 +28,7 @@ from .sampling import (AnglePolicy, ContinuousSweep, SeedSpec, UniformGrid,
 __all__ = [
     "__version__",
     "Covariance2", "DomainError", "GaussianStateSpec", "NumericalError", "SchemeKind",
-    "delta_offset", "effective_covariance", "rotate_covariance",
-    "squeezing_db", "wigner_covariance",
+    "delta_offset", "effective_covariance", "squeezing_db", "wigner_covariance",
     "CrbReport", "Fisher3", "crb_het", "crb_hom",
     "crb_report", "critical_lambda_for_gamma",
     "fisher_het", "fisher_hom_closed", "fisher_hom_quadrature",
@@ -39,7 +38,7 @@ __all__ = [
     "region_areas", "region_boundaries",
     "AnglePolicy", "ContinuousSweep", "SeedSpec", "UniformGrid",
     "heterodyne_arrays", "homodyne_arrays", "raw_words",
-    "EstimationResult", "MlOptions", "UncertaintyEllipse",
+    "BlockFit", "EstimationResult", "MlOptions", "UncertaintyEllipse",
     "estimate_heterodyne", "estimate_heterodyne_block", "estimate_homodyne_ml",
     "estimate_homodyne_ml_block", "hs_distance_sq",
     "project_physical", "to_ellipse",

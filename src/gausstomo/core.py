@@ -110,16 +110,6 @@ class Covariance2:
             raise DomainError(f"covariance record is missing key {exc}") from exc
 
 
-def rotate_covariance(cov: Covariance2, angle: float) -> Covariance2:
-    """Rotate a covariance counter-clockwise: principal angles shift by +angle."""
-    c, s = math.cos(angle), math.sin(angle)
-    q = cov.g3 / SQRT2
-    g1 = cov.g1 * c * c + cov.g2 * s * s - 2.0 * q * s * c
-    g2 = cov.g1 * s * s + cov.g2 * c * c + 2.0 * q * s * c
-    g3 = (cov.g1 - cov.g2) * SQRT2 * s * c + cov.g3 * (c * c - s * s)
-    return Covariance2(g1, g2, g3)
-
-
 @dataclass(frozen=True)
 class GaussianStateSpec:
     """Physical scenario: state size mu, shape lam, orientation phi, efficiency eta.

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,6 +115,33 @@ def project_physical(cov: Covariance2) -> Covariance2:
     return Covariance2(g1, g2, g3)
 
 
+class BlockFit(NamedTuple):
+    """The fits of a block of trials, row t for trial t: g_effective is the
+    fitted data covariance and g_wigner the estimate off it, each as
+    (trials, 3) float64 rows of (g1, g2, g3)."""
+
+    g_effective: np.ndarray
+    g_wigner: np.ndarray
+    loglik: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+
+def _block_fit(delta: float, g_eff: np.ndarray, loglik, iterations, converged) -> BlockFit:
+    """The BlockFit of data covariance rows g_eff, off which the scheme's
+    offset delta gives the Wigner rows."""
+    return BlockFit(g_eff, g_eff - [delta, delta, 0.0], np.asarray(loglik, dtype=float),
+                    np.asarray(iterations, dtype=int), np.asarray(converged, dtype=bool))
+
+
+def _single_result(fit: BlockFit, scheme: SchemeKind) -> EstimationResult:
+    """The EstimationResult of row 0 of a block fit."""
+    return EstimationResult(g_wigner=Covariance2(*fit.g_wigner[0].tolist()),
+                            g_effective=Covariance2(*fit.g_effective[0].tolist()),
+                            loglik=fit.loglik[0].item(), iterations=fit.iterations[0].item(),
+                            converged=fit.converged[0].item(), scheme=scheme)
+
+
 def estimate_heterodyne(data: np.ndarray, eta: float) -> EstimationResult:
     """Efficient closed-form estimator from heterodyne phase-space pairs.
 
@@ -128,14 +156,14 @@ def estimate_heterodyne(data: np.ndarray, eta: float) -> EstimationResult:
     z = np.asarray(data, dtype=float)
     if z.ndim != 2 or z.shape[1] != 2:
         raise DomainError("heterodyne data must be an (n, 2) array of (x, p) pairs")
-    return estimate_heterodyne_block(z[None, :, 0], z[None, :, 1], eta)[0]
+    return _single_result(estimate_heterodyne_block(z[None, :, 0], z[None, :, 1], eta),
+                          SchemeKind.HETERODYNE)
 
 
-def estimate_heterodyne_block(xs: np.ndarray, ps: np.ndarray,
-                              eta: float) -> list[EstimationResult]:
+def estimate_heterodyne_block(xs: np.ndarray, ps: np.ndarray, eta: float) -> BlockFit:
     """estimate_heterodyne of each row of (trials, N) x and p arrays; each
-    result equals that row's own estimate bit for bit, since a row mean
-    sums in the order the mean of that row alone does."""
+    row equals that row's own estimate bit for bit, since a row mean sums
+    in the order the mean of that row alone does."""
     x = np.asarray(xs, dtype=float)
     p = np.asarray(ps, dtype=float)
     if x.shape != p.shape or x.ndim != 2:
@@ -150,7 +178,7 @@ def estimate_heterodyne_block(xs: np.ndarray, ps: np.ndarray,
 
 
 def estimate_heterodyne_moments(s11: np.ndarray, s22: np.ndarray, s12: np.ndarray,
-                                n: int, eta: float) -> list[EstimationResult]:
+                                n: int, eta: float) -> BlockFit:
     """The heterodyne estimate of each trial from its second moments
     S11 = mean x^2, S22 = mean p^2 and S12 = mean x p over n samples.
 
@@ -164,21 +192,15 @@ def estimate_heterodyne_moments(s11: np.ndarray, s22: np.ndarray, s12: np.ndarra
     if not all(np.isfinite(m).all() for m in moments):
         raise DomainError("heterodyne data must have finite second moments in "
                           "every trial")
-    delta = delta_offset(eta, SchemeKind.HETERODYNE)
-    results = []
-    for m11, m22, m12 in zip(*(m.tolist() for m in moments)):
-        g_eff = Covariance2(m11, m22, SQRT2 * m12)
-        det = g_eff.det
-        if det > 0.0:
-            # at the optimum sum z^T S^-1 z = 2N, so the likelihood closes
-            loglik = -n - 0.5 * n * math.log(det) - n * LOG_2PI
-        else:
-            loglik = float("-inf")
-        results.append(EstimationResult(g_wigner=g_eff.add_offset(-delta),
-                                        g_effective=g_eff,
-                                        loglik=loglik, iterations=0, converged=True,
-                                        scheme=SchemeKind.HETERODYNE))
-    return results
+    # Covariance2.det, on every row; past the float range it reads inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_eff = np.stack([s11, s22, SQRT2 * s12], axis=1)
+        dets = g_eff[:, 0] * g_eff[:, 1] - 0.5 * g_eff[:, 2] * g_eff[:, 2]
+    # at the optimum sum z^T S^-1 z = 2N, so the likelihood closes
+    loglik = [-n - 0.5 * n * math.log(det) - n * LOG_2PI if det > 0.0 else -math.inf
+              for det in dets.tolist()]
+    return _block_fit(delta_offset(eta, SchemeKind.HETERODYNE), g_eff, loglik,
+                      [0] * len(loglik), [True] * len(loglik))
 
 
 # samples in one stacked (rows, N) array: trials per block in the Monte
@@ -444,10 +466,10 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray, options: MlOptions)
 
 
 def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
-                               options: MlOptions = MlOptions()) -> list[EstimationResult]:
+                               options: MlOptions = MlOptions()) -> BlockFit:
     """estimate_homodyne_ml of each row of (trials, N) angle and value
-    arrays, fitted in lockstep; each result equals that row's own fit bit
-    for bit.
+    arrays, fitted in lockstep; each row equals that row's own fit bit for
+    bit.
 
     One Newton iteration runs on all rows still iterating at once, and a
     row leaves the block when it converges or stalls.  Any invalid row
@@ -458,8 +480,7 @@ def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
 
 def _fit_homodyne_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
                         options: MlOptions = MlOptions(),
-                        trig: tuple[np.ndarray, np.ndarray] | None = None
-                        ) -> list[EstimationResult]:
+                        trig: tuple[np.ndarray, np.ndarray] | None = None) -> BlockFit:
     """estimate_homodyne_ml_block, given the (cos, sin) of the angles as
     trig or else computing them once the block has passed its checks, so
     that an infinite angle warns only in a block that is fitted."""
@@ -476,8 +497,9 @@ def _fit_homodyne_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
     if _too_few_angles(theta).any():
         raise DomainError("homodyne data must span at least 3 distinct angles; "
                           "fewer leave the 3-parameter model unidentifiable")
+    delta = delta_offset(eta, SchemeKind.HOMODYNE)
     if not trials:
-        return []
+        return _block_fit(delta, np.zeros((0, 3)), [], [], [])
 
     with np.errstate(over="ignore"):
         x2 = x * x
@@ -493,17 +515,7 @@ def _fit_homodyne_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
     np.multiply(s, s, out=v[:, 1])
     np.multiply(SQRT2, s, out=v[:, 2])
     v[:, 2] *= c
-    g, f, iterations, converged = _fit_block(v, x2, _moment_starts(v, x2, theta), options)
-    delta = delta_offset(eta, SchemeKind.HOMODYNE)
-    results = []
-    for g_row, loglik, its, conv in zip(g.tolist(), f.tolist(), iterations.tolist(),
-                                        converged.tolist()):
-        g_eff = Covariance2(*g_row)
-        results.append(EstimationResult(g_wigner=g_eff.add_offset(-delta),
-                                        g_effective=g_eff, loglik=loglik,
-                                        iterations=its, converged=conv,
-                                        scheme=SchemeKind.HOMODYNE))
-    return results
+    return _block_fit(delta, *_fit_block(v, x2, _moment_starts(v, x2, theta), options))
 
 
 def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray], eta: float,
@@ -527,4 +539,5 @@ def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray], eta: float,
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta = {eta} must lie in (0, 1]")
     theta, x = _angles_values(data)
-    return estimate_homodyne_ml_block(theta[None], x[None], eta, options)[0]
+    return _single_result(estimate_homodyne_ml_block(theta[None], x[None], eta, options),
+                          SchemeKind.HOMODYNE)

@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .core import DomainError, GaussianStateSpec, SchemeKind, wigner_covariance
-from .estimation import (_BLOCK_SAMPLES, EstimationResult, _fit_homodyne_block,
+from .core import Covariance2, DomainError, GaussianStateSpec, SchemeKind, wigner_covariance
+from .estimation import (_BLOCK_SAMPLES, BlockFit, _fit_homodyne_block,
                          estimate_heterodyne, estimate_heterodyne_moments,
                          estimate_homodyne_ml, hs_distance_sq, to_ellipse)
 from .fisher import crb_het, crb_hom, gamma_surface
@@ -380,8 +380,8 @@ def _trial_stream(seed: SeedSpec, lane: int, trials: int, trial: int) -> SeedSpe
 
 def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
                 seed: SeedSpec, lane: int, trials: int,
-                threads: int) -> list[EstimationResult]:
-    """Each trial's estimate from its own seed stream, in trial order.
+                threads: int) -> BlockFit:
+    """The fit of each trial from its own seed stream, in trial order.
 
     Heterodyne trials draw their second moments in one call.  A homodyne
     job draws and fits one block of trials, of up to _BLOCK_SAMPLES samples
@@ -394,7 +394,7 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
                                            spec.eta)
     size = max(1, _BLOCK_SAMPLES // n)
 
-    def job(first: int) -> list[EstimationResult]:
+    def job(first: int) -> BlockFit:
         thetas, xs, c, s = _homodyne_block(spec, n, ContinuousSweep(),
                                            streams[first:first + size])
         return _fit_homodyne_block(thetas, xs, spec.eta, trig=(c, s))
@@ -407,7 +407,7 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(job, starts))
-    return [result for block in blocks for result in block]
+    return BlockFit(*map(np.concatenate, zip(*blocks)))
 
 
 def run_crb_attainment(config: dict, threads: int = 1) -> dict[str, str]:
@@ -424,9 +424,9 @@ def run_crb_attainment(config: dict, threads: int = 1) -> dict[str, str]:
     truth = wigner_covariance(spec)
     rows = []
     for lane, n in enumerate(config["n_values"]):
-        results = _run_trials(spec, scheme, n, seed, lane, config["trials"], threads)
-        mean_scaled = n * float(np.mean([hs_distance_sq(r.g_wigner, truth)
-                                         for r in results]))
+        fit = _run_trials(spec, scheme, n, seed, lane, config["trials"], threads)
+        mean_scaled = n * float(np.mean([hs_distance_sq(Covariance2(*g), truth)
+                                         for g in fit.g_wigner.tolist()]))
         rows.append((n, config["scheme"], mean_scaled, crb, mean_scaled / crb))
     return {"": render_table(["N", "scheme", "mean_N_times_mse", "crb", "ratio"],
                              list(zip(*rows)), config, config["format"])}
@@ -453,18 +453,18 @@ def run_fig5(config: dict, threads: int = 1) -> dict[str, str]:
         rows.append((n, scheme.value, "true", -1,
                      true_ellipse.semi_axis_major, true_ellipse.semi_axis_minor,
                      true_ellipse.orientation, 0.0, True, False))
-        hs_values = []
-        for trial, result in enumerate(_run_trials(spec, scheme, n, seed, lane,
-                                                   config["trials"], threads)):
-            eff = result.g_effective
+        fit = _run_trials(spec, scheme, n, seed, lane, config["trials"], threads)
+        hs_values = [hs_distance_sq(Covariance2(*g), truth) for g in fit.g_wigner.tolist()]
+        for trial, (g, hs, converged) in enumerate(zip(fit.g_effective.tolist(), hs_values,
+                                                       fit.converged.tolist())):
+            eff = Covariance2(*g)
             if eff.is_positive_definite():
                 ell = to_ellipse(eff)
                 axes = (ell.semi_axis_major, ell.semi_axis_minor, ell.orientation)
             else:
                 axes = (math.nan, math.nan, math.nan)
-            hs_values.append(hs_distance_sq(result.g_wigner, truth))
-            rows.append((n, scheme.value, "estimate", trial, *axes, hs_values[-1],
-                         result.converged, trial == 0))
+            rows.append((n, scheme.value, "estimate", trial, *axes, hs, converged,
+                         trial == 0))
         mean_hs = float(np.mean(hs_values))
         rows.append((n, scheme.value, "aggregate", -1,
                      math.nan, math.nan, math.nan, mean_hs, True, False))

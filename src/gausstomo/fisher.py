@@ -177,22 +177,16 @@ def fisher_hom_quadrature(spec: GaussianStateSpec, nodes: int = 256) -> Fisher3:
 
 @dataclass(frozen=True)
 class CrbReport:
-    """Bounds and their ratio for one scenario.
-
-    beta is the eigenvalue-gap parameter of the homodyne closed form,
-    (Tr G_hom + 2 sqrt(det G_hom))/|d2 - d1|; it diverges for isotropic
-    data covariances and is reported as None there.
-    """
+    """Bounds and their ratio for one scenario."""
 
     h_hom: float
     h_het: float
     gamma: float
-    beta: float | None
     spec: GaussianStateSpec
 
     def to_json_dict(self) -> dict:
         return {"h_hom": self.h_hom, "h_het": self.h_het, "gamma": self.gamma,
-                "beta": self.beta, "spec": self.spec.to_json_dict()}
+                "spec": self.spec.to_json_dict()}
 
 
 def _scaled_variances(mu, lam, eta: float, schemes) -> dict:
@@ -230,26 +224,15 @@ def _scaled_variances(mu, lam, eta: float, schemes) -> dict:
     return scaled
 
 
-def _beta_of(d1, d2) -> float | None:
-    """beta from eigenvalues d1 <= d2; it is homogeneous of degree zero."""
-    t = d1 + d2
-    if d2 - d1 < 1e-8 * t:
-        return None
-    return float((t + 2.0 * np.sqrt(d1 * d2)) / (d2 - d1))
-
-
 def crb_report(spec: GaussianStateSpec, hypothetical: bool = False) -> CrbReport:
     """Evaluate both bounds and gamma = H_het/H_hom for one spec.
 
     It is the one-point ``gamma_surface``, so its bounds and gamma equal
-    the surface's bit for bit.  beta is taken on the scaled eigenvalues, so
-    it stays finite past the float range as well.
+    the surface's bit for bit.
     """
     table = gamma_surface([spec.lam], [spec.mu], spec.eta, hypothetical)
-    hom = _SCHEMES[bool(hypothetical)][0]
-    beta = _beta_of(*_scaled_variances(spec.mu, spec.lam, spec.eta, (hom,))[hom])
     return CrbReport(h_hom=float(table["h_hom"][0]), h_het=float(table["h_het"][0]),
-                     gamma=float(table["gamma"][0]), beta=beta, spec=spec)
+                     gamma=float(table["gamma"][0]), spec=spec)
 
 
 def gamma_surface(lambdas, mus, eta: float,

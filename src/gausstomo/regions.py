@@ -72,13 +72,19 @@ def region_boundaries(spec: GaussianStateSpec,
     [0, 2 pi) for direct polar plotting.  sigma comes from the homodyne
     effective covariance, Sigma from the heterodyne one; every entry equals
     marginal_std or conditional_std at its angle bit for bit.
+
+    A valid spec's data covariances are positive definite
+    (core.data_variances).  sigma needs only u^T G u, which stays accurate
+    where the homodyne triple's det cancels; Sigma needs G^-1, so a
+    heterodyne triple whose det cancels raises NumericalError.
     """
     if samples < 4:
         raise DomainError(f"samples = {samples} must be at least 4")
     g_hom = effective_covariance(spec, SchemeKind.HOMODYNE)
     g_het = effective_covariance(spec, SchemeKind.HETERODYNE)
-    _check_positive_definite(g_hom)
-    _check_positive_definite(g_het)
+    if not g_het.is_positive_definite():
+        raise NumericalError(f"the heterodyne data covariance of {spec} is not positive "
+                             f"definite in float64: {g_het}")
     theta = 2.0 * math.pi * np.arange(samples) / samples
     # math's cos and sin, as the scalar functions take them
     angles = theta.tolist()

@@ -252,14 +252,14 @@ def _scaled_mse(spec: GaussianStateSpec, scheme: SchemeKind, n: int, trials: int
         streams = [seed.stream(t) for t in range(first, min(first + size, trials))]
         if scheme is SchemeKind.HOMODYNE:
             draws = [homodyne_arrays(spec, n, seed=stream) for stream in streams]
-            results = estimate_homodyne_ml_block(np.stack([d[0] for d in draws]),
-                                                 np.stack([d[1] for d in draws]),
-                                                 eta=spec.eta)
+            fit = estimate_homodyne_ml_block(np.stack([d[0] for d in draws]),
+                                             np.stack([d[1] for d in draws]), eta=spec.eta)
+            estimates = [Covariance2(*g) for g in fit.g_wigner.tolist()]
         else:
             x, p = heterodyne_arrays(spec, n, streams[0])
-            results = [estimate_heterodyne(np.column_stack([x, p]), eta=spec.eta)]
-        for result in results:
-            total += hs_distance_sq(result.g_wigner, truth)
+            estimates = [estimate_heterodyne(np.column_stack([x, p]), eta=spec.eta).g_wigner]
+        for g_wigner in estimates:
+            total += hs_distance_sq(g_wigner, truth)
     return n * total / trials
 
 

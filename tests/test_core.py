@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gausstomo import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                       delta_offset, effective_covariance, rotate_covariance,
-                       squeezing_db, wigner_covariance)
+                       delta_offset, effective_covariance, squeezing_db,
+                       wigner_covariance)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -179,14 +179,16 @@ class TestSqueezingDb:
 
 class TestRotateCovariance:
     def test_orientation_adds(self):
+        # R G R^T, with R the counter-clockwise rotation by delta, turns the
+        # principal angle by delta
         rng = np.random.default_rng(5)
         for _ in range(50):
             g1, g2 = rng.uniform(0.2, 4, size=2)
             cov = Covariance2(g1, g2, 0.0)
             delta = float(rng.uniform(0, math.pi))
-            rot = rotate_covariance(cov, delta)
-            m = rot.as_matrix()
             c, s = math.cos(delta), math.sin(delta)
             r = np.array([[c, -s], [s, c]])
-            ref = r @ cov.as_matrix() @ r.T
-            assert np.allclose(m, ref, rtol=1e-12, atol=1e-14)
+            m = r @ cov.as_matrix() @ r.T
+            rot = Covariance2(m[0, 0], m[1, 1], SQRT2 * m[0, 1])
+            gap = (rot.principal_angle() - cov.principal_angle() - delta) % math.pi
+            assert min(gap, math.pi - gap) < 1e-9

@@ -1,21 +1,20 @@
-import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from gausstomo import (ContinuousSweep, Covariance2, DomainError, EstimationResult,
+from gausstomo import (BlockFit, ContinuousSweep, Covariance2, DomainError,
                        GaussianStateSpec, MlOptions, SchemeKind, SeedSpec, crb_het,
-                       crb_hom, estimate_heterodyne, estimate_heterodyne_block,
+                       crb_hom, delta_offset, estimate_heterodyne, estimate_heterodyne_block,
                        estimate_homodyne_ml, estimate_homodyne_ml_block,
                        heterodyne_arrays, homodyne_arrays, hs_distance_sq,
-                       project_physical, rotate_covariance, to_ellipse,
-                       wigner_covariance)
+                       project_physical, to_ellipse, wigner_covariance)
 from gausstomo import estimation
 from gausstomo.estimation import (_BLOCK_SAMPLES, _angle_keys, _ascent_directions,
-                                  _evaluate, _moment_starts)
+                                  _evaluate, _moment_starts, estimate_heterodyne_moments)
 from gausstomo.experiments import _run_trials
+from gausstomo.sampling import heterodyne_moments
 
 SQRT2 = math.sqrt(2.0)
 FIG5 = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
@@ -40,6 +39,14 @@ class TestHsDistance:
                 float(np.trace(diff @ diff)), abs=1e-14)
 
 
+def rotated_covariance(cov: Covariance2, angle: float) -> Covariance2:
+    """R cov R^T for the counter-clockwise rotation R by angle."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    m = rot @ cov.as_matrix() @ rot.T
+    return Covariance2(m[0, 0], m[1, 1], SQRT2 * m[0, 1])
+
+
 class TestToEllipse:
     def test_diagonal(self):
         ell = to_ellipse(Covariance2(0.1, 10.0, 0.0))
@@ -60,7 +67,7 @@ class TestToEllipse:
             cov = Covariance2(float(g1), float(g2 + 0.1), 0.0)
             phi = float(rng.uniform(0, math.pi))
             base = to_ellipse(cov).orientation
-            rotated = to_ellipse(rotate_covariance(cov, phi)).orientation
+            rotated = to_ellipse(rotated_covariance(cov, phi)).orientation
             gap = abs((rotated - (base + phi)) % math.pi)
             assert min(gap, math.pi - gap) < 1e-9
 
@@ -154,18 +161,22 @@ class TestHeterodyneBlock:
     def test_rows_equal_single_estimates(self, n):
         xs, ps = heterodyne_arrays(FIG5, n, [SeedSpec(51, t) for t in range(5)])
         block = estimate_heterodyne_block(xs, ps, FIG5.eta)
-        assert len(block) == 5
-        for x, p, result in zip(xs, ps, block):
-            single = estimate_heterodyne(np.column_stack([x, p]), FIG5.eta)
-            for field in dataclasses.fields(EstimationResult):
-                assert getattr(result, field.name) == getattr(single, field.name)
+        assert block.g_effective.shape == (5, 3)
+        singles = [estimate_heterodyne(np.column_stack([x, p]), FIG5.eta)
+                   for x, p in zip(xs, ps)]
+        assert rows_bits(block) == [result_bits(r) for r in singles]
+        delta = delta_offset(FIG5.eta, SchemeKind.HETERODYNE)
+        for x, p, g, w, f in zip(xs, ps, *(a.tolist() for a in block[:3])):
             # and the summation order of the moments before the block form
-            assert result.g_effective == Covariance2(float(np.mean(x * x)),
-                                                     float(np.mean(p * p)),
-                                                     SQRT2 * float(np.mean(x * p)))
+            assert g == [float(np.mean(x * x)), float(np.mean(p * p)),
+                         SQRT2 * float(np.mean(x * p))]
+            # and the offset and log-likelihood on Python floats
+            cov = Covariance2(*g)
+            assert Covariance2(*w) == cov.add_offset(-delta)
+            assert f == -n - 0.5 * n * math.log(cov.det) - n * math.log(2 * math.pi)
 
     def test_empty_block(self):
-        assert estimate_heterodyne_block(np.zeros((0, 10)), np.zeros((0, 10)), 1.0) == []
+        assert_empty(estimate_heterodyne_block(np.zeros((0, 10)), np.zeros((0, 10)), 1.0))
 
     def test_rejects_malformed_blocks(self):
         xs, ps = heterodyne_arrays(FIG5, 10, [SeedSpec(52, t) for t in range(3)])
@@ -274,7 +285,7 @@ class TestMomentStarts:
                                                      theta[t:t + 1])[0].tolist()
         block = estimate_homodyne_ml_block(theta, x, 1.0)
         singles = [estimate_homodyne_ml((t, xs), 1.0) for t, xs in zip(theta, x)]
-        assert [result_bits(r) for r in block] == [result_bits(r) for r in singles]
+        assert rows_bits(block) == [result_bits(r) for r in singles]
 
 
 class TestHomodyneMl:
@@ -377,10 +388,24 @@ def fig5_lane(master_seed: int, lane: int, n: int, trials: int = 20):
 
 
 def result_bits(r) -> tuple:
-    """Every field of an EstimationResult, floats as their exact hex form."""
+    """The fit of an EstimationResult, floats as their exact hex form."""
     floats = (r.g_wigner.g1, r.g_wigner.g2, r.g_wigner.g3,
               r.g_effective.g1, r.g_effective.g2, r.g_effective.g3, r.loglik)
-    return tuple(float(x).hex() for x in floats) + (r.iterations, r.converged, r.scheme)
+    return tuple(float(x).hex() for x in floats) + (r.iterations, r.converged)
+
+
+def rows_bits(fit: BlockFit) -> list[tuple]:
+    """result_bits of each row of a block fit."""
+    rows = zip(fit.g_wigner.tolist(), fit.g_effective.tolist(), fit.loglik.tolist(),
+               fit.iterations.tolist(), fit.converged.tolist())
+    return [tuple(float(x).hex() for x in (*w, *e, f)) + (its, conv)
+            for w, e, f, its, conv in rows]
+
+
+def assert_empty(fit: BlockFit):
+    assert fit.g_effective.shape == fit.g_wigner.shape == (0, 3)
+    assert [a.dtype for a in fit[2:]] == [np.float64, np.int_, np.bool_]
+    assert all(a.shape == (0,) for a in fit[2:])
 
 
 class TestHomodyneMlBlock:
@@ -390,12 +415,12 @@ class TestHomodyneMlBlock:
         thetas, xs = fig5_lane(master_seed, lane, n)
         block = estimate_homodyne_ml_block(thetas, xs, FIG5.eta)
         singles = [estimate_homodyne_ml((t, x), FIG5.eta) for t, x in zip(thetas, xs)]
-        assert [result_bits(r) for r in block] == [result_bits(r) for r in singles]
+        assert rows_bits(block) == [result_bits(r) for r in singles]
         # each block holds a fit that stalls on a flat likelihood
         limit = MlOptions().max_iterations
-        assert any(not r.converged and r.iterations < limit for r in block)
+        assert (~block.converged & (block.iterations < limit)).any()
         if (master_seed, n) == (1, 50):
-            assert [r.iterations for r in block].count(limit) == 1
+            assert np.count_nonzero(block.iterations == limit) == 1
 
     def test_options_reach_every_row(self):
         thetas, xs = fig5_lane(1, 0, 50, trials=8)
@@ -405,12 +430,12 @@ class TestHomodyneMlBlock:
             block = estimate_homodyne_ml_block(thetas, xs, FIG5.eta, options)
             singles = [estimate_homodyne_ml((t, x), FIG5.eta, options)
                        for t, x in zip(thetas, xs)]
-            assert [result_bits(r) for r in block] == [result_bits(r) for r in singles]
-        assert all(r.iterations == 0 for r in
-                   estimate_homodyne_ml_block(thetas, xs, FIG5.eta, MlOptions(max_iterations=0)))
+            assert rows_bits(block) == [result_bits(r) for r in singles]
+        assert not estimate_homodyne_ml_block(thetas, xs, FIG5.eta,
+                                              MlOptions(max_iterations=0)).iterations.any()
 
     def test_empty_block(self):
-        assert estimate_homodyne_ml_block(np.zeros((0, 10)), np.zeros((0, 10)), 1.0) == []
+        assert_empty(estimate_homodyne_ml_block(np.zeros((0, 10)), np.zeros((0, 10)), 1.0))
 
     def test_rejects_malformed_blocks(self):
         thetas, xs = fig5_lane(0, 0, 50, trials=3)
@@ -473,7 +498,7 @@ class TestHomodyneMlBlock:
         assert result.g_effective.is_positive_definite()
         block = estimate_homodyne_ml_block(np.stack([thetas] * 2), np.stack([xs] * 2),
                                            spec.eta)
-        assert [result_bits(r) for r in block] == [result_bits(result)] * 2
+        assert rows_bits(block) == [result_bits(result)] * 2
 
 
 CRB = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
@@ -485,6 +510,11 @@ def crb_block(master_seed: int, first: int, n: int = 10_000, trials: int = 3):
     return homodyne_arrays(CRB, n, ContinuousSweep(),
                            [SeedSpec(master_seed, 0).stream(1 + t)
                             for t in range(first, first + trials)])
+
+
+def lane_streams(seed: SeedSpec, lane: int, trials: int) -> list[SeedSpec]:
+    """The seed stream of each trial of a Monte Carlo lane."""
+    return [seed.stream(1 + lane * trials + t) for t in range(trials)]
 
 
 def unpruned_line_search(p, step, f, v, x2, max_halvings):
@@ -547,17 +577,23 @@ class TestLineSearch:
 
     @pytest.mark.parametrize("n, trials", [(50, 20), (10_000, 6)])
     def test_monte_carlo_lane_fits_what_the_public_path_fits(self, n, trials):
-        # the runner draws and fits through the samplers' and the fit's
-        # private bodies, with the draw's cosines and sines
+        # the runner draws and fits blocks of trials through the samplers'
+        # and the fit's private bodies, with the draw's cosines and sines;
+        # each row is the trial's own fit
         seed, lane = SeedSpec(11), 1
         got = _run_trials(CRB, SchemeKind.HOMODYNE, n, seed, lane, trials, 1)
-        streams = [seed.stream(1 + lane * trials + t) for t in range(trials)]
-        size = max(1, _BLOCK_SAMPLES // n)
-        want = [result for first in range(0, trials, size)
-                for result in estimate_homodyne_ml_block(
-                    *homodyne_arrays(CRB, n, ContinuousSweep(), streams[first:first + size]),
-                    CRB.eta)]
-        assert [result_bits(r) for r in got] == [result_bits(r) for r in want]
+        want = [estimate_homodyne_ml(homodyne_arrays(CRB, n, ContinuousSweep(), stream),
+                                     CRB.eta)
+                for stream in lane_streams(seed, lane, trials)]
+        assert rows_bits(got) == [result_bits(r) for r in want]
+
+    def test_heterodyne_lane_fits_each_trials_moments(self):
+        seed, lane, n, trials = SeedSpec(11), 1, 50, 20
+        got = _run_trials(CRB, SchemeKind.HETERODYNE, n, seed, lane, trials, 1)
+        want = [rows_bits(estimate_heterodyne_moments(
+            *heterodyne_moments(CRB, n, [stream]), n, CRB.eta))[0]
+            for stream in lane_streams(seed, lane, trials)]
+        assert rows_bits(got) == want
 
     def test_stalled_row_stops_at_its_first_no_op_halving(self, monkeypatch):
         # trial 1 of this block stalls at its third iteration
@@ -573,7 +609,7 @@ class TestLineSearch:
         pruned_rows, calls[:] = sum(calls), []
         monkeypatch.setattr(estimation, "_line_search", unpruned_line_search)
         unpruned = estimate_homodyne_ml_block(thetas, xs, CRB.eta)
-        assert [result_bits(r) for r in pruned] == [result_bits(r) for r in unpruned]
-        assert [r.converged for r in pruned] == [True, False, True]
-        assert pruned[1].iterations < MlOptions().max_iterations
+        assert rows_bits(pruned) == rows_bits(unpruned)
+        assert pruned.converged.tolist() == [True, False, True]
+        assert pruned.iterations[1] < MlOptions().max_iterations
         assert pruned_rows < sum(calls)

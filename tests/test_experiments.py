@@ -49,6 +49,11 @@ PINNED_SHA256 = {
         "7971ad779269c165b1fe7adca8f8bbe98e52ba7d82e4199ac444b17ac5e2f8fc",
     "simulate-heterodyne-json":
         "51de541e34f925bd2fc2509fdd3b83340e0c26e02c40b943766bc4d9b39eaef7",
+    "crb-heterodyne": "47b1c44d17e3515fcf05f538a14dc87223db5bf4f9fb6aafab9adf3ae59011aa",
+    # the result and ellipse of `estimate` on each simulate-*-csv table
+    "estimate-grid": "a20ddf95920c6f827248a2601266a6218a12af67195e60e73820a70ffc229541",
+    "estimate-sweep": "65c469b64cb51abd3e3e3e1306e58697f129ad28bfa6dc6236ed7ece55d606ca",
+    "estimate-heterodyne": "2f808d61141ef61b92ac2b9b96192da08c63c07a7f1f0c68b114a4169cce1c9f",
 }
 
 # 80 rows, eta outer: every column but real mode's bounds repeats, and the
@@ -73,6 +78,9 @@ PINNED_TABLES = {
                                      "angle_policy": {"type": "grid", "d": 4}}),
                            ("sweep", {"scheme": "homodyne"}),
                            ("heterodyne", {"scheme": "heterodyne"})]},
+    "crb-heterodyne": {"experiment": "crb-attainment", "spec": _PINNED_STATE,
+                       "scheme": "heterodyne", "n_values": [10, 1000], "trials": 50,
+                       "seed": _PINNED_SEED},
 }
 
 
@@ -474,6 +482,19 @@ class TestSimulateAndEstimate:
         assert fits[0] == fits[1]
         assert fits[0][2] == {"n": 2000, "seed": {"master_seed": 8, "stream_id": 0}}
 
+    @pytest.mark.parametrize("kind", ["grid", "sweep", "heterodyne"])
+    def test_pinned_estimate_bytes(self, tmp_path, kind):
+        # the printed fit and ellipse of a pinned simulate table; the
+        # embedded config holds the data path, so it is left out
+        sim = PINNED_TABLES[f"simulate-{kind}-csv"]
+        data = tmp_path / "samples.csv"
+        data.write_text(run_experiment(sim)[""])
+        est = {"experiment": "estimate", "data_path": str(data), "scheme": sim["scheme"],
+               "eta": sim["spec"]["eta"], "format": "json"}
+        doc = json.loads(run_experiment(est)[""])
+        assert sha256(json.dumps([doc["result"], doc["ellipse"]])) == \
+            PINNED_SHA256[f"estimate-{kind}"]
+
     @pytest.mark.parametrize("text, where", [
         ("x,p\n1.0,2.0\nnan,1.0\n0.5,0.25\n-1.0,0.5\n", "line 3"),
         ("# c\nx,p\n1.0,2.0\ninf,1.0\n", "line 4"),
@@ -663,6 +684,16 @@ class TestCli:
         proc = self.run_cli("regions", "--config", str(cfg))
         assert proc.returncode == 3, proc.stderr
         assert json.loads(proc.stderr.strip())["error"] == "numerical"
+
+    def test_regions_of_a_rotated_squeezed_state_exit_0(self, tmp_path):
+        # the homodyne triple's det cancels here; sigma needs only u^T G u
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "regions", "samples": 8,
+                                   "spec": {"mu": 1, "lambda": 1.37e9, "phi": 0.3, "eta": 1}}))
+        proc = self.run_cli("regions", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        _, rows = rows_of(proc.stdout)
+        assert len(rows) == 8
 
     def test_regions_past_the_float_range_finish_without_warnings(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -77,7 +77,6 @@ class TestClosedFormBounds:
         assert report.h_hom == report.h_het == math.inf
         assert math.isfinite(report.gamma)
         assert report.gamma == gamma_surface([1e300], [1e100], 1.0)["gamma"][0]
-        assert report.beta == 1.0
 
     def test_heterodyne_offset_always_costs_more(self):
         # both closed forms increase with an added multiple of the identity
@@ -87,10 +86,6 @@ class TestClosedFormBounds:
             g_het = effective_covariance(spec, SchemeKind.HETERODYNE)
             assert 2 * g_het.trace * (g_het.trace + 3 * math.sqrt(g_het.det)) > hom_form_on_het
             assert 2 * (g_het.trace ** 2 - g_het.det) > 2 * (g_hom.trace ** 2 - g_hom.det)
-
-    def test_beta_reported_only_for_anisotropic_data(self):
-        assert crb_report(GaussianStateSpec(1.0, 1.0)).beta is None
-        assert crb_report(GaussianStateSpec(1.0, 2.0)).beta is not None
 
 
 class TestHypothetical:

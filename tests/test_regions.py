@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gausstomo import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                       conditional_std, critical_lambda_equal_areas,
+from gausstomo import (Covariance2, DomainError, GaussianStateSpec, NumericalError,
+                       SchemeKind, conditional_std, critical_lambda_equal_areas,
                        effective_covariance, marginal_std, region_areas,
                        region_boundaries)
+from gausstomo.core import data_variances
 from gausstomo.experiments import _Repeats, render_table
 
 
@@ -109,6 +110,24 @@ class TestRegionBoundaries:
     def test_rejects_too_few_samples(self):
         with pytest.raises(DomainError):
             region_boundaries(GaussianStateSpec(1.0, 1.0), 3)
+
+    def test_rotated_squeezed_states_finish(self):
+        # from lambda = 1.37e9 the homodyne triple's det cancels at these
+        # phi, while sigma^2 = u^T G u stays accurate
+        for lam in 1.37 * 10.0 ** np.arange(6, 12):
+            for phi in (0.1, 0.3, 0.7, 1.3, 2.9):
+                for eta in (1.0, 1.0 - 1e-9):
+                    theta, sigma, Sigma = region_boundaries(
+                        GaussianStateSpec(1.0, float(lam), phi, eta), 256)
+                    d1, d2 = data_variances(1.0, float(lam), eta, SchemeKind.HOMODYNE)
+                    # the squeezed axis lies at angle -phi
+                    want = d1 * np.cos(theta + phi) ** 2 + d2 * np.sin(theta + phi) ** 2
+                    assert sigma ** 2 == pytest.approx(want, rel=1e-9)
+                    assert np.isfinite(Sigma).all() and (Sigma > 0).all()
+
+    def test_cancelled_heterodyne_determinant_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="heterodyne data covariance"):
+            region_boundaries(GaussianStateSpec(1.0, 1e17, 0.3), 64)
 
 
 class TestRegionAreas:
