@@ -12,14 +12,11 @@ from .core import (Covariance2, DomainError, GaussianStateSpec, NumericalError,
                    SchemeKind, delta_offset, effective_covariance, squeezing_db,
                    wigner_covariance)
 from .estimation import (BlockFit, EstimationResult, MlOptions, UncertaintyEllipse,
-                         estimate_heterodyne, estimate_heterodyne_block,
-                         estimate_homodyne_ml, estimate_homodyne_ml_block,
-                         hs_distance_sq,
-                         project_physical, to_ellipse)
+                         estimate_heterodyne, estimate_homodyne_ml,
+                         estimate_homodyne_ml_block, hs_distance_sq, to_ellipse)
 from .fisher import (CrbReport, Fisher3, crb_het, crb_hom,
                      crb_report, critical_lambda_for_gamma, fisher_het,
-                     fisher_hom_closed, fisher_hom_quadrature, gamma_surface,
-                     small_eta_asymptote)
+                     fisher_hom_closed, fisher_hom_quadrature, gamma_surface)
 from .regions import (RegionAreas, conditional_std, critical_lambda_equal_areas,
                       marginal_std, region_areas, region_boundaries)
 from .sampling import (AnglePolicy, ContinuousSweep, SeedSpec, UniformGrid,
@@ -32,14 +29,13 @@ __all__ = [
     "CrbReport", "Fisher3", "crb_het", "crb_hom",
     "crb_report", "critical_lambda_for_gamma",
     "fisher_het", "fisher_hom_closed", "fisher_hom_quadrature",
-    "gamma_surface", "small_eta_asymptote",
+    "gamma_surface",
     "RegionAreas",
     "conditional_std", "critical_lambda_equal_areas", "marginal_std",
     "region_areas", "region_boundaries",
     "AnglePolicy", "ContinuousSweep", "SeedSpec", "UniformGrid",
     "heterodyne_arrays", "homodyne_arrays", "raw_words",
     "BlockFit", "EstimationResult", "MlOptions", "UncertaintyEllipse",
-    "estimate_heterodyne", "estimate_heterodyne_block", "estimate_homodyne_ml",
-    "estimate_homodyne_ml_block", "hs_distance_sq",
-    "project_physical", "to_ellipse",
+    "estimate_heterodyne", "estimate_homodyne_ml", "estimate_homodyne_ml_block",
+    "hs_distance_sq", "to_ellipse",
 ]

@@ -116,8 +116,8 @@ class GaussianStateSpec:
 
     The Wigner covariance is (mu/2) diag(1/lam, lam) rotated by phi, so
     det G_W = mu^2/4 and mu >= 1 is the Heisenberg bound.  lam and 1/lam
-    with phi shifted by pi/2 describe the same state; values on (0, 1)
-    are accepted and can be normalised with :meth:`canonicalize`.
+    with phi shifted by pi/2 describe the same state, and both are
+    accepted.
     """
 
     mu: float
@@ -137,13 +137,6 @@ class GaussianStateSpec:
             raise DomainError(f"phi = {self.phi} must lie in [0, pi)")
         if not 0.0 < self.eta <= 1.0:
             raise DomainError(f"eta = {self.eta} must lie in (0, 1]")
-
-    def canonicalize(self) -> "GaussianStateSpec":
-        """Equivalent spec with lam >= 1 (swapping axes shifts phi by pi/2)."""
-        if self.lam >= 1.0:
-            return self
-        return GaussianStateSpec(self.mu, 1.0 / self.lam,
-                                 (self.phi + 0.5 * math.pi) % math.pi, self.eta)
 
     def to_json_dict(self) -> dict:
         return {"mu": self.mu, "lambda": self.lam, "phi": self.phi, "eta": self.eta}

@@ -6,8 +6,7 @@ closed-form efficient estimator (sample second moments minus the scheme
 offset).  Both report the Wigner-covariance estimate after subtracting
 the scheme's identity offset, without projecting onto the physical set:
 at small sample sizes the estimate may violate det >= 1/4 and is returned
-as-is with a physicality flag (an optional clipping utility exists for
-display purposes only).
+as-is with a physicality flag.
 """
 
 from __future__ import annotations
@@ -95,26 +94,6 @@ def to_ellipse(cov: Covariance2) -> UncertaintyEllipse:
                               orientation=cov.principal_angle())
 
 
-def project_physical(cov: Covariance2) -> Covariance2:
-    """Clip eigenvalues up to the physical set (display only, never in stats).
-
-    Raises the larger eigenvalue to the vacuum level if needed, then the
-    smaller one until det >= 1/4; estimator benchmarks must keep the raw,
-    possibly unphysical estimates to stay unbiased.
-    """
-    lo, hi = cov.eigenvalues()
-    angle = cov.principal_angle()
-    hi2 = max(hi, 0.5)
-    lo2 = max(lo, 0.25 / hi2)
-    if lo2 == lo and hi2 == hi:
-        return cov
-    c, s = math.cos(angle), math.sin(angle)
-    g1 = lo2 * s * s + hi2 * c * c
-    g2 = lo2 * c * c + hi2 * s * s
-    g3 = (hi2 - lo2) * SQRT2 * s * c
-    return Covariance2(g1, g2, g3)
-
-
 class BlockFit(NamedTuple):
     """The fits of a block of trials, row t for trial t: g_effective is the
     fitted data covariance and g_wigner the estimate off it, each as
@@ -151,30 +130,19 @@ def estimate_heterodyne(data: np.ndarray, eta: float) -> EstimationResult:
     heterodyne data covariance at every N; subtracting the offset
     (2 - eta)/(2 eta) I yields the Wigner-covariance estimate that
     attains the Cramer-Rao bound asymptotically.  `data` is an (n, 2)
-    array of (x, p) pairs; this is the block estimate of one trial.
+    array of (x, p) pairs, n >= 2.
     """
     z = np.asarray(data, dtype=float)
     if z.ndim != 2 or z.shape[1] != 2:
         raise DomainError("heterodyne data must be an (n, 2) array of (x, p) pairs")
-    return _single_result(estimate_heterodyne_block(z[None, :, 0], z[None, :, 1], eta),
-                          SchemeKind.HETERODYNE)
-
-
-def estimate_heterodyne_block(xs: np.ndarray, ps: np.ndarray, eta: float) -> BlockFit:
-    """estimate_heterodyne of each row of (trials, N) x and p arrays; each
-    row equals that row's own estimate bit for bit, since a row mean sums
-    in the order the mean of that row alone does."""
-    x = np.asarray(xs, dtype=float)
-    p = np.asarray(ps, dtype=float)
-    if x.shape != p.shape or x.ndim != 2:
-        raise DomainError("heterodyne blocks must be matching 2-d (trials, N) "
-                          "x/p arrays")
-    n = x.shape[1]
+    n = z.shape[0]
     if n < 2:
         raise DomainError(f"need at least 2 samples, got {n}")
+    x, p = z[None, :, 0], z[None, :, 1]
     with np.errstate(over="ignore", invalid="ignore"):
         moments = [np.mean(a * b, axis=1) for a, b in ((x, x), (p, p), (x, p))]
-    return estimate_heterodyne_moments(*moments, n, eta)
+    return _single_result(estimate_heterodyne_moments(*moments, n, eta),
+                          SchemeKind.HETERODYNE)
 
 
 def estimate_heterodyne_moments(s11: np.ndarray, s22: np.ndarray, s12: np.ndarray,
@@ -466,24 +434,19 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray, options: MlOptions)
 
 
 def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
-                               options: MlOptions = MlOptions()) -> BlockFit:
+                               options: MlOptions = MlOptions(), *,
+                               trig: tuple[np.ndarray, np.ndarray] | None = None) -> BlockFit:
     """estimate_homodyne_ml of each row of (trials, N) angle and value
     arrays, fitted in lockstep; each row equals that row's own fit bit for
     bit.
 
     One Newton iteration runs on all rows still iterating at once, and a
     row leaves the block when it converges or stalls.  Any invalid row
-    raises the DomainError that estimate_homodyne_ml raises for it.
+    raises the DomainError that estimate_homodyne_ml raises for it.  trig
+    is the (cos, sin) of the angles where the caller has them; else they
+    are computed once the block has passed its checks, so that an infinite
+    angle warns only in a block that is fitted.
     """
-    return _fit_homodyne_block(thetas, xs, eta, options)
-
-
-def _fit_homodyne_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
-                        options: MlOptions = MlOptions(),
-                        trig: tuple[np.ndarray, np.ndarray] | None = None) -> BlockFit:
-    """estimate_homodyne_ml_block, given the (cos, sin) of the angles as
-    trig or else computing them once the block has passed its checks, so
-    that an infinite angle warns only in a block that is fitted."""
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta = {eta} must lie in (0, 1]")
     theta = np.asarray(thetas, dtype=float)
@@ -536,8 +499,6 @@ def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray], eta: float,
     unidentifiable, and the mean of x^2 must be positive and finite.  This
     is the block fit of one trial.
     """
-    if not 0.0 < eta <= 1.0:
-        raise DomainError(f"eta = {eta} must lie in (0, 1]")
     theta, x = _angles_values(data)
     return _single_result(estimate_homodyne_ml_block(theta[None], x[None], eta, options),
                           SchemeKind.HOMODYNE)

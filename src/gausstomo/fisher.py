@@ -184,10 +184,6 @@ class CrbReport:
     gamma: float
     spec: GaussianStateSpec
 
-    def to_json_dict(self) -> dict:
-        return {"h_hom": self.h_hom, "h_het": self.h_het, "gamma": self.gamma,
-                "spec": self.spec.to_json_dict()}
-
 
 def _scaled_variances(mu, lam, eta: float, schemes) -> dict:
     """(d1, d2), d1 <= d2, of each scheme's data covariance, all scaled by
@@ -299,29 +295,3 @@ def critical_lambda_for_gamma(mu: float, eta: float) -> float | None:
         return None
     t = min(ts)
     return float(t + math.sqrt((t - 1.0) * (t + 1.0)))
-
-
-def small_eta_asymptote(spec_at_eta, eta0: float = 1e-4,
-                        levels: int = 3) -> tuple[float, float]:
-    """(limit_het, limit_hom): Richardson-extrapolated eta^2 * H as eta -> 0.
-
-    `spec_at_eta` maps a detector efficiency to a GaussianStateSpec with
-    fixed (mu, lam).  eta^2 * H is analytic in eta with an O(eta) leading
-    correction, so the extrapolation table over eta0 / 2^k converges to the
-    limits 6 (heterodyne) and 5 (homodyne) regardless of the state.
-    """
-    if levels < 1:
-        raise DomainError("levels must be >= 1")
-    etas = [eta0 / (2 ** k) for k in range(levels)]
-    het = [e * e * crb_het(spec_at_eta(e)) for e in etas]
-    hom = [e * e * crb_hom(spec_at_eta(e)) for e in etas]
-
-    def richardson(vals: list[float]) -> float:
-        # error term halves with eta at each level: R[i] = 2 R[i+1] - R[i]
-        table = list(vals)
-        for order in range(1, len(table)):
-            table = [(2 ** order * table[i + 1] - table[i]) / (2 ** order - 1)
-                     for i in range(len(table) - 1)]
-        return table[0]
-
-    return richardson(het), richardson(hom)

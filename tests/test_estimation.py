@@ -6,15 +6,14 @@ import pytest
 
 from gausstomo import (BlockFit, ContinuousSweep, Covariance2, DomainError,
                        GaussianStateSpec, MlOptions, SchemeKind, SeedSpec, crb_het,
-                       crb_hom, delta_offset, estimate_heterodyne, estimate_heterodyne_block,
-                       estimate_homodyne_ml, estimate_homodyne_ml_block,
-                       heterodyne_arrays, homodyne_arrays, hs_distance_sq,
-                       project_physical, to_ellipse, wigner_covariance)
+                       crb_hom, delta_offset, estimate_heterodyne, estimate_homodyne_ml,
+                       estimate_homodyne_ml_block, heterodyne_arrays, homodyne_arrays,
+                       hs_distance_sq, to_ellipse, wigner_covariance)
 from gausstomo import estimation
 from gausstomo.estimation import (_BLOCK_SAMPLES, _angle_keys, _ascent_directions,
                                   _evaluate, _moment_starts, estimate_heterodyne_moments)
 from gausstomo.experiments import _run_trials
-from gausstomo.sampling import heterodyne_moments
+from gausstomo.sampling import _homodyne_block, heterodyne_moments
 
 SQRT2 = math.sqrt(2.0)
 FIG5 = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
@@ -77,22 +76,6 @@ class TestToEllipse:
         assert "eigenvalue" in str(err.value)
 
 
-class TestProjectPhysical:
-    def test_leaves_physical_input_alone(self):
-        cov = wigner_covariance(GaussianStateSpec(2.0, 3.0, phi=0.5))
-        assert project_physical(cov) == cov
-
-    def test_clips_up_to_heisenberg_floor(self):
-        clipped = project_physical(Covariance2(0.5, -0.5, 0.0))
-        assert clipped.is_positive_definite()
-        assert clipped.det >= 0.25 * (1 - 1e-12)
-
-    def test_preserves_orientation(self):
-        bad = Covariance2(0.02, 3.0, 0.1)
-        clipped = project_physical(bad)
-        assert clipped.principal_angle() == pytest.approx(bad.principal_angle(), abs=1e-12)
-
-
 class TestHeterodyneEstimator:
     def test_antipodal_pair_closed_form(self):
         # sample covariance diag(1, 0); offset subtraction may leave an
@@ -148,46 +131,40 @@ class TestHeterodyneEstimator:
         assert se / bound < 0.05
 
     def test_rejects_tiny_or_malformed_input(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least 2 samples"):
             estimate_heterodyne(np.array([[1.0, 0.0]]), eta=1.0)
         with pytest.raises(DomainError):
             estimate_heterodyne(np.zeros((5, 3)), eta=1.0)
         with pytest.raises(DomainError):
+            estimate_heterodyne(np.zeros(10), eta=1.0)
+        with pytest.raises(DomainError, match=r"eta = 0\.0 must lie in"):
             estimate_heterodyne(np.zeros((5, 2)), eta=0.0)
 
 
 class TestHeterodyneBlock:
     @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 1000])
     def test_rows_equal_single_estimates(self, n):
+        # the runners' block estimate from the drawn moments of each trial
         xs, ps = heterodyne_arrays(FIG5, n, [SeedSpec(51, t) for t in range(5)])
-        block = estimate_heterodyne_block(xs, ps, FIG5.eta)
+        moments = [np.array([float(np.mean(a * b)) for a, b in zip(u, w)])
+                   for u, w in ((xs, xs), (ps, ps), (xs, ps))]
+        block = estimate_heterodyne_moments(*moments, n, FIG5.eta)
         assert block.g_effective.shape == (5, 3)
         singles = [estimate_heterodyne(np.column_stack([x, p]), FIG5.eta)
                    for x, p in zip(xs, ps)]
         assert rows_bits(block) == [result_bits(r) for r in singles]
         delta = delta_offset(FIG5.eta, SchemeKind.HETERODYNE)
-        for x, p, g, w, f in zip(xs, ps, *(a.tolist() for a in block[:3])):
+        for x, p, r in zip(xs, ps, singles):
             # and the summation order of the moments before the block form
-            assert g == [float(np.mean(x * x)), float(np.mean(p * p)),
-                         SQRT2 * float(np.mean(x * p))]
+            g = r.g_effective
+            assert [g.g1, g.g2, g.g3] == [float(np.mean(x * x)), float(np.mean(p * p)),
+                                          SQRT2 * float(np.mean(x * p))]
             # and the offset and log-likelihood on Python floats
-            cov = Covariance2(*g)
-            assert Covariance2(*w) == cov.add_offset(-delta)
-            assert f == -n - 0.5 * n * math.log(cov.det) - n * math.log(2 * math.pi)
+            assert r.g_wigner == g.add_offset(-delta)
+            assert r.loglik == -n - 0.5 * n * math.log(g.det) - n * math.log(2 * math.pi)
 
     def test_empty_block(self):
-        assert_empty(estimate_heterodyne_block(np.zeros((0, 10)), np.zeros((0, 10)), 1.0))
-
-    def test_rejects_malformed_blocks(self):
-        xs, ps = heterodyne_arrays(FIG5, 10, [SeedSpec(52, t) for t in range(3)])
-        with pytest.raises(DomainError):
-            estimate_heterodyne_block(xs[0], ps[0], FIG5.eta)
-        with pytest.raises(DomainError):
-            estimate_heterodyne_block(xs, ps[:2], FIG5.eta)
-        with pytest.raises(DomainError, match="at least 2 samples"):
-            estimate_heterodyne_block(xs[:, :1], ps[:, :1], FIG5.eta)
-        with pytest.raises(DomainError):
-            estimate_heterodyne_block(xs, ps, 0.0)
+        assert_empty(estimate_heterodyne_moments(*np.zeros((3, 0)), 10, 1.0))
 
 
 def masked_mean_start(v, x2, theta):
@@ -368,6 +345,14 @@ class TestHomodyneMl:
         with pytest.raises(DomainError):
             estimate_homodyne_ml(([], []), eta=1.0)
 
+    def test_rejects_bad_eta_with_or_without_malformed_data(self):
+        # the block checks eta; malformed data is rejected before it
+        theta, x = homodyne_arrays(VACUUM, 20, seed=SeedSpec(48))
+        with pytest.raises(DomainError, match=r"eta = 1\.5 must lie in"):
+            estimate_homodyne_ml((theta, x), eta=1.5)
+        with pytest.raises(DomainError, match="matching 1-d"):
+            estimate_homodyne_ml((theta, x[:-1]), eta=1.5)
+
     def test_loglik_is_the_actual_log_density(self):
         thetas, x = homodyne_arrays(VACUUM, 500, seed=SeedSpec(50))
         result = estimate_homodyne_ml((thetas, x), eta=1.0)
@@ -436,6 +421,12 @@ class TestHomodyneMlBlock:
 
     def test_empty_block(self):
         assert_empty(estimate_homodyne_ml_block(np.zeros((0, 10)), np.zeros((0, 10)), 1.0))
+
+    def test_trig_from_the_draw_changes_no_bit(self):
+        thetas, xs, c, s = _homodyne_block(FIG5, 50, ContinuousSweep(),
+                                           [SeedSpec(53, t) for t in range(6)])
+        given = estimate_homodyne_ml_block(thetas, xs, FIG5.eta, trig=(c, s))
+        assert rows_bits(given) == rows_bits(estimate_homodyne_ml_block(thetas, xs, FIG5.eta))
 
     def test_rejects_malformed_blocks(self):
         thetas, xs = fig5_lane(0, 0, 50, trials=3)

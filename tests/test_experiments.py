@@ -791,6 +791,22 @@ class TestCli:
         err = json.loads(proc.stderr.strip())
         assert err["error"] == "domain" and message in err["message"]
 
+    @pytest.mark.parametrize("eta, error, message", [
+        (0.5, "domain", "3 distinct angles"),
+        (1.5, "config", "'eta' must lie in (0, 1]"),
+    ])
+    def test_estimate_of_two_angle_data_exits_2_at_any_eta(self, tmp_path, eta, error,
+                                                           message):
+        data = tmp_path / "samples.csv"
+        data.write_text("theta,x\n" + "".join(f"{k % 2},{0.1 * k + 0.1}\n" for k in range(12)))
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"experiment": "estimate", "data_path": str(data),
+                                   "scheme": "homodyne", "eta": eta, "format": "json"}))
+        proc = self.run_cli("estimate", "--config", str(cfg))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == error and message in err["message"]
+
     def test_non_string_output_path_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "lambda-crit", "eta_values": [1.0],

@@ -3,9 +3,11 @@
 scipy.special (for ndtri), numpy.random (for Philox) and concurrent.futures
 (for the thread pool) are imported at first use.  Each import check runs in
 a fresh interpreter whose PYTHONPATH is the src/ directory of the package
-under test, so it tests this tree and not an installed copy.
+under test, so it tests this tree and not an installed copy.  The public
+names that `from gausstomo import *` exports are pinned here too.
 """
 
+import inspect
 import json
 import os
 import subprocess
@@ -42,6 +44,33 @@ def run_experiment_code(cfg: dict, threads: int = 1) -> str:
         from gausstomo.experiments import run_experiment
         assert run_experiment({cfg!r}, threads={threads})[""]
     """
+
+
+# the public API: a name deleted from the package must not come back
+EXPORTS = {
+    "__version__",
+    "AnglePolicy", "BlockFit", "ContinuousSweep", "Covariance2", "CrbReport",
+    "DomainError", "EstimationResult", "Fisher3", "GaussianStateSpec", "MlOptions",
+    "NumericalError", "RegionAreas", "SchemeKind", "SeedSpec", "UncertaintyEllipse",
+    "UniformGrid", "conditional_std", "crb_het", "crb_hom", "crb_report",
+    "critical_lambda_equal_areas", "critical_lambda_for_gamma", "delta_offset",
+    "effective_covariance", "estimate_heterodyne", "estimate_homodyne_ml",
+    "estimate_homodyne_ml_block", "fisher_het", "fisher_hom_closed",
+    "fisher_hom_quadrature", "gamma_surface", "heterodyne_arrays", "homodyne_arrays",
+    "hs_distance_sq", "marginal_std", "raw_words", "region_areas", "region_boundaries",
+    "squeezing_db", "to_ellipse", "wigner_covariance",
+}
+
+
+def test_star_import_exports_exactly_the_public_api():
+    namespace: dict = {}
+    exec("from gausstomo import *", namespace)
+    assert len(gausstomo.__all__) == len(EXPORTS) and set(gausstomo.__all__) == EXPORTS
+    assert all(namespace[name] is getattr(gausstomo, name) for name in EXPORTS)
+    # and the package has no public name outside __all__, submodules aside
+    public = {name for name, value in vars(gausstomo).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == EXPORTS - {"__version__"}
 
 
 def test_cli_import_loads_no_sampling_module():
