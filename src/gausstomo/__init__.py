@@ -11,7 +11,7 @@ from ._version import __version__
 from .core import (Covariance2, DomainError, GaussianStateSpec, NumericalError,
                    SchemeKind, delta_offset, effective_covariance, squeezing_db,
                    wigner_covariance)
-from .estimation import (BlockFit, EstimationResult, MlOptions, UncertaintyEllipse,
+from .estimation import (BlockFit, EstimationResult, UncertaintyEllipse,
                          estimate_heterodyne, estimate_homodyne_ml,
                          estimate_homodyne_ml_block, hs_distance_sq, to_ellipse)
 from .fisher import (CrbReport, Fisher3, crb_het, crb_hom,
@@ -35,7 +35,7 @@ __all__ = [
     "region_areas", "region_boundaries",
     "AnglePolicy", "ContinuousSweep", "SeedSpec", "UniformGrid",
     "heterodyne_arrays", "homodyne_arrays", "raw_words",
-    "BlockFit", "EstimationResult", "MlOptions", "UncertaintyEllipse",
+    "BlockFit", "EstimationResult", "UncertaintyEllipse",
     "estimate_heterodyne", "estimate_homodyne_ml", "estimate_homodyne_ml_block",
     "hs_distance_sq", "to_ellipse",
 ]

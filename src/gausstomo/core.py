@@ -68,8 +68,8 @@ class Covariance2:
     def det(self) -> float:
         return self.g1 * self.g2 - 0.5 * self.g3 * self.g3
 
-    def is_positive_definite(self, tol: float = 0.0) -> bool:
-        return self.g1 > tol and self.g2 > tol and self.det > tol
+    def is_positive_definite(self) -> bool:
+        return self.g1 > 0.0 and self.g2 > 0.0 and self.det > 0.0
 
     def as_matrix(self) -> np.ndarray:
         q = self.g3 / SQRT2

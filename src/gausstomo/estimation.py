@@ -175,14 +175,12 @@ def estimate_heterodyne_moments(s11: np.ndarray, s22: np.ndarray, s12: np.ndarra
 # Carlo runners, and candidate rows per halving chunk of the homodyne fit
 _BLOCK_SAMPLES = 2 ** 15
 
-
-@dataclass(frozen=True)
-class MlOptions:
-    """Newton settings for the homodyne likelihood fit."""
-
-    max_iterations: int = 200
-    gradient_tol: float = 1e-8
-    max_halvings: int = 60
+# Newton limits of the homodyne likelihood fit: iterations per row, the
+# trace-scaled gradient norm that counts as converged, and step halvings
+# per line search
+_MAX_ITERATIONS = 200
+_GRADIENT_TOL = 1e-8
+_MAX_HALVINGS = 60
 
 
 def _angles_values(data) -> tuple[np.ndarray, np.ndarray]:
@@ -331,8 +329,8 @@ def _ascent_directions(p, scales, v, x2, cvar, grad_g) -> np.ndarray:
     return step
 
 
-def _line_search(p, step, f, v, x2, max_halvings: int):
-    """Each row's first step t = 0.5**k, k = 0 .. max_halvings - 1, whose
+def _line_search(p, step, f, v, x2):
+    """Each row's first step t = 0.5**k, k = 0 .. _MAX_HALVINGS - 1, whose
     likelihood beats f[row].
 
     The full steps are one stacked evaluation.  The rows it fails for then
@@ -347,17 +345,15 @@ def _line_search(p, step, f, v, x2, max_halvings: int):
     (p, g, f, cvar, scales)), where the tuple holds the accepted steps'
     values in the rows marked found.
     """
-    if max_halvings < 1:
-        return np.zeros(len(p), dtype=bool), None
     cand = p + step
     accepted = (cand, *_evaluate(cand, v, x2))
     found = accepted[2] > f
     searching = ~found
     n = x2.shape[1]
     k, budget = 1, _BLOCK_SAMPLES // 8
-    while k < max_halvings and np.count_nonzero(searching):
+    while k < _MAX_HALVINGS and np.count_nonzero(searching):
         open_ = np.flatnonzero(searching)
-        w = max(1, min(max_halvings - k, budget // (open_.size * n)))
+        w = max(1, min(_MAX_HALVINGS - k, budget // (open_.size * n)))
         t = np.ldexp(1.0, -np.arange(k, k + w))
         cand = p[open_, None, :] + t[:, None] * step[open_, None, :]
         moved = (cand != p[open_, None, :]).any(axis=2)
@@ -386,12 +382,12 @@ def _line_search(p, step, f, v, x2, max_halvings: int):
     return found, accepted
 
 
-def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray, options: MlOptions):
+def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
     """Newton ascent from the parameter rows p, one row per trial, in lockstep.
 
     A row leaves the block when its trace-scaled gradient norm reaches the
     tolerance (converged) or when no step halving raises its likelihood
-    (stalled); rows still iterating after max_iterations stop there.
+    (stalled); rows still iterating after _MAX_ITERATIONS stop there.
     Returns (g, loglik, iterations, converged) per row.
     """
     trials, n = x2.shape
@@ -400,13 +396,13 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray, options: MlOptions)
     iterations = np.zeros(trials, dtype=int)
     converged = np.zeros(trials, dtype=bool)
     live = np.arange(trials)
-    for it in range(1, options.max_iterations + 1):
+    for it in range(1, _MAX_ITERATIONS + 1):
         iterations[live] = it
         with np.errstate(over="ignore"):  # a huge variance squares to inf
             resid = x2 / (cvar * cvar) - 1.0 / cvar
         grad_g = 0.5 * np.add.reduce(v * resid[:, None, :], axis=-1)
         done = np.linalg.norm(grad_g, axis=-1) * (g[:, 0] + g[:, 1]) / n \
-            <= options.gradient_tol
+            <= _GRADIENT_TOL
         # the masks are tested with np.count_nonzero, which costs a third
         # of .any() or .all() on a few rows
         if np.count_nonzero(done):
@@ -417,11 +413,11 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray, options: MlOptions)
             if not live.size:
                 break
         step = _ascent_directions(p, scales, v, x2, cvar, grad_g)
-        found, accepted = _line_search(p, step, f, v, x2, options.max_halvings)
+        found, accepted = _line_search(p, step, f, v, x2)
         if np.count_nonzero(found) == len(found):
             p, g, f, cvar, scales = accepted
             continue
-        for old, new in zip((p, g, f, cvar, scales), accepted or ()):
+        for old, new in zip((p, g, f, cvar, scales), accepted):
             old[found] = new[found]
         # likelihood flat to machine precision but gradient target missed
         g_out[live], f_out[live] = g, f
@@ -433,8 +429,7 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray, options: MlOptions)
     return g_out, f_out, iterations, converged
 
 
-def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
-                               options: MlOptions = MlOptions(), *,
+def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float, *,
                                trig: tuple[np.ndarray, np.ndarray] | None = None) -> BlockFit:
     """estimate_homodyne_ml of each row of (trials, N) angle and value
     arrays, fitted in lockstep; each row equals that row's own fit bit for
@@ -478,11 +473,11 @@ def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float,
     np.multiply(s, s, out=v[:, 1])
     np.multiply(SQRT2, s, out=v[:, 2])
     v[:, 2] *= c
-    return _block_fit(delta, *_fit_block(v, x2, _moment_starts(v, x2, theta), options))
+    return _block_fit(delta, *_fit_block(v, x2, _moment_starts(v, x2, theta)))
 
 
-def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray], eta: float,
-                         options: MlOptions = MlOptions()) -> EstimationResult:
+def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray],
+                         eta: float) -> EstimationResult:
     """Maximum-likelihood covariance fit to homodyne records.
 
     Maximises l(g) = -(1/2) sum_j [x_j^2 / C_j(g) + ln C_j(g)] with
@@ -492,7 +487,7 @@ def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray], eta: float,
     analytic gradient and Hessian chained through that parametrisation,
     with step halving on likelihood decrease and a steepest-ascent
     fallback while the Hessian is indefinite.  Convergence requires the
-    trace-scaled per-sample gradient norm to reach `gradient_tol`.
+    trace-scaled per-sample gradient norm to reach _GRADIENT_TOL (1e-8).
 
     `data` is a (theta, x) pair of matching 1-d arrays; the angles must
     take at least three distinct values or the three-parameter model is
@@ -500,5 +495,5 @@ def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray], eta: float,
     is the block fit of one trial.
     """
     theta, x = _angles_values(data)
-    return _single_result(estimate_homodyne_ml_block(theta[None], x[None], eta, options),
+    return _single_result(estimate_homodyne_ml_block(theta[None], x[None], eta),
                           SchemeKind.HOMODYNE)

@@ -386,7 +386,9 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
     Heterodyne trials draw their second moments in one call.  A homodyne
     job draws and fits one block of trials, of up to _BLOCK_SAMPLES samples
     in all but at least one trial, as stacked (trials, n) arrays; the fit
-    takes the cosines and sines of the angles from the draw.
+    takes the cosines and sines of the angles from the draw.  The jobs run
+    on a pool of `threads` workers only when there are two or more of
+    each; else they run on the calling thread.
     """
     streams = [_trial_stream(seed, lane, trials, t) for t in range(trials)]
     if scheme is SchemeKind.HETERODYNE:
@@ -400,7 +402,7 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
         return estimate_homodyne_ml_block(thetas, xs, spec.eta, trig=(c, s))
 
     starts = range(0, trials, size)
-    if threads == 1:
+    if min(threads, len(starts)) == 1:
         blocks = [job(first) for first in starts]
     else:
         from concurrent.futures import ThreadPoolExecutor

@@ -3,9 +3,9 @@
 Randomness comes from the Philox4x64 counter-based generator addressed by
 an explicit (key, counter) pair, with Gaussian variates produced by the
 inverse normal CDF applied to 53-bit uniforms.  Every random quantity is a
-pure function of (master_seed, stream_id, word index), so a run of n
-samples can be split across workers by word blocks and reassembled into
-exactly the single-threaded sequence on any platform.
+pure function of (master_seed, stream_id, word index), and each Monte Carlo
+trial draws from its own stream, so any number of workers gives the same
+bytes on any platform.
 
 Word layout: sample i consumes the two 64-bit words (2i, 2i + 1) of its
 stream; homodyne uses word 2i for the quadrature angle (discarded under a
@@ -156,17 +156,9 @@ def _normals_in_place(u: np.ndarray) -> np.ndarray:
     return ndtri(_open_interval(u), u)
 
 
-def _as_block(seed: SeedSpec | Sequence[SeedSpec]) -> tuple[list[SeedSpec], bool]:
-    """(seeds, single): one seed is drawn as the block of one."""
-    if isinstance(seed, SeedSpec):
-        return [seed], True
-    return list(seed), False
-
-
-def _uniforms(seeds: list[SeedSpec], start: int, count: int) -> np.ndarray:
-    """(trials, count) mantissas (w >> 11) 2^-53 of the words
-    [start, start + count), one row per stream, in this thread's scratch
-    buffer.
+def _uniforms(seeds: Sequence[SeedSpec], count: int) -> np.ndarray:
+    """(trials, count) mantissas (w >> 11) 2^-53 of the words [0, count),
+    one row per stream, in this thread's scratch buffer.
 
     numpy's Generator.random makes each double from one Philox word exactly
     so.  The buffer grows to the largest block the thread has drawn and is
@@ -179,54 +171,46 @@ def _uniforms(seeds: list[SeedSpec], start: int, count: int) -> np.ndarray:
         buffer = _THREAD.buffer = np.empty(size)
     u = buffer[:size].reshape(len(seeds), count)
     for row, seed in zip(u, seeds):
-        _seek(seed, start).random(out=row)
+        _seek(seed, 0).random(out=row)
     return u
 
 
-def _sample_uniforms(seeds: list[SeedSpec], start: int, n: int) -> np.ndarray:
-    """(trials, n, 2) uniforms of the words of samples [start, start + n)."""
-    return _uniforms(seeds, _WORDS_PER_SAMPLE * start, _WORDS_PER_SAMPLE * n).reshape(
-        len(seeds), n, _WORDS_PER_SAMPLE)
+def _sample_uniforms(seeds: Sequence[SeedSpec], n: int) -> np.ndarray:
+    """(trials, n, 2) uniforms of the words of samples [0, n)."""
+    return _uniforms(seeds, _WORDS_PER_SAMPLE * n).reshape(len(seeds), n, _WORDS_PER_SAMPLE)
 
 
 def homodyne_arrays(spec: GaussianStateSpec, n: int,
-                    angle_policy: AnglePolicy | None = None,
-                    seed: SeedSpec | Sequence[SeedSpec] = SeedSpec(0),
-                    start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Draw homodyne records [start, start + n) as arrays (theta, x).
+                    angle_policy: AnglePolicy = ContinuousSweep(),
+                    seed: SeedSpec = SeedSpec(0)) -> tuple[np.ndarray, np.ndarray]:
+    """Draw homodyne records [0, n) of the seed's stream as arrays (theta, x).
 
     x_i is zero-mean Gaussian with variance C(theta_i) = u^T G_hom u; the
     state mean is fixed at zero, only the profile is modelled.  Default
     angle policy is the continuous sweep (the infinite-quadrature limit);
     a UniformGrid(d) realises a finite set of d angle settings with
-    balanced counts.  Samples [start, start + n) equal the same slice of
-    the full run, so workers covering disjoint windows reproduce the
-    single-threaded sequence exactly after reassembly.
-
-    A sequence of seeds draws a block: (trials, n) arrays whose row k
-    equals the draw from seeds[k] alone.
+    balanced counts.
     """
-    thetas, x, _, _ = _homodyne_block(spec, n, angle_policy, seed, start)
-    return (thetas[0], x[0]) if isinstance(seed, SeedSpec) else (thetas, x)
+    thetas, x, _, _ = _homodyne_block(spec, n, angle_policy, [seed])
+    return thetas[0], x[0]
 
 
-def _homodyne_block(spec: GaussianStateSpec, n: int, angle_policy: AnglePolicy | None,
-                    seed: SeedSpec | Sequence[SeedSpec], start: int = 0):
-    """(thetas, x, cos thetas, sin thetas) of the homodyne_arrays draw, as
-    (trials, n) arrays even for one seed; the Monte Carlo runner hands the
-    cosines and sines on to the fit."""
+def _homodyne_block(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
+                    seeds: Sequence[SeedSpec]):
+    """(thetas, x, cos thetas, sin thetas) of the homodyne_arrays draw of
+    each seed, as (trials, n) arrays whose row k is the draw from seeds[k]
+    alone; the Monte Carlo runner hands the cosines and sines on to the
+    fit."""
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
-    policy = ContinuousSweep() if angle_policy is None else angle_policy
-    seeds, _ = _as_block(seed)
-    u = _sample_uniforms(seeds, start, n)
+    u = _sample_uniforms(seeds, n)
     if isinstance(policy, ContinuousSweep):
         # pi (w >> 11) 2^-53, scaled by the power of two after rounding as
         # before it
         thetas = math.pi * u[..., 0]
     elif isinstance(policy, UniformGrid):
-        idx = np.arange(start, start + n)
-        if policy.d < start + n:  # else the reduction is the identity
+        idx = np.arange(n)
+        if policy.d < n:  # else the reduction is the identity
             idx %= policy.d
         # a d beyond the float range is scaled down by a power of two first
         shift = max(0, policy.d.bit_length() - 1000)
@@ -250,27 +234,24 @@ def _cholesky_lower(cov: Covariance2) -> tuple[float, float, float]:
 
 
 def heterodyne_arrays(spec: GaussianStateSpec, n: int,
-                      seed: SeedSpec | Sequence[SeedSpec] = SeedSpec(0),
-                      start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Draw heterodyne phase-space pairs [start, start + n) as arrays (x, p).
+                      seed: SeedSpec = SeedSpec(0)) -> tuple[np.ndarray, np.ndarray]:
+    """Draw heterodyne phase-space pairs [0, n) of the seed's stream as
+    arrays (x, p).
 
     The pairs are i.i.d. from the heterodyne data Gaussian with covariance
-    G_W + (2 - eta)/(2 eta) I, sampled through its Cholesky factor.  A
-    sequence of seeds draws (trials, n) arrays, one row per seed, as
-    homodyne_arrays does.
+    G_W + (2 - eta)/(2 eta) I, sampled through its Cholesky factor.
     """
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
-    seeds, single = _as_block(seed)
-    z = _normals_in_place(_sample_uniforms(seeds, start, n))
+    z = _normals_in_place(_sample_uniforms([seed], n)[0])
     l11, l21, l22 = _cholesky_lower(effective_covariance(spec, SchemeKind.HETERODYNE))
     # one allocation for both outputs: a pair of fresh ones would grow the
     # heap past malloc's trim threshold, and every draw would refault them
-    x, p = np.empty((2, len(seeds), n))
-    np.multiply(l11, z[..., 0], out=x)
-    np.multiply(l21, z[..., 0], out=p)
-    p += np.multiply(l22, z[..., 1], out=z[..., 1])
-    return (x[0], p[0]) if single else (x, p)
+    x, p = np.empty((2, n))
+    np.multiply(l11, z[:, 0], out=x)
+    np.multiply(l21, z[:, 0], out=p)
+    p += np.multiply(l22, z[:, 1], out=z[:, 1])
+    return x, p
 
 
 # scipy inverts the lower chi-square tail through a series it cuts at 2000
@@ -364,11 +345,11 @@ def _chi_square(dof: int, q: np.ndarray) -> np.ndarray:
     return x
 
 
-def heterodyne_moments(spec: GaussianStateSpec, n: int,
-                       seed: SeedSpec | Sequence[SeedSpec] = SeedSpec(0)
+def heterodyne_moments(spec: GaussianStateSpec, n: int, seeds: Sequence[SeedSpec]
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Second moments (S11, S22, S12) = mean (x^2, p^2, x p) of n heterodyne
-    samples, drawn from their sufficient statistic in O(1) of n.
+    samples from each seed, drawn from their sufficient statistic in O(1) of
+    n, as arrays of one entry per seed.
 
     n S = sum z z^T is Wishart with scale G_het and n degrees of freedom, so
     by Bartlett's decomposition n S = (L A)(L A)^T, with L the Cholesky
@@ -376,18 +357,15 @@ def heterodyne_moments(spec: GaussianStateSpec, n: int,
     c1^2 ~ chi^2_n, c2^2 ~ chi^2_(n-1) and n21 ~ N(0, 1).  c1^2 and c2^2 are
     the upper-tail quantiles of words 0 and 1 of the stream, n21 the normal
     of word 2.  The moments have the distribution of those of
-    heterodyne_arrays(spec, n, seed), not their values.  A sequence of seeds
-    draws one array entry per seed; one seed draws arrays of one entry.
-    NumericalError past n = 2^53, where n and n - 1 stop being distinct
-    floats.
+    heterodyne_arrays(spec, n, seed), not their values.  NumericalError past
+    n = 2^53, where n and n - 1 stop being distinct floats.
     """
     if n < 2:
         raise DomainError(f"n = {n} must be at least 2")
     if n > 2 ** 53:
         raise NumericalError(f"n = {n} exceeds 2^53, past which the chi-square "
                              "draws are not certified")
-    seeds, _ = _as_block(seed)
-    u = _open_interval(_uniforms(seeds, 0, 3))
+    u = _open_interval(_uniforms(seeds, 3))
     c1 = np.sqrt(_chi_square(n, u[:, 0]))
     c2 = np.sqrt(_chi_square(n - 1, u[:, 1]))
     n21 = ndtri(u[:, 2])

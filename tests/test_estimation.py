@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gausstomo import (BlockFit, ContinuousSweep, Covariance2, DomainError,
-                       GaussianStateSpec, MlOptions, SchemeKind, SeedSpec, crb_het,
+                       GaussianStateSpec, SchemeKind, SeedSpec, crb_het,
                        crb_hom, delta_offset, estimate_heterodyne, estimate_homodyne_ml,
                        estimate_homodyne_ml_block, heterodyne_arrays, homodyne_arrays,
                        hs_distance_sq, to_ellipse, wigner_covariance)
@@ -145,7 +145,7 @@ class TestHeterodyneBlock:
     @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 1000])
     def test_rows_equal_single_estimates(self, n):
         # the runners' block estimate from the drawn moments of each trial
-        xs, ps = heterodyne_arrays(FIG5, n, [SeedSpec(51, t) for t in range(5)])
+        xs, ps = zip(*(heterodyne_arrays(FIG5, n, SeedSpec(51, t)) for t in range(5)))
         moments = [np.array([float(np.mean(a * b)) for a, b in zip(u, w)])
                    for u, w in ((xs, xs), (ps, ps), (xs, ps))]
         block = estimate_heterodyne_moments(*moments, n, FIG5.eta)
@@ -402,22 +402,26 @@ class TestHomodyneMlBlock:
         singles = [estimate_homodyne_ml((t, x), FIG5.eta) for t, x in zip(thetas, xs)]
         assert rows_bits(block) == [result_bits(r) for r in singles]
         # each block holds a fit that stalls on a flat likelihood
-        limit = MlOptions().max_iterations
+        limit = estimation._MAX_ITERATIONS
         assert (~block.converged & (block.iterations < limit)).any()
         if (master_seed, n) == (1, 50):
             assert np.count_nonzero(block.iterations == limit) == 1
 
-    def test_options_reach_every_row(self):
+    def test_options_reach_every_row(self, monkeypatch):
+        # the fit reads its limits at call time, in the block and in a
+        # single fit alike
         thetas, xs = fig5_lane(1, 0, 50, trials=8)
-        for options in (MlOptions(max_iterations=0), MlOptions(max_iterations=3),
-                        MlOptions(max_halvings=0), MlOptions(max_halvings=1),
-                        MlOptions(gradient_tol=1e-3)):
-            block = estimate_homodyne_ml_block(thetas, xs, FIG5.eta, options)
-            singles = [estimate_homodyne_ml((t, x), FIG5.eta, options)
-                       for t, x in zip(thetas, xs)]
+        default = rows_bits(estimate_homodyne_ml_block(thetas, xs, FIG5.eta))
+        for limit, value in (("_MAX_ITERATIONS", 0), ("_MAX_ITERATIONS", 3),
+                             ("_MAX_HALVINGS", 1), ("_GRADIENT_TOL", 1e-3)):
+            with monkeypatch.context() as patch:
+                patch.setattr(estimation, limit, value)
+                block = estimate_homodyne_ml_block(thetas, xs, FIG5.eta)
+                singles = [estimate_homodyne_ml((t, x), FIG5.eta) for t, x in zip(thetas, xs)]
             assert rows_bits(block) == [result_bits(r) for r in singles]
-        assert not estimate_homodyne_ml_block(thetas, xs, FIG5.eta,
-                                              MlOptions(max_iterations=0)).iterations.any()
+            assert rows_bits(block) != default, limit
+            if value == 0:
+                assert not block.iterations.any()
 
     def test_empty_block(self):
         assert_empty(estimate_homodyne_ml_block(np.zeros((0, 10)), np.zeros((0, 10)), 1.0))
@@ -498,9 +502,9 @@ CRB = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
 def crb_block(master_seed: int, first: int, n: int = 10_000, trials: int = 3):
     """The homodyne records of trials [first, first + trials) of a one-lane,
     60-trial `gausstomo crb-attainment` at the benchmark state."""
-    return homodyne_arrays(CRB, n, ContinuousSweep(),
+    return _homodyne_block(CRB, n, ContinuousSweep(),
                            [SeedSpec(master_seed, 0).stream(1 + t)
-                            for t in range(first, first + trials)])
+                            for t in range(first, first + trials)])[:2]
 
 
 def lane_streams(seed: SeedSpec, lane: int, trials: int) -> list[SeedSpec]:
@@ -508,11 +512,10 @@ def lane_streams(seed: SeedSpec, lane: int, trials: int) -> list[SeedSpec]:
     return [seed.stream(1 + lane * trials + t) for t in range(trials)]
 
 
-def unpruned_line_search(p, step, f, v, x2, max_halvings):
+def unpruned_line_search(p, step, f, v, x2):
     """_line_search as it was before a no-op halving ended a row's search:
-    every row that no step has beaten f for tries all max_halvings."""
-    if max_halvings < 1:
-        return np.zeros(len(p), dtype=bool), None
+    every row that no step has beaten f for tries all _MAX_HALVINGS."""
+    max_halvings = estimation._MAX_HALVINGS
     cand = p + step
     accepted = (cand, *estimation._evaluate(cand, v, x2))
     found = accepted[2] > f
@@ -578,6 +581,21 @@ class TestLineSearch:
                 for stream in lane_streams(seed, lane, trials)]
         assert rows_bits(got) == [result_bits(r) for r in want]
 
+    def test_one_job_lane_runs_on_the_calling_thread(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the lane built a thread pool")
+
+        # 20 trials at N = 50 are one block, so one job
+        seed, lane = SeedSpec(11), 1
+        want = rows_bits(_run_trials(CRB, SchemeKind.HOMODYNE, 50, seed, lane, 20, 1))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        assert rows_bits(_run_trials(CRB, SchemeKind.HOMODYNE, 50, seed, lane, 20, 2)) == want
+        # 6 trials at N = 10^4 are two blocks of 3, which take the pool
+        with pytest.raises(AssertionError, match="thread pool"):
+            _run_trials(CRB, SchemeKind.HOMODYNE, 10_000, seed, lane, 6, 2)
+
     def test_heterodyne_lane_fits_each_trials_moments(self):
         seed, lane, n, trials = SeedSpec(11), 1, 50, 20
         got = _run_trials(CRB, SchemeKind.HETERODYNE, n, seed, lane, trials, 1)
@@ -602,5 +620,5 @@ class TestLineSearch:
         unpruned = estimate_homodyne_ml_block(thetas, xs, CRB.eta)
         assert rows_bits(pruned) == rows_bits(unpruned)
         assert pruned.converged.tolist() == [True, False, True]
-        assert pruned.iterations[1] < MlOptions().max_iterations
+        assert pruned.iterations[1] < estimation._MAX_ITERATIONS
         assert pruned_rows < sum(calls)

@@ -20,7 +20,7 @@ import pytest
 
 import gausstomo
 from gausstomo import GaussianStateSpec, SeedSpec, heterodyne_arrays, homodyne_arrays
-from gausstomo.sampling import _open_interval, raw_words
+from gausstomo.sampling import _open_interval, heterodyne_moments, raw_words
 
 SRC = str(Path(gausstomo.__file__).resolve().parents[1])
 DEFERRED = ("scipy", "numpy.random", "concurrent.futures")
@@ -50,7 +50,7 @@ def run_experiment_code(cfg: dict, threads: int = 1) -> str:
 EXPORTS = {
     "__version__",
     "AnglePolicy", "BlockFit", "ContinuousSweep", "Covariance2", "CrbReport",
-    "DomainError", "EstimationResult", "Fisher3", "GaussianStateSpec", "MlOptions",
+    "DomainError", "EstimationResult", "Fisher3", "GaussianStateSpec",
     "NumericalError", "RegionAreas", "SchemeKind", "SeedSpec", "UncertaintyEllipse",
     "UniformGrid", "conditional_std", "crb_het", "crb_hom", "crb_report",
     "critical_lambda_equal_areas", "critical_lambda_for_gamma", "delta_offset",
@@ -71,6 +71,22 @@ def test_star_import_exports_exactly_the_public_api():
     public = {name for name, value in vars(gausstomo).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == EXPORTS - {"__version__"}
+
+
+# the parameters of the estimators and samplers: a deleted setting must not
+# come back
+SIGNATURES = {
+    gausstomo.estimate_homodyne_ml: ["data", "eta"],
+    gausstomo.estimate_homodyne_ml_block: ["thetas", "xs", "eta", "trig"],
+    gausstomo.homodyne_arrays: ["spec", "n", "angle_policy", "seed"],
+    gausstomo.heterodyne_arrays: ["spec", "n", "seed"],
+    heterodyne_moments: ["spec", "n", "seeds"],
+}
+
+
+@pytest.mark.parametrize("fn", SIGNATURES, ids=lambda fn: fn.__name__)
+def test_estimators_and_samplers_take_exactly_their_parameters(fn):
+    assert list(inspect.signature(fn).parameters) == SIGNATURES[fn]
 
 
 def test_cli_import_loads_no_sampling_module():

@@ -78,16 +78,6 @@ class TestHomodyneSampling:
         assert np.array_equal(t_a, t_b)
         assert np.array_equal(x_a, x_b)
 
-    def test_window_split_reassembles_single_threaded_sequence(self):
-        seed = SeedSpec(42, 7)
-        t_full, x_full = homodyne_arrays(FIG5, 1000, seed=seed)
-        pieces = [homodyne_arrays(FIG5, n, seed=seed, start=s)
-                  for s, n in ((0, 300), (300, 450), (750, 250))]
-        t_cat = np.concatenate([p[0] for p in pieces])
-        x_cat = np.concatenate([p[1] for p in pieces])
-        assert np.array_equal(t_full, t_cat)
-        assert np.array_equal(x_full, x_cat)
-
     def test_vacuum_variance(self):
         _, x = homodyne_arrays(VACUUM, 100_000, seed=SeedSpec(1))
         n = x.size
@@ -121,11 +111,11 @@ class TestHomodyneSampling:
 
     @pytest.mark.parametrize("d", [2 ** 63, 10 ** 30, 2 ** 1100], ids=["2^63", "10^30", "2^1100"])
     def test_uniform_grid_beyond_int64(self, d):
-        # start + n < d, so no index is reduced mod d; a d beyond the float
-        # range is scaled down by a power of two, exactly so for d = 2^1100
-        thetas, _ = homodyne_arrays(VACUUM, 4, UniformGrid(d), seed=SeedSpec(4), start=3)
+        # n < d, so no index is reduced mod d; a d beyond the float range is
+        # scaled down by a power of two, exactly so for d = 2^1100
+        thetas, _ = homodyne_arrays(VACUUM, 4, UniformGrid(d), seed=SeedSpec(4))
         want = [math.ldexp(math.pi * j, -1100) if d == 2 ** 1100 else math.pi * j / d
-                for j in range(3, 7)]
+                for j in range(4)]
         assert thetas.tolist() == want
 
     def test_grid_policy_validation(self):
@@ -146,14 +136,6 @@ class TestHeterodyneSampling:
         x_b, p_b = heterodyne_arrays(FIG5, 200, seed)
         assert np.array_equal(x_a, x_b)
         assert np.array_equal(p_a, p_b)
-
-    def test_window_split(self):
-        seed = SeedSpec(11, 3)
-        x_full, p_full = heterodyne_arrays(FIG5, 600, seed)
-        x_a, p_a = heterodyne_arrays(FIG5, 200, seed, start=0)
-        x_b, p_b = heterodyne_arrays(FIG5, 400, seed, start=200)
-        assert np.array_equal(x_full, np.concatenate([x_a, x_b]))
-        assert np.array_equal(p_full, np.concatenate([p_a, p_b]))
 
     def test_vacuum_sample_covariance(self):
         x, p = heterodyne_arrays(GaussianStateSpec(1.0, 1.0), 100_000, SeedSpec(6, 5))
@@ -241,7 +223,7 @@ class TestHeterodyneMoments:
         g11, g22, g12 = cov.g1, cov.g2, cov.g3 / math.sqrt(2)
         n, trials = 50, 4000
         seeds = [SeedSpec(61, t) for t in range(trials)]
-        x, p = heterodyne_arrays(spec, n, seeds)
+        x, p = map(np.stack, zip(*(heterodyne_arrays(spec, n, seed) for seed in seeds)))
         routes = {"per-sample": (np.mean(x * x, axis=1), np.mean(p * p, axis=1),
                                  np.mean(x * p, axis=1)),
                   "bartlett": heterodyne_moments(spec, n, seeds)}
@@ -258,14 +240,14 @@ class TestHeterodyneMoments:
         seeds = [SeedSpec(62, t) for t in range(150)]
         block = heterodyne_moments(FIG5, n, seeds)
         for k in range(0, 150, 7):
-            single = heterodyne_moments(FIG5, n, seeds[k])
+            single = heterodyne_moments(FIG5, n, [seeds[k]])
             assert [m[k] for m in block] == [m[0] for m in single]
 
     def test_rejects_too_few_or_too_many_samples(self):
         with pytest.raises(DomainError):
-            heterodyne_moments(FIG5, 1)
+            heterodyne_moments(FIG5, 1, [SeedSpec(0)])
         with pytest.raises(NumericalError):
-            heterodyne_moments(FIG5, 2 ** 53 + 1)
+            heterodyne_moments(FIG5, 2 ** 53 + 1, [SeedSpec(0)])
 
     @pytest.mark.parametrize("limit", ["_SERIES_TERMS", "_REFINE_STEPS"])
     def test_unsettled_refinement_raises(self, monkeypatch, limit):
