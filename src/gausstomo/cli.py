@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Grammar: ``gausstomo <experiment> --config <file>`` with flag overrides for
-the common scalar knobs.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure; errors are also emitted as a JSON object on stderr
-for machine consumption.
+the common scalar knobs.  Exit codes: 0 success, 2 configuration error
+(an array too large to allocate included), 3 numerical failure; errors are
+also emitted as a JSON object on stderr for machine consumption.
 """
 
 from __future__ import annotations
@@ -96,6 +96,9 @@ def _run(experiment: str, config: str | None, out: str | None, **overrides):
         _fail(EXIT_CONFIG, "config", str(exc))
     except DomainError as exc:
         _fail(EXIT_CONFIG, "domain", str(exc))
+    except MemoryError as exc:
+        # a config whose arrays cannot be allocated, such as a huge n
+        _fail(EXIT_CONFIG, "config", str(exc))
     except (NumericalError, FloatingPointError) as exc:
         _fail(EXIT_NUMERICAL, "numerical", str(exc))
     _write_outputs(outputs, target)

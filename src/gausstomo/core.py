@@ -75,10 +75,6 @@ class Covariance2:
         q = self.g3 / SQRT2
         return np.array([[self.g1, q], [q, self.g2]])
 
-    def add_offset(self, delta: float) -> "Covariance2":
-        """Return G + delta * identity."""
-        return Covariance2(self.g1 + delta, self.g2 + delta, self.g3)
-
     def eigenvalues(self) -> tuple[float, float]:
         """Eigenvalues in ascending order, by the stable 2x2 closed form."""
         half_tr = 0.5 * self.trace
@@ -98,16 +94,6 @@ class Covariance2:
                 + SQRT2 * self.g3 * math.sin(ang) * math.cos(ang) < 0.5 * self.trace:
             ang += 0.5 * math.pi
         return ang % math.pi
-
-    def to_json_dict(self) -> dict:
-        return {"g1": self.g1, "g2": self.g2, "g3": self.g3}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Covariance2":
-        try:
-            return cls(float(d["g1"]), float(d["g2"]), float(d["g3"]))
-        except KeyError as exc:
-            raise DomainError(f"covariance record is missing key {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -137,28 +123,6 @@ class GaussianStateSpec:
             raise DomainError(f"phi = {self.phi} must lie in [0, pi)")
         if not 0.0 < self.eta <= 1.0:
             raise DomainError(f"eta = {self.eta} must lie in (0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {"mu": self.mu, "lambda": self.lam, "phi": self.phi, "eta": self.eta}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GaussianStateSpec":
-        return cls(*(float(json_number(d, key, "state", default)) for key, default
-                     in (("mu", None), ("lambda", None), ("phi", 0.0), ("eta", 1.0))))
-
-
-def json_number(record: dict, key: str, kind: str, default: float | None = None):
-    """record[key], or default if the key is absent and a default is given;
-    DomainError naming the key unless the value is a JSON number (an int or
-    a float, not a bool)."""
-    if key not in record:
-        if default is None:
-            raise DomainError(f"{kind} record is missing key '{key}'")
-        return default
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"{kind} key '{key}' must be a number, got {value!r}")
-    return value
 
 
 def delta_offset(eta: float, scheme: SchemeKind) -> float:
@@ -204,7 +168,9 @@ def data_variances(mu, lam, eta: float, scheme: SchemeKind):
 
 def effective_covariance(spec: GaussianStateSpec, scheme: SchemeKind) -> Covariance2:
     """Covariance of the data distribution seen by a detection scheme."""
-    return wigner_covariance(spec).add_offset(delta_offset(spec.eta, scheme))
+    g = wigner_covariance(spec)
+    delta = delta_offset(spec.eta, scheme)
+    return Covariance2(g.g1 + delta, g.g2 + delta, g.g3)
 
 
 def squeezing_db(spec: GaussianStateSpec) -> tuple[float, float]:

@@ -33,11 +33,6 @@ class UncertaintyEllipse:
     semi_axis_minor: float
     orientation: float
 
-    def to_json_dict(self) -> dict:
-        return {"semi_axis_major": self.semi_axis_major,
-                "semi_axis_minor": self.semi_axis_minor,
-                "orientation": self.orientation}
-
 
 @dataclass(frozen=True)
 class EstimationResult:
@@ -59,15 +54,6 @@ class EstimationResult:
         """Whether g_wigner satisfies the Heisenberg constraint det >= 1/4."""
         return (self.g_wigner.is_positive_definite()
                 and self.g_wigner.det >= PHYSICAL_DET_FLOOR)
-
-    def to_json_dict(self) -> dict:
-        return {"g_wigner": self.g_wigner.to_json_dict(),
-                "g_effective": self.g_effective.to_json_dict(),
-                "loglik": self.loglik,
-                "iterations": self.iterations,
-                "converged": self.converged,
-                "physical": self.physical,
-                "scheme": self.scheme.value}
 
 
 def hs_distance_sq(a: Covariance2, b: Covariance2) -> float:

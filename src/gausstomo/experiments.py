@@ -4,9 +4,11 @@ Every experiment is one entry of the EXPERIMENTS table: its runner and its
 config fields.  A config is resolved against that table (filling defaults,
 rejecting unknown keys), and the runner computes its table and writes CSV
 or JSON with the fully resolved config and toolkit version embedded, so
-any output file can be re-run into a byte-identical copy.  Monte Carlo
-trials draw their randomness from per-trial derived seed streams, which
-makes the output independent of the worker-thread count.
+any output file can be re-run into a byte-identical copy.  This module
+alone knows the JSON formats of config and result records; the domain
+types it builds from them have no JSON codecs.  Monte Carlo trials draw
+their randomness from per-trial derived seed streams, which makes the
+output independent of the worker-thread count.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,6 +70,14 @@ def _efficiency(value, key) -> float:
     return eta
 
 
+def _seed_id(value, key) -> int:
+    """An int, or an integral float such as 3.0 as its int; SeedSpec checks the range."""
+    if isinstance(value, bool) or not (isinstance(value, int) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
 def _text(value, key) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"'{key}' must be a string, got {value!r}")
@@ -94,14 +105,21 @@ def _known(value, keys, key) -> dict:
     return value
 
 
-def _record(cls, *keys: str):
-    """An object of the given keys, embedded as cls reads and writes it."""
-    return lambda value, key: cls.from_json_dict(_known(value, keys, key)).to_json_dict()
-
-
-def _object(fields: dict):
-    """An object resolved against its own field table."""
-    return lambda value, key: _resolve(_known(value, fields, key), fields, key, key + ".")
+def _object(fields: dict, build=None):
+    """An object resolved against its own field table; an error in one of its
+    fields names the object first, as in "'seed': 'master_seed' must be ...".
+    With build, build(*resolved values) must succeed too, so that a domain
+    type's own checks run on the object."""
+    def check(value, key):
+        value = _known(value, fields, key)
+        try:
+            out = _resolve(value, fields)
+        except ConfigError as exc:
+            raise ConfigError(f"'{key}': {exc}") from exc
+        if build is not None:
+            build(*out.values())
+        return out
+    return check
 
 
 def _angle_policy(value, key) -> dict:
@@ -118,18 +136,18 @@ def _angle_policy(value, key) -> dict:
 _REQUIRED = object()
 
 
-def _resolve(obj: dict, fields: dict, where: str, prefix: str = "") -> dict:
+def _resolve(obj: dict, fields: dict) -> dict:
     """The fields of obj, each checked or defaulted, in table order: fields
     maps each key to (check, default or _REQUIRED)."""
     out = {}
     for key, (check, default) in fields.items():
         value = obj.get(key, default)
         if value is _REQUIRED:
-            raise ConfigError(f"'{where}' requires '{prefix}{key}'")
+            raise ConfigError(f"missing required key '{key}'")
         try:
-            out[key] = check(value, prefix + key)
+            out[key] = check(value, key)
         except (DomainError, OverflowError) as exc:
-            raise ConfigError(f"'{prefix}{key}': {exc}") from exc
+            raise ConfigError(f"'{key}': {exc}") from exc
     return out
 
 
@@ -151,7 +169,7 @@ def resolve_config(raw: dict) -> dict:
     _text(raw.get("output_path", ""), "output_path")
     _, fields = EXPERIMENTS[exp]
     body = {key: value for key, value in raw.items() if key not in ("experiment", "output_path")}
-    out = {"experiment": exp, **_resolve(_known(body, fields, exp), fields, exp)}
+    out = {"experiment": exp, **_resolve(_known(body, fields, exp), fields)}
     if exp == "simulate" and out["scheme"] == "heterodyne" \
             and out["angle_policy"] != {"type": "sweep"}:
         raise ConfigError("'angle_policy' applies only to homodyne simulation")
@@ -224,12 +242,13 @@ def extract_embedded_config(text: str) -> dict:
     return doc["config"]
 
 
+# a resolved spec or seed lists its values in the order of its type's fields
 def _spec_of(config: dict) -> GaussianStateSpec:
-    return GaussianStateSpec.from_json_dict(config["spec"])
+    return GaussianStateSpec(*config["spec"].values())
 
 
 def _seed_of(config: dict) -> SeedSpec:
-    return SeedSpec.from_json_dict(config["seed"])
+    return SeedSpec(*config["seed"].values())
 
 
 def run_surface(config: dict, threads: int = 1) -> dict[str, str]:
@@ -354,8 +373,12 @@ def run_estimate(config: dict, threads: int = 1) -> dict[str, str]:
     if sidecar.exists():
         fingerprint["seed"] = _sidecar_seed(sidecar)
     doc = {"version": __version__, "config": config,
-           "result": result.to_json_dict(),
-           "ellipse": (to_ellipse(result.g_effective).to_json_dict()
+           "result": {"g_wigner": asdict(result.g_wigner),
+                      "g_effective": asdict(result.g_effective),
+                      "loglik": result.loglik, "iterations": result.iterations,
+                      "converged": result.converged, "physical": result.physical,
+                      "scheme": result.scheme.value},
+           "ellipse": (asdict(to_ellipse(result.g_effective))
                        if result.g_effective.is_positive_definite() else None),
            "fingerprint": fingerprint}
     return {"": json.dumps(doc, indent=2) + "\n"}
@@ -473,11 +496,14 @@ def run_fig5(config: dict, threads: int = 1) -> dict[str, str]:
     return {"": render_table(names, list(zip(*rows)), config, config["format"])}
 
 
-_SPEC = _record(GaussianStateSpec, "mu", "lambda", "phi", "eta")
+_SPEC = _object({"mu": (_number, _REQUIRED), "lambda": (_number, _REQUIRED),
+                 "phi": (_number, 0.0), "eta": (_number, 1.0)}, GaussianStateSpec)
 _SCHEME = (_choice("homodyne", "heterodyne"), _REQUIRED)
 _NUMBERS = _list_of(_number)
 _N_VALUES = _list_of(_integer(2))
 _TRIALS = (_integer(1), _REQUIRED)
+_SEED = _object({"master_seed": (_seed_id, _REQUIRED), "stream_id": (_seed_id, 0)},
+                SeedSpec)
 _GRID = _object({"lambda": (_NUMBERS, _REQUIRED), "mu": (_NUMBERS, _REQUIRED),
                  "eta": (_list_of(_number, lone=True), [1.0]),
                  "mode": (_choice("real", "hypothetical"), "real")})
@@ -486,8 +512,7 @@ _GRID = _object({"lambda": (_NUMBERS, _REQUIRED), "mu": (_NUMBERS, _REQUIRED),
 def _experiment(run, **fields) -> tuple:
     """(run, fields), the experiment's own fields between format and seed."""
     return run, {"format": (_choice("csv", "json"), "csv"), **fields,
-                 "seed": (_record(SeedSpec, "master_seed", "stream_id"),
-                          {"master_seed": 0, "stream_id": 0})}
+                 "seed": (_SEED, {"master_seed": 0, "stream_id": 0})}
 
 
 # Every experiment's runner and config fields, in resolved-config order:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Covariance2, DomainError, GaussianStateSpec, NumericalError,
-                   SchemeKind, SQRT2, effective_covariance, json_number)
+                   SchemeKind, SQRT2, effective_covariance)
 
 _WORDS_PER_SAMPLE = 2
 _WORDS_PER_BLOCK = 4  # one Philox4x64 counter increment yields four words
@@ -47,27 +47,11 @@ class SeedSpec:
         for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
             if not isinstance(v, int) or not 0 <= v < 2 ** 64:
-                raise DomainError(f"{name} must be an integer in [0, 2^64)")
+                raise DomainError(f"'{name}' must be an integer in [0, 2^64), got {v!r}")
 
     def stream(self, offset: int) -> "SeedSpec":
         return SeedSpec(self.master_seed, self.stream_id + offset)
 
-    def to_json_dict(self) -> dict:
-        return {"master_seed": self.master_seed, "stream_id": self.stream_id}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SeedSpec":
-        """The seed of a JSON record; an integral float such as 3.0 counts as
-        that integer, and any other non-integer value raises DomainError."""
-        ids = []
-        for key, default in (("master_seed", None), ("stream_id", 0)):
-            value = json_number(d, key, "seed", default)
-            if isinstance(value, float):
-                if not value.is_integer():
-                    raise DomainError(f"seed key '{key}' must be an integer, got {value!r}")
-                value = int(value)
-            ids.append(value)
-        return cls(*ids)
 
 
 @dataclass(frozen=True)

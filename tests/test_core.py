@@ -42,10 +42,6 @@ class TestCovariance2:
             assert lo == pytest.approx(ref[0], rel=1e-12)
             assert hi == pytest.approx(ref[1], rel=1e-12)
 
-    def test_json_round_trip(self):
-        cov = Covariance2(0.1, 10.0, 0.5)
-        assert Covariance2.from_json_dict(cov.to_json_dict()) == cov
-
 
 class TestSpecValidation:
     def test_rejects_unphysical_mu(self):
@@ -67,12 +63,6 @@ class TestSpecValidation:
     def test_rejects_invalid_parameters(self, kwargs):
         with pytest.raises(DomainError):
             GaussianStateSpec(**kwargs)
-
-    def test_json_round_trip_uses_lambda_key(self):
-        spec = GaussianStateSpec(mu=2.0, lam=10.0, phi=0.3, eta=0.5)
-        d = spec.to_json_dict()
-        assert d["lambda"] == 10.0
-        assert GaussianStateSpec.from_json_dict(d) == spec
 
 
 class TestWignerCovariance:

@@ -160,7 +160,7 @@ class TestHeterodyneBlock:
             assert [g.g1, g.g2, g.g3] == [float(np.mean(x * x)), float(np.mean(p * p)),
                                           SQRT2 * float(np.mean(x * p))]
             # and the offset and log-likelihood on Python floats
-            assert r.g_wigner == g.add_offset(-delta)
+            assert r.g_wigner == Covariance2(g.g1 - delta, g.g2 - delta, g.g3)
             assert r.loglik == -n - 0.5 * n * math.log(g.det) - n * math.log(2 * math.pi)
 
     def test_empty_block(self):

@@ -936,6 +936,12 @@ class TestCli:
             ({"mu": True}, "mu"))),
         ("estimate", {"data_path": "x.csv", "scheme": "heterodyne", "eta": True,
                       "format": "json"}, "eta"),
+        # seed ids out of range, and a spec without a required key
+        *(("lambda-crit", {"eta_values": [0.5], "seed": seed}, key) for seed, key in (
+            ({"master_seed": -1}, "master_seed"),
+            ({"master_seed": 2**64}, "master_seed"),
+            ({"master_seed": 0, "stream_id": 2**64}, "stream_id"))),
+        ("regions", {"spec": {"lambda": 2.0}}, "mu"),
     ])
     def test_config_value_of_the_wrong_type_exits_2(self, tmp_path, experiment, config, key):
         cfg = tmp_path / "cfg.json"
@@ -944,6 +950,21 @@ class TestCli:
         assert proc.returncode == 2, proc.stderr
         err = json.loads(proc.stderr.strip())
         assert err["error"] == "config" and f"'{key}'" in err["message"]
+
+    @pytest.mark.parametrize("experiment, config", [
+        ("simulate", {"spec": {"mu": 2.0, "lambda": 10.0}, "scheme": "homodyne",
+                      "n": 10**15}),
+        ("regions", {"spec": {"mu": 2.0, "lambda": 10.0}, "samples": 10**17}),
+    ])
+    def test_config_too_large_to_allocate_exits_2(self, tmp_path, experiment, config):
+        # each fails at its first allocation, before any work is done
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment, **config}))
+        proc = self.run_cli(experiment, "--config", str(cfg), "--out", str(tmp_path / "o.csv"))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "config" and "Unable to allocate" in err["message"]
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_non_positive_threads_exit_2(self, threads):

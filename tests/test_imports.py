@@ -73,6 +73,16 @@ def test_star_import_exports_exactly_the_public_api():
     assert public == EXPORTS - {"__version__"}
 
 
+def test_json_formats_live_only_in_the_harness():
+    # experiments reads config records and writes result records; the domain
+    # types carry no JSON codec of their own
+    classes = [value for value in vars(gausstomo).values() if inspect.isclass(value)]
+    assert classes
+    for cls in classes:
+        assert not hasattr(cls, "to_json_dict") and not hasattr(cls, "from_json_dict"), cls
+    assert not hasattr(gausstomo.core, "json_number")
+
+
 # the parameters of the estimators and samplers: a deleted setting must not
 # come back
 SIGNATURES = {

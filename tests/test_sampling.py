@@ -27,10 +27,6 @@ class TestSeedSpec:
     def test_stream_derivation(self):
         assert SeedSpec(9, 4).stream(3) == SeedSpec(9, 7)
 
-    def test_json_round_trip(self):
-        seed = SeedSpec(123, 456)
-        assert SeedSpec.from_json_dict(seed.to_json_dict()) == seed
-
 
 class TestRawWords:
     def test_counter_block_addressing(self):
