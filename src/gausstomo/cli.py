@@ -1,9 +1,13 @@
 """Command-line entry point.
 
-Grammar: ``gausstomo <experiment> --config <file>`` with flag overrides for
-the common scalar knobs.  Exit codes: 0 success, 2 configuration error
-(an array too large to allocate included), 3 numerical failure; errors are
-also emitted as a JSON object on stderr for machine consumption.
+Grammar: ``gausstomo <experiment> [--config <file>] [--out <path>]
+[--threads <k>] [<flag> <value> ...]``.  Each entry of the EXPERIMENTS table
+is one command, whose help is its runner's docstring, and it takes each flag
+of _FLAGS whose key its config has: a flag sets that key at the top level,
+or inside the config's spec or seed object.  Exit codes: 0 success, 2
+configuration error (a usage error and an array too large to allocate
+included), 3 numerical failure; errors are also emitted as a JSON object on
+stderr for machine consumption.
 """
 
 from __future__ import annotations
@@ -16,10 +20,23 @@ import click
 
 from ._version import __version__
 from .core import DomainError, NumericalError
-from .experiments import ConfigError, resolve_config, run_experiment
+from .experiments import EXPERIMENTS, ConfigError, resolve_config, run_experiment
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# flag: (key path, click type, help).  A command takes a flag when its table
+# has the path's last key, which the flag then sets at the top level (as
+# estimate's eta), or else the path's first key.
+_FLAGS = {
+    "--format": (("format",), click.Choice(["csv", "json"]), "Output format."),
+    "--mu": (("spec", "mu"), float, "State size."),
+    "--lambda": (("spec", "lambda"), float, "State shape."),
+    "--eta": (("spec", "eta"), float, "Detector efficiency."),
+    "--n": (("n",), int, "Sample count."),
+    "--trials": (("trials",), int, "Trial count."),
+    "--seed": (("seed", "master_seed"), int, "Master seed."),
+}
 
 
 def _fail(code: int, kind: str, message: str):
@@ -27,22 +44,15 @@ def _fail(code: int, kind: str, message: str):
     sys.exit(code)
 
 
-def _load_config(config_path: str | None, experiment: str, overrides: dict) -> dict:
+def _load_config(config_path: str | None, experiment: str, flags: dict) -> dict:
     cfg: dict = {}
     if config_path:
         try:
             text = sys.stdin.read() if config_path == "-" \
                 else Path(config_path).read_text(encoding="utf-8")
             cfg = json.loads(text)
-        except FileNotFoundError:
-            _fail(EXIT_CONFIG, "config", f"config file not found: {config_path}")
-        except OSError as exc:
-            _fail(EXIT_CONFIG, "config",
-                  f"config file cannot be read: {config_path}: {exc.strerror}")
-        except UnicodeDecodeError:
-            _fail(EXIT_CONFIG, "config", f"config file is not UTF-8 text: {config_path}")
-        except json.JSONDecodeError as exc:
-            _fail(EXIT_CONFIG, "config", f"config file is not valid JSON: {exc}")
+        except (OSError, ValueError) as exc:  # not UTF-8 or not JSON is a ValueError
+            _fail(EXIT_CONFIG, "config", f"cannot read config file {config_path}: {exc}")
     if not isinstance(cfg, dict):
         _fail(EXIT_CONFIG, "config", "config must be a JSON object")
     cfg.setdefault("experiment", experiment)
@@ -50,19 +60,17 @@ def _load_config(config_path: str | None, experiment: str, overrides: dict) -> d
         _fail(EXIT_CONFIG, "config",
               f"config is for experiment {cfg['experiment']!r}, invoked as {experiment!r}")
 
-    # a flag overrides a key of an object (or absent) spec or seed; any
-    # other value is left for resolution to reject
-    spec_overrides = {k: overrides[k] for k in ("mu", "lambda", "eta") if overrides.get(k) is not None}
-    spec, seed = cfg.get("spec", {}), cfg.get("seed", {})
-    if spec_overrides and isinstance(spec, dict):
-        cfg["spec"] = {**spec, **spec_overrides}
-    for key in ("n", "trials"):
-        if overrides.get(key) is not None:
-            cfg[key] = overrides[key]
-    if overrides.get("seed") is not None and isinstance(seed, dict):
-        cfg["seed"] = {"master_seed": overrides["seed"], "stream_id": seed.get("stream_id", 0)}
-    if overrides.get("format") is not None:
-        cfg["format"] = overrides["format"]
+    # a flag sets its key at the top level, or inside the spec or seed object
+    # (a copy of the table's default object if the config has none); a spec
+    # or seed that is not an object is left for resolution to reject
+    _, fields = EXPERIMENTS[experiment]
+    for (*parent, key), value in flags.items():
+        target = cfg
+        if parent:
+            default = fields[parent[0]][1]
+            target = cfg.setdefault(parent[0], dict(default) if isinstance(default, dict) else {})
+        if isinstance(target, dict):
+            target[key] = value
     return cfg
 
 
@@ -85,9 +93,8 @@ def _write_outputs(outputs: dict[str, str], out: str):
               f"cannot write output {out}: {exc.strerror}: {exc.filename}")
 
 
-def _run(experiment: str, config: str | None, out: str | None, **overrides):
-    cfg = _load_config(config, experiment, overrides)
-    threads = 1 if overrides.get("threads") is None else overrides["threads"]
+def _run(experiment: str, config: str | None, out: str | None, threads: int, flags: dict):
+    cfg = _load_config(config, experiment, flags)
     target = out if out is not None else cfg.get("output_path", "-")
     try:
         resolve_config(cfg)
@@ -104,51 +111,54 @@ def _run(experiment: str, config: str | None, out: str | None, **overrides):
     _write_outputs(outputs, target)
 
 
-def _common_options(fn):
-    fn = click.option("--config", type=click.Path(), default=None,
-                      help="JSON experiment config file.")(fn)
-    fn = click.option("--out", default=None,
-                      help="Output path ('-' for stdout); overrides the "
-                           "config's output_path.")(fn)
-    fn = click.option("--format", "format_", type=click.Choice(["csv", "json"]),
-                      default=None, help="Output format override.")(fn)
-    fn = click.option("--mu", type=float, default=None, help="State size override.")(fn)
-    fn = click.option("--lambda", "lambda_", type=float, default=None,
-                      help="State shape override.")(fn)
-    fn = click.option("--eta", type=float, default=None,
-                      help="Detector efficiency override.")(fn)
-    fn = click.option("--n", type=int, default=None, help="Sample count override.")(fn)
-    fn = click.option("--trials", type=int, default=None, help="Trial count override.")(fn)
-    fn = click.option("--seed", type=int, default=None, help="Master seed override.")(fn)
-    fn = click.option("--threads", type=int, default=None,
-                      help="Worker threads (never changes results).")(fn)
-    return fn
+def _command(experiment: str) -> click.Command:
+    """An experiment's command: --config, --out, --threads and its flags."""
+    run, fields = EXPERIMENTS[experiment]
+    params = [click.Option(["--config"], type=click.Path(),
+                           help="JSON experiment config file ('-' for stdin)."),
+              click.Option(["--out"], help="Output path ('-' for stdout); overrides "
+                                           "the config's output_path."),
+              click.Option(["--threads"], type=int, default=1,
+                           help="Worker threads (never changes results).")]
+    paths = {}
+    for flag, (path, kind, text) in _FLAGS.items():
+        path = next((p for p in (path[-1:], path) if p[0] in fields), None)
+        if path is not None:
+            params.append(click.Option([flag], type=kind, help=f"{text} Sets {'.'.join(path)}."))
+            paths[params[-1].name] = path
+
+    def callback(config, out, threads, **flags):
+        _run(experiment, config, out, threads,
+             {paths[name]: value for name, value in flags.items() if value is not None})
+
+    return click.Command(experiment, params=params, callback=callback, help=run.__doc__)
 
 
-@click.group()
+# click >= 8.2 raises this for a bare `gausstomo`, which prints the help
+_NO_ARGS = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+class _Group(click.Group):
+    """Reports a usage error, such as an option the command does not take, a
+    bad value or an unknown command, as a JSON config error with exit 2;
+    --help, --version and a bare `gausstomo` print and exit as click does."""
+
+    def main(self, *args, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except _NO_ARGS as exc:
+            exc.show()
+            sys.exit(exc.exit_code)
+        except click.ClickException as exc:
+            _fail(EXIT_CONFIG, "config", exc.format_message())
+        except click.Abort:
+            sys.exit("Aborted!")
+
+
+@click.group(cls=_Group, commands=[_command(name) for name in EXPERIMENTS])
 @click.version_option(__version__)
 def main():
     """Homodyne vs heterodyne Gaussian-state tomography experiments."""
-
-
-def _make_command(name: str, doc: str):
-    @_common_options
-    def cmd(config, out, format_, mu, lambda_, eta, n, trials, seed, threads):
-        _run(name, config, out, format=format_, mu=mu, eta=eta, n=n,
-             trials=trials, seed=seed, threads=threads, **{"lambda": lambda_})
-
-    cmd.__name__ = name.replace("-", "_")
-    cmd.__doc__ = doc
-    main.command(name=name)(cmd)
-
-
-_make_command("surface", "Performance-ratio surface over a (lambda, mu, eta) grid.")
-_make_command("regions", "Polar uncertainty boundaries for one state.")
-_make_command("lambda-crit", "Equal-area squeezing threshold per efficiency.")
-_make_command("simulate", "Draw synthetic measurement records (writes a sidecar).")
-_make_command("estimate", "Fit a covariance matrix to a sample file.")
-_make_command("crb-attainment", "Monte Carlo scaled MSE against the bound.")
-_make_command("fig5", "Ellipse-reconstruction benchmark at moderate N.")
 
 
 if __name__ == "__main__":

@@ -174,8 +174,6 @@ def resolve_config(raw: dict) -> dict:
             and out["angle_policy"] != {"type": "sweep"}:
         raise ConfigError("'angle_policy' applies only to homodyne simulation")
     if exp == "estimate":
-        if out["format"] != "json":
-            raise ConfigError("estimate emits a JSON document; set 'format' to 'json'")
         del out["seed"]
     return out
 
@@ -510,7 +508,8 @@ _GRID = _object({"lambda": (_NUMBERS, _REQUIRED), "mu": (_NUMBERS, _REQUIRED),
 
 
 def _experiment(run, **fields) -> tuple:
-    """(run, fields), the experiment's own fields between format and seed."""
+    """(run, fields): format, the experiment's own fields, then seed; an own
+    format entry takes the place of the shared one."""
     return run, {"format": (_choice("csv", "json"), "csv"), **fields,
                  "seed": (_SEED, {"master_seed": 0, "stream_id": 0})}
 
@@ -526,7 +525,8 @@ EXPERIMENTS = {
     "simulate": _experiment(run_simulate, spec=(_SPEC, _REQUIRED), scheme=_SCHEME,
                             n=(_integer(1), _REQUIRED),
                             angle_policy=(_angle_policy, {"type": "sweep"})),
-    "estimate": _experiment(run_estimate, data_path=(_text, _REQUIRED), scheme=_SCHEME,
+    "estimate": _experiment(run_estimate, format=(_choice("json"), "json"),
+                            data_path=(_text, _REQUIRED), scheme=_SCHEME,
                             eta=(_efficiency, _REQUIRED)),
     "crb-attainment": _experiment(run_crb_attainment, spec=(_SPEC, _REQUIRED),
                                   scheme=_SCHEME, n_values=(_N_VALUES, _REQUIRED),

@@ -107,7 +107,7 @@ RESOLVED_TEXT = {
                  '"lambda": 10.0, "phi": 0.0, "eta": 0.5}, "scheme": "homodyne", "n": 5, '
                  '"angle_policy": {"d": 4, "type": "grid"}, '
                  '"seed": {"master_seed": 0, "stream_id": 0}}'),
-    "estimate": ({"experiment": "estimate", "format": "json", "eta": 1, "scheme": "heterodyne",
+    "estimate": ({"experiment": "estimate", "eta": 1, "scheme": "heterodyne",
                   "data_path": "x.csv", "seed": {"master_seed": 3}},
                  '{"experiment": "estimate", "format": "json", "data_path": "x.csv", '
                  '"scheme": "heterodyne", "eta": 1.0}'),
@@ -177,7 +177,7 @@ class TestConfigResolution:
         assert json.dumps(cfg["seed"]) == '{"master_seed": 3, "stream_id": 18446744073709551615}'
 
     def test_estimate_requires_json_format(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="'format'"):
             resolve_config({"experiment": "estimate", "data_path": "x.csv",
                             "scheme": "homodyne", "eta": 1.0, "format": "csv"})
 
@@ -880,6 +880,69 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert out.exists() and (tmp_path / "samples.csv.meta.json").exists()
 
+    def test_eta_flag_sets_the_eta_of_estimate(self, tmp_path):
+        # the config sets no format, which for estimate defaults to json
+        data = tmp_path / "samples.csv"
+        data.write_text("x,p\n1.0,2.0\n0.5,0.25\n-1.0,0.5\n")
+        cfg = {"data_path": str(data), "scheme": "heterodyne", "eta": 0.5}
+        proc = self.run_cli("estimate", "--config", "-", "--eta", "0.25",
+                            input=json.dumps(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["config"]["eta"] == 0.25
+
+    def test_spec_flag_sets_one_key_of_the_default_spec(self):
+        proc = self.run_cli("fig5", "--trials", "1", "--eta", "0.7")
+        assert proc.returncode == 0, proc.stderr
+        assert extract_embedded_config(proc.stdout)["spec"] == \
+            {"mu": 2.0, "lambda": 10.0, "phi": 0.0, "eta": 0.7}
+
+    def test_seed_flag_keeps_the_other_seed_keys(self):
+        # a misspelled stream_id is still rejected with the flag
+        cfg = {"eta_values": [0.5], "seed": {"master_seed": 1, "stream": 5}}
+        proc = self.run_cli("lambda-crit", "--config", "-", "--seed", "3",
+                            input=json.dumps(cfg))
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)
+        assert err["error"] == "config" and "'seed'" in err["message"]
+
+    @pytest.mark.parametrize("args", [
+        ("surface", "--mu", "2"), ("fig5", "--threads", "abc"), ("teleport",),
+        ("--bogus",), ("fig5", "--format", "xml"), ("regions", "extra")],
+        ids=["absent-flag", "bad-value", "unknown-command", "unknown-group-option",
+             "bad-choice", "extra-argument"])
+    def test_usage_error_is_a_json_config_error(self, args):
+        proc = self.run_cli(*args)
+        assert proc.returncode == 2
+        err = json.loads(proc.stderr)
+        assert err["error"] == "config" and err["message"]
+
+    def test_help_and_version_print_as_click_does(self):
+        for args in (("--help",), ("fig5", "--help")):
+            proc = self.run_cli(*args)
+            assert proc.returncode == 0 and proc.stdout.startswith("Usage:")
+        proc = self.run_cli("--version")
+        assert proc.returncode == 0 and __version__ in proc.stdout
+        # a bare invocation shows the help, on whichever stream and with
+        # whichever exit code the installed click uses
+        proc = self.run_cli()
+        assert "Commands:" in proc.stdout + proc.stderr and not proc.stderr.startswith("{")
+
+    def test_in_process_main_exits_like_the_command(self, tmp_path):
+        out = tmp_path / "crit.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta_values": [0.5]}))
+        # success returns, or exits 0
+        try:
+            main(["lambda-crit", "--config", str(cfg), "--out", str(out)],
+                 prog_name="gausstomo")
+        except SystemExit as exc:
+            assert exc.code in (0, None)
+        assert out.exists()
+        for argv in (["lambda-crit", "--mu", "2"], ["lambda-crit", "--config", str(tmp_path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv, prog_name="gausstomo")
+            assert exc.value.code == 2
+
     def test_seed_flag_changes_samples_deterministically(self, tmp_path):
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({"experiment": "simulate",
@@ -895,14 +958,14 @@ class TestCli:
         assert outs[0] == outs[1]
         assert outs[0] != outs[2]
 
-    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing", "not-json"])
     def test_unreadable_config_exits_2(self, tmp_path, kind):
-        if kind == "directory":
-            cfg = tmp_path
-        else:
-            cfg = tmp_path / "cfg.json"
+        cfg = tmp_path if kind == "directory" else tmp_path / "cfg.json"
+        if kind == "not-utf8":
             cfg.write_bytes(b'{"experiment": "lambda-crit", "eta_values": [0.5], '
                             b'"note": "\xff"}')
+        elif kind == "not-json":
+            cfg.write_text('{"eta_values": [0.5]')
         proc = self.run_cli("lambda-crit", "--config", str(cfg))
         assert proc.returncode == 2
         err = json.loads(proc.stderr.strip())

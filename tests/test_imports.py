@@ -99,6 +99,31 @@ def test_estimators_and_samplers_take_exactly_their_parameters(fn):
     assert list(inspect.signature(fn).parameters) == SIGNATURES[fn]
 
 
+# the options of each CLI command: a flag whose key the command's config
+# lacks, and which could only fail, must not come back
+OPTIONS = {
+    "surface": ["--config", "--out", "--threads", "--format", "--seed"],
+    "regions": ["--config", "--out", "--threads", "--format", "--mu", "--lambda", "--eta",
+                "--seed"],
+    "lambda-crit": ["--config", "--out", "--threads", "--format", "--seed"],
+    "simulate": ["--config", "--out", "--threads", "--format", "--mu", "--lambda", "--eta",
+                 "--n", "--seed"],
+    "estimate": ["--config", "--out", "--threads", "--format", "--eta", "--seed"],
+    "crb-attainment": ["--config", "--out", "--threads", "--format", "--mu", "--lambda",
+                       "--eta", "--trials", "--seed"],
+    "fig5": ["--config", "--out", "--threads", "--format", "--mu", "--lambda", "--eta",
+             "--trials", "--seed"],
+}
+
+
+def test_cli_commands_take_exactly_their_options():
+    from gausstomo.cli import main
+
+    assert {name: [opt for param in command.params for opt in param.opts]
+            for name, command in main.commands.items()} == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 51
+
+
 def test_cli_import_loads_no_sampling_module():
     assert loaded_after("import gausstomo.cli") == []
 
