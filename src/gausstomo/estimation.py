@@ -256,12 +256,34 @@ def _evaluate(p: np.ndarray, v: np.ndarray, x2: np.ndarray):
         np.add(b * b, g[..., 2], out=g[..., 1])
         np.multiply(SQRT2 * scales[..., 0], b, out=g[..., 2])
         cvar = np.matmul(g[..., None, :], v)[..., 0, :]
-        f = -0.5 * np.add.reduce(x2 / cvar + np.log(cvar), axis=-1) \
-            - 0.5 * x2.shape[-1] * LOG_2PI
+        # ln C_j + x_j^2 / C_j, summed in the rows of ln C_j
+        terms = np.log(cvar)
+        terms += np.divide(x2, cvar)
+        f = -0.5 * np.add.reduce(terms, axis=-1) - 0.5 * x2.shape[-1] * LOG_2PI
         nonpositive = cvar <= 0.0
         if np.count_nonzero(nonpositive):
             f[nonpositive.any(axis=-1)] = -math.inf
     return g, f, cvar, scales
+
+
+def _gradient(v: np.ndarray, x2: np.ndarray, cvar: np.ndarray):
+    """(grad_g, C^2): the likelihood gradient in g of each row, and the
+    squared variances, whose rows _ascent_directions takes over.
+
+    Each gradient component is the sum over N of one (rows, N) product,
+    formed in one scratch array.
+    """
+    with np.errstate(over="ignore"):  # a huge variance squares to inf
+        square = cvar * cvar
+        resid = np.divide(x2, square)
+        resid -= 1.0 / cvar
+    grad_g = np.empty((len(cvar), 3))
+    term = np.empty_like(resid)
+    for k in range(3):
+        np.multiply(v[:, k], resid, out=term)
+        np.add.reduce(term, axis=-1, out=grad_g[:, k])
+    grad_g *= 0.5
+    return grad_g, square
 
 
 # Each row's chain-rule matrices as slots of its chain entries: the
@@ -277,12 +299,17 @@ _CHAIN_FACTORS = np.array([[2.0], [4.0]])
 _CHAIN_CONSTANTS = np.array([0.0, 2.0])
 
 
-def _ascent_directions(p, scales, v, x2, cvar, grad_g) -> np.ndarray:
+def _ascent_directions(p, scales, v, x2, cvar, grad_g, square) -> np.ndarray:
     """Each row's step in (ln a, b, ln c): Newton where the chained Hessian
-    is negative definite, else unit steepest ascent."""
+    is negative definite, else unit steepest ascent.  square holds C^2,
+    and its rows are overwritten."""
     rows = len(p)
     b = p[:, 1]
-    curv = 1.0 / (cvar * cvar) - 2.0 * x2 / (cvar ** 3)
+    # 1/C^2 - 2 x^2/C^3, in the rows of C^2
+    curv = np.divide(1.0, square, out=square)
+    twice = 2.0 * x2
+    twice /= cvar ** 3
+    curv -= twice
     hess_g = 0.5 * np.einsum("tiN,tN,tjN->tij", v, curv, v)
     # per row: the Jacobian and the three second-derivative matrices; these
     # are added as whole matrices, so that an inf or nan gradient component
@@ -308,7 +335,7 @@ def _ascent_directions(p, scales, v, x2, cvar, grad_g) -> np.ndarray:
         return np.linalg.solve(hess_p, -grad_p[:, :, None])[:, :, 0]
     step = np.empty_like(grad_p)
     ascent = grad_p[~newton]
-    step[~newton] = ascent / np.linalg.norm(ascent, axis=-1)[:, None]
+    step[~newton] = ascent / np.sqrt(np.add.reduce(ascent * ascent, axis=-1))[:, None]
     if newton.any():
         step[newton] = np.linalg.solve(hess_p[newton],
                                        -grad_p[newton][:, :, None])[:, :, 0]
@@ -368,65 +395,74 @@ def _line_search(p, step, f, v, x2):
     return found, accepted
 
 
+def _drop_rows(leaving: np.ndarray, arrays: list) -> list:
+    """The arrays cut to their rows where leaving is not set, compacted in
+    place: each row that leaves is overwritten by one of the last rows that
+    stay.  The rows change order, which no row's bits depend on."""
+    rows = len(leaving) - np.count_nonzero(leaving)
+    holes = np.flatnonzero(leaving[:rows]).tolist()
+    movers = (rows + np.flatnonzero(~leaving[rows:])).tolist()
+    for a in arrays:
+        for hole, mover in zip(holes, movers):
+            a[hole] = a[mover]
+    return [a[:rows] for a in arrays]
+
+
 def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
     """Newton ascent from the parameter rows p, one row per trial, in lockstep.
 
     A row leaves the block when its trace-scaled gradient norm reaches the
     tolerance (converged) or when no step halving raises its likelihood
-    (stalled); rows still iterating after _MAX_ITERATIONS stop there.
-    Returns (g, loglik, iterations, converged) per row.
+    (stalled); rows still iterating after _MAX_ITERATIONS stop there.  The
+    arrays of a row that leaves are overwritten in place (_drop_rows), and
+    live holds the trial of each row still iterating.  Returns (g, loglik,
+    iterations, converged) per trial.
     """
     trials, n = x2.shape
     g, f, cvar, scales = _evaluate(p, v, x2)
-    g_out, f_out = g.copy(), f.copy()
+    g_out, f_out = np.empty((trials, 3)), np.empty(trials)
     iterations = np.zeros(trials, dtype=int)
     converged = np.zeros(trials, dtype=bool)
     live = np.arange(trials)
+    it = 0
     for it in range(1, _MAX_ITERATIONS + 1):
-        iterations[live] = it
-        with np.errstate(over="ignore"):  # a huge variance squares to inf
-            resid = x2 / (cvar * cvar) - 1.0 / cvar
-        grad_g = 0.5 * np.add.reduce(v * resid[:, None, :], axis=-1)
-        done = np.linalg.norm(grad_g, axis=-1) * (g[:, 0] + g[:, 1]) / n \
+        if not live.size:
+            break
+        grad_g, square = _gradient(v, x2, cvar)
+        # the norm as np.linalg.norm computes it
+        done = np.sqrt(np.add.reduce(grad_g * grad_g, axis=-1)) * (g[:, 0] + g[:, 1]) / n \
             <= _GRADIENT_TOL
         # the masks are tested with np.count_nonzero, which costs a third
         # of .any() or .all() on a few rows
         if np.count_nonzero(done):
-            converged[live[done]] = True
-            g_out[live], f_out[live] = g, f
-            live, p, g, f, cvar, scales, v, x2, grad_g = (
-                arr[~done] for arr in (live, p, g, f, cvar, scales, v, x2, grad_g))
+            gone = live[done]
+            converged[gone] = True
+            g_out[gone], f_out[gone], iterations[gone] = g[done], f[done], it
+            live, p, g, f, cvar, scales, v, x2, grad_g, square = _drop_rows(
+                done, [live, p, g, f, cvar, scales, v, x2, grad_g, square])
             if not live.size:
                 break
-        step = _ascent_directions(p, scales, v, x2, cvar, grad_g)
+        step = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
+        del square  # the curvature rows are freed before the line search
         found, accepted = _line_search(p, step, f, v, x2)
-        if np.count_nonzero(found) == len(found):
-            p, g, f, cvar, scales = accepted
-            continue
-        for old, new in zip((p, g, f, cvar, scales), accepted):
-            old[found] = new[found]
-        # likelihood flat to machine precision but gradient target missed
-        g_out[live], f_out[live] = g, f
-        live, p, g, f, cvar, scales, v, x2 = (
-            arr[found] for arr in (live, p, g, f, cvar, scales, v, x2))
-        if not live.size:
-            break
-    g_out[live], f_out[live] = g, f
+        if np.count_nonzero(found) < len(found):
+            # likelihood flat to machine precision but gradient target missed
+            stalled = ~found
+            gone = live[stalled]
+            g_out[gone], f_out[gone], iterations[gone] = g[stalled], f[stalled], it
+            live, v, x2, *accepted = _drop_rows(stalled, [live, v, x2, *accepted])
+        p, g, f, cvar, scales = accepted
+    g_out[live], f_out[live], iterations[live] = g, f, it
     return g_out, f_out, iterations, converged
 
 
-def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float, *,
-                               trig: tuple[np.ndarray, np.ndarray] | None = None) -> BlockFit:
-    """estimate_homodyne_ml of each row of (trials, N) angle and value
-    arrays, fitted in lockstep; each row equals that row's own fit bit for
-    bit.
+def _fit_inputs(eta: float, thetas, xs, c=None, s=None):
+    """The checks of estimate_homodyne_ml_block, then what its fit reads:
+    (offset, (v, x^2, moment starts)).  c and s are the cosines and sines
+    of the angles where the caller has them.
 
-    One Newton iteration runs on all rows still iterating at once, and a
-    row leaves the block when it converges or stalls.  Any invalid row
-    raises the DomainError that estimate_homodyne_ml raises for it.  trig
-    is the (cos, sin) of the angles where the caller has them; else they
-    are computed once the block has passed its checks, so that an infinite
-    angle warns only in a block that is fitted.
+    Only the returned arrays outlive the call, so a caller that passes its
+    draw without keeping it holds v, x^2 and the starts alone.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta = {eta} must lie in (0, 1]")
@@ -441,17 +477,14 @@ def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float, *
     if _too_few_angles(theta).any():
         raise DomainError("homodyne data must span at least 3 distinct angles; "
                           "fewer leave the 3-parameter model unidentifiable")
-    delta = delta_offset(eta, SchemeKind.HOMODYNE)
-    if not trials:
-        return _block_fit(delta, np.zeros((0, 3)), [], [], [])
-
     with np.errstate(over="ignore"):
         x2 = x * x
         m = x2.mean(axis=1)
     if not np.all((m > 0.0) & (m < math.inf)):
         raise DomainError("homodyne data must have a positive, finite mean of x^2 "
                           "in every trial")
-    c, s = (np.cos(theta), np.sin(theta)) if trig is None else trig
+    if c is None:
+        c, s = np.cos(theta), np.sin(theta)
     # the rows (c^2, s^2, sqrt2 s c) written in place: stacking temporaries
     # would map fresh pages for every block
     v = np.empty((trials, 3, n))
@@ -459,7 +492,24 @@ def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float, *
     np.multiply(s, s, out=v[:, 1])
     np.multiply(SQRT2, s, out=v[:, 2])
     v[:, 2] *= c
-    return _block_fit(delta, *_fit_block(v, x2, _moment_starts(v, x2, theta)))
+    return delta_offset(eta, SchemeKind.HOMODYNE), (v, x2, _moment_starts(v, x2, theta))
+
+
+def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float, *,
+                               trig: tuple[np.ndarray, np.ndarray] | None = None) -> BlockFit:
+    """estimate_homodyne_ml of each row of (trials, N) angle and value
+    arrays, fitted in lockstep; each row equals that row's own fit bit for
+    bit, and no input array is written to.
+
+    One Newton iteration runs on all rows still iterating at once, and a
+    row leaves the block when it converges or stalls.  Any invalid row
+    raises the DomainError that estimate_homodyne_ml raises for it.  trig
+    is the (cos, sin) of the angles where the caller has them; else they
+    are computed once the block has passed its checks, so that an infinite
+    angle warns only in a block that is fitted.
+    """
+    delta, inputs = _fit_inputs(eta, thetas, xs, *(trig or ()))
+    return _block_fit(delta, *_fit_block(*inputs))
 
 
 def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray],

@@ -24,9 +24,9 @@ import numpy as np
 
 from ._version import __version__
 from .core import Covariance2, DomainError, GaussianStateSpec, SchemeKind, wigner_covariance
-from .estimation import (_BLOCK_SAMPLES, BlockFit, estimate_heterodyne,
-                         estimate_heterodyne_moments, estimate_homodyne_ml,
-                         estimate_homodyne_ml_block, hs_distance_sq, to_ellipse)
+from .estimation import (_BLOCK_SAMPLES, BlockFit, _block_fit, _fit_block, _fit_inputs,
+                         estimate_heterodyne, estimate_heterodyne_moments,
+                         estimate_homodyne_ml, hs_distance_sq, to_ellipse)
 from .fisher import crb_het, crb_hom, gamma_surface
 from .regions import critical_lambda_equal_areas, region_boundaries
 from .sampling import (ContinuousSweep, SeedSpec, UniformGrid, _homodyne_block,
@@ -418,9 +418,10 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
     size = max(1, _BLOCK_SAMPLES // n)
 
     def job(first: int) -> BlockFit:
-        thetas, xs, c, s = _homodyne_block(spec, n, ContinuousSweep(),
-                                           streams[first:first + size])
-        return estimate_homodyne_ml_block(thetas, xs, spec.eta, trig=(c, s))
+        # the draw is not kept, so it is freed before the fit starts
+        delta, inputs = _fit_inputs(spec.eta, *_homodyne_block(
+            spec, n, ContinuousSweep(), streams[first:first + size]))
+        return _block_fit(delta, *_fit_block(*inputs))
 
     starts = range(0, trials, size)
     if min(threads, len(starts)) == 1:

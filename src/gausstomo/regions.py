@@ -35,14 +35,25 @@ class RegionAreas:
     s_Sigma: float
 
 
-def _direction_terms(cov: Covariance2, c, s):
-    """(u^T G u, v^T G v, u^T G v) for u = (c, s) and v = (-s, c); c and s
-    may be floats or float64 arrays, which run the same operations."""
+def _marginal_variance(cov: Covariance2, c, s):
+    """u^T G u for u = (c, s); c and s may be floats or float64 arrays,
+    which run the same operations."""
     q = cov.g3 / SQRT2
-    uu = cov.g1 * c * c + cov.g2 * s * s + 2.0 * q * s * c
-    vv = cov.trace - uu
-    uv = (cov.g2 - cov.g1) * s * c + q * (c * c - s * s)
-    return uu, vv, uv
+    return cov.g1 * c * c + cov.g2 * s * s + 2.0 * q * s * c
+
+
+def _conditional_variance(cov: Covariance2, c, s):
+    """(Sigma^2, v^T G v) for u = (c, s) and v = (-s, c), on floats or
+    float64 arrays as _marginal_variance.
+
+    Sigma^2 = 1/(u^T G^-1 u) = det G / v^T G v is taken as
+    g1 (g2/vv) - q (q/vv), with q = g3/sqrt2 and vv = v^T G v formed
+    directly: no product of two variances leaves the float range before
+    the division, and vv does not cancel as Tr G - u^T G u does.
+    """
+    q = cov.g3 / SQRT2
+    vv = cov.g1 * s * s + cov.g2 * c * c - 2.0 * q * s * c
+    return cov.g1 * (cov.g2 / vv) - q * (q / vv), vv
 
 
 def _check_positive_definite(cov: Covariance2) -> None:
@@ -53,15 +64,14 @@ def _check_positive_definite(cov: Covariance2) -> None:
 def marginal_std(cov: Covariance2, theta: float) -> float:
     """sigma_theta = sqrt(u^T G u) along the direction at angle theta."""
     _check_positive_definite(cov)
-    uu, _, _ = _direction_terms(cov, math.cos(theta), math.sin(theta))
-    return math.sqrt(uu)
+    return math.sqrt(_marginal_variance(cov, math.cos(theta), math.sin(theta)))
 
 
 def conditional_std(cov: Covariance2, theta: float) -> float:
-    """Sigma_theta = (u^T G^-1 u)^(-1/2), via (G_uu G_vv - G_uv^2)/G_vv."""
+    """Sigma_theta = (u^T G^-1 u)^(-1/2), via det G / v^T G v."""
     _check_positive_definite(cov)
-    uu, vv, uv = _direction_terms(cov, math.cos(theta), math.sin(theta))
-    return math.sqrt((uu * vv - uv * uv) / vv)
+    big2, _ = _conditional_variance(cov, math.cos(theta), math.sin(theta))
+    return math.sqrt(big2)
 
 
 def region_boundaries(spec: GaussianStateSpec,
@@ -93,9 +103,8 @@ def region_boundaries(spec: GaussianStateSpec,
     # IEEE arithmetic, silent as on Python floats: past the float range an
     # entry reads inf or nan, as the scalar functions give it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sigma2, _, _ = _direction_terms(g_hom, c, s)
-        uu, vv, uv = _direction_terms(g_het, c, s)
-        big2 = (uu * vv - uv * uv) / vv
+        sigma2 = _marginal_variance(g_hom, c, s)
+        big2, vv = _conditional_variance(g_het, c, s)
     # where the scalar functions would divide by zero or take the root of a
     # negative number, a variance has cancelled
     if (vv == 0.0).any() or (sigma2 < 0.0).any() or (big2 < 0.0).any():

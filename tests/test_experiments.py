@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -29,14 +31,18 @@ SPLIT_CRB = {"experiment": "crb-attainment",
 PINNED_SHA256 = {
     # gausstomo fig5 --trials 20 --seed 0
     "fig5": "ac9682ad6745a1b1c16240c7ac14af94f43533903bfa29444365d450cd046a78",
+    # [seed, exit code, stdout, stderr] of each fig5 --trials 20 --threads 1
+    # --seed 0 .. 39, as JSON
+    "fig5-benchmark-seeds":
+        "9daf60733751e236d44f5b3f4a482f865f6748e2f950bc4126ae7d9d8ce78282",
     "split-crb": "2b9a27097e7c415142aa867511382afca6007ef72c2985b5cf2372f3dfd33fb9",
     # SURFACE_GRID in each mode
     "surface-real": "cd4fe9b566b025dc0372f61b2fed93c9af8307fe55f1b74b94ba6a23a7ccd081",
     "surface-hypothetical":
         "19bde8210a0c876ac8d075c95937ad681d613459ac961e17e5475623d7fb3c9c",
     # PINNED_TABLES, one per key: every table writer path in both formats
-    "regions-csv": "1718d715f8155830d65c20580715a0ff422abfdf19b6742890eaf2d428853eb5",
-    "regions-json": "4545f3f06170ee8c20ee65a74e34fa69d8de8bca0f13a9bb4d66596eb5385686",
+    "regions-csv": "eb530a530791c360b9e69dd5a84e26682a82d22c60fd3bd711ccf56cd95bd2e9",
+    "regions-json": "2637531c62678c53f95b414ca0a21e695bc6f6f1d6e06a9305d8759546029e34",
     "lambda-crit": "9bc3f936d975fd486e01ed1c776881a33f31086bd44ccf2d45e217fa818212a8",
     "surface-real-json": "f1cda041bfc601320b024dfc8a18374af594fa71eebdf0c77229b5b1af0ee92d",
     "surface-hypothetical-json":
@@ -630,6 +636,27 @@ class TestFig5:
                "seed": {"master_seed": 0, "stream_id": 0}}
         assert sha256(run_experiment(cfg)[""]) == PINNED_SHA256["fig5"]
 
+    def test_benchmark_seeds_pinned_bytes(self):
+        # `gausstomo fig5 --trials 20 --threads 1 --seed S` for the master
+        # seeds 0-39 that the benchmark's fig5 workload runs.  A last-bit
+        # change to the homodyne fit moves which seeds hit the ROADMAP 4a
+        # eigenvalue fault (exit 2), and with it the benchmark's failed share
+        outcomes, failing = [], []
+        for seed in range(40):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    main(["fig5", "--trials", "20", "--threads", "1", "--seed", str(seed)],
+                         prog_name="gausstomo")
+                    code = 0
+                except SystemExit as exc:
+                    code = exc.code
+            outcomes.append([seed, code, out.getvalue(), err.getvalue()])
+            if code:
+                failing.append(seed)
+        assert failing == [5, 8, 10, 11, 12, 13, 15, 17, 25, 30, 36, 37, 38]
+        assert sha256(json.dumps(outcomes)) == PINNED_SHA256["fig5-benchmark-seeds"]
+
 
 class TestCli:
     def run_cli(self, *args, input=None):
@@ -677,10 +704,11 @@ class TestCli:
 
     @pytest.mark.parametrize("lam", [1e17, 1e-17])
     def test_regions_whose_variance_cancels_exit_3(self, tmp_path, lam):
-        # v^T G v, formed as Tr G - u^T G u, cancels to zero on an axis here
+        # the heterodyne det, and with it Sigma^2 = det G / v^T G v,
+        # cancels to zero or below here
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": "regions", "spec": {"mu": 1, "lambda": lam},
-                                   "samples": 4}))
+        cfg.write_text(json.dumps({"experiment": "regions", "samples": 4,
+                                   "spec": {"mu": 1, "lambda": lam, "phi": 0.3}}))
         proc = self.run_cli("regions", "--config", str(cfg))
         assert proc.returncode == 3, proc.stderr
         assert json.loads(proc.stderr.strip())["error"] == "numerical"
@@ -704,6 +732,24 @@ class TestCli:
         assert proc.returncode == 0 and proc.stderr == ""
         _, rows = rows_of(proc.stdout)
         assert [row[1] for row in rows] == ["9.9999999999999998e+149"] * 4
+        # sqrt(3/2) 1e150; the product of two variances read inf here
+        assert [row[2] for row in rows] == ["1.224744871391589e+150"] * 4
+
+    @pytest.mark.parametrize("lam", [1e16, 1e17, 1e-17])
+    def test_regions_of_an_extreme_squeezed_state_exit_0(self, tmp_path, lam):
+        # v^T G v is formed directly; as Tr G - u^T G u it cancelled to zero
+        # on an axis here, which exited 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "regions", "spec": {"mu": 1, "lambda": lam},
+                                   "samples": 4}))
+        proc = self.run_cli("regions", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        _, rows = rows_of(proc.stdout)
+        # on the x and p axes Sigma is the root of the heterodyne data
+        # variance there, 1/(2 lam) + 1/2 and lam/2 + 1/2 at eta = 1; the
+        # float angles lie off the axes by up to 2e-16
+        assert [float(row[2]) for row in rows] == pytest.approx(
+            [math.sqrt(0.5 / lam + 0.5), math.sqrt(0.5 * lam + 0.5)] * 2, rel=1e-14)
 
     def test_surface_beyond_the_float_range_reads_inf(self, tmp_path):
         # every bound here overflows a float, through inf * 0 and inf - inf

@@ -125,6 +125,21 @@ class TestRegionBoundaries:
                     assert sigma ** 2 == pytest.approx(want, rel=1e-9)
                     assert np.isfinite(Sigma).all() and (Sigma > 0).all()
 
+    @pytest.mark.parametrize("mu, lam, eta", [(1e300, 1.0, 1e-300), (1.0, 1e15, 1.0),
+                                              (1.0, 1e16, 1.0), (1.0, 1e-16, 1.0)])
+    def test_extreme_states_match_the_eigenframe(self, mu, lam, eta):
+        # no product of two variances overflows, and v^T G v does not cancel
+        # as Tr G - u^T G u did: Sigma was inf at the first state, and off by
+        # 6% at 5 pi/4 at the second; the third raised NumericalError
+        theta, sigma, Sigma = region_boundaries(GaussianStateSpec(mu, lam, 0.0, eta), 8)
+        e1, e2 = data_variances(mu, lam, eta, SchemeKind.HETERODYNE)
+        # at phi = 0 the principal axes are x and p
+        want = 1.0 / np.sqrt(np.cos(theta) ** 2 / e1 + np.sin(theta) ** 2 / e2)
+        assert Sigma == pytest.approx(want, rel=1e-15)
+        g_het = effective_covariance(GaussianStateSpec(mu, lam, 0.0, eta),
+                                     SchemeKind.HETERODYNE)
+        assert Sigma.tolist() == [conditional_std(g_het, t) for t in theta.tolist()]
+
     def test_cancelled_heterodyne_determinant_is_a_numerical_error(self):
         with pytest.raises(NumericalError, match="heterodyne data covariance"):
             region_boundaries(GaussianStateSpec(1.0, 1e17, 0.3), 64)
