@@ -201,19 +201,20 @@ def _angle_keys(theta: np.ndarray) -> np.ndarray:
     return (theta >= 0).astype(np.int8) + (theta >= edge) + (theta >= 2 * edge)
 
 
-def _moment_starts(v: np.ndarray, x2: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _moment_starts(v: np.ndarray, x2: np.ndarray, keys: np.ndarray,
+                   m: np.ndarray) -> np.ndarray:
     """Each row's moment-matched start, as Cholesky parameters (ln a, b, ln c).
 
     Solves mean(v)^T g = mean(x^2) on the angle bins [0, pi/3), [pi/3,
-    2 pi/3) and [2 pi/3, inf]; angles below 0, and nan, fall in none.  It
-    falls back to g = (m, m, 0), with m the mean of x^2, when a bin is
-    empty, the bin means are singular or the solution is not positive
-    definite.  Every m must be positive and finite.
+    2 pi/3) and [2 pi/3, inf], given as the _angle_keys of the angles;
+    angles below 0, and nan, fall in none.  It falls back to g = (m, m, 0),
+    with m the row's mean of x^2, when a bin is empty, the bin means are
+    singular or the solution is not positive definite.  Every m must be
+    positive and finite.
     """
     trials = x2.shape[0]
-    m = x2.mean(axis=1)
     # one slot per (row, bin key)
-    slots = (4 * np.arange(trials)[:, None] + _angle_keys(theta)).ravel()
+    slots = (4 * np.arange(trials)[:, None] + keys).ravel()
 
     def bin_sums(weights=None):
         return np.bincount(slots, weights, 4 * trials).reshape(trials, 4)[:, 1:]
@@ -342,6 +343,25 @@ def _ascent_directions(p, scales, v, x2, cvar, grad_g, square) -> np.ndarray:
     return step
 
 
+def _stacks(open_: np.ndarray, n: int) -> list:
+    """(rows, part) of each stack in which a halving round evaluates the
+    open rows: rows indexes v and x^2, part the stack's entries of open_.
+
+    Consecutive rows are one stack on views.  Other rows are one stack on
+    copies of their rows of v and x^2 when those hold no more floats (4 a
+    sample) than a round at its full budget of _BLOCK_SAMPLES samples may
+    stack, and else one stack per run of consecutive rows, each on views:
+    a small block is evaluated in one call, and a large one is not copied.
+    """
+    first, last = open_[0], open_[-1]
+    if last - first + 1 == open_.size:
+        return [(slice(first, last + 1), slice(None))]
+    if 4 * open_.size * n <= _BLOCK_SAMPLES:
+        return [(open_, slice(None))]
+    ends = [0, *(np.flatnonzero(np.diff(open_) != 1) + 1).tolist(), open_.size]
+    return [(slice(open_[a], open_[b - 1] + 1), slice(a, b)) for a, b in zip(ends, ends[1:])]
+
+
 def _line_search(p, step, f, v, x2):
     """Each row's first step t = 0.5**k, k = 0 .. _MAX_HALVINGS - 1, whose
     likelihood beats f[row].
@@ -351,12 +371,13 @@ def _line_search(p, step, f, v, x2):
     window of k at a time, until each row has a step that beats f or has
     none left.  A round holds _BLOCK_SAMPLES / 8 samples at first and
     twice as many each round up to _BLOCK_SAMPLES, but always at least one
-    halving per row.  A row's search also ends at its first halving that
-    leaves all three parameters unchanged: fl(p + d) is monotone in d, so
-    every later halving leaves them unchanged too, and a candidate equal
-    to p, evaluated bit for bit as p was, cannot beat f.  Returns (found,
-    (p, g, f, cvar, scales)), where the tuple holds the accepted steps'
-    values in the rows marked found.
+    halving per row, and is evaluated in the stacks of _stacks.  A row's
+    search also ends at its first halving that leaves all three
+    parameters unchanged: fl(p + d) is monotone in d, so every later
+    halving leaves them unchanged too, and a candidate equal to p,
+    evaluated bit for bit as p was, cannot beat f.  Returns (found, (p, g,
+    f, cvar, scales)), where the tuple holds the accepted steps' values in
+    the rows marked found.
     """
     cand = p + step
     accepted = (cand, *_evaluate(cand, v, x2))
@@ -375,21 +396,21 @@ def _line_search(p, step, f, v, x2):
         searching[open_[~moved[:, -1]]] = False
         if np.count_nonzero(moved[:, 0]) < open_.size:
             open_, cand = open_[moved[:, 0]], cand[moved[:, 0]]
-        if open_.size:
-            # a view, not a copy, when the open rows are consecutive
-            rows = slice(open_[0], open_[-1] + 1) \
-                if open_[-1] - open_[0] + 1 == open_.size else open_
-            values = (cand, *_evaluate(cand, v[rows, None], x2[rows, None]))
-            wins = values[2] > f[open_, None]
+        for rows, part in _stacks(open_, n) if open_.size else ():
+            trial = cand[part]
+            values = (trial, *_evaluate(trial, v[rows, None], x2[rows, None]))
+            stacked = open_[part]
+            wins = values[2] > f[stacked, None]
             hit = np.flatnonzero(wins.any(axis=1))
             if hit.size:
                 # the first winning halving of each row that has one
                 first = wins[hit].argmax(axis=1)
-                won = open_[hit]
+                won = stacked[hit]
                 for target, value in zip(accepted, values):
                     target[won] = value[hit, first]
                 found[won] = True
                 searching[won] = False
+            del values  # freed before the next stack is evaluated
         k += w
         budget = min(2 * budget, _BLOCK_SAMPLES)
     return found, accepted
@@ -443,7 +464,9 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
             if not live.size:
                 break
         step = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
-        del square  # the curvature rows are freed before the line search
+        # the curvature rows and this pass's variances are freed before the
+        # line search, which forms the next ones
+        del square, cvar
         found, accepted = _line_search(p, step, f, v, x2)
         if np.count_nonzero(found) < len(found):
             # likelihood flat to machine precision but gradient target missed
@@ -452,22 +475,31 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
             g_out[gone], f_out[gone], iterations[gone] = g[stalled], f[stalled], it
             live, v, x2, *accepted = _drop_rows(stalled, [live, v, x2, *accepted])
         p, g, f, cvar, scales = accepted
+        del accepted
     g_out[live], f_out[live], iterations[live] = g, f, it
     return g_out, f_out, iterations, converged
 
 
-def _fit_inputs(eta: float, thetas, xs, c=None, s=None):
-    """The checks of estimate_homodyne_ml_block, then what its fit reads:
-    (offset, (v, x^2, moment starts)).  c and s are the cosines and sines
-    of the angles where the caller has them.
+def _fit_inputs(eta: float, draw: list, out: np.ndarray | None = None):
+    """The checks of estimate_homodyne_ml_block on draw = [thetas, xs] or
+    [thetas, xs, cos, sin], then what its fit reads: (offset, (v, x^2,
+    moment starts)).
 
-    Only the returned arrays outlive the call, so a caller that passes its
-    draw without keeping it holds v, x^2 and the starts alone.
+    The list is emptied, and each of its arrays is let go once used: the
+    angles once their check and bins are taken (or, without the cosines
+    and sines, once those are), the values once x^2 exists, and the
+    cosines and sines once v does.  So a caller that keeps no other
+    reference to its draw holds no more of it than the set-up still needs
+    (an argument tuple would hold all of it to the end), and holds v, x^2
+    and the starts alone once the call returns.  v is written into out, a
+    float64 array of at least 3 trials N entries, where one is given.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta = {eta} must lie in (0, 1]")
-    theta = np.asarray(thetas, dtype=float)
-    x = np.asarray(xs, dtype=float)
+    theta, x, *trig = draw
+    draw.clear()
+    theta = np.asarray(theta, dtype=float)
+    x = np.asarray(x, dtype=float)
     if theta.shape != x.shape or theta.ndim != 2:
         raise DomainError("homodyne blocks must be matching 2-d (trials, N) "
                           "angle/value arrays")
@@ -477,22 +509,29 @@ def _fit_inputs(eta: float, thetas, xs, c=None, s=None):
     if _too_few_angles(theta).any():
         raise DomainError("homodyne data must span at least 3 distinct angles; "
                           "fewer leave the 3-parameter model unidentifiable")
+    keys = _angle_keys(theta)
+    if trig:
+        theta = None
     with np.errstate(over="ignore"):
         x2 = x * x
+        x = None
         m = x2.mean(axis=1)
     if not np.all((m > 0.0) & (m < math.inf)):
         raise DomainError("homodyne data must have a positive, finite mean of x^2 "
                           "in every trial")
-    if c is None:
-        c, s = np.cos(theta), np.sin(theta)
+    c, s = trig or (np.cos(theta), np.sin(theta))
+    trig = theta = None
     # the rows (c^2, s^2, sqrt2 s c) written in place: stacking temporaries
     # would map fresh pages for every block
-    v = np.empty((trials, 3, n))
+    size = trials * 3 * n
+    v = (np.empty(size) if out is None else out[:size]).reshape(trials, 3, n)
     np.multiply(c, c, out=v[:, 0])
     np.multiply(s, s, out=v[:, 1])
     np.multiply(SQRT2, s, out=v[:, 2])
+    s = None
     v[:, 2] *= c
-    return delta_offset(eta, SchemeKind.HOMODYNE), (v, x2, _moment_starts(v, x2, theta))
+    c = None
+    return delta_offset(eta, SchemeKind.HOMODYNE), (v, x2, _moment_starts(v, x2, keys, m))
 
 
 def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float, *,
@@ -508,7 +547,7 @@ def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float, *
     are computed once the block has passed its checks, so that an infinite
     angle warns only in a block that is fitted.
     """
-    delta, inputs = _fit_inputs(eta, thetas, xs, *(trig or ()))
+    delta, inputs = _fit_inputs(eta, [thetas, xs, *(trig or ())])
     return _block_fit(delta, *_fit_block(*inputs))
 
 

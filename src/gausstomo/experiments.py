@@ -29,7 +29,7 @@ from .estimation import (_BLOCK_SAMPLES, BlockFit, _block_fit, _fit_block, _fit_
                          estimate_homodyne_ml, hs_distance_sq, to_ellipse)
 from .fisher import crb_het, crb_hom, gamma_surface
 from .regions import critical_lambda_equal_areas, region_boundaries
-from .sampling import (ContinuousSweep, SeedSpec, UniformGrid, _homodyne_block,
+from .sampling import (ContinuousSweep, SeedSpec, UniformGrid, _homodyne_block, _scratch,
                        heterodyne_arrays, heterodyne_moments, homodyne_arrays)
 
 
@@ -173,8 +173,6 @@ def resolve_config(raw: dict) -> dict:
     if exp == "simulate" and out["scheme"] == "heterodyne" \
             and out["angle_policy"] != {"type": "sweep"}:
         raise ConfigError("'angle_policy' applies only to homodyne simulation")
-    if exp == "estimate":
-        del out["seed"]
     return out
 
 
@@ -407,7 +405,8 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
     Heterodyne trials draw their second moments in one call.  A homodyne
     job draws and fits one block of trials, of up to _BLOCK_SAMPLES samples
     in all but at least one trial, as stacked (trials, n) arrays; the fit
-    takes the cosines and sines of the angles from the draw.  The jobs run
+    takes the cosines and sines of the angles from the draw, and forms v
+    in the thread's draw buffer.  The jobs run
     on a pool of `threads` workers only when there are two or more of
     each; else they run on the calling thread.
     """
@@ -418,9 +417,13 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
     size = max(1, _BLOCK_SAMPLES // n)
 
     def job(first: int) -> BlockFit:
-        # the draw is not kept, so it is freed before the fit starts
-        delta, inputs = _fit_inputs(spec.eta, *_homodyne_block(
-            spec, n, ContinuousSweep(), streams[first:first + size]))
+        seeds = streams[first:first + size]
+        # the buffer is sized for v before the draw's uniforms fill it: the
+        # set-up writes v there, which is free once x exists, and empties
+        # the list as it uses each array of the draw
+        buffer = _scratch(3 * len(seeds) * n)
+        delta, inputs = _fit_inputs(
+            spec.eta, list(_homodyne_block(spec, n, ContinuousSweep(), seeds)), buffer)
         return _block_fit(delta, *_fit_block(*inputs))
 
     starts = range(0, trials, size)
@@ -509,8 +512,7 @@ _GRID = _object({"lambda": (_NUMBERS, _REQUIRED), "mu": (_NUMBERS, _REQUIRED),
 
 
 def _experiment(run, **fields) -> tuple:
-    """(run, fields): format, the experiment's own fields, then seed; an own
-    format entry takes the place of the shared one."""
+    """(run, fields): format, the experiment's own fields, then seed."""
     return run, {"format": (_choice("csv", "json"), "csv"), **fields,
                  "seed": (_SEED, {"master_seed": 0, "stream_id": 0})}
 
@@ -526,9 +528,10 @@ EXPERIMENTS = {
     "simulate": _experiment(run_simulate, spec=(_SPEC, _REQUIRED), scheme=_SCHEME,
                             n=(_integer(1), _REQUIRED),
                             angle_policy=(_angle_policy, {"type": "sweep"})),
-    "estimate": _experiment(run_estimate, format=(_choice("json"), "json"),
-                            data_path=(_text, _REQUIRED), scheme=_SCHEME,
-                            eta=(_efficiency, _REQUIRED)),
+    # a fit reads its samples from data_path and draws nothing, so it has no seed
+    "estimate": (run_estimate, {"format": (_choice("json"), "json"),
+                                "data_path": (_text, _REQUIRED), "scheme": _SCHEME,
+                                "eta": (_efficiency, _REQUIRED)}),
     "crb-attainment": _experiment(run_crb_attainment, spec=(_SPEC, _REQUIRED),
                                   scheme=_SCHEME, n_values=(_N_VALUES, _REQUIRED),
                                   trials=_TRIALS),

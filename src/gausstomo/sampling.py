@@ -140,20 +140,29 @@ def _normals_in_place(u: np.ndarray) -> np.ndarray:
     return ndtri(_open_interval(u), u)
 
 
+def _scratch(size: int) -> np.ndarray:
+    """The first size floats of this thread's scratch buffer, grown to
+    hold them if it is smaller.
+
+    The buffer grows to the largest size the thread has asked for and is
+    reused, so a draw writes into pages already mapped.  A view is valid
+    until the thread's next draw or request; no public function returns
+    or keeps one.
+    """
+    buffer = getattr(_THREAD, "buffer", None)
+    if buffer is None or buffer.size < size:
+        buffer = _THREAD.buffer = np.empty(size)
+    return buffer[:size]
+
+
 def _uniforms(seeds: Sequence[SeedSpec], count: int) -> np.ndarray:
     """(trials, count) mantissas (w >> 11) 2^-53 of the words [0, count),
     one row per stream, in this thread's scratch buffer.
 
     numpy's Generator.random makes each double from one Philox word exactly
-    so.  The buffer grows to the largest block the thread has drawn and is
-    reused, so a draw writes into pages already mapped; the view is valid
-    until the thread's next draw, and no sampler returns it.
+    so.
     """
-    size = len(seeds) * count
-    buffer = getattr(_THREAD, "buffer", None)
-    if buffer is None or buffer.size < size:
-        buffer = _THREAD.buffer = np.empty(size)
-    u = buffer[:size].reshape(len(seeds), count)
+    u = _scratch(len(seeds) * count).reshape(len(seeds), count)
     for row, seed in zip(u, seeds):
         _seek(seed, 0).random(out=row)
     return u
@@ -173,10 +182,16 @@ def homodyne_arrays(spec: GaussianStateSpec, n: int,
     state mean is fixed at zero, only the profile is modelled.  Default
     angle policy is the continuous sweep (the infinite-quadrature limit);
     a UniformGrid(d) realises a finite set of d angle settings with
-    balanced counts.
+    balanced counts.  NumericalError if a value is not finite.
     """
     thetas, x, _, _ = _homodyne_block(spec, n, angle_policy, [seed])
+    _check_finite("homodyne", x)
     return thetas[0], x[0]
+
+
+def _check_finite(scheme: str, *arrays: np.ndarray):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(f"{scheme} samples of this state are not finite floats")
 
 
 def _homodyne_block(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
@@ -184,7 +199,8 @@ def _homodyne_block(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
     """(thetas, x, cos thetas, sin thetas) of the homodyne_arrays draw of
     each seed, as (trials, n) arrays whose row k is the draw from seeds[k]
     alone; the Monte Carlo runner hands the cosines and sines on to the
-    fit."""
+    fit.  A value past the float range reads inf or nan, without a warning.
+    """
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
     u = _sample_uniforms(seeds, n)
@@ -204,8 +220,19 @@ def _homodyne_block(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
         raise DomainError(f"unknown angle policy {policy!r}")
     cov = effective_covariance(spec, SchemeKind.HOMODYNE)
     c, s = np.cos(thetas), np.sin(thetas)
-    x = np.sqrt(cov.g1 * c * c + cov.g2 * s * s + SQRT2 * cov.g3 * s * c)
-    x *= _normals_in_place(u[..., 1])
+    # g1 c c + g2 s s + (sqrt2 g3) s c, term by term in two arrays
+    x, term = np.empty_like(c), np.empty_like(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(cov.g1, c, out=x)
+        x *= c
+        np.multiply(cov.g2, s, out=term)
+        term *= s
+        x += term
+        np.multiply(SQRT2 * cov.g3, s, out=term)
+        term *= c
+        x += term
+        np.sqrt(x, out=x)
+        x *= _normals_in_place(u[..., 1])
     return thetas, x, c, s
 
 
@@ -224,6 +251,7 @@ def heterodyne_arrays(spec: GaussianStateSpec, n: int,
 
     The pairs are i.i.d. from the heterodyne data Gaussian with covariance
     G_W + (2 - eta)/(2 eta) I, sampled through its Cholesky factor.
+    NumericalError if a value is not finite.
     """
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
@@ -232,9 +260,11 @@ def heterodyne_arrays(spec: GaussianStateSpec, n: int,
     # one allocation for both outputs: a pair of fresh ones would grow the
     # heap past malloc's trim threshold, and every draw would refault them
     x, p = np.empty((2, n))
-    np.multiply(l11, z[:, 0], out=x)
-    np.multiply(l21, z[:, 0], out=p)
-    p += np.multiply(l22, z[:, 1], out=z[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(l11, z[:, 0], out=x)
+        np.multiply(l21, z[:, 0], out=p)
+        p += np.multiply(l22, z[:, 1], out=z[:, 1])
+    _check_finite("heterodyne", x, p)
     return x, p
 
 

@@ -1,4 +1,6 @@
 import math
+import statistics
+import threading
 import tracemalloc
 import warnings
 
@@ -10,11 +12,11 @@ from gausstomo import (BlockFit, ContinuousSweep, Covariance2, DomainError,
                        crb_hom, delta_offset, estimate_heterodyne, estimate_homodyne_ml,
                        estimate_homodyne_ml_block, heterodyne_arrays, homodyne_arrays,
                        hs_distance_sq, to_ellipse, wigner_covariance)
-from gausstomo import estimation
+from gausstomo import estimation, experiments, sampling
 from gausstomo.estimation import (_BLOCK_SAMPLES, _angle_keys, _ascent_directions,
                                   _evaluate, _moment_starts, estimate_heterodyne_moments)
 from gausstomo.experiments import _run_trials
-from gausstomo.sampling import _homodyne_block, heterodyne_moments
+from gausstomo.sampling import UniformGrid, _homodyne_block, heterodyne_moments
 
 SQRT2 = math.sqrt(2.0)
 FIG5 = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
@@ -186,6 +188,11 @@ def masked_mean_start(v, x2, theta):
     return g if g[0] > 0 and g[1] > 0 and g[0] * g[1] - 0.5 * g[2] ** 2 > 0 else None
 
 
+def moment_starts(v, x2, theta):
+    """_moment_starts on the angles' bins and the rows' means of x^2."""
+    return _moment_starts(v, x2, _angle_keys(theta), x2.mean(axis=1))
+
+
 def covariance_of_params(p) -> list:
     """g of Cholesky parameters (ln a, b, ln c)."""
     a, b, c = math.exp(p[0]), p[1], math.exp(p[2])
@@ -200,7 +207,7 @@ def bin_vectors(theta):
 class TestMomentStarts:
     def check_against_masked_means(self, theta, x):
         v, x2 = bin_vectors(theta), x * x
-        got = _moment_starts(v, x2, theta)
+        got = moment_starts(v, x2, theta)
         assert got.shape == (len(x), 3)
         fallback = np.log(np.sqrt(x2.mean(axis=1)))
         kinds = set()
@@ -257,10 +264,10 @@ class TestMomentStarts:
         assert [masked_mean_start(*arrays) is None for arrays in zip(v, x2, theta)] \
             == [False, True, False]
         assert self.check_against_masked_means(theta, x) == {False, True}
-        got = _moment_starts(v, x2, theta)
+        got = moment_starts(v, x2, theta)
         for t in (0, 2):
-            assert got[t].tolist() == _moment_starts(v[t:t + 1], x2[t:t + 1],
-                                                     theta[t:t + 1])[0].tolist()
+            assert got[t].tolist() == moment_starts(v[t:t + 1], x2[t:t + 1],
+                                                    theta[t:t + 1])[0].tolist()
         block = estimate_homodyne_ml_block(theta, x, 1.0)
         singles = [estimate_homodyne_ml((t, xs), 1.0) for t, xs in zip(theta, x)]
         assert rows_bits(block) == [result_bits(r) for r in singles]
@@ -484,7 +491,7 @@ class TestHomodyneMlBlock:
     def test_row_with_a_nan_hessian_takes_steepest_ascent(self):
         thetas, xs = fig5_lane(0, 0, 50, trials=3)
         v, x2 = bin_vectors(thetas), xs * xs
-        p = _moment_starts(v, x2, thetas)
+        p = moment_starts(v, x2, thetas)
         _, _, cvar, scales = _evaluate(p, v, x2)
         grad_g = 0.5 * (v * (x2 / (cvar * cvar) - 1.0 / cvar)[:, None, :]).sum(axis=-1)
         cvar[1, 7] = math.nan  # reaches row 1's Hessian, not its gradient
@@ -592,8 +599,121 @@ class TestBlockMemory:
                 tracemalloc.stop()
         assert max(peaks) <= 12, peaks
 
+    def test_monte_carlo_job_fits_in_its_threads_draw_buffer(self, monkeypatch):
+        # each job's peak, the thread's draw buffer included: the draw forms
+        # its variances in two arrays, the set-up frees each array of the
+        # draw once it is used and writes v into the buffer, and the Newton
+        # loop frees the last pass's variances before a line search, whose
+        # halving rounds evaluate large rows on views
+        import numpy.random  # noqa: F401 -- imported before tracing starts
+        import scipy.special  # noqa: F401
+
+        n, trials = 10_000, 60
+        bases, peaks = [], []
+        draw, block_fit = experiments._homodyne_block, experiments._block_fit
+
+        def buffer_bytes():
+            buffer = getattr(sampling._THREAD, "buffer", None)
+            return 0 if buffer is None else buffer.nbytes
+
+        def starting(*args):
+            # the buffer counts in every job's peak, made in it or not
+            bases.append(tracemalloc.get_traced_memory()[0] - buffer_bytes())
+            tracemalloc.reset_peak()
+            return draw(*args)
+
+        def ending(*args):
+            peaks.append((tracemalloc.get_traced_memory()[1] - bases[-1]) / (8 * 3 * n))
+            return block_fit(*args)
+
+        def lanes():
+            for master in (1, 7):
+                _run_trials(CRB, SchemeKind.HOMODYNE, n, SeedSpec(master), 0, trials, 1)
+
+        monkeypatch.setattr(experiments, "_homodyne_block", starting)
+        monkeypatch.setattr(experiments, "_block_fit", ending)
+        # a new thread draws first under tracing, so its buffer is traced
+        worker = threading.Thread(target=lanes)
+        tracemalloc.start()
+        try:
+            worker.start()
+            worker.join(timeout=300)
+        finally:
+            tracemalloc.stop()
+        assert not worker.is_alive() and len(peaks) == 40
+        assert statistics.median(peaks) <= 9 and max(peaks) <= 10, peaks
+
+    def test_no_public_array_shares_the_thread_buffer(self, monkeypatch):
+        # Monte Carlo fits write v into this thread's draw buffer; what the
+        # public samplers returned, and what a block fit was given, stays
+        # as it was
+        fitted = []
+        fit_block = experiments._fit_block
+
+        def recording(v, x2, p):
+            fitted.append(np.shares_memory(v, sampling._THREAD.buffer))
+            return fit_block(v, x2, p)
+
+        monkeypatch.setattr(experiments, "_fit_block", recording)
+        seeds = [SeedSpec(21, t) for t in range(3)]
+        kept = [*homodyne_arrays(CRB, 10_000, seed=seeds[0]),
+                *homodyne_arrays(CRB, 3_000, UniformGrid(7), seeds[1]),
+                *heterodyne_arrays(CRB, 10_000, seeds[2])]
+        thetas, xs = map(np.stack, zip(*(homodyne_arrays(CRB, 50, seed=s) for s in seeds)))
+        kept += [thetas, xs]
+        before = [a.tobytes() for a in kept]
+        estimate_homodyne_ml_block(thetas, xs, CRB.eta)
+        for n in (50, 10_000):
+            _run_trials(CRB, SchemeKind.HOMODYNE, n, SeedSpec(22), 0, 6, 1)
+        assert fitted and all(fitted)
+        assert [a.tobytes() for a in kept] == before
+        assert not any(np.shares_memory(a, sampling._THREAD.buffer) for a in kept)
+
+
+def searching_rows(n: int):
+    """A line search on rows 0 and 2 of a (3, n) block: row 1's full step
+    beats its f, and no step beats rows 0 and 2, which halve until a
+    halving leaves their parameters unchanged."""
+    thetas, xs = crb_block(11, 0, n)
+    v, x2 = bin_vectors(thetas), xs * xs
+    p = moment_starts(v, x2, thetas)
+    step = np.random.default_rng(63).normal(0.0, 0.1, p.shape)
+    return p, step, np.array([math.inf, -math.inf, math.inf]), v, x2
+
 
 class TestLineSearch:
+    @pytest.mark.parametrize("n, calls", [(10_000, 2), (50, 1)])
+    def test_halving_rounds_copy_only_small_rows(self, monkeypatch, n, calls):
+        # rows 0 and 2 of a large block are evaluated on views of v, one
+        # call each per round; a small block's are one call on a copy
+        p, step, f, v, x2 = searching_rows(n)
+        stacks = []
+
+        def recording(cand, v_rows, x2_rows):
+            stacks.append((cand.shape[0], np.shares_memory(v_rows, v),
+                           np.shares_memory(x2_rows, x2)))
+            return _evaluate(cand, v_rows, x2_rows)
+
+        monkeypatch.setattr(estimation, "_evaluate", recording)
+        found, _ = estimation._line_search(p, step, f, v, x2)
+        assert found.tolist() == [False, True, False]
+        full, *rounds = stacks
+        assert full == (3, True, True) and len(rounds) > 1
+        if calls == 2:
+            assert set(rounds) == {(1, True, True)}
+        else:
+            assert set(rounds) == {(2, False, False)}
+
+    @pytest.mark.parametrize("n", [10_000, 50])
+    def test_halving_rounds_on_views_change_no_bit(self, monkeypatch, n):
+        p, step, f, v, x2 = searching_rows(n)
+        f[0] = _evaluate(p, v, x2)[1][0]  # row 0 finds a halving
+        want = estimation._line_search(p, step, f, v, x2)
+        monkeypatch.setattr(estimation, "_stacks", lambda open_, n: [(open_, slice(None))])
+        got = estimation._line_search(p, step, f, v, x2)
+        assert got[0].tolist() == want[0].tolist() == [True, True, False]
+        assert [a[got[0]].tobytes() for a in got[1]] == [a[want[0]].tobytes() for a in want[1]]
+
     def test_evaluation_is_the_same_in_every_layout(self):
         # the halving stop rests on this: a candidate equal to p evaluates
         # to p's own (g, f, cvar), whichever stack either was evaluated in
@@ -601,7 +721,7 @@ class TestLineSearch:
         v, x2 = bin_vectors(thetas), xs * xs
         rng = np.random.default_rng(62)
         # eight parameter rows about each trial's start
-        p = _moment_starts(v, x2, thetas)[:, None, :] + rng.normal(0.0, 0.05, (3, 8, 3))
+        p = moment_starts(v, x2, thetas)[:, None, :] + rng.normal(0.0, 0.05, (3, 8, 3))
 
         def bits(values, *index):
             return [a[index].tobytes() for a in values[:3]]

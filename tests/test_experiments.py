@@ -114,7 +114,7 @@ RESOLVED_TEXT = {
                  '"angle_policy": {"d": 4, "type": "grid"}, '
                  '"seed": {"master_seed": 0, "stream_id": 0}}'),
     "estimate": ({"experiment": "estimate", "eta": 1, "scheme": "heterodyne",
-                  "data_path": "x.csv", "seed": {"master_seed": 3}},
+                  "data_path": "x.csv"},
                  '{"experiment": "estimate", "format": "json", "data_path": "x.csv", '
                  '"scheme": "heterodyne", "eta": 1.0}'),
     "crb-attainment": ({"experiment": "crb-attainment", "trials": 3, "n_values": [10],
@@ -181,6 +181,12 @@ class TestConfigResolution:
         cfg = resolve_config({"experiment": "lambda-crit", "eta_values": [0.5],
                               "seed": {"master_seed": 3.0, "stream_id": 2**64 - 1}})
         assert json.dumps(cfg["seed"]) == '{"master_seed": 3, "stream_id": 18446744073709551615}'
+
+    def test_estimate_has_no_seed(self):
+        # a fit draws nothing, so a seed could only make a run fail
+        with pytest.raises(ConfigError, match=r"unknown keys in 'estimate': \['seed'\]"):
+            resolve_config({"experiment": "estimate", "data_path": "x.csv",
+                            "scheme": "homodyne", "eta": 1.0, "seed": {"master_seed": 3}})
 
     def test_estimate_requires_json_format(self):
         with pytest.raises(ConfigError, match="'format'"):
@@ -712,6 +718,23 @@ class TestCli:
         proc = self.run_cli("regions", "--config", str(cfg))
         assert proc.returncode == 3, proc.stderr
         assert json.loads(proc.stderr.strip())["error"] == "numerical"
+
+    @pytest.mark.parametrize("config", [
+        {"spec": {"mu": 1e300, "lambda": 1e16, "phi": 1e-300}, "scheme": "homodyne", "n": 4},
+        {"spec": {"mu": 2, "lambda": 10, "eta": 5e-324}, "scheme": "homodyne", "n": 2,
+         "angle_policy": {"type": "grid", "d": 2}},
+        {"spec": {"mu": 276970.97, "lambda": 5e-324, "eta": 5e-324}, "scheme": "heterodyne",
+         "n": 4},
+    ])
+    def test_simulate_whose_samples_are_not_finite_exits_3(self, tmp_path, config):
+        # the variances overflow or cancel to inf or nan here; no table is
+        # written, and no warning is printed
+        out = tmp_path / "samples.csv"
+        proc = self.run_cli("simulate", "--config", "-", "--out", str(out),
+                            input=json.dumps({"experiment": "simulate", **config}))
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stderr.strip())["error"] == "numerical"
+        assert not out.exists()
 
     def test_regions_of_a_rotated_squeezed_state_exit_0(self, tmp_path):
         # the homodyne triple's det cancels here; sigma needs only u^T G u

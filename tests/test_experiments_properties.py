@@ -64,7 +64,7 @@ ESTIMATE = st.fixed_dictionaries(
     {"experiment": st.just("estimate"), "data_path": st.text(max_size=8),
      "scheme": st.sampled_from(["homodyne", "heterodyne"]), "eta": numbers(0.05, 1.0),
      "format": st.just("json")},
-    optional={"seed": SEEDS, "output_path": COMMON["output_path"]})
+    optional={"output_path": COMMON["output_path"]})
 
 
 @PROPERTY
