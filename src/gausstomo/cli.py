@@ -74,20 +74,15 @@ def _load_config(config_path: str | None, experiment: str, flags: dict) -> dict:
     return cfg
 
 
-def _write_outputs(outputs: dict[str, str], out: str):
+def _write_output(text: str, out: str):
     if out == "-":
-        if set(outputs) != {""}:
-            _fail(EXIT_CONFIG, "config",
-                  "this experiment writes a sidecar file; --out must be a path")
-        sys.stdout.write(outputs[""])
+        sys.stdout.write(text)
         return
-    base = Path(out)
+    path = Path(out)
     try:
-        base.parent.mkdir(parents=True, exist_ok=True)
-        for suffix, content in outputs.items():
-            target = base if suffix == "" else Path(str(base) + suffix)
-            with open(target, "w", newline="\n") as fh:
-                fh.write(content)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
     except OSError as exc:
         _fail(EXIT_CONFIG, "config",
               f"cannot write output {out}: {exc.strerror}: {exc.filename}")
@@ -98,7 +93,7 @@ def _run(experiment: str, config: str | None, out: str | None, threads: int, fla
     target = out if out is not None else cfg.get("output_path", "-")
     try:
         resolve_config(cfg)
-        outputs = run_experiment(cfg, threads=threads)
+        text = run_experiment(cfg, threads=threads)[""]
     except ConfigError as exc:
         _fail(EXIT_CONFIG, "config", str(exc))
     except DomainError as exc:
@@ -108,7 +103,7 @@ def _run(experiment: str, config: str | None, out: str | None, threads: int, fla
         _fail(EXIT_CONFIG, "config", str(exc))
     except (NumericalError, FloatingPointError) as exc:
         _fail(EXIT_NUMERICAL, "numerical", str(exc))
-    _write_outputs(outputs, target)
+    _write_output(text, target)
 
 
 def _command(experiment: str) -> click.Command:

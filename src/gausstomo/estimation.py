@@ -534,20 +534,19 @@ def _fit_inputs(eta: float, draw: list, out: np.ndarray | None = None):
     return delta_offset(eta, SchemeKind.HOMODYNE), (v, x2, _moment_starts(v, x2, keys, m))
 
 
-def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float, *,
-                               trig: tuple[np.ndarray, np.ndarray] | None = None) -> BlockFit:
+def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float) -> BlockFit:
     """estimate_homodyne_ml of each row of (trials, N) angle and value
     arrays, fitted in lockstep; each row equals that row's own fit bit for
     bit, and no input array is written to.
 
     One Newton iteration runs on all rows still iterating at once, and a
     row leaves the block when it converges or stalls.  Any invalid row
-    raises the DomainError that estimate_homodyne_ml raises for it.  trig
-    is the (cos, sin) of the angles where the caller has them; else they
-    are computed once the block has passed its checks, so that an infinite
-    angle warns only in a block that is fitted.
+    raises the DomainError that estimate_homodyne_ml raises for it.  The
+    cosines and sines of the angles are computed once the block has passed
+    its checks, so that an infinite angle warns only in a block that is
+    fitted.
     """
-    delta, inputs = _fit_inputs(eta, [thetas, xs, *(trig or ())])
+    delta, inputs = _fit_inputs(eta, [thetas, xs])
     return _block_fit(delta, *_fit_block(*inputs))
 
 

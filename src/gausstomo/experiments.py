@@ -212,10 +212,10 @@ def _embedded_header(config: dict) -> str:
         config, sort_keys=True, separators=(",", ":"))
 
 
-def render_table(names: list[str], columns: list[Sequence], config: dict, fmt: str) -> str:
+def render_table(names: list[str], columns: list[Sequence], config: dict) -> str:
     """Render a result table, given one sequence (or _Repeats) per column,
-    with the resolved config embedded."""
-    if fmt == "csv":
+    in the config's format and with the config embedded."""
+    if config["format"] == "csv":
         formats, cells = zip(*map(_column_format, columns))
         # "%s" cells are strings already, and a join is about twice as fast
         row = ",".join if set(formats) == {"%s"} else ",".join(formats).__mod__
@@ -247,7 +247,7 @@ def _seed_of(config: dict) -> SeedSpec:
     return SeedSpec(*config["seed"].values())
 
 
-def run_surface(config: dict, threads: int = 1) -> dict[str, str]:
+def run_surface(config: dict, threads: int = 1) -> str:
     """Performance-ratio table over a (lambda, mu, eta) grid, eta outermost,
     then lambda, then mu.
 
@@ -277,28 +277,26 @@ def run_surface(config: dict, threads: int = 1) -> dict[str, str]:
     columns = [_Repeats(lambdas, lam_codes), _Repeats(mus, mu_codes),
                _Repeats(etas, eta_codes), *bounds,
                _Repeats([grid["mode"]], [0] * len(cells))]
-    return {"": render_table(["lambda", "mu", "eta", "h_hom", "h_het", "gamma", "mode"],
-                             columns, config, config["format"])}
+    return render_table(["lambda", "mu", "eta", "h_hom", "h_het", "gamma", "mode"],
+                        columns, config)
 
 
-def run_regions(config: dict, threads: int = 1) -> dict[str, str]:
+def run_regions(config: dict, threads: int = 1) -> str:
     """Polar uncertainty boundaries sigma_theta / Sigma_theta for one state."""
     columns = region_boundaries(_spec_of(config), config["samples"])
-    return {"": render_table(["theta", "sigma", "Sigma"], [c.tolist() for c in columns],
-                             config, config["format"])}
+    return render_table(["theta", "sigma", "Sigma"], [c.tolist() for c in columns], config)
 
 
-def run_lambda_crit(config: dict, threads: int = 1) -> dict[str, str]:
+def run_lambda_crit(config: dict, threads: int = 1) -> str:
     """Equal-area squeezing threshold against detector efficiency."""
     etas = config["eta_values"]
-    return {"": render_table(["eta", "lambda_crit"],
-                             [etas, [critical_lambda_equal_areas(eta) for eta in etas]],
-                             config, config["format"])}
+    return render_table(["eta", "lambda_crit"],
+                        [etas, [critical_lambda_equal_areas(eta) for eta in etas]], config)
 
 
-def run_simulate(config: dict, threads: int = 1) -> dict[str, str]:
-    """Synthetic records plus a '.meta.json' sidecar describing how to
-    replay them.  Homodyne tables have columns theta,x; heterodyne tables x,p.
+def run_simulate(config: dict, threads: int = 1) -> str:
+    """Synthetic records, replayable from the config they embed.  Homodyne
+    tables have columns theta,x; heterodyne tables x,p.
     """
     spec = _spec_of(config)
     seed = _seed_of(config)
@@ -309,34 +307,37 @@ def run_simulate(config: dict, threads: int = 1) -> dict[str, str]:
         names, columns = ["theta", "x"], homodyne_arrays(spec, n, policy, seed)
     else:
         names, columns = ["x", "p"], heterodyne_arrays(spec, n, seed)
-    table = render_table(names, [c.tolist() for c in columns], config, config["format"])
-    sidecar = json.dumps({"version": __version__, "spec": config["spec"],
-                          "scheme": config["scheme"],
-                          "angle_policy": config.get("angle_policy"),
-                          "n": n, "seed": config["seed"]}, indent=2) + "\n"
-    return {"": table, ".meta.json": sidecar}
+    return render_table(names, [c.tolist() for c in columns], config)
 
 
-def _read_data_table(path: Path) -> np.ndarray:
+def _read_data_table(path: Path) -> tuple[np.ndarray, dict]:
     """The samples of a table `simulate` wrote, in CSV or JSON: two finite
-    numbers per row, else ConfigError naming the row.  In a CSV, '#' lines
-    are comments and the first other line may be a header."""
+    numbers per row, else ConfigError naming the row; and the config the
+    table embeds, {} if none, else ConfigError naming the file.  In a CSV,
+    '#' lines are comments and the first other line may be a header."""
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read data file {path}: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
-            rows = [(f"row {k}", list(map(repr, row)))
-                    for k, row in enumerate(json.loads(text)["rows"], 1)]
+            doc = json.loads(text)
+            rows = [(f"row {k}", list(map(repr, row))) for k, row in enumerate(doc["rows"], 1)]
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"{path} is not a JSON table with 'rows': {exc}") from exc
+        config = doc.get("config", {})
     else:
         rows = [(f"line {k}", line.strip().split(","))
                 for k, line in enumerate(text.splitlines(), 1)
                 if line.strip() and not line.lstrip().startswith("#")]
         if rows and _floats(rows[0][1]) is None:
             rows.pop(0)  # the header
+        try:
+            config = extract_embedded_config(text) if text.startswith("# gausstomo ") else {}
+        except ValueError as exc:
+            raise ConfigError(f"cannot read the config embedded in {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"the config embedded in {path} is not a JSON object")
     data = []
     for place, tokens in rows:
         values = _floats(tokens)
@@ -346,7 +347,7 @@ def _read_data_table(path: Path) -> np.ndarray:
         data.append(values)
     if not data:
         raise ConfigError(f"no data rows found in {path}")
-    return np.asarray(data)
+    return np.asarray(data), config
 
 
 def _floats(tokens: list[str]) -> list[float] | None:
@@ -356,18 +357,18 @@ def _floats(tokens: list[str]) -> list[float] | None:
         return None
 
 
-def run_estimate(config: dict, threads: int = 1) -> dict[str, str]:
-    """Fit a covariance to a previously simulated (or imported) sample file."""
+def run_estimate(config: dict, threads: int = 1) -> str:
+    """Fit a covariance to a previously simulated (or imported) sample file;
+    the fingerprint carries the seed of the config the file embeds."""
     path = Path(config["data_path"])
-    data = _read_data_table(path)
+    data, embedded = _read_data_table(path)
     if config["scheme"] == "homodyne":
         result = estimate_homodyne_ml((data[:, 0], data[:, 1]), config["eta"])
     else:
         result = estimate_heterodyne(data, config["eta"])
     fingerprint: dict = {"n": int(data.shape[0])}
-    sidecar = path.with_suffix(path.suffix + ".meta.json")
-    if sidecar.exists():
-        fingerprint["seed"] = _sidecar_seed(sidecar)
+    if "seed" in embedded:
+        fingerprint["seed"] = embedded["seed"]
     doc = {"version": __version__, "config": config,
            "result": {"g_wigner": asdict(result.g_wigner),
                       "g_effective": asdict(result.g_effective),
@@ -377,19 +378,7 @@ def run_estimate(config: dict, threads: int = 1) -> dict[str, str]:
            "ellipse": (asdict(to_ellipse(result.g_effective))
                        if result.g_effective.is_positive_definite() else None),
            "fingerprint": fingerprint}
-    return {"": json.dumps(doc, indent=2) + "\n"}
-
-
-def _sidecar_seed(sidecar: Path):
-    """The seed that a `simulate` sidecar records; ConfigError naming the
-    sidecar if it cannot be read or is not a JSON object."""
-    try:
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read sidecar {sidecar}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ConfigError(f"sidecar {sidecar} is not a JSON object")
-    return meta.get("seed")
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _trial_stream(seed: SeedSpec, lane: int, trials: int, trial: int) -> SeedSpec:
@@ -437,7 +426,7 @@ def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
     return BlockFit(*map(np.concatenate, zip(*blocks)))
 
 
-def run_crb_attainment(config: dict, threads: int = 1) -> dict[str, str]:
+def run_crb_attainment(config: dict, threads: int = 1) -> str:
     """Scaled Monte Carlo MSE against the Cramer-Rao bound, per sample size.
 
     Columns: N,scheme,mean_N_times_mse,crb,ratio.  The ratio approaches one
@@ -455,11 +444,11 @@ def run_crb_attainment(config: dict, threads: int = 1) -> dict[str, str]:
         mean_scaled = n * float(np.mean([hs_distance_sq(Covariance2(*g), truth)
                                          for g in fit.g_wigner.tolist()]))
         rows.append((n, config["scheme"], mean_scaled, crb, mean_scaled / crb))
-    return {"": render_table(["N", "scheme", "mean_N_times_mse", "crb", "ratio"],
-                             list(zip(*rows)), config, config["format"])}
+    return render_table(["N", "scheme", "mean_N_times_mse", "crb", "ratio"],
+                        list(zip(*rows)), config)
 
 
-def run_fig5(config: dict, threads: int = 1) -> dict[str, str]:
+def run_fig5(config: dict, threads: int = 1) -> str:
     """Uncertainty-ellipse reconstruction benchmark at moderate sample sizes.
 
     For each N and scheme: the true Wigner ellipse, one representative
@@ -495,7 +484,7 @@ def run_fig5(config: dict, threads: int = 1) -> dict[str, str]:
         mean_hs = float(np.mean(hs_values))
         rows.append((n, scheme.value, "aggregate", -1,
                      math.nan, math.nan, math.nan, mean_hs, True, False))
-    return {"": render_table(names, list(zip(*rows)), config, config["format"])}
+    return render_table(names, list(zip(*rows)), config)
 
 
 _SPEC = _object({"mu": (_number, _REQUIRED), "lambda": (_number, _REQUIRED),
@@ -504,53 +493,49 @@ _SCHEME = (_choice("homodyne", "heterodyne"), _REQUIRED)
 _NUMBERS = _list_of(_number)
 _N_VALUES = _list_of(_integer(2))
 _TRIALS = (_integer(1), _REQUIRED)
-_SEED = _object({"master_seed": (_seed_id, _REQUIRED), "stream_id": (_seed_id, 0)},
-                SeedSpec)
+_SEED = (_object({"master_seed": (_seed_id, _REQUIRED), "stream_id": (_seed_id, 0)},
+                 SeedSpec), {"master_seed": 0, "stream_id": 0})
 _GRID = _object({"lambda": (_NUMBERS, _REQUIRED), "mu": (_NUMBERS, _REQUIRED),
                  "eta": (_list_of(_number, lone=True), [1.0]),
                  "mode": (_choice("real", "hypothetical"), "real")})
 
 
 def _experiment(run, **fields) -> tuple:
-    """(run, fields): format, the experiment's own fields, then seed."""
-    return run, {"format": (_choice("csv", "json"), "csv"), **fields,
-                 "seed": (_SEED, {"master_seed": 0, "stream_id": 0})}
+    """(run, fields): format, then the experiment's own fields."""
+    return run, {"format": (_choice("csv", "json"), "csv"), **fields}
 
 
 # Every experiment's runner and config fields, in resolved-config order:
 # {key: (check, default or _REQUIRED)}.  A runner takes the resolved config
 # and the worker-thread count, which only the Monte Carlo runners use, and
-# returns {output name suffix: content}.
+# returns its output.  Only the experiments that draw have a seed, and
+# estimate, which writes JSON alone, has no format.
 EXPERIMENTS = {
     "surface": _experiment(run_surface, grid=(_GRID, _REQUIRED)),
     "regions": _experiment(run_regions, spec=(_SPEC, _REQUIRED), samples=(_integer(4), 256)),
     "lambda-crit": _experiment(run_lambda_crit, eta_values=(_NUMBERS, _REQUIRED)),
     "simulate": _experiment(run_simulate, spec=(_SPEC, _REQUIRED), scheme=_SCHEME,
                             n=(_integer(1), _REQUIRED),
-                            angle_policy=(_angle_policy, {"type": "sweep"})),
-    # a fit reads its samples from data_path and draws nothing, so it has no seed
-    "estimate": (run_estimate, {"format": (_choice("json"), "json"),
-                                "data_path": (_text, _REQUIRED), "scheme": _SCHEME,
+                            angle_policy=(_angle_policy, {"type": "sweep"}), seed=_SEED),
+    "estimate": (run_estimate, {"data_path": (_text, _REQUIRED), "scheme": _SCHEME,
                                 "eta": (_efficiency, _REQUIRED)}),
     "crb-attainment": _experiment(run_crb_attainment, spec=(_SPEC, _REQUIRED),
                                   scheme=_SCHEME, n_values=(_N_VALUES, _REQUIRED),
-                                  trials=_TRIALS),
+                                  trials=_TRIALS, seed=_SEED),
     "fig5": _experiment(run_fig5,
                         spec=(_SPEC, {"mu": 2.0, "lambda": 10.0, "phi": 0.0, "eta": 0.5}),
-                        n_values=(_N_VALUES, [50, 100, 150]), trials=_TRIALS),
+                        n_values=(_N_VALUES, [50, 100, 150]), trials=_TRIALS, seed=_SEED),
 }
 
 
 def run_experiment(config: dict, threads: int = 1) -> dict[str, str]:
-    """Resolve and run a config; returns {relative output name: content}.
-
-    The primary table is keyed by the empty string; the simulate experiment
-    additionally yields a '.meta.json' sidecar.  `threads` is an execution
-    option, not part of the experiment identity: any worker count produces
-    the same bytes.
+    """Resolve and run a config; returns {"": output}, the output being the
+    table, or estimate's JSON document, with the resolved config embedded.
+    `threads` is an execution option, not part of the experiment identity:
+    any worker count produces the same bytes.
     """
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     resolved = resolve_config(config)
     run, _ = EXPERIMENTS[resolved["experiment"]]
-    return run(resolved, threads)
+    return {"": run(resolved, threads)}

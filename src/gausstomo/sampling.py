@@ -5,7 +5,7 @@ an explicit (key, counter) pair, with Gaussian variates produced by the
 inverse normal CDF applied to 53-bit uniforms.  Every random quantity is a
 pure function of (master_seed, stream_id, word index), and each Monte Carlo
 trial draws from its own stream, so any number of workers gives the same
-bytes on any platform.
+draws on any platform.
 
 Word layout: sample i consumes the two 64-bit words (2i, 2i + 1) of its
 stream; homodyne uses word 2i for the quadrature angle (discarded under a
@@ -185,13 +185,12 @@ def homodyne_arrays(spec: GaussianStateSpec, n: int,
     balanced counts.  NumericalError if a value is not finite.
     """
     thetas, x, _, _ = _homodyne_block(spec, n, angle_policy, [seed])
-    _check_finite("homodyne", x)
     return thetas[0], x[0]
 
 
-def _check_finite(scheme: str, *arrays: np.ndarray):
+def _check_finite(what: str, *arrays: np.ndarray):
     if not all(np.isfinite(a).all() for a in arrays):
-        raise NumericalError(f"{scheme} samples of this state are not finite floats")
+        raise NumericalError(f"{what} of this state are not finite floats")
 
 
 def _homodyne_block(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
@@ -199,7 +198,7 @@ def _homodyne_block(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
     """(thetas, x, cos thetas, sin thetas) of the homodyne_arrays draw of
     each seed, as (trials, n) arrays whose row k is the draw from seeds[k]
     alone; the Monte Carlo runner hands the cosines and sines on to the
-    fit.  A value past the float range reads inf or nan, without a warning.
+    fit.  NumericalError, without a warning, if a value is not finite.
     """
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
@@ -233,6 +232,7 @@ def _homodyne_block(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
         x += term
         np.sqrt(x, out=x)
         x *= _normals_in_place(u[..., 1])
+    _check_finite("homodyne samples", x)
     return thetas, x, c, s
 
 
@@ -264,7 +264,7 @@ def heterodyne_arrays(spec: GaussianStateSpec, n: int,
         np.multiply(l11, z[:, 0], out=x)
         np.multiply(l21, z[:, 0], out=p)
         p += np.multiply(l22, z[:, 1], out=z[:, 1])
-    _check_finite("heterodyne", x, p)
+    _check_finite("heterodyne samples", x, p)
     return x, p
 
 
@@ -372,7 +372,8 @@ def heterodyne_moments(spec: GaussianStateSpec, n: int, seeds: Sequence[SeedSpec
     the upper-tail quantiles of words 0 and 1 of the stream, n21 the normal
     of word 2.  The moments have the distribution of those of
     heterodyne_arrays(spec, n, seed), not their values.  NumericalError past
-    n = 2^53, where n and n - 1 stop being distinct floats.
+    n = 2^53, where n and n - 1 stop being distinct floats, or if a moment
+    is not finite.
     """
     if n < 2:
         raise DomainError(f"n = {n} must be at least 2")
@@ -389,4 +390,6 @@ def heterodyne_moments(spec: GaussianStateSpec, n: int, seeds: Sequence[SeedSpec
         y1 = l11 * c1
         y2 = l21 * c1 + l22 * n21
         y3 = l22 * c2
-        return y1 * y1 / n, (y2 * y2 + y3 * y3) / n, y1 * y2 / n
+        moments = y1 * y1 / n, (y2 * y2 + y3 * y3) / n, y1 * y2 / n
+    _check_finite("heterodyne second moments", *moments)
+    return moments

@@ -435,9 +435,11 @@ class TestHomodyneMlBlock:
         assert_empty(estimate_homodyne_ml_block(np.zeros((0, 10)), np.zeros((0, 10)), 1.0))
 
     def test_trig_from_the_draw_changes_no_bit(self):
+        # the Monte Carlo runner hands the draw's cosines and sines on to the fit
         thetas, xs, c, s = _homodyne_block(FIG5, 50, ContinuousSweep(),
                                            [SeedSpec(53, t) for t in range(6)])
-        given = estimate_homodyne_ml_block(thetas, xs, FIG5.eta, trig=(c, s))
+        delta, inputs = estimation._fit_inputs(FIG5.eta, [thetas, xs, c, s])
+        given = estimation._block_fit(delta, *estimation._fit_block(*inputs))
         assert rows_bits(given) == rows_bits(estimate_homodyne_ml_block(thetas, xs, FIG5.eta))
 
     def test_inputs_are_not_written(self):
@@ -446,7 +448,8 @@ class TestHomodyneMlBlock:
         for a in arrays:
             a.flags.writeable = False  # a write raises
         thetas, xs, c, s = arrays
-        estimate_homodyne_ml_block(thetas, xs, FIG5.eta, trig=(c, s))
+        estimate_homodyne_ml_block(thetas, xs, FIG5.eta)
+        estimation._fit_block(*estimation._fit_inputs(FIG5.eta, [thetas, xs, c, s])[1])
         assert [a.tobytes() for a in arrays] == before
 
     def test_stalled_rows_leave_out_of_trial_order(self, monkeypatch):

@@ -37,16 +37,16 @@ PINNED_SHA256 = {
         "9daf60733751e236d44f5b3f4a482f865f6748e2f950bc4126ae7d9d8ce78282",
     "split-crb": "2b9a27097e7c415142aa867511382afca6007ef72c2985b5cf2372f3dfd33fb9",
     # SURFACE_GRID in each mode
-    "surface-real": "cd4fe9b566b025dc0372f61b2fed93c9af8307fe55f1b74b94ba6a23a7ccd081",
+    "surface-real": "d040addf29b374a51d4f7dae0fc6a611fe2cdd1fd21ca377585408fbe6d52fb0",
     "surface-hypothetical":
-        "19bde8210a0c876ac8d075c95937ad681d613459ac961e17e5475623d7fb3c9c",
+        "e12b4de0666ec9dee7bd6285df47beda70a72f29121e4a050b2473c5ca38d500",
     # PINNED_TABLES, one per key: every table writer path in both formats
-    "regions-csv": "eb530a530791c360b9e69dd5a84e26682a82d22c60fd3bd711ccf56cd95bd2e9",
-    "regions-json": "2637531c62678c53f95b414ca0a21e695bc6f6f1d6e06a9305d8759546029e34",
-    "lambda-crit": "9bc3f936d975fd486e01ed1c776881a33f31086bd44ccf2d45e217fa818212a8",
-    "surface-real-json": "f1cda041bfc601320b024dfc8a18374af594fa71eebdf0c77229b5b1af0ee92d",
+    "regions-csv": "10f387dfd3f015abbdf037d546b69b27f1b2965a3f6e7412575f9554d1dac1a4",
+    "regions-json": "ae98f1644cf181b29c6a4c6d7c11ffdd58b9d05de1fc40170dc331d609c4a03f",
+    "lambda-crit": "e4215ca2352b37593613100c7dc14bbcb0bb033f826d49a72be46cab79c1a769",
+    "surface-real-json": "04d2e127c5743d397219db653958fc5312466bacbf359b9cb6c44958518bbb24",
     "surface-hypothetical-json":
-        "4551fdade7d9d2f56ccb0d64c3e781d2412ca8d994ce8d9ed40f345fbee52e16",
+        "3c49cc4f4d8d81db52b9e7a7e83d7a76ab06983d5656ccb25d5701f000ee6522",
     "simulate-grid-csv": "e767c61f6a999025c00d7cbd5be5d19fcc19de2a8fb3e19419bd1c36e2c6c2cc",
     "simulate-grid-json": "068131db343edc0c3f305c153469c52ab2353cf136f3686c07e3b84d18977aa7",
     "simulate-sweep-csv": "7cdd25ed4151322516ce894330265b88b309ea2d8a4ff82ef1717e4602acda22",
@@ -94,18 +94,15 @@ PINNED_TABLES = {
 # resolution: JSON outputs keep the resolved key order, so that order is
 # output bytes
 RESOLVED_TEXT = {
-    "surface": ({"experiment": "surface", "seed": {"stream_id": 2, "master_seed": 1},
+    "surface": ({"experiment": "surface",
                  "grid": {"mode": "hypothetical", "mu": [1, 2.5], "lambda": [3]}},
                 '{"experiment": "surface", "format": "csv", "grid": {"lambda": [3.0], '
-                '"mu": [1.0, 2.5], "eta": [1.0], "mode": "hypothetical"}, '
-                '"seed": {"master_seed": 1, "stream_id": 2}}'),
+                '"mu": [1.0, 2.5], "eta": [1.0], "mode": "hypothetical"}}'),
     "regions": ({"spec": {"lambda": 2, "mu": 1.5}, "experiment": "regions"},
                 '{"experiment": "regions", "format": "csv", "spec": {"mu": 1.5, '
-                '"lambda": 2.0, "phi": 0.0, "eta": 1.0}, "samples": 256, '
-                '"seed": {"master_seed": 0, "stream_id": 0}}'),
+                '"lambda": 2.0, "phi": 0.0, "eta": 1.0}, "samples": 256}'),
     "lambda-crit": ({"eta_values": [1, 0.25], "format": "json", "experiment": "lambda-crit"},
-                    '{"experiment": "lambda-crit", "format": "json", "eta_values": [1.0, 0.25], '
-                    '"seed": {"master_seed": 0, "stream_id": 0}}'),
+                    '{"experiment": "lambda-crit", "format": "json", "eta_values": [1.0, 0.25]}'),
     "simulate": ({"experiment": "simulate", "n": 5, "scheme": "homodyne",
                   "spec": {"eta": 0.5, "mu": 2, "lambda": 10},
                   "angle_policy": {"d": 4, "type": "grid"}, "output_path": "x.csv"},
@@ -115,7 +112,7 @@ RESOLVED_TEXT = {
                  '"seed": {"master_seed": 0, "stream_id": 0}}'),
     "estimate": ({"experiment": "estimate", "eta": 1, "scheme": "heterodyne",
                   "data_path": "x.csv"},
-                 '{"experiment": "estimate", "format": "json", "data_path": "x.csv", '
+                 '{"experiment": "estimate", "data_path": "x.csv", '
                  '"scheme": "heterodyne", "eta": 1.0}'),
     "crb-attainment": ({"experiment": "crb-attainment", "trials": 3, "n_values": [10],
                         "scheme": "heterodyne", "spec": {"mu": 2, "lambda": 10, "eta": 0.5}},
@@ -128,6 +125,10 @@ RESOLVED_TEXT = {
              '"phi": 0.0, "eta": 0.5}, "n_values": [50, 100, 150], "trials": 2, '
              '"seed": {"master_seed": 0, "stream_id": 0}}'),
 }
+
+
+# a config for render_table's CSV path
+CSV = {"experiment": "surface", "format": "csv"}
 
 
 def sha256(text: str) -> str:
@@ -178,7 +179,7 @@ class TestConfigResolution:
         assert cfg["format"] == "csv"
 
     def test_integral_seed_float_resolves_to_its_integer(self):
-        cfg = resolve_config({"experiment": "lambda-crit", "eta_values": [0.5],
+        cfg = resolve_config({"experiment": "fig5", "trials": 1,
                               "seed": {"master_seed": 3.0, "stream_id": 2**64 - 1}})
         assert json.dumps(cfg["seed"]) == '{"master_seed": 3, "stream_id": 18446744073709551615}'
 
@@ -187,11 +188,6 @@ class TestConfigResolution:
         with pytest.raises(ConfigError, match=r"unknown keys in 'estimate': \['seed'\]"):
             resolve_config({"experiment": "estimate", "data_path": "x.csv",
                             "scheme": "homodyne", "eta": 1.0, "seed": {"master_seed": 3}})
-
-    def test_estimate_requires_json_format(self):
-        with pytest.raises(ConfigError, match="'format'"):
-            resolve_config({"experiment": "estimate", "data_path": "x.csv",
-                            "scheme": "homodyne", "eta": 1.0, "format": "csv"})
 
     @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
     def test_resolved_json_text(self, experiment):
@@ -204,8 +200,7 @@ class TestConfigResolution:
 
 class TestRenderAndReplay:
     def test_floats_use_17_significant_digits(self):
-        cfg = {"experiment": "surface"}
-        text = render_table(["a"], [[1 / 3]], cfg, "csv")
+        text = render_table(["a"], [[1 / 3]], CSV)
         assert "0.33333333333333331" in text
 
     # bytes of the writer for every cell type the runners emit, one
@@ -215,7 +210,7 @@ class TestRenderAndReplay:
                       (math.nan, math.inf, -math.inf), ("real", "hypothetical", "x")]
     PINNED = {
         "csv": textwrap.dedent(f"""\
-            # gausstomo {__version__} config {{"experiment":"surface"}}
+            # gausstomo {__version__} config {{"experiment":"surface","format":"csv"}}
             flag,count,zero,x,y,label
             true,3,-0,0.10000000000000001,nan,real
             false,-7,0,0.33333333333333331,inf,hypothetical
@@ -225,7 +220,8 @@ class TestRenderAndReplay:
             {{
               "version": "{__version__}",
               "config": {{
-                "experiment": "surface"
+                "experiment": "surface",
+                "format": "json"
               }},
               "columns": [
                 "flag",
@@ -268,7 +264,7 @@ class TestRenderAndReplay:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_pinned_bytes(self, fmt):
         text = render_table(["flag", "count", "zero", "x", "y", "label"],
-                            self.PINNED_COLUMNS, {"experiment": "surface"}, fmt)
+                            self.PINNED_COLUMNS, {"experiment": "surface", "format": fmt})
         assert text == self.PINNED[fmt]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -278,7 +274,7 @@ class TestRenderAndReplay:
         columns = [_Repeats([c[2], "unused", c[0], c[1]], [2, 3, 0])
                    for c in self.PINNED_COLUMNS]
         text = render_table(["flag", "count", "zero", "x", "y", "label"],
-                            columns, {"experiment": "surface"}, fmt)
+                            columns, {"experiment": "surface", "format": fmt})
         assert text == self.PINNED[fmt]
 
     @pytest.mark.parametrize("values, body", [
@@ -289,7 +285,7 @@ class TestRenderAndReplay:
     ])
     def test_pinned_csv_columns(self, values, body):
         for column in (values, _Repeats(values, range(len(values)))):
-            text = render_table(["v"], [column], {"experiment": "surface"}, "csv")
+            text = render_table(["v"], [column], CSV)
             assert text.split("\n", 2)[2] == body
 
     @pytest.mark.parametrize("values, codes, body", [
@@ -303,10 +299,10 @@ class TestRenderAndReplay:
     ])
     def test_declared_repeats(self, values, codes, body):
         column = _Repeats(values, codes)
-        text = render_table(["v"], [column], {"experiment": "surface"}, "csv")
+        text = render_table(["v"], [column], CSV)
         assert text.split("\n", 2)[2] == body
-        rows = json.loads(render_table(["v"], [column], {"experiment": "surface"},
-                                       "json"))["rows"]
+        rows = json.loads(render_table(["v"], [column],
+                                       {"experiment": "surface", "format": "json"}))["rows"]
         cells = [values[code] for code in codes]
         assert json.dumps(rows) == json.dumps([[cell] for cell in cells])
 
@@ -361,8 +357,7 @@ class TestColumnFormat:
                               for k in range(1000)]),
                     _Repeats(zeros, [k % 4 for k in range(1000)]), mixed, distinct]
         for columns in ([repeated, signed_zeros, mixed, distinct], declared):
-            text = render_table(["a", "b", "c", "d"], columns, {"experiment": "surface"},
-                                "csv")
+            text = render_table(["a", "b", "c", "d"], columns, CSV)
             assert text.split("\n", 2)[2] == self.per_cell(rows)
 
     @pytest.mark.parametrize("mode", ["real", "hypothetical"])
@@ -437,16 +432,14 @@ class TestRegionsAndLambdaCrit:
 
 
 class TestSimulateAndEstimate:
-    def test_simulate_writes_sidecar_and_replays(self, tmp_path):
+    def test_simulate_writes_one_table_that_replays(self):
         cfg = {"experiment": "simulate", "spec": {"mu": 2.0, "lambda": 10.0,
                                                   "eta": 0.5},
                "scheme": "heterodyne", "n": 200,
                "seed": {"master_seed": 5, "stream_id": 1}}
         outputs = run_experiment(cfg)
-        assert set(outputs) == {"", ".meta.json"}
-        meta = json.loads(outputs[".meta.json"])
-        assert meta["n"] == 200 and meta["scheme"] == "heterodyne"
-        assert outputs[""] == run_experiment(cfg)[""]
+        assert set(outputs) == {""}
+        assert run_experiment(extract_embedded_config(outputs[""])) == outputs
 
     def test_homodyne_table_columns(self):
         cfg = {"experiment": "simulate", "spec": {"mu": 1.0, "lambda": 1.0},
@@ -465,9 +458,8 @@ class TestSimulateAndEstimate:
         outputs = run_experiment(sim)
         data = tmp_path / "samples.csv"
         data.write_text(outputs[""])
-        (tmp_path / "samples.csv.meta.json").write_text(outputs[".meta.json"])
         est = {"experiment": "estimate", "data_path": str(data),
-               "scheme": "heterodyne", "eta": 0.5, "format": "json"}
+               "scheme": "heterodyne", "eta": 0.5}
         doc = json.loads(run_experiment(est)[""])
         g = doc["result"]["g_wigner"]
         assert g["g1"] == pytest.approx(0.1, abs=0.05)
@@ -486,9 +478,8 @@ class TestSimulateAndEstimate:
             outputs = run_experiment(sim)
             data = tmp_path / f"samples.{fmt}"
             data.write_text(outputs[""])
-            (tmp_path / f"samples.{fmt}.meta.json").write_text(outputs[".meta.json"])
             est = {"experiment": "estimate", "data_path": str(data),
-                   "scheme": scheme, "eta": 0.5, "format": "json"}
+                   "scheme": scheme, "eta": 0.5}
             doc = json.loads(run_experiment(est)[""])
             fits.append((doc["result"], doc["ellipse"], doc["fingerprint"]))
         assert fits[0] == fits[1]
@@ -502,7 +493,7 @@ class TestSimulateAndEstimate:
         data = tmp_path / "samples.csv"
         data.write_text(run_experiment(sim)[""])
         est = {"experiment": "estimate", "data_path": str(data), "scheme": sim["scheme"],
-               "eta": sim["spec"]["eta"], "format": "json"}
+               "eta": sim["spec"]["eta"]}
         doc = json.loads(run_experiment(est)[""])
         assert sha256(json.dumps([doc["result"], doc["ellipse"]])) == \
             PINNED_SHA256[f"estimate-{kind}"]
@@ -522,7 +513,7 @@ class TestSimulateAndEstimate:
         data = tmp_path / "samples.csv"
         data.write_text(text)
         est = {"experiment": "estimate", "data_path": str(data),
-               "scheme": "heterodyne", "eta": 0.5, "format": "json"}
+               "scheme": "heterodyne", "eta": 0.5}
         with pytest.raises(ConfigError, match=where):
             run_experiment(est)
 
@@ -531,7 +522,7 @@ class TestSimulateAndEstimate:
         binary.write_bytes(b"\xff\xfe1,2\n")
         for path in (tmp_path, binary):
             est = {"experiment": "estimate", "data_path": str(path),
-                   "scheme": "heterodyne", "eta": 0.5, "format": "json"}
+                   "scheme": "heterodyne", "eta": 0.5}
             with pytest.raises(ConfigError, match="cannot read data file"):
                 run_experiment(est)
 
@@ -539,12 +530,13 @@ class TestSimulateAndEstimate:
         data = tmp_path / "samples.csv"
         data.write_text("1.0,2.0\n0.5,0.25\n-1.0,0.5\n")
         est = {"experiment": "estimate", "data_path": str(data),
-               "scheme": "heterodyne", "eta": 0.5, "format": "json"}
-        assert json.loads(run_experiment(est)[""])["fingerprint"]["n"] == 3
+               "scheme": "heterodyne", "eta": 0.5}
+        # a file that embeds no config gives no seed
+        assert json.loads(run_experiment(est)[""])["fingerprint"] == {"n": 3}
 
     def test_estimate_missing_file_is_config_error(self):
         est = {"experiment": "estimate", "data_path": "/nonexistent/data.csv",
-               "scheme": "heterodyne", "eta": 0.5, "format": "json"}
+               "scheme": "heterodyne", "eta": 0.5}
         with pytest.raises(ConfigError):
             run_experiment(est)
 
@@ -806,15 +798,33 @@ class TestCli:
         assert float(dict(zip(header, rows[0]))["crb"]) == \
             crb_hom(GaussianStateSpec(1.0, 1e10))
 
-    def test_heterodyne_moments_past_the_float_range_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("spec", [
+        {"mu": 1e300, "lambda": 1e10, "eta": 0.5},
+        {"mu": 276970.97, "lambda": 5e-324, "eta": 5e-324},
+    ], ids=["overflow", "tiny-lambda-and-eta"])
+    def test_heterodyne_moments_past_the_float_range_exit_3(self, tmp_path, spec):
+        # a drawn moment that is not finite is a numerical failure of the
+        # draw, not bad data
         cfg = tmp_path / "crb.json"
         cfg.write_text(json.dumps({"experiment": "crb-attainment", "scheme": "heterodyne",
-                                   "spec": {"mu": 1e300, "lambda": 1e10, "eta": 0.5},
-                                   "n_values": [50], "trials": 3}))
+                                   "spec": spec, "n_values": [50], "trials": 3}))
         proc = self.run_cli("crb-attainment", "--config", str(cfg))
-        assert proc.returncode == 2, proc.stderr
+        assert proc.returncode == 3, proc.stderr
         err = json.loads(proc.stderr.strip())
-        assert err["error"] == "domain" and "second moments" in err["message"]
+        assert err["error"] == "numerical" and "second moments" in err["message"]
+
+    @pytest.mark.parametrize("experiment, config", [
+        ("fig5", {"trials": 2, "spec": {"mu": 2, "lambda": 10, "eta": 5e-324}}),
+        ("crb-attainment", {"spec": {"mu": 1e300, "lambda": 1e16, "phi": 1e-300},
+                            "scheme": "homodyne", "n_values": [4], "trials": 2}),
+    ])
+    def test_monte_carlo_whose_samples_are_not_finite_exits_3(self, experiment, config):
+        # the configs on which simulate exits 3 for the same reason
+        proc = self.run_cli(experiment, "--config", "-",
+                            input=json.dumps({"experiment": experiment, **config}))
+        assert proc.returncode == 3, proc.stderr
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "numerical" and "homodyne samples" in err["message"]
 
     @pytest.mark.parametrize("n, code", [(10 ** 9, 0), (2 ** 53 + 1, 3)])
     def test_heterodyne_crb_attainment_at_huge_n(self, tmp_path, n, code):
@@ -837,7 +847,7 @@ class TestCli:
         data.write_text("x,p\n1.0,2.0\nnan,1.0\n0.5,0.25\n-1.0,0.5\n")
         cfg = tmp_path / "est.json"
         cfg.write_text(json.dumps({"experiment": "estimate", "data_path": str(data),
-                                   "scheme": "heterodyne", "eta": 0.5, "format": "json"}))
+                                   "scheme": "heterodyne", "eta": 0.5}))
         proc = self.run_cli("estimate", "--config", str(cfg))
         assert proc.returncode == 2
         assert "line 3" in json.loads(proc.stderr.strip())["message"]
@@ -854,7 +864,7 @@ class TestCli:
         data.write_text("a,b\n" + "".join(f"{0.3 * k},{x!r}\n" for k in range(12)))
         cfg = tmp_path / "est.json"
         cfg.write_text(json.dumps({"experiment": "estimate", "data_path": str(data),
-                                   "scheme": scheme, "eta": 0.5, "format": "json"}))
+                                   "scheme": scheme, "eta": 0.5}))
         proc = self.run_cli("estimate", "--config", str(cfg))
         assert proc.returncode == 2, proc.stderr
         err = json.loads(proc.stderr.strip())
@@ -870,7 +880,7 @@ class TestCli:
         data.write_text("theta,x\n" + "".join(f"{k % 2},{0.1 * k + 0.1}\n" for k in range(12)))
         cfg = tmp_path / "est.json"
         cfg.write_text(json.dumps({"experiment": "estimate", "data_path": str(data),
-                                   "scheme": "homodyne", "eta": eta, "format": "json"}))
+                                   "scheme": "homodyne", "eta": eta}))
         proc = self.run_cli("estimate", "--config", str(cfg))
         assert proc.returncode == 2, proc.stderr
         err = json.loads(proc.stderr.strip())
@@ -913,8 +923,7 @@ class TestCli:
     @pytest.mark.parametrize("config, flag, key", [
         ({"experiment": "regions", "spec": 5}, ("--mu", "2"), "spec"),
         ({"experiment": "regions", "spec": [["mu", 1]]}, ("--lambda", "2"), "spec"),
-        ({"experiment": "lambda-crit", "eta_values": [0.5], "seed": "abc"},
-         ("--seed", "3"), "seed"),
+        ({"experiment": "fig5", "trials": 1, "seed": "abc"}, ("--seed", "3"), "seed"),
     ])
     def test_flag_on_a_non_object_exits_2(self, tmp_path, config, flag, key):
         cfg = tmp_path / "cfg.json"
@@ -936,21 +945,21 @@ class TestCli:
         header, rows = rows_of(out.read_text())
         assert [float(row[0]) for row in rows] == [math.pi * j / d for j in range(4)]
 
-    def test_simulate_requires_real_output_path(self, tmp_path):
+    def test_simulate_writes_one_table_to_stdout_or_a_path(self, tmp_path):
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps({"experiment": "simulate",
                                    "spec": {"mu": 1.0, "lambda": 1.0},
                                    "scheme": "heterodyne", "n": 5,
                                    "seed": {"master_seed": 0, "stream_id": 0}}))
-        proc = self.run_cli("simulate", "--config", str(cfg))
-        assert proc.returncode == 2
+        printed = self.run_cli("simulate", "--config", str(cfg))
+        assert printed.returncode == 0, printed.stderr
         out = tmp_path / "samples.csv"
         proc = self.run_cli("simulate", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
-        assert out.exists() and (tmp_path / "samples.csv.meta.json").exists()
+        assert out.read_text() == printed.stdout
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["samples.csv", "sim.json"]
 
     def test_eta_flag_sets_the_eta_of_estimate(self, tmp_path):
-        # the config sets no format, which for estimate defaults to json
         data = tmp_path / "samples.csv"
         data.write_text("x,p\n1.0,2.0\n0.5,0.25\n-1.0,0.5\n")
         cfg = {"data_path": str(data), "scheme": "heterodyne", "eta": 0.5}
@@ -967,9 +976,8 @@ class TestCli:
 
     def test_seed_flag_keeps_the_other_seed_keys(self):
         # a misspelled stream_id is still rejected with the flag
-        cfg = {"eta_values": [0.5], "seed": {"master_seed": 1, "stream": 5}}
-        proc = self.run_cli("lambda-crit", "--config", "-", "--seed", "3",
-                            input=json.dumps(cfg))
+        cfg = {"trials": 1, "seed": {"master_seed": 1, "stream": 5}}
+        proc = self.run_cli("fig5", "--config", "-", "--seed", "3", input=json.dumps(cfg))
         assert proc.returncode == 2
         err = json.loads(proc.stderr)
         assert err["error"] == "config" and "'seed'" in err["message"]
@@ -1027,6 +1035,53 @@ class TestCli:
         assert outs[0] == outs[1]
         assert outs[0] != outs[2]
 
+    # a config per command, small enough to run in-process, and two valid
+    # values of each flag
+    FLAG_BASES = {
+        "surface": {"grid": {"lambda": [1.0, 10.0], "mu": [1.0, 3.0], "eta": [0.5, 1.0]}},
+        "regions": {"spec": {"mu": 2.0, "lambda": 10.0}, "samples": 8},
+        "lambda-crit": {"eta_values": [0.5, 1.0]},
+        "simulate": {"spec": {"mu": 2.0, "lambda": 10.0}, "scheme": "homodyne", "n": 8},
+        "estimate": {"scheme": "heterodyne", "eta": 0.5},
+        "crb-attainment": {"spec": {"mu": 2.0, "lambda": 10.0}, "scheme": "heterodyne",
+                           "n_values": [10], "trials": 4},
+        "fig5": {"n_values": [20], "trials": 2},
+    }
+    FLAG_VALUES = {"--format": ("csv", "json"), "--mu": ("1.5", "3"), "--lambda": ("2", "5"),
+                   "--eta": ("0.5", "0.8"), "--n": ("8", "9"), "--trials": ("2", "3"),
+                   "--seed": ("1", "2")}
+
+    @pytest.mark.parametrize("command", list(EXPERIMENTS))
+    def test_every_flag_changes_the_output(self, tmp_path, command):
+        # a flag whose two values print the same rows sets a key that no
+        # runner reads; the embedded config is left out of the comparison
+        def body(text):
+            if text.startswith("# gausstomo "):
+                return text.split("\n", 1)[1]
+            return {k: v for k, v in json.loads(text).items() if k != "config"}
+
+        config = {"experiment": command, **self.FLAG_BASES[command]}
+        if command == "estimate":
+            config["data_path"] = str(tmp_path / "samples.csv")
+            (tmp_path / "samples.csv").write_text("x,p\n1.0,2.0\n0.5,0.25\n-1.0,0.5\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = [opt for param in main.commands[command].params for opt in param.opts
+                 if opt not in ("--config", "--out", "--threads")]
+        assert flags
+        for flag in flags:
+            outputs = []
+            for value in self.FLAG_VALUES[flag]:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        main([command, "--config", str(cfg), flag, value],
+                             prog_name="gausstomo")
+                    except SystemExit as exc:
+                        assert exc.code in (0, None), (flag, value, err.getvalue())
+                outputs.append(body(out.getvalue()))
+            assert outputs[0] != outputs[1], flag
+
     @pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing", "not-json"])
     def test_unreadable_config_exits_2(self, tmp_path, kind):
         cfg = tmp_path if kind == "directory" else tmp_path / "cfg.json"
@@ -1052,7 +1107,7 @@ class TestCli:
         assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("experiment, config, key", [
-        *(("lambda-crit", {"eta_values": [0.5], "seed": seed}, key) for seed, key in (
+        *(("fig5", {"trials": 1, "seed": seed}, key) for seed, key in (
             ({"master_seed": None}, "master_seed"),
             ({"master_seed": "abc"}, "master_seed"),
             ({"master_seed": [1]}, "master_seed"),
@@ -1066,10 +1121,10 @@ class TestCli:
             ({"mu": 2.0, "phi": [0]}, "phi"),
             ({"mu": "2"}, "mu"),
             ({"mu": True}, "mu"))),
-        ("estimate", {"data_path": "x.csv", "scheme": "heterodyne", "eta": True,
-                      "format": "json"}, "eta"),
+        ("estimate", {"data_path": "x.csv", "scheme": "heterodyne", "eta": True},
+         "eta"),
         # seed ids out of range, and a spec without a required key
-        *(("lambda-crit", {"eta_values": [0.5], "seed": seed}, key) for seed, key in (
+        *(("fig5", {"trials": 1, "seed": seed}, key) for seed, key in (
             ({"master_seed": -1}, "master_seed"),
             ({"master_seed": 2**64}, "master_seed"),
             ({"master_seed": 0, "stream_id": 2**64}, "stream_id"))),
@@ -1127,23 +1182,33 @@ class TestCli:
             cells = [c for c in cells if c["kind"] == "aggregate"]
         assert "inf" in {c[column] for c in cells}
 
-    @pytest.mark.parametrize("kind", ["not-json", "not-an-object", "directory", "not-utf8"])
-    def test_bad_sidecar_exits_2(self, tmp_path, kind):
+    @pytest.mark.parametrize("text", [
+        '# gausstomo 0.1.0 config {"seed": \nx,p\n1.0,2.0\n0.5,0.25\n-1.0,0.5\n',
+        '# gausstomo 0.1.0 config [{"seed": 1}]\nx,p\n1.0,2.0\n0.5,0.25\n-1.0,0.5\n',
+        '# gausstomo 0.1.0 {"seed": 1}\nx,p\n1.0,2.0\n0.5,0.25\n-1.0,0.5\n',
+        '{"config": [{"seed": 1}], "rows": [[1.0, 2.0], [0.5, 0.25], [-1.0, 0.5]]}',
+    ], ids=["not-json", "not-an-object", "no-config", "json-not-an-object"])
+    def test_bad_embedded_config_exits_2(self, tmp_path, text):
+        # the fingerprint's seed is read from the config a data file embeds
         data = tmp_path / "samples.csv"
-        data.write_text("x,p\n1.0,2.0\n0.5,0.25\n-1.0,0.5\n")
-        sidecar = tmp_path / "samples.csv.meta.json"
-        if kind == "not-json":
-            sidecar.write_text('{"seed": ')
-        elif kind == "not-an-object":
-            sidecar.write_text('[{"seed": 1}]')
-        elif kind == "directory":
-            sidecar.mkdir()
-        else:
-            sidecar.write_bytes(b'{"seed": "\xff"}')
+        data.write_text(text)
         cfg = tmp_path / "est.json"
         cfg.write_text(json.dumps({"experiment": "estimate", "data_path": str(data),
-                                   "scheme": "heterodyne", "eta": 0.5, "format": "json"}))
+                                   "scheme": "heterodyne", "eta": 0.5}))
         proc = self.run_cli("estimate", "--config", str(cfg))
         assert proc.returncode == 2, proc.stderr
         err = json.loads(proc.stderr.strip())
-        assert err["error"] == "config" and str(sidecar) in err["message"]
+        assert err["error"] == "config" and str(data) in err["message"]
+
+    @pytest.mark.parametrize("experiment, config, key", [
+        *((name, {**RESOLVED_TEXT[name][0], "seed": {"master_seed": 0}}, "seed")
+          for name in ("surface", "regions", "lambda-crit")),
+        ("estimate", {**RESOLVED_TEXT["estimate"][0], "format": "json"}, "format"),
+    ])
+    def test_deleted_key_exits_2(self, experiment, config, key):
+        # such as the embedded config of an output written before the key went
+        proc = self.run_cli(experiment, "--config", "-", input=json.dumps(config))
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr.strip())
+        assert err == {"error": "config",
+                       "message": f"unknown keys in '{experiment}': ['{key}']"}

@@ -26,17 +26,18 @@ SPECS = st.fixed_dictionaries({"mu": numbers(1.0, 20.0), "lambda": numbers(1.0, 
 SEEDS = st.fixed_dictionaries({"master_seed": st.integers(0, 2 ** 64 - 1)},
                               optional={"stream_id": st.integers(0, 2 ** 64 - 1)})
 N_VALUES = st.lists(st.integers(2, 10 ** 5), min_size=1, max_size=4)
-COMMON = {"format": st.sampled_from(["csv", "json"]), "seed": SEEDS,
-          "output_path": st.text(max_size=8)}
+COMMON = {"format": st.sampled_from(["csv", "json"]), "output_path": st.text(max_size=8)}
+# the optional keys of the experiments that draw
+DRAWING = {**COMMON, "seed": SEEDS}
 
 FIG5 = st.fixed_dictionaries(
     {"experiment": st.just("fig5"), "trials": st.integers(1, 1000)},
-    optional={"spec": SPECS, "n_values": N_VALUES, **COMMON})
+    optional={"spec": SPECS, "n_values": N_VALUES, **DRAWING})
 CRB = st.fixed_dictionaries(
     {"experiment": st.just("crb-attainment"), "spec": SPECS,
      "scheme": st.sampled_from(["homodyne", "heterodyne"]), "n_values": N_VALUES,
      "trials": st.integers(1, 1000)},
-    optional=COMMON)
+    optional=DRAWING)
 SURFACE = st.fixed_dictionaries(
     {"experiment": st.just("surface"),
      "grid": st.fixed_dictionaries(
@@ -58,12 +59,11 @@ POLICIES = st.one_of(st.just({"type": "sweep"}),
 SIMULATE = st.one_of(*(st.fixed_dictionaries(
     {"experiment": st.just("simulate"), "spec": SPECS, "scheme": st.just(scheme),
      "n": st.integers(1, 10 ** 6)},
-    optional={"angle_policy": policies, **COMMON})
+    optional={"angle_policy": policies, **DRAWING})
     for scheme, policies in (("homodyne", POLICIES), ("heterodyne", st.just({"type": "sweep"})))))
 ESTIMATE = st.fixed_dictionaries(
     {"experiment": st.just("estimate"), "data_path": st.text(max_size=8),
-     "scheme": st.sampled_from(["homodyne", "heterodyne"]), "eta": numbers(0.05, 1.0),
-     "format": st.just("json")},
+     "scheme": st.sampled_from(["homodyne", "heterodyne"]), "eta": numbers(0.05, 1.0)},
     optional={"output_path": COMMON["output_path"]})
 
 

@@ -87,7 +87,7 @@ def test_json_formats_live_only_in_the_harness():
 # come back
 SIGNATURES = {
     gausstomo.estimate_homodyne_ml: ["data", "eta"],
-    gausstomo.estimate_homodyne_ml_block: ["thetas", "xs", "eta", "trig"],
+    gausstomo.estimate_homodyne_ml_block: ["thetas", "xs", "eta"],
     gausstomo.homodyne_arrays: ["spec", "n", "angle_policy", "seed"],
     gausstomo.heterodyne_arrays: ["spec", "n", "seed"],
     heterodyne_moments: ["spec", "n", "seeds"],
@@ -102,13 +102,12 @@ def test_estimators_and_samplers_take_exactly_their_parameters(fn):
 # the options of each CLI command: a flag whose key the command's config
 # lacks, and which could only fail, must not come back
 OPTIONS = {
-    "surface": ["--config", "--out", "--threads", "--format", "--seed"],
-    "regions": ["--config", "--out", "--threads", "--format", "--mu", "--lambda", "--eta",
-                "--seed"],
-    "lambda-crit": ["--config", "--out", "--threads", "--format", "--seed"],
+    "surface": ["--config", "--out", "--threads", "--format"],
+    "regions": ["--config", "--out", "--threads", "--format", "--mu", "--lambda", "--eta"],
+    "lambda-crit": ["--config", "--out", "--threads", "--format"],
     "simulate": ["--config", "--out", "--threads", "--format", "--mu", "--lambda", "--eta",
                  "--n", "--seed"],
-    "estimate": ["--config", "--out", "--threads", "--format", "--eta"],
+    "estimate": ["--config", "--out", "--threads", "--eta"],
     "crb-attainment": ["--config", "--out", "--threads", "--format", "--mu", "--lambda",
                        "--eta", "--trials", "--seed"],
     "fig5": ["--config", "--out", "--threads", "--format", "--mu", "--lambda", "--eta",
@@ -121,7 +120,7 @@ def test_cli_commands_take_exactly_their_options():
 
     assert {name: [opt for param in command.params for opt in param.opts]
             for name, command in main.commands.items()} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 50
+    assert sum(map(len, OPTIONS.values())) == 46
 
 
 def test_cli_import_loads_no_sampling_module():
@@ -162,7 +161,7 @@ def test_closed_form_experiments_never_load_scipy(name):
 @pytest.mark.parametrize("scheme", ["homodyne", "heterodyne"])
 def test_estimate_never_loads_scipy(scheme, sample_files):
     cfg = {"experiment": "estimate", "data_path": str(sample_files[scheme]),
-           "scheme": scheme, "eta": 0.5, "format": "json"}
+           "scheme": scheme, "eta": 0.5}
     assert loaded_after(run_experiment_code(cfg)) == []
 
 

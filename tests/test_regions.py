@@ -238,7 +238,7 @@ class TestAreaScanCsv:
                    _Repeats(etas, [k for k in range(len(etas)) for _ in lambdas]),
                    [a.s_sigma for a in areas], [a.s_Sigma for a in areas]]
         return render_table(["lambda", "eta", "s_sigma", "s_Sigma"], columns,
-                            {"experiment": "regions"}, "csv")
+                            {"experiment": "regions", "format": "csv"})
 
     def test_layout_and_values(self):
         text = self.scan_csv([1.0, 2.0], [1.0])

@@ -127,10 +127,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (ROOT / RUN).is_file():
         parser.error(f"no {RUN} here; run from the root of a source checkout")
-    seconds = args.seconds or json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = args.seconds or bench["run_seconds"]
+    known = [w["name"] for w in bench["workloads"]]
     plan = []
     for item in args.runs:
         workload, _, count = item.partition("=")
+        if workload not in known or not count.isdecimal() or int(count) < 1:
+            parser.error(f"--runs item {item!r} is not WORKLOAD=PAIRS, with WORKLOAD "
+                         f"one of {known} and PAIRS a positive integer")
         plan += [workload] * int(count)
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-parent-"))
