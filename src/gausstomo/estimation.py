@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import Covariance2, DomainError, SchemeKind, SQRT2, delta_offset
 
@@ -300,10 +301,31 @@ _CHAIN_FACTORS = np.array([[2.0], [4.0]])
 _CHAIN_CONSTANTS = np.array([0.0, 2.0])
 
 
-def _ascent_directions(p, scales, v, x2, cvar, grad_g, square) -> np.ndarray:
-    """Each row's step in (ln a, b, ln c): Newton where the chained Hessian
-    is negative definite, else unit steepest ascent.  square holds C^2,
-    and its rows are overwritten."""
+def _linalg_error(err, flag):
+    raise np.linalg.LinAlgError("LAPACK failed on a Newton Hessian: it is singular "
+                                "or its eigenvalues did not converge")
+
+
+def _lapack_state() -> np.errstate:
+    """The floating-point state in which np.linalg runs its LAPACK gufuncs:
+    a failure, which LAPACK flags as an invalid value, raises
+    np.linalg.LinAlgError."""
+    return np.errstate(call=_linalg_error, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+def _ascent_directions(p, scales, v, x2, cvar, grad_g, square):
+    """(step, newton): each row's step in (ln a, b, ln c), Newton where the
+    chained Hessian is negative definite and else unit steepest ascent,
+    and the mask of the rows that take Newton steps.  square holds C^2,
+    and its rows are overwritten.
+
+    The Newton test and solve call the LAPACK gufuncs that
+    np.linalg.eigvalsh and np.linalg.solve run, in the floating-point
+    state those run them in, without their argument checks: on a few rows
+    the checks cost more than the arithmetic.  A failure raises
+    np.linalg.LinAlgError, as there.
+    """
     rows = len(p)
     b = p[:, 1]
     # 1/C^2 - 2 x^2/C^3, in the rows of C^2
@@ -329,18 +351,28 @@ def _ascent_directions(p, scales, v, x2, cvar, grad_g, square) -> np.ndarray:
     terms = grad_g[:, :, None, None] * mats[:, 1:]
     hess_p = jac_t @ hess_g @ jac + terms[:, 0] + terms[:, 1] + terms[:, 2]
     grad_p = np.matmul(jac_t, grad_g[:, :, None])[:, :, 0]
-    # eigvalsh raises on a nan matrix; such a row takes steepest ascent
-    newton = np.isfinite(hess_p).all(axis=(1, 2))
-    newton[newton] = np.linalg.eigvalsh(hess_p[newton]).max(axis=-1) < 0.0
-    if np.count_nonzero(newton) == len(newton):
-        return np.linalg.solve(hess_p, -grad_p[:, :, None])[:, :, 0]
+    # LAPACK flags a nan matrix as invalid; such a row takes steepest ascent
+    newton = np.logical_and.reduce(np.isfinite(hess_p), axis=(1, 2))
+    with _lapack_state():
+        # all rows finite, as most are, test the whole stack without a copy
+        if np.count_nonzero(newton) == rows:
+            newton = _umath_linalg.eigvalsh_lo(hess_p, signature="d->d").max(axis=-1) < 0.0
+        else:
+            newton[newton] = _umath_linalg.eigvalsh_lo(hess_p[newton], signature="d->d"
+                                                       ).max(axis=-1) < 0.0
+        count = np.count_nonzero(newton)
+        if count == rows:
+            return _umath_linalg.solve(hess_p, -grad_p[:, :, None],
+                                       signature="dd->d")[:, :, 0], newton
+        if count:
+            solved = _umath_linalg.solve(hess_p[newton], -grad_p[newton][:, :, None],
+                                         signature="dd->d")[:, :, 0]
     step = np.empty_like(grad_p)
     ascent = grad_p[~newton]
     step[~newton] = ascent / np.sqrt(np.add.reduce(ascent * ascent, axis=-1))[:, None]
-    if newton.any():
-        step[newton] = np.linalg.solve(hess_p[newton],
-                                       -grad_p[newton][:, :, None])[:, :, 0]
-    return step
+    if count:
+        step[newton] = solved
+    return step, newton
 
 
 def _stacks(open_: np.ndarray, n: int) -> list:
@@ -362,35 +394,52 @@ def _stacks(open_: np.ndarray, n: int) -> list:
     return [(slice(open_[a], open_[b - 1] + 1), slice(a, b)) for a, b in zip(ends, ends[1:])]
 
 
-def _line_search(p, step, f, v, x2):
-    """Each row's first step t = 0.5**k, k = 0 .. _MAX_HALVINGS - 1, whose
-    likelihood beats f[row].
+# the halving factors 0.5**k, k = 0 .. _MAX_HALVINGS - 1, of _line_search
+_HALVINGS = np.ldexp(1.0, -np.arange(_MAX_HALVINGS))
 
-    The full steps are one stacked evaluation.  The rows it fails for then
-    try their next halvings as a (rows, window) stack of candidates, a
-    window of k at a time, until each row has a step that beats f or has
-    none left.  A round holds _BLOCK_SAMPLES / 8 samples at first and
-    twice as many each round up to _BLOCK_SAMPLES, but always at least one
-    halving per row, and is evaluated in the stacks of _stacks.  A row's
-    search also ends at its first halving that leaves all three
-    parameters unchanged: fl(p + d) is monotone in d, so every later
-    halving leaves them unchanged too, and a candidate equal to p,
+
+def _line_search(p, step, f, v, x2, newton):
+    """Each row's first step t = 0.5**k, k = 0 .. _MAX_HALVINGS - 1, whose
+    likelihood beats f[row]; newton marks the rows whose steps are Newton
+    steps.
+
+    A Newton step is accepted whole in most passes, so a pass with one
+    first evaluates all full steps in one stack, and the rows it fails for
+    go on at k = 1.  A pass of steepest-ascent steps alone, whose unit
+    step mostly fails, starts its halving rounds at k = 0 instead: its
+    full step p + 1.0 step is p + step, and no row's bits depend on the
+    stack it is evaluated in, so either start gives the same result.
+    Rows then try their next halvings as a (rows, window) stack of
+    candidates, a window of k at a time, until each row has a step that
+    beats f or has none left.  A round holds _BLOCK_SAMPLES / 8 samples
+    at first and twice as many each round up to _BLOCK_SAMPLES, but
+    always at least one halving per row, and is evaluated in the stacks of
+    _stacks.  A row's search also ends at its first halving that leaves
+    all three parameters unchanged: fl(p + d) is monotone in d, so every
+    later halving leaves them unchanged too, and a candidate equal to p,
     evaluated bit for bit as p was, cannot beat f.  Returns (found, (p, g,
     f, cvar, scales)), where the tuple holds the accepted steps' values in
     the rows marked found.
     """
-    cand = p + step
-    accepted = (cand, *_evaluate(cand, v, x2))
-    found = accepted[2] > f
-    searching = ~found
     n = x2.shape[1]
-    k, budget = 1, _BLOCK_SAMPLES // 8
+    if np.count_nonzero(newton):
+        cand = p + step
+        accepted = (cand, *_evaluate(cand, v, x2))
+        found = accepted[2] > f
+        k = 1
+    else:
+        size = len(p)
+        accepted = (np.empty((size, 3)), np.empty((size, 3)), np.empty(size),
+                    np.empty((size, n)), np.empty((size, 2)))
+        found = np.zeros(size, dtype=bool)
+        k = 0
+    searching = ~found
+    budget = _BLOCK_SAMPLES // 8
     while k < _MAX_HALVINGS and np.count_nonzero(searching):
-        open_ = np.flatnonzero(searching)
+        open_ = searching.nonzero()[0]
         w = max(1, min(_MAX_HALVINGS - k, budget // (open_.size * n)))
-        t = np.ldexp(1.0, -np.arange(k, k + w))
-        cand = p[open_, None, :] + t[:, None] * step[open_, None, :]
-        moved = (cand != p[open_, None, :]).any(axis=2)
+        cand = p[open_, None, :] + _HALVINGS[k:k + w, None] * step[open_, None, :]
+        moved = np.logical_or.reduce(cand != p[open_, None, :], axis=2)
         # a row stops after this round once a halving in it is a no-op,
         # and is not evaluated if the first one is
         searching[open_[~moved[:, -1]]] = False
@@ -401,7 +450,7 @@ def _line_search(p, step, f, v, x2):
             values = (trial, *_evaluate(trial, v[rows, None], x2[rows, None]))
             stacked = open_[part]
             wins = values[2] > f[stacked, None]
-            hit = np.flatnonzero(wins.any(axis=1))
+            hit = np.logical_or.reduce(wins, axis=1).nonzero()[0]
             if hit.size:
                 # the first winning halving of each row that has one
                 first = wins[hit].argmax(axis=1)
@@ -421,8 +470,8 @@ def _drop_rows(leaving: np.ndarray, arrays: list) -> list:
     place: each row that leaves is overwritten by one of the last rows that
     stay.  The rows change order, which no row's bits depend on."""
     rows = len(leaving) - np.count_nonzero(leaving)
-    holes = np.flatnonzero(leaving[:rows]).tolist()
-    movers = (rows + np.flatnonzero(~leaving[rows:])).tolist()
+    holes = leaving[:rows].nonzero()[0].tolist()
+    movers = (rows + (~leaving[rows:]).nonzero()[0]).tolist()
     for a in arrays:
         for hole, mover in zip(holes, movers):
             a[hole] = a[mover]
@@ -463,11 +512,11 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
                 done, [live, p, g, f, cvar, scales, v, x2, grad_g, square])
             if not live.size:
                 break
-        step = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
+        step, newton = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
         # the curvature rows and this pass's variances are freed before the
         # line search, which forms the next ones
         del square, cvar
-        found, accepted = _line_search(p, step, f, v, x2)
+        found, accepted = _line_search(p, step, f, v, x2, newton)
         if np.count_nonzero(found) < len(found):
             # likelihood flat to machine precision but gradient target missed
             stalled = ~found

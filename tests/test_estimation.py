@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from gausstomo import (BlockFit, ContinuousSweep, Covariance2, DomainError,
                        GaussianStateSpec, SchemeKind, SeedSpec, crb_het,
@@ -498,11 +499,12 @@ class TestHomodyneMlBlock:
         _, _, cvar, scales = _evaluate(p, v, x2)
         grad_g = 0.5 * (v * (x2 / (cvar * cvar) - 1.0 / cvar)[:, None, :]).sum(axis=-1)
         cvar[1, 7] = math.nan  # reaches row 1's Hessian, not its gradient
-        steps = _ascent_directions(p, scales, v, x2, cvar, grad_g, cvar * cvar)
+        steps, newton = _ascent_directions(p, scales, v, x2, cvar, grad_g, cvar * cvar)
         alone = [_ascent_directions(*(a[t:t + 1] for a in (p, scales, v, x2, cvar, grad_g,
-                                                           cvar * cvar)))[0]
+                                                           cvar * cvar)))[0][0]
                  for t in range(3)]
         assert steps.tolist() == [step.tolist() for step in alone]
+        assert not newton[1]
         assert np.linalg.norm(steps[1]) == pytest.approx(1.0, rel=1e-15)
         assert np.isfinite(steps).all()
 
@@ -553,9 +555,10 @@ def lane_streams(seed: SeedSpec, lane: int, trials: int) -> list[SeedSpec]:
     return [seed.stream(1 + lane * trials + t) for t in range(trials)]
 
 
-def unpruned_line_search(p, step, f, v, x2):
+def unpruned_line_search(p, step, f, v, x2, newton=None):
     """_line_search as it was before a no-op halving ended a row's search:
-    every row that no step has beaten f for tries all _MAX_HALVINGS."""
+    every row that no step has beaten f for tries all _MAX_HALVINGS, and
+    every pass first evaluates all full steps, whatever newton marks."""
     max_halvings = estimation._MAX_HALVINGS
     cand = p + step
     accepted = (cand, *estimation._evaluate(cand, v, x2))
@@ -698,7 +701,8 @@ class TestLineSearch:
             return _evaluate(cand, v_rows, x2_rows)
 
         monkeypatch.setattr(estimation, "_evaluate", recording)
-        found, _ = estimation._line_search(p, step, f, v, x2)
+        # a pass with a Newton row evaluates every full step first
+        found, _ = estimation._line_search(p, step, f, v, x2, np.array([True, False, False]))
         assert found.tolist() == [False, True, False]
         full, *rounds = stacks
         assert full == (3, True, True) and len(rounds) > 1
@@ -711,9 +715,10 @@ class TestLineSearch:
     def test_halving_rounds_on_views_change_no_bit(self, monkeypatch, n):
         p, step, f, v, x2 = searching_rows(n)
         f[0] = _evaluate(p, v, x2)[1][0]  # row 0 finds a halving
-        want = estimation._line_search(p, step, f, v, x2)
+        newton = np.ones(3, dtype=bool)
+        want = estimation._line_search(p, step, f, v, x2, newton)
         monkeypatch.setattr(estimation, "_stacks", lambda open_, n: [(open_, slice(None))])
-        got = estimation._line_search(p, step, f, v, x2)
+        got = estimation._line_search(p, step, f, v, x2, newton)
         assert got[0].tolist() == want[0].tolist() == [True, True, False]
         assert [a[got[0]].tobytes() for a in got[1]] == [a[want[0]].tobytes() for a in want[1]]
 
@@ -778,6 +783,23 @@ class TestLineSearch:
             for stream in lane_streams(seed, lane, trials)]
         assert rows_bits(got) == want
 
+    def test_heterodyne_blocks_change_no_bit(self, monkeypatch):
+        # 20 trials drawn in blocks of 8, 8 and 4, each from its own streams
+        seed, lane, n, trials = SeedSpec(11), 1, 50, 20
+        want = rows_bits(_run_trials(CRB, SchemeKind.HETERODYNE, n, seed, lane, trials, 1))
+        blocks = []
+
+        def recording(spec, n, seeds):
+            blocks.append(list(seeds))
+            return heterodyne_moments(spec, n, seeds)
+
+        monkeypatch.setattr(experiments, "_BLOCK_SAMPLES", 8)
+        monkeypatch.setattr(experiments, "heterodyne_moments", recording)
+        got = _run_trials(CRB, SchemeKind.HETERODYNE, n, seed, lane, trials, 1)
+        assert rows_bits(got) == want
+        assert [len(b) for b in blocks] == [8, 8, 4]
+        assert sum(blocks, []) == lane_streams(seed, lane, trials)
+
     def test_stalled_row_stops_at_its_first_no_op_halving(self, monkeypatch):
         # trial 1 of this block stalls at its third iteration
         thetas, xs = crb_block(11, 0)
@@ -796,3 +818,79 @@ class TestLineSearch:
         assert pruned.converged.tolist() == [True, False, True]
         assert pruned.iterations[1] < estimation._MAX_ITERATIONS
         assert pruned_rows < sum(calls)
+
+
+def parent_ascent_directions(p, scales, v, x2, cvar, grad_g, square):
+    """_ascent_directions' steps as np.linalg.eigvalsh and np.linalg.solve
+    made them, before it called their LAPACK gufuncs itself."""
+    rows = len(p)
+    b = p[:, 1]
+    curv = np.divide(1.0, square, out=square)
+    twice = 2.0 * x2
+    twice /= cvar ** 3
+    curv -= twice
+    hess_g = 0.5 * np.einsum("tiN,tN,tjN->tij", v, curv, v)
+    entries = np.empty((rows, 9))
+    ac = scales[:, None, :]
+    np.multiply(estimation._CHAIN_FACTORS * ac, ac, out=entries[:, :4].reshape(rows, 2, 2))
+    np.multiply(2.0, b, out=entries[:, 4])
+    sa = np.multiply(SQRT2, scales[:, 0], out=entries[:, 5])
+    np.multiply(sa, b, out=entries[:, 6])
+    entries[:, 7:] = estimation._CHAIN_CONSTANTS
+    mats = np.take(entries, estimation._CHAIN_SLOTS, axis=1).reshape(rows, 4, 3, 3)
+    jac, jac_t = mats[:, 0], mats[:, 0].transpose(0, 2, 1)
+    terms = grad_g[:, :, None, None] * mats[:, 1:]
+    hess_p = jac_t @ hess_g @ jac + terms[:, 0] + terms[:, 1] + terms[:, 2]
+    grad_p = np.matmul(jac_t, grad_g[:, :, None])[:, :, 0]
+    newton = np.isfinite(hess_p).all(axis=(1, 2))
+    newton[newton] = np.linalg.eigvalsh(hess_p[newton]).max(axis=-1) < 0.0
+    if np.count_nonzero(newton) == len(newton):
+        return np.linalg.solve(hess_p, -grad_p[:, :, None])[:, :, 0]
+    step = np.empty_like(grad_p)
+    ascent = grad_p[~newton]
+    step[~newton] = ascent / np.sqrt(np.add.reduce(ascent * ascent, axis=-1))[:, None]
+    if newton.any():
+        step[newton] = np.linalg.solve(hess_p[newton],
+                                       -grad_p[newton][:, :, None])[:, :, 0]
+    return step
+
+
+class TestLapackCalls:
+    @pytest.mark.parametrize("rows", [1, 3, 200])
+    def test_gufuncs_equal_numpy_linalg_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            a = rng.normal(0.0, scale, (rows, 3, 3))
+            a += a.transpose(0, 2, 1)  # symmetric, as a Hessian is
+            b = rng.normal(0.0, 1.0, (rows, 3, 1))
+            with estimation._lapack_state():
+                w = _umath_linalg.eigvalsh_lo(a, signature="d->d")
+                x = _umath_linalg.solve(a, b, signature="dd->d")
+            assert w.tobytes() == np.linalg.eigvalsh(a).tobytes()
+            assert x.tobytes() == np.linalg.solve(a, b).tobytes()
+
+    def test_singular_or_nan_stack_raises_linalg_error(self):
+        singular = np.stack([-np.eye(3), np.ones((3, 3))])
+        with pytest.raises(np.linalg.LinAlgError), estimation._lapack_state():
+            _umath_linalg.solve(singular, np.ones((2, 3, 1)), signature="dd->d")
+        with pytest.raises(np.linalg.LinAlgError), estimation._lapack_state():
+            _umath_linalg.eigvalsh_lo(np.full((1, 3, 3), math.nan), signature="d->d")
+        # the state ends with its block
+        assert np.geterr()["invalid"] != "call"
+
+    def test_ascent_directions_equal_the_numpy_linalg_steps(self, monkeypatch):
+        # every pass of fig5 and crb blocks, Newton and steepest-ascent rows
+        kinds = set()
+
+        def checking(p, scales, v, x2, cvar, grad_g, square):
+            want = parent_ascent_directions(p, scales, v, x2, cvar, grad_g, square.copy())
+            step, newton = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
+            assert step.tobytes() == want.tobytes()
+            kinds.update(newton.tolist())
+            return step, newton
+
+        monkeypatch.setattr(estimation, "_ascent_directions", checking)
+        for master in range(3):
+            estimate_homodyne_ml_block(*fig5_lane(master, 0, 50), FIG5.eta)
+        estimate_homodyne_ml_block(*crb_block(11, 0), CRB.eta)
+        assert kinds == {True, False}

@@ -657,11 +657,31 @@ class TestFig5:
 
 
 class TestCli:
-    def run_cli(self, *args, input=None):
+    def run_cli(self, *args, input=None, timeout=None):
         # the tier-1 warning policy, which does not reach a subprocess by itself
         return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
                                "-m", "gausstomo.cli", *args],
-                              capture_output=True, text=True, input=input)
+                              capture_output=True, text=True, input=input, timeout=timeout)
+
+    @pytest.mark.parametrize("experiment, config", [
+        ("fig5", {"trials": 2 ** 64 - 1}),
+        ("crb-attainment", {"spec": {"mu": 2.0, "lambda": 10.0}, "scheme": "heterodyne",
+                            "n_values": [50, 100], "trials": 2 ** 64 - 1}),
+        ("crb-attainment", {"spec": {"mu": 2.0, "lambda": 10.0}, "scheme": "homodyne",
+                            "n_values": [50], "trials": 2 ** 64 - 5,
+                            "seed": {"master_seed": 0, "stream_id": 5}}),
+    ])
+    def test_trials_past_the_stream_ids_exit_2_before_drawing(self, tmp_path, experiment,
+                                                              config):
+        # the last lane's last trial would take a stream id past 2^64 - 1;
+        # the run fails at once, before it derives or draws a stream per trial
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": experiment, **config}))
+        proc = self.run_cli(experiment, "--config", str(cfg), "--threads", "1", timeout=20)
+        assert proc.returncode == 2, proc.stderr
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "domain" and "'stream_id'" in err["message"]
+        assert proc.stdout == ""
 
     def test_stdout_run(self):
         proc = self.run_cli("lambda-crit", "--config", "/dev/stdin")

@@ -86,3 +86,66 @@ def test_bench_pairs_summary(bench_pairs):
     fig5 = summary["fig5"]["wall_s"]
     assert fig5["parent"] == {"median": 4.0, "q1": 4.0, "q3": 4.0, "n": 1}
     assert (fig5["pairs"], fig5["change_lower_in_pairs"]) == (1, 1)
+
+
+def test_bench_pairs_verdict_of_a_gain_needs_nine_of_ten_pairs(bench_pairs):
+    parent = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+    lower = [0.9 * p for p in parent]
+    assert bench_pairs.verdict(parent, lower, "lower", 0.25) == "gain"
+    # one pair worse still counts 9 of 10; one more, and a tie, count 8
+    one_worse = lower[:-1] + [1.1]
+    assert bench_pairs.verdict(parent, one_worse, "lower", 0.25) == "gain"
+    assert bench_pairs.verdict(parent, one_worse[:-2] + [1.1, parent[-1]],
+                               "lower", 0.25) == "no_worse"
+    # a higher-is-better metric gains by reading higher
+    assert bench_pairs.verdict(parent, [1.1 * p for p in parent], "higher", 0.1) == "gain"
+    assert bench_pairs.verdict(parent, lower, "higher", 0.25) == "no_worse"
+
+
+def test_bench_pairs_verdict_of_a_gain_needs_the_parents_iqr(bench_pairs):
+    # lower in every pair, but by less than the parent's q3 - q1
+    parent = [1.0, 1.2, 0.8, 1.1, 0.9, 1.0]
+    change = [p - 0.01 for p in parent]
+    assert bench_pairs.verdict(parent, change, "lower", 0.25) == "no_worse"
+
+
+def test_bench_pairs_verdict_of_worse_and_unresolved(bench_pairs):
+    parent = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00]
+    assert bench_pairs.verdict(parent, [1.3 * p for p in parent], "lower", 0.25) == "worse"
+    assert bench_pairs.verdict(parent, [1.2 * p for p in parent], "lower", 0.25) == "no_worse"
+    assert bench_pairs.verdict(parent, [0.85 * p for p in parent], "higher", 0.1) == "worse"
+    # the parent spreads wider than the bound: unresolved unless the change
+    # reads better than the parent in every pair of runs
+    wide = [0.6, 1.4, 0.7, 1.3, 1.0, 1.0]
+    assert bench_pairs.verdict(wide, [1.1, 1.0, 0.9, 1.2, 0.8, 1.0], "lower", 0.25) \
+        == "unresolved"
+    # every change run beats every parent run, by less than the parent's
+    # q3 - q1 of 0.45
+    assert bench_pairs.verdict(wide, [0.58] * 6, "lower", 0.25) == "no_worse"
+
+
+def test_bench_pairs_summary_gives_verdicts_and_failure_shares(bench_pairs):
+    def line(value, failed, attempted):
+        return {"metrics": {"wall_s": {"value": value}, "peak_rss_mb": {"value": 50.0},
+                            "extra": {"value": 1.0}},
+                "failed": failed, "attempted": attempted, "correct": True}
+
+    runs = []
+    for seed in range(10):
+        runs.append({"side": "parent", "workload": "fig5", "seed": seed,
+                     "result": line(1.0 + 0.001 * seed, 13, 40)})
+        runs.append({"side": "change", "workload": "fig5", "seed": seed,
+                     "result": line(0.9 + 0.001 * seed, 13, 40)})
+        runs.append({"side": "parent", "workload": "crb", "seed": seed,
+                     "result": line(1.0, 0, 40)})
+        runs.append({"side": "change", "workload": "crb", "seed": seed,
+                     "result": line(1.0, 1 if seed == 0 else 0, 40)})
+    rules = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+             {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    summary = bench_pairs.summarize(runs, rules)
+    assert summary["fig5"]["wall_s"]["verdict"] == "gain"
+    assert summary["fig5"]["peak_rss_mb"]["verdict"] == "no_worse"
+    assert "verdict" not in summary["fig5"]["extra"]
+    assert summary["fig5"]["more_failed"] is False  # the same share, 13 of 40
+    assert summary["crb"]["wall_s"]["verdict"] == "no_worse"
+    assert summary["crb"]["more_failed"] is True

@@ -12,8 +12,10 @@ sequence of pairs, in the order the workloads are given, and the parent
 goes first in the pairs at even positions of that sequence, the change in
 the others.  The JSON written holds every result line under `runs`, and
 under `summary` each metric's median and quartiles per side, the number of
-pairs in which the change reads lower, and the relative change of the
-medians.  Standard library only.
+pairs in which the change reads lower, the relative change of the medians
+and, for the end-to-end metrics of BENCHMARK.json, the verdict of the
+acceptance rule (see `verdict`); and per workload whether the change
+failed a larger share of its attempts.  Standard library only.
 """
 
 from __future__ import annotations
@@ -69,9 +71,39 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(runs: list[dict]) -> dict:
-    """Per workload: each metric's spread per side and the pairs the change
-    reads lower in (ties count for neither), then failures and checks."""
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The acceptance rule on one metric's paired values, with better
+    "lower" or "higher" and bound the relative change allowed.
+
+    gain: the change reads better in at least 9 of 10 pairs (ties count
+    for neither side) and its median beats the parent's by more than the
+    parent's q3 - q1.  Else worse: its median is worse than the parent's
+    by more than the bound.  Else unresolved: the parent's q3 - q1 exceeds
+    the bound relative to its median, and not every change run beats
+    every parent run.  Else no_worse.
+    """
+    # negated, a higher-is-better metric reads better lower
+    sign = 1.0 if better == "lower" else -1.0
+    p, c = [sign * x for x in parent], [sign * x for x in change]
+    ps, cs = spread(p), spread(c)
+    iqr = ps["q3"] - ps["q1"]
+    wins = sum(b < a for a, b in zip(p, c))
+    if 10 * wins >= 9 * len(p) and ps["median"] - cs["median"] > iqr:
+        return "gain"
+    if cs["median"] - ps["median"] > bound * abs(ps["median"]):
+        return "worse"
+    if iqr > bound * abs(ps["median"]) and not max(c) < min(p):
+        return "unresolved"
+    return "no_worse"
+
+
+def summarize(runs: list[dict], rules: list[dict] = ()) -> dict:
+    """Per workload: each metric's spread per side, the pairs the change
+    reads lower in (ties count for neither) and, for a metric named in
+    rules (BENCHMARK.json's end_to_end entries), its verdict; then
+    failures, whether the change failed a larger share of its attempts,
+    and checks."""
+    rules = {rule["name"]: rule for rule in rules}
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
@@ -90,8 +122,16 @@ def summarize(runs: list[dict]) -> dict:
                                                       zip(values["parent"], values["change"])),
                          "pairs": len(pairs),
                          "median_change_vs_parent": change["median"] / parent["median"] - 1.0}
+            if name in rules:
+                out[name]["verdict"] = verdict(values["parent"], values["change"],
+                                               rules[name]["better"], rules[name]["bound"])
         for key in ("failed", "attempted"):
             out[key] = {side: [r[key] for r in results] for side, results in sides.items()}
+        failed = {side: sum(out["failed"][side]) for side in sides}
+        attempted = {side: sum(out["attempted"][side]) for side in sides}
+        # failed / attempted, compared without a division
+        out["more_failed"] = failed["change"] * attempted["parent"] > \
+            failed["parent"] * attempted["change"]
         out["correct"] = {side: all(r["correct"] for r in results)
                           for side, results in sides.items()}
         summary[workload] = out
@@ -163,7 +203,7 @@ def main(argv=None) -> int:
            "command": f"python3 {RUN} --workload W --seed S --seconds {seconds:g} --trace 0",
            "host": host(),
            "claim": args.claim,
-           "summary": summarize(runs),
+           "summary": summarize(runs, bench["end_to_end"]),
            "runs": runs}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
