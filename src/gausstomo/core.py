@@ -89,10 +89,8 @@ class Covariance2:
         """
         if self.g3 == 0.0 and self.g1 == self.g2:
             return 0.0
+        # half the angle of (g1 - g2, sqrt2 g3) is the major axis's angle
         ang = 0.5 * math.atan2(SQRT2 * self.g3, self.g1 - self.g2)
-        if self.g1 * math.cos(ang) ** 2 + self.g2 * math.sin(ang) ** 2 \
-                + SQRT2 * self.g3 * math.sin(ang) * math.cos(ang) < 0.5 * self.trace:
-            ang += 0.5 * math.pi
         return ang % math.pi
 
 

@@ -230,8 +230,7 @@ def _moment_starts(v: np.ndarray, x2: np.ndarray, keys: np.ndarray,
     starts = np.zeros((trials, 3))
     starts[:, 0] = starts[:, 1] = m
     # a positivity test that overflows to inf or nan still decides
-    with np.errstate(over="ignore", invalid="ignore"):
-        positive = (g[:, 0] > 0) & (g[:, 1] > 0) & (g[:, 0] * g[:, 1] - 0.5 * g[:, 2] ** 2 > 0)
+    positive = (g[:, 0] > 0) & (g[:, 1] > 0) & (g[:, 0] * g[:, 1] - 0.5 * g[:, 2] ** 2 > 0)
     starts[full[solvable][positive]] = g[positive]
     a = np.sqrt(starts[:, 0])
     b = (starts[:, 2] / SQRT2) / a
@@ -246,25 +245,23 @@ def _evaluate(p: np.ndarray, v: np.ndarray, x2: np.ndarray):
     exponentiated parameters (a, c).
 
     The log-likelihood is -inf where some C_j <= 0.  A far-off trial step
-    overflows to inf or nan here and the line search rejects it, so those
-    floating-point warnings are silenced.
+    overflows to inf or nan here and the line search rejects it.
     """
-    with np.errstate(all="ignore"):
-        scales = np.exp(p[..., ::2])
-        b = p[..., 1]
-        g = np.empty(p.shape)
-        # a^2 and c^2 first, then c^2 is replaced by sqrt2 a b
-        np.multiply(scales, scales, out=g[..., ::2])
-        np.add(b * b, g[..., 2], out=g[..., 1])
-        np.multiply(SQRT2 * scales[..., 0], b, out=g[..., 2])
-        cvar = np.matmul(g[..., None, :], v)[..., 0, :]
-        # ln C_j + x_j^2 / C_j, summed in the rows of ln C_j
-        terms = np.log(cvar)
-        terms += np.divide(x2, cvar)
-        f = -0.5 * np.add.reduce(terms, axis=-1) - 0.5 * x2.shape[-1] * LOG_2PI
-        nonpositive = cvar <= 0.0
-        if np.count_nonzero(nonpositive):
-            f[nonpositive.any(axis=-1)] = -math.inf
+    scales = np.exp(p[..., ::2])
+    b = p[..., 1]
+    g = np.empty(p.shape)
+    # a^2 and c^2 first, then c^2 is replaced by sqrt2 a b
+    np.multiply(scales, scales, out=g[..., ::2])
+    np.add(b * b, g[..., 2], out=g[..., 1])
+    np.multiply(SQRT2 * scales[..., 0], b, out=g[..., 2])
+    cvar = np.matmul(g[..., None, :], v)[..., 0, :]
+    # ln C_j + x_j^2 / C_j, summed in the rows of ln C_j
+    terms = np.log(cvar)
+    terms += np.divide(x2, cvar)
+    f = -0.5 * np.add.reduce(terms, axis=-1) - 0.5 * x2.shape[-1] * LOG_2PI
+    nonpositive = cvar <= 0.0
+    if np.count_nonzero(nonpositive):
+        f[nonpositive.any(axis=-1)] = -math.inf
     return g, f, cvar, scales
 
 
@@ -275,10 +272,9 @@ def _gradient(v: np.ndarray, x2: np.ndarray, cvar: np.ndarray):
     Each gradient component is the sum over N of one (rows, N) product,
     formed in one scratch array.
     """
-    with np.errstate(over="ignore"):  # a huge variance squares to inf
-        square = cvar * cvar
-        resid = np.divide(x2, square)
-        resid -= 1.0 / cvar
+    square = cvar * cvar
+    resid = np.divide(x2, square)
+    resid -= 1.0 / cvar
     grad_g = np.empty((len(cvar), 3))
     term = np.empty_like(resid)
     for k in range(3):
@@ -301,19 +297,6 @@ _CHAIN_FACTORS = np.array([[2.0], [4.0]])
 _CHAIN_CONSTANTS = np.array([0.0, 2.0])
 
 
-def _linalg_error(err, flag):
-    raise np.linalg.LinAlgError("LAPACK failed on a Newton Hessian: it is singular "
-                                "or its eigenvalues did not converge")
-
-
-def _lapack_state() -> np.errstate:
-    """The floating-point state in which np.linalg runs its LAPACK gufuncs:
-    a failure, which LAPACK flags as an invalid value, raises
-    np.linalg.LinAlgError."""
-    return np.errstate(call=_linalg_error, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
-
-
 def _ascent_directions(p, scales, v, x2, cvar, grad_g, square):
     """(step, newton): each row's step in (ln a, b, ln c), Newton where the
     chained Hessian is negative definite and else unit steepest ascent,
@@ -321,10 +304,12 @@ def _ascent_directions(p, scales, v, x2, cvar, grad_g, square):
     and its rows are overwritten.
 
     The Newton test and solve call the LAPACK gufuncs that
-    np.linalg.eigvalsh and np.linalg.solve run, in the floating-point
-    state those run them in, without their argument checks: on a few rows
-    the checks cost more than the arithmetic.  A failure raises
-    np.linalg.LinAlgError, as there.
+    np.linalg.eigvalsh and np.linalg.solve run, without their argument
+    checks: on a few rows the checks cost more than the arithmetic.  A
+    LAPACK failure gives that row nan, which the fit's own fallbacks
+    meet: nan eigenvalues fail the negativity test, so the row takes
+    steepest ascent, and a nan Newton step never raises the likelihood,
+    so the row stalls.
     """
     rows = len(p)
     b = p[:, 1]
@@ -351,22 +336,21 @@ def _ascent_directions(p, scales, v, x2, cvar, grad_g, square):
     terms = grad_g[:, :, None, None] * mats[:, 1:]
     hess_p = jac_t @ hess_g @ jac + terms[:, 0] + terms[:, 1] + terms[:, 2]
     grad_p = np.matmul(jac_t, grad_g[:, :, None])[:, :, 0]
-    # LAPACK flags a nan matrix as invalid; such a row takes steepest ascent
+    # a row whose Hessian is not finite skips LAPACK and takes steepest ascent
     newton = np.logical_and.reduce(np.isfinite(hess_p), axis=(1, 2))
-    with _lapack_state():
-        # all rows finite, as most are, test the whole stack without a copy
-        if np.count_nonzero(newton) == rows:
-            newton = _umath_linalg.eigvalsh_lo(hess_p, signature="d->d").max(axis=-1) < 0.0
-        else:
-            newton[newton] = _umath_linalg.eigvalsh_lo(hess_p[newton], signature="d->d"
-                                                       ).max(axis=-1) < 0.0
-        count = np.count_nonzero(newton)
-        if count == rows:
-            return _umath_linalg.solve(hess_p, -grad_p[:, :, None],
-                                       signature="dd->d")[:, :, 0], newton
-        if count:
-            solved = _umath_linalg.solve(hess_p[newton], -grad_p[newton][:, :, None],
-                                         signature="dd->d")[:, :, 0]
+    # all rows finite, as most are, test the whole stack without a copy
+    if np.count_nonzero(newton) == rows:
+        newton = _umath_linalg.eigvalsh_lo(hess_p, signature="d->d").max(axis=-1) < 0.0
+    else:
+        newton[newton] = _umath_linalg.eigvalsh_lo(hess_p[newton], signature="d->d"
+                                                   ).max(axis=-1) < 0.0
+    count = np.count_nonzero(newton)
+    if count == rows:
+        return _umath_linalg.solve(hess_p, -grad_p[:, :, None],
+                                   signature="dd->d")[:, :, 0], newton
+    if count:
+        solved = _umath_linalg.solve(hess_p[newton], -grad_p[newton][:, :, None],
+                                     signature="dd->d")[:, :, 0]
     step = np.empty_like(grad_p)
     ascent = grad_p[~newton]
     step[~newton] = ascent / np.sqrt(np.add.reduce(ascent * ascent, axis=-1))[:, None]
@@ -487,46 +471,51 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
     arrays of a row that leaves are overwritten in place (_drop_rows), and
     live holds the trial of each row still iterating.  Returns (g, loglik,
     iterations, converged) per trial.
+
+    The loop runs in one floating-point state that neither warns nor
+    raises: a far-off trial step overflows to inf or nan and is rejected,
+    and a LAPACK failure is a nan row that takes steepest ascent or stalls.
     """
-    trials, n = x2.shape
-    g, f, cvar, scales = _evaluate(p, v, x2)
-    g_out, f_out = np.empty((trials, 3)), np.empty(trials)
-    iterations = np.zeros(trials, dtype=int)
-    converged = np.zeros(trials, dtype=bool)
-    live = np.arange(trials)
-    it = 0
-    for it in range(1, _MAX_ITERATIONS + 1):
-        if not live.size:
-            break
-        grad_g, square = _gradient(v, x2, cvar)
-        # the norm as np.linalg.norm computes it
-        done = np.sqrt(np.add.reduce(grad_g * grad_g, axis=-1)) * (g[:, 0] + g[:, 1]) / n \
-            <= _GRADIENT_TOL
-        # the masks are tested with np.count_nonzero, which costs a third
-        # of .any() or .all() on a few rows
-        if np.count_nonzero(done):
-            gone = live[done]
-            converged[gone] = True
-            g_out[gone], f_out[gone], iterations[gone] = g[done], f[done], it
-            live, p, g, f, cvar, scales, v, x2, grad_g, square = _drop_rows(
-                done, [live, p, g, f, cvar, scales, v, x2, grad_g, square])
+    with np.errstate(all="ignore"):
+        trials, n = x2.shape
+        g, f, cvar, scales = _evaluate(p, v, x2)
+        g_out, f_out = np.empty((trials, 3)), np.empty(trials)
+        iterations = np.zeros(trials, dtype=int)
+        converged = np.zeros(trials, dtype=bool)
+        live = np.arange(trials)
+        it = 0
+        for it in range(1, _MAX_ITERATIONS + 1):
             if not live.size:
                 break
-        step, newton = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
-        # the curvature rows and this pass's variances are freed before the
-        # line search, which forms the next ones
-        del square, cvar
-        found, accepted = _line_search(p, step, f, v, x2, newton)
-        if np.count_nonzero(found) < len(found):
-            # likelihood flat to machine precision but gradient target missed
-            stalled = ~found
-            gone = live[stalled]
-            g_out[gone], f_out[gone], iterations[gone] = g[stalled], f[stalled], it
-            live, v, x2, *accepted = _drop_rows(stalled, [live, v, x2, *accepted])
-        p, g, f, cvar, scales = accepted
-        del accepted
-    g_out[live], f_out[live], iterations[live] = g, f, it
-    return g_out, f_out, iterations, converged
+            grad_g, square = _gradient(v, x2, cvar)
+            # the norm as np.linalg.norm computes it
+            done = np.sqrt(np.add.reduce(grad_g * grad_g, axis=-1)) * (g[:, 0] + g[:, 1]) / n \
+                <= _GRADIENT_TOL
+            # the masks are tested with np.count_nonzero, which costs a third
+            # of .any() or .all() on a few rows
+            if np.count_nonzero(done):
+                gone = live[done]
+                converged[gone] = True
+                g_out[gone], f_out[gone], iterations[gone] = g[done], f[done], it
+                live, p, g, f, cvar, scales, v, x2, grad_g, square = _drop_rows(
+                    done, [live, p, g, f, cvar, scales, v, x2, grad_g, square])
+                if not live.size:
+                    break
+            step, newton = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
+            # the curvature rows and this pass's variances are freed before the
+            # line search, which forms the next ones
+            del square, cvar
+            found, accepted = _line_search(p, step, f, v, x2, newton)
+            if np.count_nonzero(found) < len(found):
+                # likelihood flat to machine precision but gradient target missed
+                stalled = ~found
+                gone = live[stalled]
+                g_out[gone], f_out[gone], iterations[gone] = g[stalled], f[stalled], it
+                live, v, x2, *accepted = _drop_rows(stalled, [live, v, x2, *accepted])
+            p, g, f, cvar, scales = accepted
+            del accepted
+        g_out[live], f_out[live], iterations[live] = g, f, it
+        return g_out, f_out, iterations, converged
 
 
 def _fit_inputs(eta: float, draw: list, out: np.ndarray | None = None):
@@ -561,26 +550,28 @@ def _fit_inputs(eta: float, draw: list, out: np.ndarray | None = None):
     keys = _angle_keys(theta)
     if trig:
         theta = None
-    with np.errstate(over="ignore"):
+    # overflow here fails the check on m, or makes a moment start fall back
+    # to (m, m, 0), without a warning
+    with np.errstate(all="ignore"):
         x2 = x * x
         x = None
         m = x2.mean(axis=1)
-    if not np.all((m > 0.0) & (m < math.inf)):
-        raise DomainError("homodyne data must have a positive, finite mean of x^2 "
-                          "in every trial")
-    c, s = trig or (np.cos(theta), np.sin(theta))
-    trig = theta = None
-    # the rows (c^2, s^2, sqrt2 s c) written in place: stacking temporaries
-    # would map fresh pages for every block
-    size = trials * 3 * n
-    v = (np.empty(size) if out is None else out[:size]).reshape(trials, 3, n)
-    np.multiply(c, c, out=v[:, 0])
-    np.multiply(s, s, out=v[:, 1])
-    np.multiply(SQRT2, s, out=v[:, 2])
-    s = None
-    v[:, 2] *= c
-    c = None
-    return delta_offset(eta, SchemeKind.HOMODYNE), (v, x2, _moment_starts(v, x2, keys, m))
+        if not np.all((m > 0.0) & (m < math.inf)):
+            raise DomainError("homodyne data must have a positive, finite mean of x^2 "
+                              "in every trial")
+        c, s = trig or (np.cos(theta), np.sin(theta))
+        trig = theta = None
+        # the rows (c^2, s^2, sqrt2 s c) written in place: stacking temporaries
+        # would map fresh pages for every block
+        size = trials * 3 * n
+        v = (np.empty(size) if out is None else out[:size]).reshape(trials, 3, n)
+        np.multiply(c, c, out=v[:, 0])
+        np.multiply(s, s, out=v[:, 1])
+        np.multiply(SQRT2, s, out=v[:, 2])
+        s = None
+        v[:, 2] *= c
+        c = None
+        return delta_offset(eta, SchemeKind.HOMODYNE), (v, x2, _moment_starts(v, x2, keys, m))
 
 
 def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float) -> BlockFit:
@@ -592,8 +583,8 @@ def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float) -
     row leaves the block when it converges or stalls.  Any invalid row
     raises the DomainError that estimate_homodyne_ml raises for it.  The
     cosines and sines of the angles are computed once the block has passed
-    its checks, so that an infinite angle warns only in a block that is
-    fitted.
+    its checks; an infinite angle gives nan variances, and its row stalls
+    at its start.
     """
     delta, inputs = _fit_inputs(eta, [thetas, xs])
     return _block_fit(delta, *_fit_block(*inputs))

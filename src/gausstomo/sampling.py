@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Covariance2, DomainError, GaussianStateSpec, NumericalError,
-                   SchemeKind, SQRT2, effective_covariance)
+from .core import (DomainError, GaussianStateSpec, NumericalError, SchemeKind, SQRT2,
+                   effective_covariance)
 
 _WORDS_PER_SAMPLE = 2
 _WORDS_PER_BLOCK = 4  # one Philox4x64 counter increment yields four words
@@ -236,12 +236,19 @@ def _homodyne_block(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
     return thetas, x, c, s
 
 
-def _cholesky_lower(cov: Covariance2) -> tuple[float, float, float]:
+def _cholesky_lower(spec: GaussianStateSpec) -> tuple[float, float, float]:
+    """The Cholesky factor (l11, l21, l22) of the heterodyne data
+    covariance of spec; NumericalError where its rotated triple has lost
+    its determinant to rounding, or g3 overflowed, so that l22^2 < 0."""
+    cov = effective_covariance(spec, SchemeKind.HETERODYNE)
     q = cov.g3 / SQRT2
     l11 = math.sqrt(cov.g1)
     l21 = q / l11
-    l22 = math.sqrt(cov.g2 - l21 * l21)
-    return l11, l21, l22
+    l22_sq = cov.g2 - l21 * l21
+    if l22_sq < 0.0:
+        raise NumericalError(f"the heterodyne data covariance of {spec} is not positive "
+                             f"definite in float64: {cov}")
+    return l11, l21, math.sqrt(l22_sq)
 
 
 def heterodyne_arrays(spec: GaussianStateSpec, n: int,
@@ -256,7 +263,7 @@ def heterodyne_arrays(spec: GaussianStateSpec, n: int,
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
     z = _normals_in_place(_sample_uniforms([seed], n)[0])
-    l11, l21, l22 = _cholesky_lower(effective_covariance(spec, SchemeKind.HETERODYNE))
+    l11, l21, l22 = _cholesky_lower(spec)
     # one allocation for both outputs: a pair of fresh ones would grow the
     # heap past malloc's trim threshold, and every draw would refault them
     x, p = np.empty((2, n))
@@ -384,7 +391,7 @@ def heterodyne_moments(spec: GaussianStateSpec, n: int, seeds: Sequence[SeedSpec
     c1 = np.sqrt(_chi_square(n, u[:, 0]))
     c2 = np.sqrt(_chi_square(n - 1, u[:, 1]))
     n21 = ndtri(u[:, 2])
-    l11, l21, l22 = _cholesky_lower(effective_covariance(spec, SchemeKind.HETERODYNE))
+    l11, l21, l22 = _cholesky_lower(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         # L A = [[y1, 0], [y2, y3]]
         y1 = l11 * c1

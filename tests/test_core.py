@@ -43,6 +43,18 @@ class TestCovariance2:
             assert hi == pytest.approx(ref[1], rel=1e-12)
 
 
+    @pytest.mark.parametrize("g", [
+        (0.22490303892343713, 0.22490303892343716, 1.5317241543704828e-18),
+        (349.25337330015793, 349.2533733001579, 5.734660754857049e-18),
+    ])
+    def test_principal_angle_is_half_the_atan2_angle(self, g):
+        # nearly isotropic triples: a test of the angle's variance against
+        # the mean one decides on rounding noise, and turned these onto
+        # their minor axes
+        cov = Covariance2(*g)
+        assert cov.principal_angle() == (0.5 * math.atan2(SQRT2 * g[2], g[0] - g[1])) % math.pi
+
+
 class TestSpecValidation:
     def test_rejects_unphysical_mu(self):
         with pytest.raises(DomainError):

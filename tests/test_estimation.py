@@ -2,6 +2,7 @@ import math
 import statistics
 import threading
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -513,17 +514,24 @@ class TestHomodyneMlBlock:
         thetas, xs = fig5_lane(0, 0, 50, trials=1)
         c, s = np.cos(thetas), np.sin(thetas)
         v = np.stack([c * c, s * s, SQRT2 * s * c], axis=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            g, f, _, _ = _evaluate(np.array([[416.7, -763.0, -131.6]]), v, xs * xs)
+        far = np.array([[416.7, -763.0, -131.6]])
+        with np.errstate(all="ignore"):
+            g, f, _, _ = _evaluate(far, v, xs * xs)
         assert g[0, 0] == math.inf
         assert not f[0] > -1e300
-
-    def test_overflowing_exp_is_inf(self):
+        # the fit runs in its own floating-point state: started there, the
+        # row stalls at once, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            g_out, f_out, iterations, converged = estimation._fit_block(v, xs * xs, far)
+        assert g_out.tobytes() == g.tobytes()
+        assert iterations.tolist() == [1] and converged.tolist() == [False]
+        assert not f_out[0] > -1e300
+
+    def test_overflowing_exp_is_inf(self):
+        with np.errstate(all="ignore"):
             g, f, _, _ = _evaluate(np.array([[800.0, 0.0, 0.0]]), np.ones((1, 3, 3)),
-                             np.ones((1, 3)))
+                                   np.ones((1, 3)))
         assert g[0, 0] == math.inf
         assert not f[0] > -1e300
 
@@ -863,20 +871,66 @@ class TestLapackCalls:
             a = rng.normal(0.0, scale, (rows, 3, 3))
             a += a.transpose(0, 2, 1)  # symmetric, as a Hessian is
             b = rng.normal(0.0, 1.0, (rows, 3, 1))
-            with estimation._lapack_state():
-                w = _umath_linalg.eigvalsh_lo(a, signature="d->d")
-                x = _umath_linalg.solve(a, b, signature="dd->d")
+            w = _umath_linalg.eigvalsh_lo(a, signature="d->d")
+            x = _umath_linalg.solve(a, b, signature="dd->d")
             assert w.tobytes() == np.linalg.eigvalsh(a).tobytes()
             assert x.tobytes() == np.linalg.solve(a, b).tobytes()
 
-    def test_singular_or_nan_stack_raises_linalg_error(self):
+    def test_singular_or_nan_matrix_gives_a_nan_row(self):
+        # a LAPACK failure is flagged as an invalid value, and the failing
+        # matrix's row is nan; the other rows are solved as alone
         singular = np.stack([-np.eye(3), np.ones((3, 3))])
-        with pytest.raises(np.linalg.LinAlgError), estimation._lapack_state():
+        with np.errstate(all="ignore"):
+            x = _umath_linalg.solve(singular, np.ones((2, 3, 1)), signature="dd->d")
+            w = _umath_linalg.eigvalsh_lo(np.stack([np.full((3, 3), math.nan), -np.eye(3)]),
+                                          signature="d->d")
+        assert x[0, :, 0].tolist() == [-1.0] * 3 and np.isnan(x[1]).all()
+        assert np.isnan(w[0]).all() and w[1].tolist() == [-1.0] * 3
+        with pytest.raises(FloatingPointError), np.errstate(invalid="raise"):
             _umath_linalg.solve(singular, np.ones((2, 3, 1)), signature="dd->d")
-        with pytest.raises(np.linalg.LinAlgError), estimation._lapack_state():
-            _umath_linalg.eigvalsh_lo(np.full((1, 3, 3), math.nan), signature="d->d")
-        # the state ends with its block
-        assert np.geterr()["invalid"] != "call"
+
+    @staticmethod
+    def failing_lapack(name):
+        """_umath_linalg with the gufunc `name` failing on every matrix:
+        its rows are nan and the invalid flag is set, as a LAPACK failure
+        leaves them."""
+        def failing(*args, **kwargs):
+            out = getattr(_umath_linalg, name)(*args, **kwargs)
+            out[...] = math.inf
+            out -= math.inf
+            return out
+        gufuncs = {"solve": _umath_linalg.solve, "eigvalsh_lo": _umath_linalg.eigvalsh_lo}
+        return types.SimpleNamespace(**{**gufuncs, name: failing})
+
+    def fit_quietly(self, monkeypatch, name):
+        """A fig5 lane block fitted with `name` failing, and the Newton
+        masks of its passes."""
+        masks, line_search = [], estimation._line_search
+
+        def recording(p, step, f, v, x2, newton):
+            masks.append(newton.copy())
+            return line_search(p, step, f, v, x2, newton)
+
+        monkeypatch.setattr(estimation, "_line_search", recording)
+        monkeypatch.setattr(estimation, "_umath_linalg", self.failing_lapack(name))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = estimate_homodyne_ml_block(*fig5_lane(0, 0, 50), FIG5.eta)
+        return fit, np.concatenate(masks)
+
+    def test_failing_solve_stalls_every_row(self, monkeypatch):
+        # a nan Newton step never raises the likelihood
+        fit, newton = self.fit_quietly(monkeypatch, "solve")
+        assert newton.any()
+        assert not fit.converged.any()
+        assert (fit.iterations < estimation._MAX_ITERATIONS).all()
+        assert np.isfinite(fit.g_effective).all() and np.isfinite(fit.loglik).all()
+
+    def test_failing_eigvalsh_takes_steepest_ascent(self, monkeypatch):
+        # nan eigenvalues fail the negativity test
+        fit, newton = self.fit_quietly(monkeypatch, "eigvalsh_lo")
+        assert newton.size and not newton.any()
+        assert np.isfinite(fit.g_effective).all() and np.isfinite(fit.loglik).all()
 
     def test_ascent_directions_equal_the_numpy_linalg_steps(self, monkeypatch):
         # every pass of fig5 and crb blocks, Newton and steepest-ascent rows

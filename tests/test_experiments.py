@@ -846,6 +846,39 @@ class TestCli:
         err = json.loads(proc.stderr.strip())
         assert err["error"] == "numerical" and "homodyne samples" in err["message"]
 
+    @pytest.mark.parametrize("experiment, config", [
+        ("simulate", {"scheme": "heterodyne", "n": 2,
+                      "spec": {"mu": 1.7976931348623157e308, "lambda": 0.5, "phi": 3.14159}}),
+        ("simulate", {"scheme": "heterodyne", "n": 3,
+                      "spec": {"mu": 10, "lambda": 1e-300, "phi": 0.3}}),
+        ("crb-attainment", {"scheme": "heterodyne", "n_values": [50], "trials": 1,
+                            "spec": {"mu": 513.8182260259639, "lambda": 3.3080437123359715e293,
+                                     "phi": 3.14159}}),
+        ("fig5", {"n_values": [4], "trials": 2,
+                  "spec": {"mu": 3.14159, "lambda": 5.7176291597183525e47, "phi": 3.14159}}),
+    ])
+    def test_heterodyne_covariance_that_rounds_indefinite_exits_3(self, experiment, config):
+        # the rotated heterodyne triple loses its determinant to rounding, or
+        # its g3 overflows, so it has no real Cholesky factor; this exited 1
+        proc = self.run_cli(experiment, "--config", "-",
+                            input=json.dumps({"experiment": experiment, **config}))
+        assert proc.returncode == 3, proc.stderr
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "numerical" and "heterodyne data covariance" in err["message"]
+        assert "not positive definite in float64" in err["message"] and proc.stdout == ""
+
+    def test_homodyne_fit_past_the_float_range_is_quiet(self):
+        # the fit's curvature overflows here; it runs in one floating-point
+        # state, so it neither warns nor fails, and the bound past the float
+        # range gives the ratio inf / inf
+        config = {"experiment": "crb-attainment", "scheme": "homodyne",
+                  "spec": {"mu": 2, "lambda": 3.897799141471276e159},
+                  "n_values": [150], "trials": 1}
+        proc = self.run_cli("crb-attainment", "--config", "-", input=json.dumps(config))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.split("\n", 1)[1] == \
+            "N,scheme,mean_N_times_mse,crb,ratio\n150,homodyne,inf,inf,nan\n"
+
     @pytest.mark.parametrize("n, code", [(10 ** 9, 0), (2 ** 53 + 1, 3)])
     def test_heterodyne_crb_attainment_at_huge_n(self, tmp_path, n, code):
         # the moments take O(1) memory in n: a billion samples finish, and

@@ -1,15 +1,22 @@
-"""Property check of config resolution: resolving a resolved config
-changes nothing, which is what makes embedded-config replay byte-exact."""
+"""Property checks of configs: resolving a resolved config changes
+nothing, which is what makes embedded-config replay byte-exact; and every
+run of a config built from edge floats keeps the exit-code contract."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gausstomo.cli import main
 from gausstomo.experiments import resolve_config
 
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -74,3 +81,86 @@ def test_resolution_is_idempotent(config):
     again = resolve_config(resolved)
     assert again == resolved
     assert json.dumps(again) == json.dumps(resolved)  # key order is output bytes
+
+
+# floats at the edges of the domains and of the float range
+EDGE = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-16, 0.5, 1.0, 1.0000000000000002, 2.0,
+                        3.14159, math.pi, 1e16, 1e300, 1.7976931348623157e308])
+EDGE_SPECS = st.fixed_dictionaries({"mu": EDGE, "lambda": EDGE},
+                                   optional={"phi": EDGE, "eta": EDGE})
+# sizes capped so that an example runs in well under a second
+SIZES = st.lists(st.integers(1, 150), min_size=1, max_size=2)
+EDGE_SEEDS = st.fixed_dictionaries({"master_seed": st.integers(0, 3)})
+EDGE_CONFIGS = st.one_of(
+    st.fixed_dictionaries(
+        {"experiment": st.just("surface"),
+         "grid": st.fixed_dictionaries(
+             {"lambda": st.lists(EDGE, min_size=1, max_size=3),
+              "mu": st.lists(EDGE, min_size=1, max_size=3)},
+             optional={"eta": st.lists(EDGE, min_size=1, max_size=2),
+                       "mode": st.sampled_from(["real", "hypothetical"])})}),
+    st.fixed_dictionaries({"experiment": st.just("regions"), "spec": EDGE_SPECS},
+                          optional={"samples": st.integers(0, 100)}),
+    st.fixed_dictionaries({"experiment": st.just("lambda-crit"),
+                           "eta_values": st.lists(EDGE, min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"experiment": st.just("simulate"), "spec": EDGE_SPECS,
+                           "scheme": st.sampled_from(["homodyne", "heterodyne"]),
+                           "n": st.integers(0, 150)},
+                          optional={"angle_policy": POLICIES, "seed": EDGE_SEEDS}),
+    st.fixed_dictionaries({"experiment": st.just("crb-attainment"), "spec": EDGE_SPECS,
+                           "scheme": st.sampled_from(["homodyne", "heterodyne"]),
+                           "n_values": SIZES, "trials": st.integers(1, 3)},
+                          optional={"seed": EDGE_SEEDS}),
+    st.fixed_dictionaries({"experiment": st.just("fig5"), "trials": st.integers(1, 3)},
+                          optional={"spec": EDGE_SPECS, "n_values": SIZES,
+                                    "seed": EDGE_SEEDS}))
+
+
+def run_cli(config: dict, threads: int) -> tuple:
+    """(exit code, stdout, stderr) of `gausstomo <experiment> --config
+    <file> --threads <threads>`, run in-process with warnings as errors."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        try:
+            main([config["experiment"], "--config", str(path), "--threads", str(threads)],
+                 prog_name="gausstomo")
+            code = 0
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(config=EDGE_CONFIGS, threads=st.sampled_from([1, 2]))
+@example(config={"experiment": "simulate", "scheme": "heterodyne", "n": 2,
+                 "spec": {"mu": 1.7976931348623157e308, "lambda": 0.5, "phi": 3.14159}},
+         threads=1)
+@example(config={"experiment": "simulate", "scheme": "heterodyne", "n": 3,
+                 "spec": {"mu": 10.0, "lambda": 1e-300, "phi": 0.3}}, threads=1)
+@example(config={"experiment": "crb-attainment", "scheme": "heterodyne", "n_values": [50],
+                 "trials": 1, "spec": {"mu": 513.8182260259639,
+                                       "lambda": 3.3080437123359715e293, "phi": 3.14159}},
+         threads=1)
+@example(config={"experiment": "fig5", "n_values": [4], "trials": 2,
+                 "spec": {"mu": 3.14159, "lambda": 5.7176291597183525e47, "phi": 3.14159}},
+         threads=2)
+@example(config={"experiment": "crb-attainment", "scheme": "homodyne", "n_values": [150],
+                 "trials": 1, "spec": {"mu": 2.0, "lambda": 3.897799141471276e159}},
+         threads=1)
+def test_edge_configs_keep_the_exit_code_contract(config, threads):
+    # 0 success, 2 config or domain error, 3 numerical failure: never a
+    # traceback, exit 1 or a warning, and simulate never writes nan or inf
+    code, out, err = run_cli(config, threads)
+    assert code in (0, 2, 3), err
+    if code:
+        record = json.loads(err.strip().splitlines()[-1])
+        assert isinstance(record, dict) and {"error", "message"} <= record.keys()
+    else:
+        assert err == ""
+        if config["experiment"] == "simulate":
+            cells = [cell for line in out.splitlines()[2:] for cell in line.split(",")]
+            assert not any(cell.lstrip("-") in ("nan", "inf") for cell in cells)
