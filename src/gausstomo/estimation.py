@@ -519,24 +519,24 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
 
 
 def _fit_inputs(eta: float, draw: list, out: np.ndarray | None = None):
-    """The checks of estimate_homodyne_ml_block on draw = [thetas, xs] or
-    [thetas, xs, cos, sin], then what its fit reads: (offset, (v, x^2,
-    moment starts)).
+    """The checks of estimate_homodyne_ml_block on draw = [thetas, xs, cos,
+    sin], the float64 angles and the values of a block and the cosines and
+    sines of the angles, then what its fit reads: (offset, (v, x^2, moment
+    starts)).
 
     The list is emptied, and each of its arrays is let go once used: the
-    angles once their check and bins are taken (or, without the cosines
-    and sines, once those are), the values once x^2 exists, and the
-    cosines and sines once v does.  So a caller that keeps no other
-    reference to its draw holds no more of it than the set-up still needs
-    (an argument tuple would hold all of it to the end), and holds v, x^2
-    and the starts alone once the call returns.  v is written into out, a
-    float64 array of at least 3 trials N entries, where one is given.
+    angles once their check and bins are taken, the values once x^2
+    exists, and the cosines and sines once v does.  So a caller that keeps
+    no other reference to its draw holds no more of it than the set-up
+    still needs (an argument tuple would hold all of it to the end), and
+    holds v, x^2 and the starts alone once the call returns.  v is written
+    into out, a float64 array of at least 3 trials N entries, where one is
+    given.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta = {eta} must lie in (0, 1]")
-    theta, x, *trig = draw
+    theta, x, c, s = draw
     draw.clear()
-    theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
     if theta.shape != x.shape or theta.ndim != 2:
         raise DomainError("homodyne blocks must be matching 2-d (trials, N) "
@@ -548,8 +548,7 @@ def _fit_inputs(eta: float, draw: list, out: np.ndarray | None = None):
         raise DomainError("homodyne data must span at least 3 distinct angles; "
                           "fewer leave the 3-parameter model unidentifiable")
     keys = _angle_keys(theta)
-    if trig:
-        theta = None
+    theta = None
     # overflow here fails the check on m, or makes a moment start fall back
     # to (m, m, 0), without a warning
     with np.errstate(all="ignore"):
@@ -559,8 +558,6 @@ def _fit_inputs(eta: float, draw: list, out: np.ndarray | None = None):
         if not np.all((m > 0.0) & (m < math.inf)):
             raise DomainError("homodyne data must have a positive, finite mean of x^2 "
                               "in every trial")
-        c, s = trig or (np.cos(theta), np.sin(theta))
-        trig = theta = None
         # the rows (c^2, s^2, sqrt2 s c) written in place: stacking temporaries
         # would map fresh pages for every block
         size = trials * 3 * n
@@ -581,12 +578,14 @@ def estimate_homodyne_ml_block(thetas: np.ndarray, xs: np.ndarray, eta: float) -
 
     One Newton iteration runs on all rows still iterating at once, and a
     row leaves the block when it converges or stalls.  Any invalid row
-    raises the DomainError that estimate_homodyne_ml raises for it.  The
-    cosines and sines of the angles are computed once the block has passed
-    its checks; an infinite angle gives nan variances, and its row stalls
-    at its start.
+    raises the DomainError that estimate_homodyne_ml raises for it.  An
+    infinite angle gives a nan cosine and sine, so nan variances, and its
+    row stalls at its start.
     """
-    delta, inputs = _fit_inputs(eta, [thetas, xs])
+    thetas = np.asarray(thetas, dtype=float)
+    with np.errstate(invalid="ignore"):
+        trig = np.cos(thetas), np.sin(thetas)
+    delta, inputs = _fit_inputs(eta, [thetas, xs, *trig])
     return _block_fit(delta, *_fit_block(*inputs))
 
 

@@ -381,44 +381,34 @@ def run_estimate(config: dict, threads: int = 1) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _trial_stream(seed: SeedSpec, lane: int, trials: int, trial: int) -> SeedSpec:
-    # disjoint stream ids per (scheme/size lane, trial); threads never reorder
-    return seed.stream(1 + lane * trials + trial)
-
-
 def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,
                 seed: SeedSpec, lane: int, trials: int,
                 threads: int) -> BlockFit:
     """The fit of each trial from its own seed stream, in trial order.
 
-    Trials run in blocks, and each block derives its own trials' streams.
-    Heterodyne blocks of up to _BLOCK_SAMPLES trials draw their second
-    moments in one call each.  A homodyne job draws and fits one block of
-    trials, of up to _BLOCK_SAMPLES samples in all but at least one trial,
-    as stacked (trials, n) arrays; the fit takes the cosines and sines of
-    the angles from the draw, and forms v in the thread's draw buffer.
-    The jobs run on a pool of `threads` workers only when there are two
-    or more of each; else they run on the calling thread.
+    Trial t of the lane draws from stream seed.stream(1 + lane trials + t):
+    disjoint ids per (scheme/size lane, trial), which threads never
+    reorder.  A job draws and fits one block of consecutive trials in one
+    call each: up to _BLOCK_SAMPLES trials of heterodyne second moments,
+    or homodyne (trials, n) arrays of up to _BLOCK_SAMPLES samples in all
+    but at least one trial, whose fit takes the cosines and sines of the
+    angles from the draw and forms v in the thread's draw buffer.  The
+    jobs run on a pool of `threads` workers only when there are two or
+    more of each; else they run on the calling thread.
     """
-    def streams(first: int, size: int) -> list[SeedSpec]:
-        return [_trial_stream(seed, lane, trials, t)
-                for t in range(first, min(first + size, trials))]
-
-    if scheme is SchemeKind.HETERODYNE:
-        blocks = [estimate_heterodyne_moments(
-            *heterodyne_moments(spec, n, streams(first, _BLOCK_SAMPLES)), n, spec.eta)
-            for first in range(0, trials, _BLOCK_SAMPLES)]
-        return BlockFit(*map(np.concatenate, zip(*blocks)))
-    size = max(1, _BLOCK_SAMPLES // n)
+    size = _BLOCK_SAMPLES if scheme is SchemeKind.HETERODYNE else max(1, _BLOCK_SAMPLES // n)
 
     def job(first: int) -> BlockFit:
-        seeds = streams(first, size)
+        block = seed.stream(1 + lane * trials + first), min(size, trials - first)
+        if scheme is SchemeKind.HETERODYNE:
+            return estimate_heterodyne_moments(*heterodyne_moments(spec, n, *block),
+                                               n, spec.eta)
         # the buffer is sized for v before the draw's uniforms fill it: the
         # set-up writes v there, which is free once x exists, and empties
         # the list as it uses each array of the draw
-        buffer = _scratch(3 * len(seeds) * n)
+        buffer = _scratch(3 * block[1] * n)
         delta, inputs = _fit_inputs(
-            spec.eta, list(_homodyne_block(spec, n, ContinuousSweep(), seeds)), buffer)
+            spec.eta, list(_homodyne_block(spec, n, ContinuousSweep(), *block)), buffer)
         return _block_fit(delta, *_fit_block(*inputs))
 
     starts = range(0, trials, size)
@@ -455,7 +445,7 @@ def run_crb_attainment(config: dict, threads: int = 1) -> str:
     truth = wigner_covariance(spec)
     # the last stream first: a run whose stream ids leave [0, 2^64) fails
     # before it draws
-    _trial_stream(seed, len(config["n_values"]) - 1, config["trials"], config["trials"] - 1)
+    seed.stream(len(config["n_values"]) * config["trials"])
     rows = []
     for lane, n in enumerate(config["n_values"]):
         fit = _run_trials(spec, scheme, n, seed, lane, config["trials"], threads)
@@ -483,7 +473,7 @@ def run_fig5(config: dict, threads: int = 1) -> str:
     lanes = [(scheme, n) for scheme in (SchemeKind.HOMODYNE, SchemeKind.HETERODYNE)
              for n in config["n_values"]]
     # the last stream first, as in run_crb_attainment
-    _trial_stream(seed, len(lanes) - 1, config["trials"], config["trials"] - 1)
+    seed.stream(len(lanes) * config["trials"])
     for lane, (scheme, n) in enumerate(lanes):
         rows.append((n, scheme.value, "true", -1,
                      true_ellipse.semi_axis_major, true_ellipse.semi_axis_minor,

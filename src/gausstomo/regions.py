@@ -86,7 +86,8 @@ def region_boundaries(spec: GaussianStateSpec,
     A valid spec's data covariances are positive definite
     (core.data_variances).  sigma needs only u^T G u, which stays accurate
     where the homodyne triple's det cancels; Sigma needs G^-1, so a
-    heterodyne triple whose det cancels raises NumericalError.
+    heterodyne triple whose det cancels raises NumericalError, as does a
+    variance that is not a finite float.
     """
     if samples < 4:
         raise DomainError(f"samples = {samples} must be at least 4")
@@ -106,10 +107,12 @@ def region_boundaries(spec: GaussianStateSpec,
         sigma2 = _marginal_variance(g_hom, c, s)
         big2, vv = _conditional_variance(g_het, c, s)
     # where the scalar functions would divide by zero or take the root of a
-    # negative number, a variance has cancelled
-    if (vv == 0.0).any() or (sigma2 < 0.0).any() or (big2 < 0.0).any():
+    # negative number, a variance has cancelled; a zero vv leaves Sigma^2
+    # nan, so one test of both variances finds either fault
+    if not (np.isfinite(sigma2) & (sigma2 >= 0.0) & np.isfinite(big2) & (big2 >= 0.0)).all():
         raise NumericalError(f"a direction variance of the data covariances of {spec} "
-                             "cancels to zero or below in float64")
+                             "cancels to zero or below, or leaves the float range, "
+                             "in float64")
     return theta, np.sqrt(sigma2), np.sqrt(big2)
 
 

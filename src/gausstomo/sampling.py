@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,9 +72,9 @@ class UniformGrid:
 AnglePolicy = ContinuousSweep | UniformGrid
 
 
-def _seek(seed: SeedSpec, start: int):
+def _seek(key: list[int], start: int):
     """This thread's Generator(Philox), positioned at word `start` of the
-    seed's stream, O(1) in start.
+    stream keyed [master_seed, stream_id], O(1) in start.
 
     Each thread re-keys one generator of its own: setting the state costs
     less than building a Philox, which first draws OS entropy for a seed
@@ -97,7 +96,7 @@ def _seek(seed: SeedSpec, start: int):
     bitgen.state = {"bit_generator": "Philox",
                     "state": {"counter": [(block0 >> shift) & _WORD_MASK
                                           for shift in (0, 64, 128, 192)],
-                              "key": [seed.master_seed, seed.stream_id]},
+                              "key": key},
                     "buffer": [0] * _WORDS_PER_BLOCK, "buffer_pos": _WORDS_PER_BLOCK,
                     "has_uint32": 0, "uinteger": 0}
     if offset:
@@ -113,7 +112,7 @@ def raw_words(seed: SeedSpec, start: int, count: int) -> np.ndarray:
     """
     if count == 0:
         return np.zeros(0, dtype=np.uint64)
-    return _seek(seed, start).bit_generator.random_raw(count)
+    return _seek([seed.master_seed, seed.stream_id], start).bit_generator.random_raw(count)
 
 
 def ndtri(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -155,22 +154,25 @@ def _scratch(size: int) -> np.ndarray:
     return buffer[:size]
 
 
-def _uniforms(seeds: Sequence[SeedSpec], count: int) -> np.ndarray:
+def _uniforms(seed: SeedSpec, trials: int, count: int) -> np.ndarray:
     """(trials, count) mantissas (w >> 11) 2^-53 of the words [0, count),
-    one row per stream, in this thread's scratch buffer.
+    row k from stream seed.stream(k), in this thread's scratch buffer.
 
     numpy's Generator.random makes each double from one Philox word exactly
-    so.
+    so.  DomainError, before any draw, if the last stream id leaves
+    [0, 2^64).
     """
-    u = _scratch(len(seeds) * count).reshape(len(seeds), count)
-    for row, seed in zip(u, seeds):
-        _seek(seed, 0).random(out=row)
+    u = _scratch(trials * count).reshape(trials, count)
+    if trials:
+        seed.stream(trials - 1)
+    for k, row in enumerate(u):
+        _seek([seed.master_seed, seed.stream_id + k], 0).random(out=row)
     return u
 
 
-def _sample_uniforms(seeds: Sequence[SeedSpec], n: int) -> np.ndarray:
+def _sample_uniforms(seed: SeedSpec, trials: int, n: int) -> np.ndarray:
     """(trials, n, 2) uniforms of the words of samples [0, n)."""
-    return _uniforms(seeds, _WORDS_PER_SAMPLE * n).reshape(len(seeds), n, _WORDS_PER_SAMPLE)
+    return _uniforms(seed, trials, _WORDS_PER_SAMPLE * n).reshape(trials, n, _WORDS_PER_SAMPLE)
 
 
 def homodyne_arrays(spec: GaussianStateSpec, n: int,
@@ -184,7 +186,7 @@ def homodyne_arrays(spec: GaussianStateSpec, n: int,
     a UniformGrid(d) realises a finite set of d angle settings with
     balanced counts.  NumericalError if a value is not finite.
     """
-    thetas, x, _, _ = _homodyne_block(spec, n, angle_policy, [seed])
+    thetas, x, _, _ = _homodyne_block(spec, n, angle_policy, seed, 1)
     return thetas[0], x[0]
 
 
@@ -194,15 +196,15 @@ def _check_finite(what: str, *arrays: np.ndarray):
 
 
 def _homodyne_block(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
-                    seeds: Sequence[SeedSpec]):
-    """(thetas, x, cos thetas, sin thetas) of the homodyne_arrays draw of
-    each seed, as (trials, n) arrays whose row k is the draw from seeds[k]
-    alone; the Monte Carlo runner hands the cosines and sines on to the
-    fit.  NumericalError, without a warning, if a value is not finite.
+                    seed: SeedSpec, trials: int):
+    """(thetas, x, cos thetas, sin thetas) of the homodyne_arrays draws of
+    streams seed.stream(k), k < trials, as (trials, n) arrays whose row k
+    is the draw from seed.stream(k) alone; the fit takes the cosines and
+    sines on.  NumericalError, without a warning, if a value is not finite.
     """
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
-    u = _sample_uniforms(seeds, n)
+    u = _sample_uniforms(seed, trials, n)
     if isinstance(policy, ContinuousSweep):
         # pi (w >> 11) 2^-53, scaled by the power of two after rounding as
         # before it
@@ -214,7 +216,7 @@ def _homodyne_block(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
         # a d beyond the float range is scaled down by a power of two first
         shift = max(0, policy.d.bit_length() - 1000)
         thetas = np.tile(np.ldexp(math.pi * idx.astype(float) / (policy.d >> shift), -shift),
-                         (len(seeds), 1))
+                         (trials, 1))
     else:
         raise DomainError(f"unknown angle policy {policy!r}")
     cov = effective_covariance(spec, SchemeKind.HOMODYNE)
@@ -262,7 +264,7 @@ def heterodyne_arrays(spec: GaussianStateSpec, n: int,
     """
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
-    z = _normals_in_place(_sample_uniforms([seed], n)[0])
+    z = _normals_in_place(_sample_uniforms(seed, 1, n)[0])
     l11, l21, l22 = _cholesky_lower(spec)
     # one allocation for both outputs: a pair of fresh ones would grow the
     # heap past malloc's trim threshold, and every draw would refault them
@@ -366,11 +368,12 @@ def _chi_square(dof: int, q: np.ndarray) -> np.ndarray:
     return x
 
 
-def heterodyne_moments(spec: GaussianStateSpec, n: int, seeds: Sequence[SeedSpec]
+def heterodyne_moments(spec: GaussianStateSpec, n: int, seed: SeedSpec, trials: int
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Second moments (S11, S22, S12) = mean (x^2, p^2, x p) of n heterodyne
-    samples from each seed, drawn from their sufficient statistic in O(1) of
-    n, as arrays of one entry per seed.
+    samples from each stream seed.stream(k), k < trials, drawn from their
+    sufficient statistic in O(1) of n, as arrays whose entry k is that of
+    stream k.
 
     n S = sum z z^T is Wishart with scale G_het and n degrees of freedom, so
     by Bartlett's decomposition n S = (L A)(L A)^T, with L the Cholesky
@@ -378,16 +381,16 @@ def heterodyne_moments(spec: GaussianStateSpec, n: int, seeds: Sequence[SeedSpec
     c1^2 ~ chi^2_n, c2^2 ~ chi^2_(n-1) and n21 ~ N(0, 1).  c1^2 and c2^2 are
     the upper-tail quantiles of words 0 and 1 of the stream, n21 the normal
     of word 2.  The moments have the distribution of those of
-    heterodyne_arrays(spec, n, seed), not their values.  NumericalError past
-    n = 2^53, where n and n - 1 stop being distinct floats, or if a moment
-    is not finite.
+    heterodyne_arrays(spec, n, seed.stream(k)), not their values.
+    NumericalError past n = 2^53, where n and n - 1 stop being distinct
+    floats, or if a moment is not finite.
     """
     if n < 2:
         raise DomainError(f"n = {n} must be at least 2")
     if n > 2 ** 53:
         raise NumericalError(f"n = {n} exceeds 2^53, past which the chi-square "
                              "draws are not certified")
-    u = _open_interval(_uniforms(seeds, 3))
+    u = _open_interval(_uniforms(seed, trials, 3))
     c1 = np.sqrt(_chi_square(n, u[:, 0]))
     c2 = np.sqrt(_chi_square(n - 1, u[:, 1]))
     n21 = ndtri(u[:, 2])

@@ -438,14 +438,13 @@ class TestHomodyneMlBlock:
 
     def test_trig_from_the_draw_changes_no_bit(self):
         # the Monte Carlo runner hands the draw's cosines and sines on to the fit
-        thetas, xs, c, s = _homodyne_block(FIG5, 50, ContinuousSweep(),
-                                           [SeedSpec(53, t) for t in range(6)])
+        thetas, xs, c, s = _homodyne_block(FIG5, 50, ContinuousSweep(), SeedSpec(53), 6)
         delta, inputs = estimation._fit_inputs(FIG5.eta, [thetas, xs, c, s])
         given = estimation._block_fit(delta, *estimation._fit_block(*inputs))
         assert rows_bits(given) == rows_bits(estimate_homodyne_ml_block(thetas, xs, FIG5.eta))
 
     def test_inputs_are_not_written(self):
-        arrays = _homodyne_block(FIG5, 50, ContinuousSweep(), [SeedSpec(53, t) for t in range(6)])
+        arrays = _homodyne_block(FIG5, 50, ContinuousSweep(), SeedSpec(53), 6)
         before = [a.tobytes() for a in arrays]
         for a in arrays:
             a.flags.writeable = False  # a write raises
@@ -553,9 +552,8 @@ CRB = GaussianStateSpec(mu=2.0, lam=10.0, eta=0.5)
 def crb_block(master_seed: int, first: int, n: int = 10_000, trials: int = 3):
     """The homodyne records of trials [first, first + trials) of a one-lane,
     60-trial `gausstomo crb-attainment` at the benchmark state."""
-    return _homodyne_block(CRB, n, ContinuousSweep(),
-                           [SeedSpec(master_seed, 0).stream(1 + t)
-                            for t in range(first, first + trials)])[:2]
+    return _homodyne_block(CRB, n, ContinuousSweep(), SeedSpec(master_seed, 1 + first),
+                           trials)[:2]
 
 
 def lane_streams(seed: SeedSpec, lane: int, trials: int) -> list[SeedSpec]:
@@ -787,26 +785,30 @@ class TestLineSearch:
         seed, lane, n, trials = SeedSpec(11), 1, 50, 20
         got = _run_trials(CRB, SchemeKind.HETERODYNE, n, seed, lane, trials, 1)
         want = [rows_bits(estimate_heterodyne_moments(
-            *heterodyne_moments(CRB, n, [stream]), n, CRB.eta))[0]
+            *heterodyne_moments(CRB, n, stream, 1), n, CRB.eta))[0]
             for stream in lane_streams(seed, lane, trials)]
         assert rows_bits(got) == want
 
-    def test_heterodyne_blocks_change_no_bit(self, monkeypatch):
-        # 20 trials drawn in blocks of 8, 8 and 4, each from its own streams
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_heterodyne_blocks_change_no_bit(self, monkeypatch, threads):
+        # 20 trials drawn in blocks of 8, 8 and 4, each block from its
+        # first stream on; with threads > 1 the three jobs take the pool
         seed, lane, n, trials = SeedSpec(11), 1, 50, 20
         want = rows_bits(_run_trials(CRB, SchemeKind.HETERODYNE, n, seed, lane, trials, 1))
         blocks = []
 
-        def recording(spec, n, seeds):
-            blocks.append(list(seeds))
-            return heterodyne_moments(spec, n, seeds)
+        def recording(spec, n, first, size):
+            blocks.append((first, size))
+            return heterodyne_moments(spec, n, first, size)
 
         monkeypatch.setattr(experiments, "_BLOCK_SAMPLES", 8)
         monkeypatch.setattr(experiments, "heterodyne_moments", recording)
-        got = _run_trials(CRB, SchemeKind.HETERODYNE, n, seed, lane, trials, 1)
+        got = _run_trials(CRB, SchemeKind.HETERODYNE, n, seed, lane, trials, threads)
         assert rows_bits(got) == want
-        assert [len(b) for b in blocks] == [8, 8, 4]
-        assert sum(blocks, []) == lane_streams(seed, lane, trials)
+        blocks.sort(key=lambda block: block[0].stream_id)
+        assert [size for _, size in blocks] == [8, 8, 4]
+        streams = lane_streams(seed, lane, trials)
+        assert [first for first, _ in blocks] == streams[::8]
 
     def test_stalled_row_stops_at_its_first_no_op_halving(self, monkeypatch):
         # trial 1 of this block stalls at its third iteration

@@ -88,8 +88,7 @@ def test_line_search_from_the_full_step_changes_no_bit(n, master, data):
     # run in the floating-point state _fit_block runs them in
     with np.errstate(all="ignore"):
         rows = data.draw(st.integers(1, 20), label="rows")
-        seeds = [SeedSpec(master, t) for t in range(rows)]
-        draw = list(_homodyne_block(STATE, n, ContinuousSweep(), seeds))
+        draw = list(_homodyne_block(STATE, n, ContinuousSweep(), SeedSpec(master), rows))
         _, (v, x2, p) = _fit_inputs(STATE.eta, draw)
         g, f, cvar, scales = estimation._evaluate(p, v, x2)
         grad_g, square = estimation._gradient(v, x2, cvar)

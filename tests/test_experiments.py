@@ -770,6 +770,17 @@ class TestCli:
         # sqrt(3/2) 1e150; the product of two variances read inf here
         assert [row[2] for row in rows] == ["1.224744871391589e+150"] * 4
 
+    def test_regions_past_the_float_range_of_a_variance_exit_3(self):
+        # at eta = 5e-324 sigma^2 reads inf and Sigma^2 nan; this wrote the
+        # rows 0,nan,nan and 1.5707963267948966,inf,nan with exit 0
+        config = {"experiment": "regions", "samples": 4,
+                  "spec": {"mu": 1.0000000000000002, "lambda": 1.0, "phi": 5e-324,
+                           "eta": 5e-324}}
+        proc = self.run_cli("regions", "--config", "-", input=json.dumps(config))
+        assert proc.returncode == 3 and proc.stdout == ""
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == "numerical" and "leaves the float range" in err["message"]
+
     @pytest.mark.parametrize("lam", [1e16, 1e17, 1e-17])
     def test_regions_of_an_extreme_squeezed_state_exit_0(self, tmp_path, lam):
         # v^T G v is formed directly; as Tr G - u^T G u it cancelled to zero

@@ -151,9 +151,13 @@ def run_cli(config: dict, threads: int) -> tuple:
 @example(config={"experiment": "crb-attainment", "scheme": "homodyne", "n_values": [150],
                  "trials": 1, "spec": {"mu": 2.0, "lambda": 3.897799141471276e159}},
          threads=1)
+@example(config={"experiment": "regions", "samples": 4,
+                 "spec": {"mu": 1.0000000000000002, "lambda": 1.0, "phi": 5e-324,
+                          "eta": 5e-324}}, threads=1)
 def test_edge_configs_keep_the_exit_code_contract(config, threads):
     # 0 success, 2 config or domain error, 3 numerical failure: never a
-    # traceback, exit 1 or a warning, and simulate never writes nan or inf
+    # traceback, exit 1 or a warning, and simulate and regions never write
+    # nan or inf
     code, out, err = run_cli(config, threads)
     assert code in (0, 2, 3), err
     if code:
@@ -161,6 +165,6 @@ def test_edge_configs_keep_the_exit_code_contract(config, threads):
         assert isinstance(record, dict) and {"error", "message"} <= record.keys()
     else:
         assert err == ""
-        if config["experiment"] == "simulate":
+        if config["experiment"] in ("simulate", "regions"):
             cells = [cell for line in out.splitlines()[2:] for cell in line.split(",")]
             assert not any(cell.lstrip("-") in ("nan", "inf") for cell in cells)

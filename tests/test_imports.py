@@ -90,7 +90,7 @@ SIGNATURES = {
     gausstomo.estimate_homodyne_ml_block: ["thetas", "xs", "eta"],
     gausstomo.homodyne_arrays: ["spec", "n", "angle_policy", "seed"],
     gausstomo.heterodyne_arrays: ["spec", "n", "seed"],
-    heterodyne_moments: ["spec", "n", "seeds"],
+    heterodyne_moments: ["spec", "n", "seed", "trials"],
 }
 
 

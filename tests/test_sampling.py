@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-from gausstomo import (DomainError, GaussianStateSpec, NumericalError, SchemeKind,
-                       SeedSpec, UniformGrid, effective_covariance, heterodyne_arrays,
-                       homodyne_arrays, raw_words)
+from gausstomo import (ContinuousSweep, DomainError, GaussianStateSpec, NumericalError,
+                       SchemeKind, SeedSpec, UniformGrid, effective_covariance,
+                       heterodyne_arrays, homodyne_arrays, raw_words)
 from gausstomo import sampling
 from gausstomo.sampling import (_chi_square, _normals_in_place, _open_interval,
                                 heterodyne_moments)
@@ -218,11 +218,12 @@ class TestHeterodyneMoments:
         cov = effective_covariance(spec, SchemeKind.HETERODYNE)
         g11, g22, g12 = cov.g1, cov.g2, cov.g3 / math.sqrt(2)
         n, trials = 50, 4000
-        seeds = [SeedSpec(61, t) for t in range(trials)]
-        x, p = map(np.stack, zip(*(heterodyne_arrays(spec, n, seed) for seed in seeds)))
+        seed = SeedSpec(61)
+        x, p = map(np.stack, zip(*(heterodyne_arrays(spec, n, seed.stream(t))
+                                   for t in range(trials))))
         routes = {"per-sample": (np.mean(x * x, axis=1), np.mean(p * p, axis=1),
                                  np.mean(x * p, axis=1)),
-                  "bartlett": heterodyne_moments(spec, n, seeds)}
+                  "bartlett": heterodyne_moments(spec, n, seed, trials)}
         for route, (s11, s22, s12) in routes.items():
             for values, mean, variance in ((n * s11 / g11, n, 2 * n),
                                            (n * s22 / g22, n, 2 * n),
@@ -233,20 +234,54 @@ class TestHeterodyneMoments:
     @pytest.mark.parametrize("n", [50, 10 ** 7])
     def test_block_rows_equal_single_draws(self, n):
         # at 10^7 the lower-tail variates are refined in groups of 64
-        seeds = [SeedSpec(62, t) for t in range(150)]
-        block = heterodyne_moments(FIG5, n, seeds)
+        seed = SeedSpec(62)
+        block = heterodyne_moments(FIG5, n, seed, 150)
         for k in range(0, 150, 7):
-            single = heterodyne_moments(FIG5, n, [seeds[k]])
+            single = heterodyne_moments(FIG5, n, seed.stream(k), 1)
             assert [m[k] for m in block] == [m[0] for m in single]
 
     def test_rejects_too_few_or_too_many_samples(self):
         with pytest.raises(DomainError):
-            heterodyne_moments(FIG5, 1, [SeedSpec(0)])
+            heterodyne_moments(FIG5, 1, SeedSpec(0), 1)
         with pytest.raises(NumericalError):
-            heterodyne_moments(FIG5, 2 ** 53 + 1, [SeedSpec(0)])
+            heterodyne_moments(FIG5, 2 ** 53 + 1, SeedSpec(0), 1)
 
     @pytest.mark.parametrize("limit", ["_SERIES_TERMS", "_REFINE_STEPS"])
     def test_unsettled_refinement_raises(self, monkeypatch, limit):
         monkeypatch.setattr(sampling, limit, 0)
         with pytest.raises(NumericalError):
-            heterodyne_moments(FIG5, 10 ** 7, [SeedSpec(63, t) for t in range(8)])
+            heterodyne_moments(FIG5, 10 ** 7, SeedSpec(63), 8)
+
+
+
+# the Monte Carlo runner's two block draws of (seed, trials)
+BLOCK_DRAWS = {
+    "heterodyne": lambda seed, trials: heterodyne_moments(FIG5, 50, seed, trials),
+    "homodyne": lambda seed, trials: sampling._homodyne_block(FIG5, 50, ContinuousSweep(),
+                                                              seed, trials)}
+
+
+@pytest.mark.parametrize("scheme", BLOCK_DRAWS)
+class TestBlockStreams:
+    def test_last_stream_past_the_ids_raises_before_drawing(self, monkeypatch, scheme):
+        # the block's last stream id would be 2^64
+        def no_draw(*args):
+            raise AssertionError("the block drew")
+
+        monkeypatch.setattr(sampling, "_seek", no_draw)
+        with pytest.raises(DomainError) as err:
+            BLOCK_DRAWS[scheme](SeedSpec(4, 2 ** 64 - 2), 3)
+        assert str(err.value) == ("'stream_id' must be an integer in [0, 2^64), "
+                                  "got 18446744073709551616")
+
+    def test_block_up_to_the_last_stream_id_draws(self, scheme):
+        block = BLOCK_DRAWS[scheme](SeedSpec(4, 2 ** 64 - 3), 3)
+        last = BLOCK_DRAWS[scheme](SeedSpec(4, 2 ** 64 - 1), 1)
+        assert all(column.shape[0] == 3 for column in block)
+        assert [column[2].tobytes() for column in block] == \
+            [column[0].tobytes() for column in last]
+
+    def test_empty_block_draws_nothing(self, scheme):
+        shape = (0,) if scheme == "heterodyne" else (0, 50)
+        assert [column.shape for column in BLOCK_DRAWS[scheme](SeedSpec(4), 0)] == \
+            [shape] * (3 if scheme == "heterodyne" else 4)

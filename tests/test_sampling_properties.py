@@ -23,6 +23,9 @@ PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=N
 
 SPEC = GaussianStateSpec(mu=2.0, lam=10.0, phi=0.3, eta=0.5)
 SEEDS = st.builds(SeedSpec, st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1))
+# the first streams of blocks of up to 5 trials, whose last stream ids reach 2^64 - 1
+BLOCK_SEEDS = st.builds(SeedSpec, st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 5))
+TRIALS = st.integers(1, 5)
 # both schemes, and homodyne under both angle policies
 KINDS = ("sweep", "grid", "heterodyne")
 
@@ -40,20 +43,22 @@ def draw(kind, d, seed, n):
 
 @pytest.mark.parametrize("kind", KINDS)
 @PROPERTY
-@given(seeds=st.lists(SEEDS, min_size=1, max_size=5), d=st.integers(1, 12),
-       n=st.integers(1, 200))
-def test_block_rows_equal_single_seed_draws(kind, seeds, d, n):
+@given(seed=BLOCK_SEEDS, trials=TRIALS, d=st.integers(1, 12), n=st.integers(1, 200))
+def test_block_rows_equal_single_seed_draws(kind, seed, trials, d, n):
     # the Monte Carlo runner's block draws: homodyne records, and the
-    # second moments of at least 2 heterodyne samples
+    # second moments of at least 2 heterodyne samples; row k is the draw
+    # of stream seed.stream(k) alone
+    streams = [seed.stream(k) for k in range(trials)]
     if kind == "heterodyne":
         n = max(n, 2)
-        block = heterodyne_moments(SPEC, n, seeds)
-        singles = [[m[0] for m in heterodyne_moments(SPEC, n, [seed])] for seed in seeds]
-        shape = (len(seeds),)
+        block = heterodyne_moments(SPEC, n, seed, trials)
+        singles = [[m[0] for m in heterodyne_moments(SPEC, n, stream, 1)]
+                   for stream in streams]
+        shape = (trials,)
     else:
-        block = sampling._homodyne_block(SPEC, n, policy(kind, d), seeds)[:2]
-        singles = [draw(kind, d, seed, n) for seed in seeds]
-        shape = (len(seeds), n)
+        block = sampling._homodyne_block(SPEC, n, policy(kind, d), seed, trials)[:2]
+        singles = [draw(kind, d, stream, n) for stream in streams]
+        shape = (trials, n)
     for column in block:
         assert column.shape == shape
     for row, single in enumerate(singles):
@@ -101,17 +106,18 @@ SIZES = st.one_of(st.integers(1, 300), st.integers(2 ** 15 - 3, 2 ** 15 + 3))
 @pytest.mark.parametrize("start", [0], ids=["even-start"])
 @pytest.mark.parametrize("kind", KINDS)
 @PROPERTY
-@given(seeds=st.lists(SEEDS, min_size=1, max_size=5), d=st.integers(1, 12), n=SIZES)
-def test_draws_equal_the_word_level_pipeline(kind, start, seeds, d, n):
-    want = reference_draw(kind, d, seeds, n, start)
-    for row, seed in enumerate(seeds):
-        for got, expected in zip(draw(kind, d, seed, n), want):
+@given(seed=BLOCK_SEEDS, trials=TRIALS, d=st.integers(1, 12), n=SIZES)
+def test_draws_equal_the_word_level_pipeline(kind, start, seed, trials, d, n):
+    streams = [seed.stream(k) for k in range(trials)]
+    want = reference_draw(kind, d, streams, n, start)
+    for row, stream in enumerate(streams):
+        for got, expected in zip(draw(kind, d, stream, n), want):
             assert got.dtype == np.float64 and got.shape == (n,)
             assert got.tobytes() == expected[row].tobytes()
     if kind != "heterodyne":
         # the Monte Carlo runner's block draw, with the cosines and sines
         # it hands to the fit
-        thetas, x, c, s = sampling._homodyne_block(SPEC, n, policy(kind, d), seeds)
+        thetas, x, c, s = sampling._homodyne_block(SPEC, n, policy(kind, d), seed, trials)
         assert [a.tobytes() for a in (thetas, x, c, s)] == \
             [a.tobytes() for a in (*want, np.cos(want[0]), np.sin(want[0]))]
 
