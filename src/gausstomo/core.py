@@ -76,11 +76,16 @@ class Covariance2:
         return np.array([[self.g1, q], [q, self.g2]])
 
     def eigenvalues(self) -> tuple[float, float]:
-        """Eigenvalues in ascending order, by the stable 2x2 closed form."""
+        """Eigenvalues in ascending order, by the stable 2x2 closed form.
+
+        The minor one is det / hi, which half_tr - rad would cancel to zero
+        or below on a thin ellipse; where hi <= 0 it is half_tr - rad.
+        """
         half_tr = 0.5 * self.trace
         # discriminant = ((g1-g2)/2)^2 + offdiag^2, offdiag = g3/sqrt(2)
         rad = math.hypot(0.5 * (self.g1 - self.g2), self.g3 / SQRT2)
-        return half_tr - rad, half_tr + rad
+        hi = half_tr + rad
+        return (self.det / hi if hi > 0.0 else half_tr - rad), hi
 
     def principal_angle(self) -> float:
         """Angle of the eigenvector of the larger eigenvalue, in [0, pi).

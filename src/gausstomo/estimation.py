@@ -40,15 +40,21 @@ class EstimationResult:
     """Wigner-covariance estimate plus optimizer diagnostics.
 
     g_wigner is the offset-subtracted estimate; g_effective the raw fitted
-    data covariance (positive definite whenever the fit converged).
+    data covariance (positive definite whenever the fit converged, and
+    singular where status is "boundary", as BlockFit's status says).
     """
 
     g_wigner: Covariance2
     g_effective: Covariance2
     loglik: float
     iterations: int
-    converged: bool
+    status: str
     scheme: SchemeKind
+
+    @property
+    def converged(self) -> bool:
+        """Whether the fit ended at an interior optimum."""
+        return self.status == "converged"
 
     @property
     def physical(self) -> bool:
@@ -84,20 +90,31 @@ def to_ellipse(cov: Covariance2) -> UncertaintyEllipse:
 class BlockFit(NamedTuple):
     """The fits of a block of trials, row t for trial t: g_effective is the
     fitted data covariance and g_wigner the estimate off it, each as
-    (trials, 3) float64 rows of (g1, g2, g3)."""
+    (trials, 3) float64 rows of (g1, g2, g3).
+
+    status says how each fit ended: "converged" at an interior optimum,
+    "boundary" on the singular edge det g_effective = 0, where g_effective
+    has no ellipse, or "stalled"; converged marks the "converged" rows.
+    """
 
     g_effective: np.ndarray
     g_wigner: np.ndarray
     loglik: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
+    status: np.ndarray
 
 
-def _block_fit(delta: float, g_eff: np.ndarray, loglik, iterations, converged) -> BlockFit:
+# the dtype of BlockFit.status
+_STATUS = "<U9"
+
+
+def _block_fit(delta: float, g_eff: np.ndarray, loglik, iterations, status) -> BlockFit:
     """The BlockFit of data covariance rows g_eff, off which the scheme's
     offset delta gives the Wigner rows."""
+    status = np.asarray(status, dtype=_STATUS)
     return BlockFit(g_eff, g_eff - [delta, delta, 0.0], np.asarray(loglik, dtype=float),
-                    np.asarray(iterations, dtype=int), np.asarray(converged, dtype=bool))
+                    np.asarray(iterations, dtype=int), status == "converged", status)
 
 
 def _single_result(fit: BlockFit, scheme: SchemeKind) -> EstimationResult:
@@ -105,7 +122,7 @@ def _single_result(fit: BlockFit, scheme: SchemeKind) -> EstimationResult:
     return EstimationResult(g_wigner=Covariance2(*fit.g_wigner[0].tolist()),
                             g_effective=Covariance2(*fit.g_effective[0].tolist()),
                             loglik=fit.loglik[0].item(), iterations=fit.iterations[0].item(),
-                            converged=fit.converged[0].item(), scheme=scheme)
+                            status=fit.status[0].item(), scheme=scheme)
 
 
 def estimate_heterodyne(data: np.ndarray, eta: float) -> EstimationResult:
@@ -155,7 +172,7 @@ def estimate_heterodyne_moments(s11: np.ndarray, s22: np.ndarray, s12: np.ndarra
     loglik = [-n - 0.5 * n * math.log(det) - n * LOG_2PI if det > 0.0 else -math.inf
               for det in dets.tolist()]
     return _block_fit(delta_offset(eta, SchemeKind.HETERODYNE), g_eff, loglik,
-                      [0] * len(loglik), [True] * len(loglik))
+                      [0] * len(loglik), ["converged"] * len(loglik))
 
 
 # samples in one stacked (rows, N) array: trials per block in the Monte
@@ -163,10 +180,12 @@ def estimate_heterodyne_moments(s11: np.ndarray, s22: np.ndarray, s12: np.ndarra
 _BLOCK_SAMPLES = 2 ** 15
 
 # Newton limits of the homodyne likelihood fit: iterations per row, the
-# trace-scaled gradient norm that counts as converged, and step halvings
-# per line search
+# trace-scaled gradient norm that counts as converged, the det(g) / (g1 g2)
+# below which a row leaves for the boundary profile, and step halvings per
+# line search
 _MAX_ITERATIONS = 200
 _GRADIENT_TOL = 1e-8
+_BOUNDARY_DET = 1e-6
 _MAX_HALVINGS = 60
 
 
@@ -298,18 +317,25 @@ _CHAIN_CONSTANTS = np.array([0.0, 2.0])
 
 
 def _ascent_directions(p, scales, v, x2, cvar, grad_g, square):
-    """(step, newton): each row's step in (ln a, b, ln c), Newton where the
-    chained Hessian is negative definite and else unit steepest ascent,
-    and the mask of the rows that take Newton steps.  square holds C^2,
+    """(step, curved): each row's step in (ln a, b, ln c), and the mask of
+    the rows whose step is scaled by their curvature.  square holds C^2,
     and its rows are overwritten.
 
-    The Newton test and solve call the LAPACK gufuncs that
-    np.linalg.eigvalsh and np.linalg.solve run, without their argument
-    checks: on a few rows the checks cost more than the arithmetic.  A
-    LAPACK failure gives that row nan, which the fit's own fallbacks
-    meet: nan eigenvalues fail the negativity test, so the row takes
-    steepest ascent, and a nan Newton step never raises the likelihood,
-    so the row stalls.
+    A row whose chained Hessian H is negative definite takes the Newton
+    step -H^-1 grad.  A row whose H is finite but not negative definite
+    takes the saddle-free step Q |L|^-1 Q^T grad of H = Q L Q^T (Dauphin et
+    al., NeurIPS 2014), each |eigenvalue| floored at _SADDLE_FLOOR of the
+    row's largest: it ascends where unit steepest ascent would crawl along
+    an indefinite H.  Every other row takes unit steepest ascent.
+
+    The test and the solves call the LAPACK gufuncs that np.linalg.eigvalsh,
+    np.linalg.solve and np.linalg.eigh run, without their argument checks:
+    on a few rows the checks cost more than the arithmetic.  The
+    saddle-free steps are formed entry by entry, so that no row's bits
+    depend on the rows beside it.  A LAPACK failure gives that row nan,
+    which the fit's own fallbacks meet: nan eigenvalues take unit steepest
+    ascent, and a nan Newton step never raises the likelihood, so the row
+    stalls.
     """
     rows = len(p)
     b = p[:, 1]
@@ -336,27 +362,53 @@ def _ascent_directions(p, scales, v, x2, cvar, grad_g, square):
     terms = grad_g[:, :, None, None] * mats[:, 1:]
     hess_p = jac_t @ hess_g @ jac + terms[:, 0] + terms[:, 1] + terms[:, 2]
     grad_p = np.matmul(jac_t, grad_g[:, :, None])[:, :, 0]
-    # a row whose Hessian is not finite skips LAPACK and takes steepest ascent
-    newton = np.logical_and.reduce(np.isfinite(hess_p), axis=(1, 2))
+    # a row whose Hessian is not finite skips LAPACK: its top eigenvalue
+    # stays nan
+    finite = np.logical_and.reduce(np.isfinite(hess_p), axis=(1, 2))
     # all rows finite, as most are, test the whole stack without a copy
-    if np.count_nonzero(newton) == rows:
-        newton = _umath_linalg.eigvalsh_lo(hess_p, signature="d->d").max(axis=-1) < 0.0
+    if np.count_nonzero(finite) == rows:
+        top = _umath_linalg.eigvalsh_lo(hess_p, signature="d->d").max(axis=-1)
     else:
-        newton[newton] = _umath_linalg.eigvalsh_lo(hess_p[newton], signature="d->d"
-                                                   ).max(axis=-1) < 0.0
+        top = np.full(rows, math.nan)
+        top[finite] = _umath_linalg.eigvalsh_lo(hess_p[finite], signature="d->d").max(axis=-1)
+    newton = top < 0.0
     count = np.count_nonzero(newton)
     if count == rows:
         return _umath_linalg.solve(hess_p, -grad_p[:, :, None],
                                    signature="dd->d")[:, :, 0], newton
-    if count:
-        solved = _umath_linalg.solve(hess_p[newton], -grad_p[newton][:, :, None],
-                                     signature="dd->d")[:, :, 0]
     step = np.empty_like(grad_p)
-    ascent = grad_p[~newton]
-    step[~newton] = ascent / np.sqrt(np.add.reduce(ascent * ascent, axis=-1))[:, None]
     if count:
-        step[newton] = solved
-    return step, newton
+        step[newton] = _umath_linalg.solve(hess_p[newton], -grad_p[newton][:, :, None],
+                                           signature="dd->d")[:, :, 0]
+    saddle = top >= 0.0
+    if np.count_nonzero(saddle):
+        w, q = _umath_linalg.eigh_lo(hess_p[saddle], signature="d->dd")
+        steps = _saddle_free_steps(w, q, grad_p[saddle])
+        # an eigh failure leaves nan steps, whose rows fall through
+        ok = np.logical_and.reduce(np.isfinite(steps), axis=1)
+        saddle[saddle] = ok
+        step[saddle] = steps[ok]
+    curved = newton | saddle
+    ascent = grad_p[~curved]
+    step[~curved] = ascent / np.sqrt(np.add.reduce(ascent * ascent, axis=-1))[:, None]
+    return step, curved
+
+
+# each |eigenvalue| of a saddle-free step is at least this share of the
+# row's largest
+_SADDLE_FLOOR = 1e-12
+
+
+def _saddle_free_steps(w: np.ndarray, q: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Q |L|^-1 Q^T grad of each row, from the eigenvalues w (rows, 3) and
+    eigenvector columns q (rows, 3, 3) of its Hessian: three sums of
+    products per entry, in a fixed order."""
+    mag = np.abs(w)
+    mag = np.maximum(mag, _SADDLE_FLOOR * np.maximum.reduce(mag, axis=1)[:, None])
+    # y = Q^T grad, then Q (y / |L|)
+    y = q[:, 0] * grad[:, 0, None] + q[:, 1] * grad[:, 1, None] + q[:, 2] * grad[:, 2, None]
+    y /= mag
+    return q[:, :, 0] * y[:, 0, None] + q[:, :, 1] * y[:, 1, None] + q[:, :, 2] * y[:, 2, None]
 
 
 def _stacks(open_: np.ndarray, n: int) -> list:
@@ -382,14 +434,14 @@ def _stacks(open_: np.ndarray, n: int) -> list:
 _HALVINGS = np.ldexp(1.0, -np.arange(_MAX_HALVINGS))
 
 
-def _line_search(p, step, f, v, x2, newton):
+def _line_search(p, step, f, v, x2, curved):
     """Each row's first step t = 0.5**k, k = 0 .. _MAX_HALVINGS - 1, whose
-    likelihood beats f[row]; newton marks the rows whose steps are Newton
-    steps.
+    likelihood beats f[row]; curved marks the rows whose steps are Newton or
+    saddle-free steps.
 
-    A Newton step is accepted whole in most passes, so a pass with one
-    first evaluates all full steps in one stack, and the rows it fails for
-    go on at k = 1.  A pass of steepest-ascent steps alone, whose unit
+    Such a step is accepted whole in most passes, so a pass with one first
+    evaluates all full steps in one stack, and the rows it fails for go on
+    at k = 1.  A pass of steepest-ascent steps alone, whose unit
     step mostly fails, starts its halving rounds at k = 0 instead: its
     full step p + 1.0 step is p + step, and no row's bits depend on the
     stack it is evaluated in, so either start gives the same result.
@@ -406,7 +458,7 @@ def _line_search(p, step, f, v, x2, newton):
     the rows marked found.
     """
     n = x2.shape[1]
-    if np.count_nonzero(newton):
+    if np.count_nonzero(curved):
         cand = p + step
         accepted = (cand, *_evaluate(cand, v, x2))
         found = accepted[2] > f
@@ -466,11 +518,19 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
     """Newton ascent from the parameter rows p, one row per trial, in lockstep.
 
     A row leaves the block when its trace-scaled gradient norm reaches the
-    tolerance (converged) or when no step halving raises its likelihood
-    (stalled); rows still iterating after _MAX_ITERATIONS stop there.  The
-    arrays of a row that leaves are overwritten in place (_drop_rows), and
-    live holds the trial of each row still iterating.  Returns (g, loglik,
-    iterations, converged) per trial.
+    tolerance (converged), when no step halving raises its likelihood
+    (stalled), or when an accepted step takes det(g) below _BOUNDARY_DET g1
+    g2 and the boundary point of _boundary_fits beats the step and is a
+    maximum on the closed cone det(g) >= 0, its likelihood falling into
+    the interior (boundary): such a row drifts to the singular edge det(g)
+    = 0, which the log-Cholesky parameters reach only at infinity.  Any
+    other row below _BOUNDARY_DET iterates on, since an interior optimum
+    can lie that close to the edge on thin states, and keeps its best
+    boundary point: wherever that beats the row's last iterate, the row
+    ends there (boundary).  Rows still iterating after _MAX_ITERATIONS
+    stop there (stalled).  The arrays of a row that leaves are overwritten
+    in place (_drop_rows), and live holds the trial of each row still
+    iterating.  Returns (g, loglik, iterations, status) per trial.
 
     The loop runs in one floating-point state that neither warns nor
     raises: a far-off trial step overflows to inf or nan and is rejected,
@@ -481,7 +541,9 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
         g, f, cvar, scales = _evaluate(p, v, x2)
         g_out, f_out = np.empty((trials, 3)), np.empty(trials)
         iterations = np.zeros(trials, dtype=int)
-        converged = np.zeros(trials, dtype=bool)
+        status = np.full(trials, "stalled", dtype=_STATUS)
+        # each trial's best boundary point so far
+        g_edge, f_edge = np.empty((trials, 3)), np.full(trials, -math.inf)
         live = np.arange(trials)
         it = 0
         for it in range(1, _MAX_ITERATIONS + 1):
@@ -495,17 +557,17 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
             # of .any() or .all() on a few rows
             if np.count_nonzero(done):
                 gone = live[done]
-                converged[gone] = True
+                status[gone] = "converged"
                 g_out[gone], f_out[gone], iterations[gone] = g[done], f[done], it
                 live, p, g, f, cvar, scales, v, x2, grad_g, square = _drop_rows(
                     done, [live, p, g, f, cvar, scales, v, x2, grad_g, square])
                 if not live.size:
                     break
-            step, newton = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
+            step, curved = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
             # the curvature rows and this pass's variances are freed before the
             # line search, which forms the next ones
             del square, cvar
-            found, accepted = _line_search(p, step, f, v, x2, newton)
+            found, accepted = _line_search(p, step, f, v, x2, curved)
             if np.count_nonzero(found) < len(found):
                 # likelihood flat to machine precision but gradient target missed
                 stalled = ~found
@@ -514,8 +576,100 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
                 live, v, x2, *accepted = _drop_rows(stalled, [live, v, x2, *accepted])
             p, g, f, cvar, scales = accepted
             del accepted
+            # det(g) = a^2 c^2 and g1 g2 = a^2 g2, so det(g) < _BOUNDARY_DET g1 g2
+            # compares c^2 with g2
+            edge = scales[:, 1] * scales[:, 1] < _BOUNDARY_DET * g[:, 1]
+            if np.count_nonzero(edge):
+                rows = edge.nonzero()[0]
+                g_row, f_row, kkt = _boundary_fits(v[rows], x2[rows], g[rows])
+                best = f_row > f_edge[live[rows]]
+                g_edge[live[rows[best]]], f_edge[live[rows[best]]] = g_row[best], f_row[best]
+                edge[rows] = kkt & (f_row > f[rows])
+                if np.count_nonzero(edge):
+                    gone = live[edge]
+                    status[gone], iterations[gone] = "boundary", it
+                    g_out[gone], f_out[gone] = g_edge[gone], f_edge[gone]
+                    live, p, g, f, cvar, scales, v, x2 = _drop_rows(
+                        edge, [live, p, g, f, cvar, scales, v, x2])
         g_out[live], f_out[live], iterations[live] = g, f, it
-        return g_out, f_out, iterations, converged
+        # a row that iterated on past a better boundary point ends there
+        beaten = f_edge > f_out
+        status[beaten] = "boundary"
+        g_out[beaten], f_out[beaten] = g_edge[beaten], f_edge[beaten]
+        return g_out, f_out, iterations, status
+
+
+# Newton steps of the boundary profile search per row, each at least a
+# bisection of its bracket
+_PROFILE_STEPS = 100
+
+
+def _boundary_fits(v: np.ndarray, x2: np.ndarray, g: np.ndarray):
+    """(g, loglik, kkt) of each row's best boundary covariance r u u^T, u =
+    (cos a, sin a), near its interior iterate g; kkt marks the rows whose
+    likelihood does not rise from there into the interior det(g) > 0.
+
+    On the boundary the best r is r(a) = mean(x_j^2 / w_j(a)), with w_j =
+    cos^2(theta_j - a) = v_j^T (cos^2 a, sin^2 a, sqrt2 cos a sin a), which
+    leaves the profile l(a) = -(N/2) ln r(a) - 1/2 sum ln w_j(a) + const.
+    It falls to -inf at each pole theta_j + pi/2, so the search keeps to
+    the bracket between the poles on either side of g's major-axis angle,
+    where it starts: a Newton step on l where l'' < 0 and the step stays
+    inside the bracket, else a bisection, the bracket shrinking to the
+    sign of l' each step.  Self & Liang, JASA 1987, on estimates at the
+    edge of the parameter space.
+    """
+    n = x2.shape[1]
+    a = 0.5 * np.arctan2(SQRT2 * g[:, 2], g[:, 0] - g[:, 1])
+    # each sample's pole theta_j + pi/2, then its distance ahead of a mod pi
+    ahead = 0.5 * np.arctan2(SQRT2 * v[:, 2], v[:, 0] - v[:, 1]) + 0.5 * math.pi
+    ahead = np.remainder(ahead - a[:, None], math.pi)
+    hi = a + np.minimum.reduce(np.where(ahead > 0.0, ahead, math.pi), axis=1)
+    lo = a - np.minimum.reduce(np.where(ahead > 0.0, math.pi - ahead, math.pi), axis=1)
+    open_ = np.ones(len(a), dtype=bool)
+    for _ in range(_PROFILE_STEPS):
+        ca, sa = np.cos(a)[:, None], np.sin(a)[:, None]
+        cc, ss, cs = ca * ca, sa * sa, ca * sa
+        w = v[:, 0] * cc + v[:, 1] * ss + v[:, 2] * (SQRT2 * cs)
+        # w'/w and w''/w
+        d1 = (v[:, 1] - v[:, 0]) * (2.0 * cs) + v[:, 2] * (SQRT2 * (cc - ss))
+        d2 = (v[:, 1] - v[:, 0]) * (2.0 * (cc - ss)) - v[:, 2] * (4.0 * SQRT2 * cs)
+        d1 /= w
+        d2 /= w
+        q = x2 / w
+        r = q.mean(axis=1)
+        # r'/r and r''/r
+        r1 = -(q * d1).mean(axis=1) / r
+        r2 = (q * (2.0 * d1 * d1 - d2)).mean(axis=1) / r
+        slope = -0.5 * n * r1 - 0.5 * d1.sum(axis=1)
+        curv = -0.5 * n * (r2 - r1 * r1) - 0.5 * (d2 - d1 * d1).sum(axis=1)
+        rising = slope > 0.0
+        lo = np.where(rising, a, lo)
+        hi = np.where(rising, hi, a)
+        newton = a - slope / curv
+        nxt = np.where((curv < 0.0) & (newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+        # a row whose Newton step rounds to nothing is at its maximum; the
+        # bracket test would reject that step and bisect away from it
+        open_ &= (nxt != a) & (slope != 0.0) & ((curv >= 0.0) | (newton != a))
+        if not np.count_nonzero(open_):
+            break
+        a = np.where(open_, nxt, a)
+    ca, sa = np.cos(a), np.sin(a)
+    u = np.stack([ca * ca, sa * sa, SQRT2 * ca * sa], axis=1)
+    w = np.matmul(u[:, None, :], v)[:, 0, :]
+    q = x2 / w
+    r = q.mean(axis=1)
+    root = np.sqrt(r)
+    # r u u^T has the Cholesky factor sqrt(r) (|cos|, sin sgn cos, 0) of its
+    # angle, whose ln c is -inf
+    p = np.stack([np.log(root * np.abs(ca)), root * sa * np.copysign(1.0, ca),
+                  np.full(len(a), -math.inf)], axis=1)
+    g, f, _, _ = _evaluate(p, v, x2)
+    # the likelihood's slope from r u u^T into the interior, along s t t^T
+    # with t perpendicular to u, is 1/2 sum (q_j - r) (1 - w_j) / (r w_j)^2,
+    # of the sign of sum (q_j - r) / w_j since sum (q_j - r) = 0
+    kkt = np.add.reduce((q - r[:, None]) / w, axis=1) <= 0.0
+    return g, f, kkt
 
 
 def _fit_inputs(eta: float, draw: list, out: np.ndarray | None = None):
@@ -598,9 +752,11 @@ def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray],
     Positivity is kept automatic by optimising the Cholesky factor of the
     effective covariance (diagonal in log scale); Newton steps use the
     analytic gradient and Hessian chained through that parametrisation,
-    with step halving on likelihood decrease and a steepest-ascent
-    fallback while the Hessian is indefinite.  Convergence requires the
-    trace-scaled per-sample gradient norm to reach _GRADIENT_TOL (1e-8).
+    with step halving on likelihood decrease and a saddle-free fallback
+    step while the Hessian is not negative definite.  Convergence requires
+    the trace-scaled per-sample gradient norm to reach _GRADIENT_TOL
+    (1e-8).  A fit that drifts to the singular edge det G = 0 ends on it,
+    at the best point of the boundary profile (status "boundary").
 
     `data` is a (theta, x) pair of matching 1-d arrays; the angles must
     take at least three distinct values or the three-parameter model is

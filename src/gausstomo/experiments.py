@@ -24,8 +24,8 @@ import numpy as np
 
 from ._version import __version__
 from .core import Covariance2, DomainError, GaussianStateSpec, SchemeKind, wigner_covariance
-from .estimation import (_BLOCK_SAMPLES, BlockFit, _block_fit, _fit_block, _fit_inputs,
-                         estimate_heterodyne, estimate_heterodyne_moments,
+from .estimation import (_BLOCK_SAMPLES, BlockFit, UncertaintyEllipse, _block_fit, _fit_block,
+                         _fit_inputs, estimate_heterodyne, estimate_heterodyne_moments,
                          estimate_homodyne_ml, to_ellipse)
 from .fisher import crb_het, crb_hom, gamma_surface
 from .regions import critical_lambda_equal_areas, region_boundaries
@@ -357,6 +357,12 @@ def _floats(tokens: list[str]) -> list[float] | None:
         return None
 
 
+def _fit_ellipse(g_eff: Covariance2, status: str) -> UncertaintyEllipse | None:
+    """The ellipse of a fitted data covariance, or None where it is not
+    positive definite or is a boundary fit's, which is singular."""
+    return to_ellipse(g_eff) if status != "boundary" and g_eff.is_positive_definite() else None
+
+
 def run_estimate(config: dict, threads: int = 1) -> str:
     """Fit a covariance to a previously simulated (or imported) sample file;
     the fingerprint carries the seed of the config the file embeds."""
@@ -366,6 +372,7 @@ def run_estimate(config: dict, threads: int = 1) -> str:
         result = estimate_homodyne_ml((data[:, 0], data[:, 1]), config["eta"])
     else:
         result = estimate_heterodyne(data, config["eta"])
+    ellipse = _fit_ellipse(result.g_effective, result.status)
     fingerprint: dict = {"n": int(data.shape[0])}
     if "seed" in embedded:
         fingerprint["seed"] = embedded["seed"]
@@ -375,8 +382,7 @@ def run_estimate(config: dict, threads: int = 1) -> str:
                       "loglik": result.loglik, "iterations": result.iterations,
                       "converged": result.converged, "physical": result.physical,
                       "scheme": result.scheme.value},
-           "ellipse": (asdict(to_ellipse(result.g_effective))
-                       if result.g_effective.is_positive_definite() else None),
+           "ellipse": None if ellipse is None else asdict(ellipse),
            "fingerprint": fingerprint}
     return json.dumps(doc, indent=2) + "\n"
 
@@ -455,6 +461,19 @@ def run_crb_attainment(config: dict, threads: int = 1) -> str:
                         list(zip(*rows)), config)
 
 
+def _spec_ellipse(spec: GaussianStateSpec) -> UncertaintyEllipse:
+    """The Wigner ellipse of a state from its own eigenvalues, mu/(2 lam) and
+    mu lam/2, and phi, the angle of the first one's axis: a thin ellipse's
+    rotated (g1, g2, g3) may round to det <= 0.  A circle's orientation is
+    0, as to_ellipse's tie-break gives."""
+    minor, major = math.sqrt(spec.mu / (2.0 * spec.lam)), math.sqrt(spec.mu * spec.lam / 2.0)
+    if spec.lam == 1.0:
+        return UncertaintyEllipse(major, minor, 0.0)
+    if spec.lam > 1.0:
+        return UncertaintyEllipse(major, minor, (spec.phi + 0.5 * math.pi) % math.pi)
+    return UncertaintyEllipse(minor, major, spec.phi)
+
+
 def run_fig5(config: dict, threads: int = 1) -> str:
     """Uncertainty-ellipse reconstruction benchmark at moderate sample sizes.
 
@@ -466,7 +485,7 @@ def run_fig5(config: dict, threads: int = 1) -> str:
     spec = _spec_of(config)
     seed = _seed_of(config)
     truth = wigner_covariance(spec)
-    true_ellipse = to_ellipse(truth)
+    true_ellipse = _spec_ellipse(spec)
     names = ["n", "scheme", "kind", "trial_index", "axis_major", "axis_minor",
              "orientation", "hs_distance_sq", "converged", "representative"]
     rows = []
@@ -481,16 +500,15 @@ def run_fig5(config: dict, threads: int = 1) -> str:
         fit = _run_trials(spec, scheme, n, seed, lane, config["trials"], threads)
         distances = _hs_distances(fit.g_wigner, truth)
         hs_values = distances.tolist()
-        for trial, (g, hs, converged) in enumerate(zip(fit.g_effective.tolist(), hs_values,
-                                                       fit.converged.tolist())):
-            eff = Covariance2(*g)
-            if eff.is_positive_definite():
-                ell = to_ellipse(eff)
-                axes = (ell.semi_axis_major, ell.semi_axis_minor, ell.orientation)
-            else:
+        for trial, (g, hs, status) in enumerate(zip(fit.g_effective.tolist(), hs_values,
+                                                    fit.status.tolist())):
+            ell = _fit_ellipse(Covariance2(*g), status)
+            if ell is None:
                 axes = (math.nan, math.nan, math.nan)
-            rows.append((n, scheme.value, "estimate", trial, *axes, hs, converged,
-                         trial == 0))
+            else:
+                axes = (ell.semi_axis_major, ell.semi_axis_minor, ell.orientation)
+            rows.append((n, scheme.value, "estimate", trial, *axes, hs,
+                         status == "converged", trial == 0))
         mean_hs = float(np.mean(distances))
         rows.append((n, scheme.value, "aggregate", -1,
                      math.nan, math.nan, math.nan, mean_hs, True, False))

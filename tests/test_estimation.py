@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +80,18 @@ class TestToEllipse:
         with pytest.raises(DomainError) as err:
             to_ellipse(Covariance2(1.0, 1.0, 3.0))
         assert "eigenvalue" in str(err.value)
+
+    def test_thin_ellipse_keeps_its_minor_axis(self):
+        # half_tr - rad cancels to 0.0 on this fig5 fit (`fig5 --trials 1000
+        # --threads 2`), whose det is positive; det / hi does not
+        cov = Covariance2(1.0137607357035887, 10.553127538118634, 4.625655918249205)
+        assert cov.det > 0.0
+        ell = to_ellipse(cov)
+        assert ell.semi_axis_minor > 0.0
+        # the exact det of these floats, to the rounding of the float det
+        exact = Fraction(cov.g1) * Fraction(cov.g2) - Fraction(cov.g3) ** 2 / 2
+        assert ell.semi_axis_minor ** 2 * ell.semi_axis_major ** 2 == \
+            pytest.approx(float(exact), rel=0.2)
 
 
 class TestHeterodyneEstimator:
@@ -320,10 +333,18 @@ class TestHomodyneMl:
         assert np.linalg.norm(grad) * (g[0] + g[1]) / x.size <= 1e-8
 
     def test_effective_estimate_is_positive_definite(self):
+        # unless the fit ends on the boundary det = 0, as trial 15 does
+        statuses = []
         for t in range(20):
             thetas, x = homodyne_arrays(FIG5, 60, seed=SeedSpec(47, t))
             result = estimate_homodyne_ml((thetas, x), eta=FIG5.eta)
-            assert result.g_effective.is_positive_definite()
+            statuses.append(result.status)
+            g = result.g_effective
+            if result.status == "boundary":
+                assert abs(g.det) <= 1e-12 * g.g1 * g.g2
+            else:
+                assert g.is_positive_definite()
+        assert [t for t, status in enumerate(statuses) if status == "boundary"] == [15]
 
     def test_scaled_mse_attains_bound(self):
         spec = VACUUM
@@ -399,7 +420,7 @@ def rows_bits(fit: BlockFit) -> list[tuple]:
 
 def assert_empty(fit: BlockFit):
     assert fit.g_effective.shape == fit.g_wigner.shape == (0, 3)
-    assert [a.dtype for a in fit[2:]] == [np.float64, np.int_, np.bool_]
+    assert [a.dtype for a in fit[2:]] == [np.float64, np.int_, np.bool_, np.dtype("<U9")]
     assert all(a.shape == (0,) for a in fit[2:])
 
 
@@ -415,7 +436,9 @@ class TestHomodyneMlBlock:
         limit = estimation._MAX_ITERATIONS
         assert (~block.converged & (block.iterations < limit)).any()
         if (master_seed, n) == (1, 50):
-            assert np.count_nonzero(block.iterations == limit) == 1
+            # trial 15 crawled to the iteration limit on unit steepest-ascent
+            # steps before the saddle-free fallback; it ends on the boundary
+            assert block.status[15] == "boundary" and block.iterations[15] < limit
 
     def test_options_reach_every_row(self, monkeypatch):
         # the fit reads its limits at call time, in the block and in a
@@ -522,9 +545,9 @@ class TestHomodyneMlBlock:
         # row stalls at once, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            g_out, f_out, iterations, converged = estimation._fit_block(v, xs * xs, far)
+            g_out, f_out, iterations, status = estimation._fit_block(v, xs * xs, far)
         assert g_out.tobytes() == g.tobytes()
-        assert iterations.tolist() == [1] and converged.tolist() == [False]
+        assert iterations.tolist() == [1] and status.tolist() == ["stalled"]
         assert not f_out[0] > -1e300
 
     def test_overflowing_exp_is_inf(self):
@@ -535,12 +558,13 @@ class TestHomodyneMlBlock:
         assert not f[0] > -1e300
 
     def test_step_that_overflows_exp_is_rejected(self):
-        # a full Newton step on this N = 3 record leaves exp's range
+        # a full Newton step on this N = 3 record leaves exp's range; the
+        # fit goes on to the boundary det = 0, which holds its optimum
         spec = GaussianStateSpec(mu=20.0, lam=100.0, phi=0.7, eta=0.3)
         thetas, xs = homodyne_arrays(spec, 3, ContinuousSweep(), SeedSpec(1, 148))
         result = estimate_homodyne_ml((thetas, xs), spec.eta)
         assert math.isfinite(result.loglik)
-        assert result.g_effective.is_positive_definite()
+        assert result.status == "boundary"
         block = estimate_homodyne_ml_block(np.stack([thetas] * 2), np.stack([xs] * 2),
                                            spec.eta)
         assert rows_bits(block) == [result_bits(result)] * 2
@@ -830,9 +854,12 @@ class TestLineSearch:
         assert pruned_rows < sum(calls)
 
 
-def parent_ascent_directions(p, scales, v, x2, cvar, grad_g, square):
-    """_ascent_directions' steps as np.linalg.eigvalsh and np.linalg.solve
-    made them, before it called their LAPACK gufuncs itself."""
+def reference_ascent_directions(p, scales, v, x2, cvar, grad_g, square):
+    """_ascent_directions' steps by np.linalg: Newton steps by
+    np.linalg.solve where np.linalg.eigvalsh finds the chained Hessian
+    negative definite, saddle-free steps by np.linalg.eigh and matrix
+    products where it does not, and unit steepest ascent where the Hessian
+    is not finite; and each row's kind of step."""
     rows = len(p)
     b = p[:, 1]
     curv = np.divide(1.0, square, out=square)
@@ -852,17 +879,21 @@ def parent_ascent_directions(p, scales, v, x2, cvar, grad_g, square):
     terms = grad_g[:, :, None, None] * mats[:, 1:]
     hess_p = jac_t @ hess_g @ jac + terms[:, 0] + terms[:, 1] + terms[:, 2]
     grad_p = np.matmul(jac_t, grad_g[:, :, None])[:, :, 0]
-    newton = np.isfinite(hess_p).all(axis=(1, 2))
-    newton[newton] = np.linalg.eigvalsh(hess_p[newton]).max(axis=-1) < 0.0
-    if np.count_nonzero(newton) == len(newton):
-        return np.linalg.solve(hess_p, -grad_p[:, :, None])[:, :, 0]
     step = np.empty_like(grad_p)
-    ascent = grad_p[~newton]
-    step[~newton] = ascent / np.sqrt(np.add.reduce(ascent * ascent, axis=-1))[:, None]
-    if newton.any():
-        step[newton] = np.linalg.solve(hess_p[newton],
-                                       -grad_p[newton][:, :, None])[:, :, 0]
-    return step
+    kinds = []
+    for t in range(rows):
+        if not np.isfinite(hess_p[t]).all():
+            kinds.append("ascent")
+            step[t] = grad_p[t] / np.sqrt(np.add.reduce(grad_p[t] * grad_p[t]))
+        elif np.linalg.eigvalsh(hess_p[t]).max() < 0.0:
+            kinds.append("newton")
+            step[t] = np.linalg.solve(hess_p[t], -grad_p[t])
+        else:
+            kinds.append("saddle")
+            w, q = np.linalg.eigh(hess_p[t])
+            mag = np.maximum(np.abs(w), 1e-12 * np.abs(w).max())
+            step[t] = q @ ((q.T @ grad_p[t]) / mag)
+    return step, kinds
 
 
 class TestLapackCalls:
@@ -894,24 +925,25 @@ class TestLapackCalls:
     @staticmethod
     def failing_lapack(name):
         """_umath_linalg with the gufunc `name` failing on every matrix:
-        its rows are nan and the invalid flag is set, as a LAPACK failure
-        leaves them."""
+        its outputs are nan and the invalid flag is set, as a LAPACK
+        failure leaves them."""
         def failing(*args, **kwargs):
             out = getattr(_umath_linalg, name)(*args, **kwargs)
-            out[...] = math.inf
-            out -= math.inf
+            for a in out if isinstance(out, tuple) else (out,):
+                a[...] = math.inf
+                a -= math.inf
             return out
-        gufuncs = {"solve": _umath_linalg.solve, "eigvalsh_lo": _umath_linalg.eigvalsh_lo}
+        gufuncs = {key: getattr(_umath_linalg, key) for key in ("solve", "eigvalsh_lo", "eigh_lo")}
         return types.SimpleNamespace(**{**gufuncs, name: failing})
 
     def fit_quietly(self, monkeypatch, name):
-        """A fig5 lane block fitted with `name` failing, and the Newton
+        """A fig5 lane block fitted with `name` failing, and the curvature
         masks of its passes."""
         masks, line_search = [], estimation._line_search
 
-        def recording(p, step, f, v, x2, newton):
-            masks.append(newton.copy())
-            return line_search(p, step, f, v, x2, newton)
+        def recording(p, step, f, v, x2, curved):
+            masks.append(curved.copy())
+            return line_search(p, step, f, v, x2, curved)
 
         monkeypatch.setattr(estimation, "_line_search", recording)
         monkeypatch.setattr(estimation, "_umath_linalg", self.failing_lapack(name))
@@ -922,31 +954,235 @@ class TestLapackCalls:
 
     def test_failing_solve_stalls_every_row(self, monkeypatch):
         # a nan Newton step never raises the likelihood
-        fit, newton = self.fit_quietly(monkeypatch, "solve")
-        assert newton.any()
+        fit, curved = self.fit_quietly(monkeypatch, "solve")
+        assert curved.any()
         assert not fit.converged.any()
         assert (fit.iterations < estimation._MAX_ITERATIONS).all()
         assert np.isfinite(fit.g_effective).all() and np.isfinite(fit.loglik).all()
 
     def test_failing_eigvalsh_takes_steepest_ascent(self, monkeypatch):
         # nan eigenvalues fail the negativity test
-        fit, newton = self.fit_quietly(monkeypatch, "eigvalsh_lo")
-        assert newton.size and not newton.any()
+        fit, curved = self.fit_quietly(monkeypatch, "eigvalsh_lo")
+        assert curved.size and not curved.any()
+        assert np.isfinite(fit.g_effective).all() and np.isfinite(fit.loglik).all()
+
+    def test_failing_eigh_takes_steepest_ascent(self, monkeypatch):
+        # nan eigenvectors give nan saddle-free steps, whose rows take unit
+        # steepest ascent
+        steps = []
+        ascent = estimation._ascent_directions
+
+        def recording(*args):
+            step, curved = ascent(*args)
+            steps.append(step[~curved])
+            return step, curved
+
+        monkeypatch.setattr(estimation, "_ascent_directions", recording)
+        fit, curved = self.fit_quietly(monkeypatch, "eigh_lo")
+        assert curved.any() and not curved.all()
+        steps = np.concatenate(steps)
+        assert np.linalg.norm(steps, axis=1) == pytest.approx(1.0, rel=1e-15)
         assert np.isfinite(fit.g_effective).all() and np.isfinite(fit.loglik).all()
 
     def test_ascent_directions_equal_the_numpy_linalg_steps(self, monkeypatch):
-        # every pass of fig5 and crb blocks, Newton and steepest-ascent rows
+        # every pass of fig5 and crb blocks: Newton and steepest-ascent rows
+        # bit for bit, saddle-free rows to rounding
         kinds = set()
 
         def checking(p, scales, v, x2, cvar, grad_g, square):
-            want = parent_ascent_directions(p, scales, v, x2, cvar, grad_g, square.copy())
-            step, newton = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
-            assert step.tobytes() == want.tobytes()
-            kinds.update(newton.tolist())
-            return step, newton
+            want, kind = reference_ascent_directions(p, scales, v, x2, cvar, grad_g,
+                                                     square.copy())
+            step, curved = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
+            assert curved.tolist() == [k != "ascent" for k in kind]
+            for t, k in enumerate(kind):
+                if k == "saddle":
+                    np.testing.assert_allclose(step[t], want[t], rtol=1e-9,
+                                               atol=1e-12 * np.abs(want[t]).max())
+                else:
+                    assert step[t].tobytes() == want[t].tobytes()
+            kinds.update(kind)
+            return step, curved
 
         monkeypatch.setattr(estimation, "_ascent_directions", checking)
         for master in range(3):
             estimate_homodyne_ml_block(*fig5_lane(master, 0, 50), FIG5.eta)
         estimate_homodyne_ml_block(*crb_block(11, 0), CRB.eta)
-        assert kinds == {True, False}
+        assert kinds == {"newton", "saddle"}
+
+    def test_saddle_free_step_ascends_along_every_eigenvector(self):
+        # Q |L|^-1 Q^T grad: each eigen-component of grad scaled by
+        # 1/|eigenvalue|, the smallest floored at 1e-12 of the largest
+        q = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
+        grad = np.array([1.0, -2.0, 0.5])
+        w = np.array([-4.0, 1e-20, 2.0])
+        step = estimation._saddle_free_steps(w[None], q[None], grad[None])[0]
+        want = q @ ((q.T @ grad) / np.array([4.0, 4e-12, 2.0]))
+        np.testing.assert_allclose(step, want, rtol=1e-12)
+        assert step @ grad > 0.0
+
+
+# the loglik of fig5 fits (master seed, N, trial) at the fit before its
+# saddle-free fallback and boundary branch: the first six stopped at
+# _MAX_ITERATIONS, crawling on unit steepest-ascent steps
+PARENT_LOGLIK = {(1, 50, 15): -106.61229573545721, (3, 50, 19): -111.89653688109556,
+                 (11, 50, 9): -105.1597526967118, (26, 100, 3): -207.0588178699608,
+                 (36, 100, 8): -211.4463816300875, (39, 50, 14): -103.40451378514625,
+                 (33, 50, 17): -92.3515887307151}
+
+
+def boundary_profile(theta: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """l(a) = -(N/2) ln r(a) - 1/2 sum ln cos^2(theta_j - a), r(a) =
+    mean(x_j^2 / cos^2(theta_j - a)), at each angle of a."""
+    w = np.cos(theta[None, :] - a[:, None]) ** 2
+    r = np.mean(x * x / w, axis=1)
+    return -0.5 * theta.size * np.log(r) - 0.5 * np.log(w).sum(axis=1)
+
+
+@pytest.fixture(scope="module")
+def fit_set():
+    """The homodyne blocks of fig5 master seeds 0-39, N in (50, 100, 150),
+    20 trials, as (master seed, N, thetas, xs, fit), and the Newton passes
+    they took."""
+    blocks, passes = [], []
+    ascent = estimation._ascent_directions
+
+    def counting(*args):
+        passes.append(1)
+        return ascent(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "_ascent_directions", counting)
+        for master in range(40):
+            for lane, n in enumerate((50, 100, 150)):
+                thetas, xs = fig5_lane(master, lane, n)
+                blocks.append((master, n, thetas, xs,
+                               estimate_homodyne_ml_block(thetas, xs, FIG5.eta)))
+    return blocks, len(passes)
+
+
+# the loglik of thin-state fits (lambda, N, trial) at mu = 2, eta = 1, seed
+# SeedSpec(3, trial), with phi as in THIN_PHI, at the fit before its
+# saddle-free fallback and boundary branch
+THIN_PHI = {1e3: 0.7, 1e4: math.pi / 4, 1e5: 0.3}
+THIN_PARENT_LOGLIK = {
+    (1e4, 2000): [-11291.699968614434, -10703.828701790888, -10685.853225165632,
+                  -11353.519629194638, -10641.433217564248],
+    (1e4, 20000): [-113402.64363356966, -113448.48410643554, -106668.05272224253,
+                   -113512.99117378303, -113548.32402845363],
+    (1e3, 5000): [-22292.053107855238, -20917.57502183697, -22518.665663257398,
+                  -22362.344450658366, -22493.479062789633],
+    (1e5, 5000): [-32384.535462220756, -32468.045080253913, -32944.693597308855,
+                  -32385.03662557848, -32501.28319145556],
+}
+
+
+def thin_record(lam: float, n: int, trial: int):
+    spec = GaussianStateSpec(mu=2.0, lam=lam, phi=THIN_PHI[lam], eta=1.0)
+    return homodyne_arrays(spec, n, ContinuousSweep(), SeedSpec(3, trial))
+
+
+def gaussian_loglik(v: np.ndarray, x2: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The homodyne log-likelihood of each row of g on its data."""
+    cvar = np.einsum("tk,tkN->tN", g, v)
+    return -0.5 * (np.log(cvar) + x2 / cvar).sum(axis=1) - 0.5 * x2.shape[1] * math.log(
+        2.0 * math.pi)
+
+
+class TestBoundaryExit:
+    @pytest.mark.parametrize("lam,n", list(THIN_PARENT_LOGLIK))
+    def test_thin_fits_end_no_lower(self, lam, n):
+        # on thin states an interior optimum can lie below det = 1e-6 g1 g2;
+        # the tolerance is the rounding of a sum over up to 20000 samples
+        for trial, parent in enumerate(THIN_PARENT_LOGLIK[lam, n]):
+            fit = estimate_homodyne_ml(thin_record(lam, n, trial), 1.0)
+            assert fit.loglik >= parent - 1e-13 * abs(parent), (lam, n, trial)
+
+    def test_row_that_rises_into_the_interior_iterates_on(self, monkeypatch):
+        # this fit passes det < 1e-6 g1 g2 on its way to an interior optimum
+        # at det = 3.2e-6 g1 g2; there the boundary point beats the iterate,
+        # but the likelihood rises from it into the interior, so the row fits
+        # on as if it had no boundary exit
+        data = thin_record(1e4, 2000, 1)
+        calls = []
+        boundary_fits = estimation._boundary_fits
+
+        def recording(v, x2, g):
+            out = boundary_fits(v, x2, g)
+            calls.append((gaussian_loglik(v, x2, g), *out))
+            return out
+
+        monkeypatch.setattr(estimation, "_boundary_fits", recording)
+        fit = estimate_homodyne_ml(data, 1.0)
+        assert fit.status == "converged"
+        assert any(f_iter[0] < f_edge[0] for f_iter, _, f_edge, _ in calls)
+        assert not any(kkt[0] for *_, kkt in calls)
+        assert all(f_edge[0] < fit.loglik for _, _, f_edge, _ in calls)
+        count = len(calls)
+        monkeypatch.setattr(estimation, "_BOUNDARY_DET", 0.0)
+        assert result_bits(fit) == result_bits(estimate_homodyne_ml(data, 1.0))
+        assert len(calls) == count
+
+    def test_row_ends_at_its_best_boundary_point_if_that_is_higher(self, monkeypatch):
+        # with every boundary point taken to rise into the interior, the
+        # drifting rows iterate on until they stall; each ends no lower
+        # than every boundary point it met, and ends on one where that is
+        # higher, as trial 4 of this block does
+        thetas, xs = fig5_lane(6, 0, 50)
+        met = {}
+        boundary_fits = estimation._boundary_fits
+
+        def rising(v, x2, g):
+            g_edge, f_edge, kkt = boundary_fits(v, x2, g)
+            for row in range(len(g)):
+                trial = np.flatnonzero((xs * xs == x2[row]).all(axis=1))[0]
+                if f_edge[row] > met.get(trial, (None, -math.inf))[1]:
+                    met[trial] = (g_edge[row], f_edge[row])
+            return g_edge, f_edge, np.zeros_like(kkt)
+
+        monkeypatch.setattr(estimation, "_boundary_fits", rising)
+        fit = estimate_homodyne_ml_block(thetas, xs, FIG5.eta)
+        assert np.flatnonzero(fit.status == "boundary").tolist() == [4]
+        for trial, (g_edge, f_edge) in met.items():
+            assert fit.loglik[trial] >= f_edge
+            if fit.status[trial] == "boundary":
+                assert fit.loglik[trial] == f_edge
+                assert fit.g_effective[trial].tobytes() == g_edge.tobytes()
+
+
+class TestFitSet:
+    def test_every_row_ends_before_the_iteration_limit(self, fit_set):
+        blocks, passes = fit_set
+        iterations = np.concatenate([fit.iterations for *_, fit in blocks])
+        assert iterations.max() < estimation._MAX_ITERATIONS
+        # 3731 passes before the saddle-free fallback and the boundary branch
+        assert passes <= 2000
+        statuses = set(np.concatenate([fit.status for *_, fit in blocks]).tolist())
+        assert statuses == {"converged", "boundary", "stalled"}
+
+    def test_boundary_rows_end_at_their_profiles_maximum(self, fit_set):
+        blocks, _ = fit_set
+        count = 0
+        for master, n, thetas, xs, fit in blocks:
+            for t in np.flatnonzero(fit.status == "boundary"):
+                count += 1
+                g = fit.g_effective[t]
+                a = 0.5 * math.atan2(SQRT2 * g[2], g[0] - g[1])
+                # a rank-one g, on the poles' bracket around its angle
+                assert abs(g[0] * g[1] - 0.5 * g[2] ** 2) <= 1e-12 * g[0] * g[1]
+                # each pole's distance ahead of a, mod pi
+                ahead = np.remainder(thetas[t] + 0.5 * math.pi - a, math.pi)
+                hi, lo = a + ahead.min(), a - (math.pi - ahead.max())
+                grid = np.linspace(lo, hi, 2002)[1:-1]
+                best = boundary_profile(thetas[t], xs[t], grid).max()
+                at = boundary_profile(thetas[t], xs[t], np.array([a]))[0]
+                assert at >= best - 1e-9, (master, n, t)
+                # the loglik is the profile's, off its constant
+                assert fit.loglik[t] == pytest.approx(
+                    at - 0.5 * n * (1.0 + math.log(2.0 * math.pi)), abs=1e-9)
+        assert count > 0
+
+    def test_rows_that_crawled_end_no_lower(self, fit_set):
+        blocks, _ = fit_set
+        fits = {(master, n): fit for master, n, *_, fit in blocks}
+        for (master, n, t), parent in PARENT_LOGLIK.items():
+            assert fits[master, n].loglik[t] >= parent - 1e-9, (master, n, t)

@@ -10,10 +10,11 @@ import textwrap
 import numpy as np
 import pytest
 
-from gausstomo import DomainError, GaussianStateSpec, __version__, crb_hom, region_areas
+from gausstomo import (DomainError, GaussianStateSpec, SchemeKind, SeedSpec, __version__,
+                       crb_hom, region_areas)
 from gausstomo.estimation import _BLOCK_SAMPLES
 from gausstomo.cli import main
-from gausstomo.experiments import (EXPERIMENTS, ConfigError, _Repeats,
+from gausstomo.experiments import (EXPERIMENTS, ConfigError, _Repeats, _run_trials,
                                    extract_embedded_config, render_table, resolve_config,
                                    run_experiment)
 
@@ -30,11 +31,11 @@ SPLIT_CRB = {"experiment": "crb-attainment",
 # update the digest and say why.
 PINNED_SHA256 = {
     # gausstomo fig5 --trials 20 --seed 0
-    "fig5": "ac9682ad6745a1b1c16240c7ac14af94f43533903bfa29444365d450cd046a78",
+    "fig5": "637dfdc52851921a389fdd70b366d8a083f50a1869ba4efb61e1d591e7125ced",
     # [seed, exit code, stdout, stderr] of each fig5 --trials 20 --threads 1
     # --seed 0 .. 39, as JSON
     "fig5-benchmark-seeds":
-        "9daf60733751e236d44f5b3f4a482f865f6748e2f950bc4126ae7d9d8ce78282",
+        "11dba2cd485e8997106ba499104208e62c754b76503fd8193e0b9ad73c4e5073",
     "split-crb": "2b9a27097e7c415142aa867511382afca6007ef72c2985b5cf2372f3dfd33fb9",
     # SURFACE_GRID in each mode
     "surface-real": "d040addf29b374a51d4f7dae0fc6a611fe2cdd1fd21ca377585408fbe6d52fb0",
@@ -57,9 +58,9 @@ PINNED_SHA256 = {
         "51de541e34f925bd2fc2509fdd3b83340e0c26e02c40b943766bc4d9b39eaef7",
     "crb-heterodyne": "47b1c44d17e3515fcf05f538a14dc87223db5bf4f9fb6aafab9adf3ae59011aa",
     # the result and ellipse of `estimate` on each simulate-*-csv table
-    "estimate-grid": "a20ddf95920c6f827248a2601266a6218a12af67195e60e73820a70ffc229541",
-    "estimate-sweep": "65c469b64cb51abd3e3e3e1306e58697f129ad28bfa6dc6236ed7ece55d606ca",
-    "estimate-heterodyne": "2f808d61141ef61b92ac2b9b96192da08c63c07a7f1f0c68b114a4169cce1c9f",
+    "estimate-grid": "a9eaebfc08208fe1a12c7e4937d24b3f651ba54f45923f41a81fbce8cbb9d85f",
+    "estimate-sweep": "a1d6eb44458fbba6d0991d52490b4a61adbe5a1756d973eb6a1544bbcffe3abe",
+    "estimate-heterodyne": "87b921e38906159e02bb27cb3484896564587f5c0a7a4591e33e83f7a34abc5b",
 }
 
 # 80 rows, eta outer: every column but real mode's bounds repeats, and the
@@ -450,6 +451,20 @@ class TestSimulateAndEstimate:
         assert header == ["theta", "x"]
         assert len(rows) == 10
 
+    def test_boundary_fit_has_no_ellipse(self, tmp_path):
+        # this record's likelihood peaks on the singular edge det G = 0
+        sim = {"experiment": "simulate", "spec": {"mu": 2.0, "lambda": 10.0, "eta": 0.5},
+               "scheme": "homodyne", "n": 60, "seed": {"master_seed": 47, "stream_id": 15}}
+        data = tmp_path / "samples.csv"
+        data.write_text(run_experiment(sim)[""])
+        est = {"experiment": "estimate", "data_path": str(data), "scheme": "homodyne",
+               "eta": 0.5}
+        doc = json.loads(run_experiment(est)[""])
+        assert doc["ellipse"] is None
+        assert doc["result"]["converged"] is False
+        g = doc["result"]["g_effective"]
+        assert abs(g["g1"] * g["g2"] - 0.5 * g["g3"] ** 2) <= 1e-12 * g["g1"] * g["g2"]
+
     def test_round_trip_estimate(self, tmp_path):
         sim = {"experiment": "simulate",
                "spec": {"mu": 2.0, "lambda": 10.0, "eta": 0.5},
@@ -609,6 +624,38 @@ class TestFig5:
         for n in (50, 100, 150):
             assert agg[("heterodyne", n)] < agg[("homodyne", n)]
 
+    def test_boundary_rows_have_no_ellipse(self):
+        # the homodyne N = 50 fits of trials 7 and 16 end on det G = 0
+        cfg = {"experiment": "fig5", "trials": 20, "n_values": [50],
+               "seed": {"master_seed": 0, "stream_id": 0}}
+        header, rows = rows_of(run_experiment(cfg)[""])
+        table = [dict(zip(header, r)) for r in rows]
+        fit = _run_trials(GaussianStateSpec(2.0, 10.0, eta=0.5), SchemeKind.HOMODYNE, 50,
+                          SeedSpec(0), 0, 20, 1)
+        assert np.flatnonzero(fit.status == "boundary").tolist() == [7, 16]
+        estimates = [r for r in table if r["kind"] == "estimate" and r["scheme"] == "homodyne"]
+        for t, r in enumerate(estimates):
+            axes = [float(r[key]) for key in ("axis_major", "axis_minor", "orientation")]
+            assert all(map(math.isnan, axes)) == (t in (7, 16))
+            assert float(r["hs_distance_sq"]) >= 0.0
+            assert r["converged"] == ("true" if fit.status[t] == "converged" else "false")
+
+    @pytest.mark.parametrize("lam, phi, axes, orientation", [
+        (10.0, 0.3, (math.sqrt(10.0), math.sqrt(0.1)), 0.3 + 0.5 * math.pi),
+        (0.1, 0.3, (math.sqrt(10.0), math.sqrt(0.1)), 0.3),
+        (10.0, 2.0, (math.sqrt(10.0), math.sqrt(0.1)), 2.0 - 0.5 * math.pi),
+        (1.0, 2.0, (1.0, 1.0), 0.0)])
+    def test_true_ellipse_is_the_specs(self, lam, phi, axes, orientation):
+        cfg = {"experiment": "fig5", "trials": 1, "n_values": [30],
+               "spec": {"mu": 2.0, "lambda": lam, "phi": phi, "eta": 0.5}}
+        header, rows = rows_of(run_experiment(cfg)[""])
+        for r in rows:
+            r = dict(zip(header, r))
+            if r["kind"] == "true":
+                assert (float(r["axis_major"]), float(r["axis_minor"])) == \
+                    pytest.approx(axes, rel=1e-15)
+                assert float(r["orientation"]) == pytest.approx(orientation, rel=1e-15)
+
     def test_representative_trial_flagged(self):
         cfg = {"experiment": "fig5", "trials": 3, "n_values": [40],
                "seed": {"master_seed": 7, "stream_id": 0}}
@@ -636,9 +683,9 @@ class TestFig5:
 
     def test_benchmark_seeds_pinned_bytes(self):
         # `gausstomo fig5 --trials 20 --threads 1 --seed S` for the master
-        # seeds 0-39 that the benchmark's fig5 workload runs.  A last-bit
-        # change to the homodyne fit moves which seeds hit the ROADMAP 4a
-        # eigenvalue fault (exit 2), and with it the benchmark's failed share
+        # seeds 0-39 that the benchmark's fig5 workload runs: every one exits
+        # 0, now that no minor eigenvalue cancels (ROADMAP 4a) and the fits
+        # that drift to det = 0 end on the boundary, without an ellipse
         outcomes, failing = [], []
         for seed in range(40):
             out, err = io.StringIO(), io.StringIO()
@@ -652,7 +699,7 @@ class TestFig5:
             outcomes.append([seed, code, out.getvalue(), err.getvalue()])
             if code:
                 failing.append(seed)
-        assert failing == [5, 8, 10, 11, 12, 13, 15, 17, 25, 30, 36, 37, 38]
+        assert failing == []
         assert sha256(json.dumps(outcomes)) == PINNED_SHA256["fig5-benchmark-seeds"]
 
 
