@@ -8,8 +8,10 @@ stored as the triple (g1, g2, g3),
 
 which is the coordinate vector of G in the trace-orthonormal basis
 {diag(1,0), diag(0,1), offdiag(1/sqrt 2)}.  Fisher matrices, estimators
-and distances all share this coordinate system.  Rotation invariants of
-a data covariance are taken from its eigenvalues (`data_variances`).
+and distances all share this coordinate system.  The bounds, samplers and
+regions instead work in a state's eigenframe: the eigenvalues of its data
+covariance (`data_variances`), squeezed axis at angle -phi, where no
+rotation or det cancels.
 """
 
 from __future__ import annotations
@@ -148,8 +150,8 @@ def delta_offset(eta: float, scheme: SchemeKind) -> float:
 def wigner_covariance(spec: GaussianStateSpec) -> Covariance2:
     """Wigner covariance of the state: (mu/2) diag(1/lam, lam) rotated by phi.
 
-    At phi = 0 the squeezed quadrature lies along x.  phi tilts the
-    principal axes so that g3 = (mu/2)(lam - 1/lam) sin(2 phi)/sqrt(2);
+    At phi = 0 the squeezed quadrature lies along x; phi turns it to the
+    angle -phi, so that g3 = (mu/2)(lam - 1/lam) sin(2 phi)/sqrt(2);
     det G_W = mu^2/4 for every phi.
     """
     a = spec.mu / (2.0 * spec.lam)

@@ -101,8 +101,11 @@ class BlockFit(NamedTuple):
     g_wigner: np.ndarray
     loglik: np.ndarray
     iterations: np.ndarray
-    converged: np.ndarray
     status: np.ndarray
+
+    @property
+    def converged(self) -> np.ndarray:
+        return self.status == "converged"
 
 
 # the dtype of BlockFit.status
@@ -114,7 +117,7 @@ def _block_fit(delta: float, g_eff: np.ndarray, loglik, iterations, status) -> B
     offset delta gives the Wigner rows."""
     status = np.asarray(status, dtype=_STATUS)
     return BlockFit(g_eff, g_eff - [delta, delta, 0.0], np.asarray(loglik, dtype=float),
-                    np.asarray(iterations, dtype=int), status == "converged", status)
+                    np.asarray(iterations, dtype=int), status)
 
 
 def _single_result(fit: BlockFit, scheme: SchemeKind) -> EstimationResult:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Covariance2, DomainError, GaussianStateSpec, NumericalError,
-                   SchemeKind, SQRT2, data_variances, effective_covariance)
+                   SchemeKind, SQRT2, data_variances)
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ def _marginal_variance(cov: Covariance2, c, s):
 
 
 def _conditional_variance(cov: Covariance2, c, s):
-    """(Sigma^2, v^T G v) for u = (c, s) and v = (-s, c), on floats or
-    float64 arrays as _marginal_variance.
+    """Sigma^2 for u = (c, s) and v = (-s, c), on floats or float64 arrays
+    as _marginal_variance.
 
     Sigma^2 = 1/(u^T G^-1 u) = det G / v^T G v is taken as
     g1 (g2/vv) - q (q/vv), with q = g3/sqrt2 and vv = v^T G v formed
@@ -53,7 +53,7 @@ def _conditional_variance(cov: Covariance2, c, s):
     """
     q = cov.g3 / SQRT2
     vv = cov.g1 * s * s + cov.g2 * c * c - 2.0 * q * s * c
-    return cov.g1 * (cov.g2 / vv) - q * (q / vv), vv
+    return cov.g1 * (cov.g2 / vv) - q * (q / vv)
 
 
 def _check_positive_definite(cov: Covariance2) -> None:
@@ -70,8 +70,7 @@ def marginal_std(cov: Covariance2, theta: float) -> float:
 def conditional_std(cov: Covariance2, theta: float) -> float:
     """Sigma_theta = (u^T G^-1 u)^(-1/2), via det G / v^T G v."""
     _check_positive_definite(cov)
-    big2, _ = _conditional_variance(cov, math.cos(theta), math.sin(theta))
-    return math.sqrt(big2)
+    return math.sqrt(_conditional_variance(cov, math.cos(theta), math.sin(theta)))
 
 
 def region_boundaries(spec: GaussianStateSpec,
@@ -79,40 +78,33 @@ def region_boundaries(spec: GaussianStateSpec,
     """Tabulate sigma_theta (homodyne data) and Sigma_theta (heterodyne data).
 
     Returns float64 arrays (theta, sigma, Sigma), with the angles uniform on
-    [0, 2 pi) for direct polar plotting.  sigma comes from the homodyne
-    effective covariance, Sigma from the heterodyne one; every entry equals
-    marginal_std or conditional_std at its angle bit for bit.
-
-    A valid spec's data covariances are positive definite
-    (core.data_variances).  sigma needs only u^T G u, which stays accurate
-    where the homodyne triple's det cancels; Sigma needs G^-1, so a
-    heterodyne triple whose det cancels raises NumericalError, as does a
-    variance that is not a finite float.
+    [0, 2 pi) for direct polar plotting.  Each is evaluated in the spec's
+    eigenframe, where the squeezed axis lies at angle -phi: sigma from
+    diag(d1, d2), the homodyne data variances, and Sigma from diag(e1, e2),
+    the heterodyne ones, at the angle theta + phi.  So every entry equals
+    marginal_std(Covariance2(d1, d2, 0.0), theta + phi), or conditional_std
+    of Covariance2(e1, e2, 0.0) there, bit for bit, and no determinant or
+    rotation cancels.  NumericalError if a variance is not a finite float.
     """
     if samples < 4:
         raise DomainError(f"samples = {samples} must be at least 4")
-    g_hom = effective_covariance(spec, SchemeKind.HOMODYNE)
-    g_het = effective_covariance(spec, SchemeKind.HETERODYNE)
-    if not g_het.is_positive_definite():
-        raise NumericalError(f"the heterodyne data covariance of {spec} is not positive "
-                             f"definite in float64: {g_het}")
+    g_hom, g_het = (Covariance2(*data_variances(spec.mu, spec.lam, spec.eta, scheme), 0.0)
+                    for scheme in (SchemeKind.HOMODYNE, SchemeKind.HETERODYNE))
     theta = 2.0 * math.pi * np.arange(samples) / samples
-    # math's cos and sin, as the scalar functions take them
-    angles = theta.tolist()
+    # math's cos and sin of theta + phi, as the scalar functions take them
+    angles = [t + spec.phi for t in theta.tolist()]
     c = np.fromiter(map(math.cos, angles), float, samples)
     s = np.fromiter(map(math.sin, angles), float, samples)
     # IEEE arithmetic, silent as on Python floats: past the float range an
     # entry reads inf or nan, as the scalar functions give it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sigma2 = _marginal_variance(g_hom, c, s)
-        big2, vv = _conditional_variance(g_het, c, s)
-    # where the scalar functions would divide by zero or take the root of a
-    # negative number, a variance has cancelled; a zero vv leaves Sigma^2
-    # nan, so one test of both variances finds either fault
-    if not (np.isfinite(sigma2) & (sigma2 >= 0.0) & np.isfinite(big2) & (big2 >= 0.0)).all():
+        big2 = _conditional_variance(g_het, c, s)
+    # past the float range (eta near 5e-324) a variance reads inf, and
+    # Sigma^2 = e1 (e2 / vv) then nan
+    if not (np.isfinite(sigma2) & np.isfinite(big2)).all():
         raise NumericalError(f"a direction variance of the data covariances of {spec} "
-                             "cancels to zero or below, or leaves the float range, "
-                             "in float64")
+                             "leaves the float range in float64")
     return theta, np.sqrt(sigma2), np.sqrt(big2)
 
 

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DomainError, GaussianStateSpec, NumericalError, SchemeKind, SQRT2,
-                   effective_covariance)
+from .core import DomainError, GaussianStateSpec, NumericalError, SchemeKind, data_variances
 
 _WORDS_PER_SAMPLE = 2
 _WORDS_PER_BLOCK = 4  # one Philox4x64 counter increment yields four words
@@ -219,18 +218,21 @@ def _homodyne_block(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
                          (trials, 1))
     else:
         raise DomainError(f"unknown angle policy {policy!r}")
-    cov = effective_covariance(spec, SchemeKind.HOMODYNE)
+    d1, d2 = data_variances(spec.mu, spec.lam, spec.eta, SchemeKind.HOMODYNE)
+    c_phi, s_phi = math.cos(spec.phi), math.sin(spec.phi)
     c, s = np.cos(thetas), np.sin(thetas)
-    # g1 c c + g2 s s + (sqrt2 g3) s c, term by term in two arrays
-    x, term = np.empty_like(c), np.empty_like(c)
+    # the squeezed axis lies at angle -phi: c' = cos(theta + phi) into the
+    # spent angle words, s' = sin(theta + phi) into x, then (d1 c') c' + (d2 s') s'
+    cp, x, term = u[..., 0], np.empty_like(c), np.empty_like(c)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(cov.g1, c, out=x)
-        x *= c
-        np.multiply(cov.g2, s, out=term)
-        term *= s
-        x += term
-        np.multiply(SQRT2 * cov.g3, s, out=term)
-        term *= c
+        np.multiply(c, c_phi, out=cp)
+        cp -= np.multiply(s, s_phi, out=term)
+        np.multiply(s, c_phi, out=x)
+        x += np.multiply(c, s_phi, out=term)
+        np.multiply(d2, x, out=term)
+        term *= x
+        np.multiply(d1, cp, out=x)
+        x *= cp
         x += term
         np.sqrt(x, out=x)
         x *= _normals_in_place(u[..., 1])
@@ -238,19 +240,14 @@ def _homodyne_block(spec: GaussianStateSpec, n: int, policy: AnglePolicy,
     return thetas, x, c, s
 
 
-def _cholesky_lower(spec: GaussianStateSpec) -> tuple[float, float, float]:
-    """The Cholesky factor (l11, l21, l22) of the heterodyne data
-    covariance of spec; NumericalError where its rotated triple has lost
-    its determinant to rounding, or g3 overflowed, so that l22^2 < 0."""
-    cov = effective_covariance(spec, SchemeKind.HETERODYNE)
-    q = cov.g3 / SQRT2
-    l11 = math.sqrt(cov.g1)
-    l21 = q / l11
-    l22_sq = cov.g2 - l21 * l21
-    if l22_sq < 0.0:
-        raise NumericalError(f"the heterodyne data covariance of {spec} is not positive "
-                             f"definite in float64: {cov}")
-    return l11, l21, math.sqrt(l22_sq)
+def _square_root(spec: GaussianStateSpec) -> tuple[float, float, float, float]:
+    """(l11, l12, l21, l22) of L = [[c r1, s r2], [-s r1, c r2]], the
+    eigenvectors of G_het scaled by the roots of its eigenvalues e1, e2
+    (c, s = cos phi, sin phi), so that L L^T = G_het."""
+    e1, e2 = data_variances(spec.mu, spec.lam, spec.eta, SchemeKind.HETERODYNE)
+    r1, r2 = math.sqrt(e1), math.sqrt(e2)
+    c, s = math.cos(spec.phi), math.sin(spec.phi)
+    return c * r1, s * r2, -s * r1, c * r2
 
 
 def heterodyne_arrays(spec: GaussianStateSpec, n: int,
@@ -259,18 +256,19 @@ def heterodyne_arrays(spec: GaussianStateSpec, n: int,
     arrays (x, p).
 
     The pairs are i.i.d. from the heterodyne data Gaussian with covariance
-    G_W + (2 - eta)/(2 eta) I, sampled through its Cholesky factor.
+    G_W + (2 - eta)/(2 eta) I, sampled as L z (_square_root).
     NumericalError if a value is not finite.
     """
     if n < 1:
         raise DomainError(f"n = {n} must be at least 1")
     z = _normals_in_place(_sample_uniforms(seed, 1, n)[0])
-    l11, l21, l22 = _cholesky_lower(spec)
+    l11, l12, l21, l22 = _square_root(spec)
     # one allocation for both outputs: a pair of fresh ones would grow the
     # heap past malloc's trim threshold, and every draw would refault them
     x, p = np.empty((2, n))
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(l11, z[:, 0], out=x)
+        x += np.multiply(l12, z[:, 1], out=p)
         np.multiply(l21, z[:, 0], out=p)
         p += np.multiply(l22, z[:, 1], out=z[:, 1])
     _check_finite("heterodyne samples", x, p)
@@ -376,10 +374,11 @@ def heterodyne_moments(spec: GaussianStateSpec, n: int, seed: SeedSpec, trials: 
     stream k.
 
     n S = sum z z^T is Wishart with scale G_het and n degrees of freedom, so
-    by Bartlett's decomposition n S = (L A)(L A)^T, with L the Cholesky
-    factor of G_het and A = [[c1, 0], [n21, c2]] for independent
-    c1^2 ~ chi^2_n, c2^2 ~ chi^2_(n-1) and n21 ~ N(0, 1).  c1^2 and c2^2 are
-    the upper-tail quantiles of words 0 and 1 of the stream, n21 the normal
+    by Bartlett's decomposition n S = (L A)(L A)^T for any L L^T = G_het
+    (the law of A A^T does not change under rotation; here L is that of
+    _square_root), with A = [[c1, 0], [n21, c2]] for independent c1^2 ~
+    chi^2_n, c2^2 ~ chi^2_(n-1) and n21 ~ N(0, 1).  c1^2 and c2^2 are the
+    upper-tail quantiles of words 0 and 1 of the stream, n21 the normal
     of word 2.  The moments have the distribution of those of
     heterodyne_arrays(spec, n, seed.stream(k)), not their values.
     NumericalError past n = 2^53, where n and n - 1 stop being distinct
@@ -394,12 +393,14 @@ def heterodyne_moments(spec: GaussianStateSpec, n: int, seed: SeedSpec, trials: 
     c1 = np.sqrt(_chi_square(n, u[:, 0]))
     c2 = np.sqrt(_chi_square(n - 1, u[:, 1]))
     n21 = ndtri(u[:, 2])
-    l11, l21, l22 = _cholesky_lower(spec)
+    l11, l12, l21, l22 = _square_root(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        # L A = [[y1, 0], [y2, y3]]
-        y1 = l11 * c1
-        y2 = l21 * c1 + l22 * n21
-        y3 = l22 * c2
-        moments = y1 * y1 / n, (y2 * y2 + y3 * y3) / n, y1 * y2 / n
+        # M = L A = [[m11, m12], [m21, m22]], and n S = M M^T
+        m11 = l11 * c1 + l12 * n21
+        m12 = l12 * c2
+        m21 = l21 * c1 + l22 * n21
+        m22 = l22 * c2
+        moments = ((m11 * m11 + m12 * m12) / n, (m21 * m21 + m22 * m22) / n,
+                   (m11 * m21 + m12 * m22) / n)
     _check_finite("heterodyne second moments", *moments)
     return moments

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import statistics
 import threading
@@ -14,7 +15,8 @@ from gausstomo import (BlockFit, ContinuousSweep, Covariance2, DomainError,
                        GaussianStateSpec, SchemeKind, SeedSpec, crb_het,
                        crb_hom, delta_offset, estimate_heterodyne, estimate_homodyne_ml,
                        estimate_homodyne_ml_block, heterodyne_arrays, homodyne_arrays,
-                       hs_distance_sq, to_ellipse, wigner_covariance)
+                       effective_covariance, hs_distance_sq, raw_words, to_ellipse,
+                       wigner_covariance)
 from gausstomo import estimation, experiments, sampling
 from gausstomo.estimation import (_BLOCK_SAMPLES, _angle_keys, _ascent_directions,
                                   _evaluate, _moment_starts, estimate_heterodyne_moments)
@@ -420,8 +422,9 @@ def rows_bits(fit: BlockFit) -> list[tuple]:
 
 def assert_empty(fit: BlockFit):
     assert fit.g_effective.shape == fit.g_wigner.shape == (0, 3)
-    assert [a.dtype for a in fit[2:]] == [np.float64, np.int_, np.bool_, np.dtype("<U9")]
-    assert all(a.shape == (0,) for a in fit[2:])
+    rows = (fit.loglik, fit.iterations, fit.converged, fit.status)
+    assert [a.dtype for a in rows] == [np.float64, np.int_, np.bool_, np.dtype("<U9")]
+    assert all(a.shape == (0,) for a in rows)
 
 
 class TestHomodyneMlBlock:
@@ -1076,9 +1079,22 @@ THIN_PARENT_LOGLIK = {
 }
 
 
+# sha256 of the (theta, x) bytes of the 20 thin records, in THIN_PARENT_LOGLIK's
+# order, as homodyne_arrays drew them when those logliks were measured
+THIN_RECORDS_SHA256 = "8958c5373bde1b435a5aa37cee5488f5917f8928c24e5a8d5eddd35ffc880248"
+
+
 def thin_record(lam: float, n: int, trial: int):
+    """The sweep record of SeedSpec(3, trial) that THIN_PARENT_LOGLIK was
+    measured on, drawn as the sampler then drew it, from the rotated triple:
+    x = sqrt(g1 c c + g2 s s + (sqrt2 g3) s c) z."""
     spec = GaussianStateSpec(mu=2.0, lam=lam, phi=THIN_PHI[lam], eta=1.0)
-    return homodyne_arrays(spec, n, ContinuousSweep(), SeedSpec(3, trial))
+    u = (raw_words(SeedSpec(3, trial), 0, 2 * n) >> np.uint64(11)).astype(float) * 2.0 ** -53
+    thetas = math.pi * u[0::2]
+    cov = effective_covariance(spec, SchemeKind.HOMODYNE)
+    c, s = np.cos(thetas), np.sin(thetas)
+    variances = cov.g1 * c * c + cov.g2 * s * s + SQRT2 * cov.g3 * s * c
+    return thetas, np.sqrt(variances) * sampling._normals_in_place(u[1::2].copy())
 
 
 def gaussian_loglik(v: np.ndarray, x2: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -1089,6 +1105,14 @@ def gaussian_loglik(v: np.ndarray, x2: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 class TestBoundaryExit:
+    def test_thin_records_are_the_measured_data(self):
+        digest = hashlib.sha256()
+        for lam, n in THIN_PARENT_LOGLIK:
+            for trial in range(5):
+                for column in thin_record(lam, n, trial):
+                    digest.update(column.tobytes())
+        assert digest.hexdigest() == THIN_RECORDS_SHA256
+
     @pytest.mark.parametrize("lam,n", list(THIN_PARENT_LOGLIK))
     def test_thin_fits_end_no_lower(self, lam, n):
         # on thin states an interior optimum can lie below det = 1e-6 g1 g2;

@@ -12,6 +12,7 @@ import pytest
 
 from gausstomo import (DomainError, GaussianStateSpec, SchemeKind, SeedSpec, __version__,
                        crb_hom, region_areas)
+from gausstomo.core import data_variances
 from gausstomo.estimation import _BLOCK_SAMPLES
 from gausstomo.cli import main
 from gausstomo.experiments import (EXPERIMENTS, ConfigError, _Repeats, _run_trials,
@@ -42,25 +43,25 @@ PINNED_SHA256 = {
     "surface-hypothetical":
         "e12b4de0666ec9dee7bd6285df47beda70a72f29121e4a050b2473c5ca38d500",
     # PINNED_TABLES, one per key: every table writer path in both formats
-    "regions-csv": "10f387dfd3f015abbdf037d546b69b27f1b2965a3f6e7412575f9554d1dac1a4",
-    "regions-json": "ae98f1644cf181b29c6a4c6d7c11ffdd58b9d05de1fc40170dc331d609c4a03f",
+    "regions-csv": "138b3350ebb1afe32f07924176c4f2f42910a1812bb2a5435d58a33d8198e765",
+    "regions-json": "ec7520dfcaccb93a2116ea32cb9779e94290e664eb75309877649b961a4e0c63",
     "lambda-crit": "e4215ca2352b37593613100c7dc14bbcb0bb033f826d49a72be46cab79c1a769",
     "surface-real-json": "04d2e127c5743d397219db653958fc5312466bacbf359b9cb6c44958518bbb24",
     "surface-hypothetical-json":
         "3c49cc4f4d8d81db52b9e7a7e83d7a76ab06983d5656ccb25d5701f000ee6522",
-    "simulate-grid-csv": "e767c61f6a999025c00d7cbd5be5d19fcc19de2a8fb3e19419bd1c36e2c6c2cc",
-    "simulate-grid-json": "068131db343edc0c3f305c153469c52ab2353cf136f3686c07e3b84d18977aa7",
-    "simulate-sweep-csv": "7cdd25ed4151322516ce894330265b88b309ea2d8a4ff82ef1717e4602acda22",
-    "simulate-sweep-json": "f45aa299c1bd6e38d9de45436726a3ad5e97ce81efdad4384172ddb962d2f710",
+    "simulate-grid-csv": "d361d08d170ba7a11c77104e6d50cec61edb5ef77ac3bb95cf1f6dd1fdd83645",
+    "simulate-grid-json": "b0a2c2eecec286eaf27ab1e9aacd82176550b9a309ba8ee39c2f5eff915a6dc0",
+    "simulate-sweep-csv": "3ee2fdeed1880f420cc7e034ba5b5bf97ec5f31343dc7d7fb9862e6c99f77734",
+    "simulate-sweep-json": "c6a0159b93ffa68214266663a0daf4de398b55da4a8a859cb6d7d53bf13f3d6b",
     "simulate-heterodyne-csv":
-        "7971ad779269c165b1fe7adca8f8bbe98e52ba7d82e4199ac444b17ac5e2f8fc",
+        "15bdd15a2f3ac2ab1c12cde892471045673028bf09414e504f01950c07eda0b6",
     "simulate-heterodyne-json":
-        "51de541e34f925bd2fc2509fdd3b83340e0c26e02c40b943766bc4d9b39eaef7",
-    "crb-heterodyne": "47b1c44d17e3515fcf05f538a14dc87223db5bf4f9fb6aafab9adf3ae59011aa",
+        "4af2bc91930a503cfeb24ce1e71edc7ab1b09f24383784221891e22c0009074f",
+    "crb-heterodyne": "a65194ed0e7736d4931285ded3ee305107df5ae0df24294308071a88d0491d4f",
     # the result and ellipse of `estimate` on each simulate-*-csv table
-    "estimate-grid": "a9eaebfc08208fe1a12c7e4937d24b3f651ba54f45923f41a81fbce8cbb9d85f",
-    "estimate-sweep": "a1d6eb44458fbba6d0991d52490b4a61adbe5a1756d973eb6a1544bbcffe3abe",
-    "estimate-heterodyne": "87b921e38906159e02bb27cb3484896564587f5c0a7a4591e33e83f7a34abc5b",
+    "estimate-grid": "4a6811c30ab589993b53745fc895d9ef4110804ac3a79bd9d0abc7fe18c7d814",
+    "estimate-sweep": "7e5d0d39e860697d7b3b02526d323a567033c566bb87a3a4681f0427c49cf9f8",
+    "estimate-heterodyne": "1ba015668021f4167b21e660be9d03e456000b6eeb8664f1bafbbe8aee3c0b51",
 }
 
 # 80 rows, eta outer: every column but real mode's bounds repeats, and the
@@ -768,15 +769,20 @@ class TestCli:
         assert json.loads(proc.stderr.strip())["error"] == "domain"
 
     @pytest.mark.parametrize("lam", [1e17, 1e-17])
-    def test_regions_whose_variance_cancels_exit_3(self, tmp_path, lam):
-        # the heterodyne det, and with it Sigma^2 = det G / v^T G v,
-        # cancels to zero or below here
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": "regions", "samples": 4,
-                                   "spec": {"mu": 1, "lambda": lam, "phi": 0.3}}))
-        proc = self.run_cli("regions", "--config", str(cfg))
-        assert proc.returncode == 3, proc.stderr
-        assert json.loads(proc.stderr.strip())["error"] == "numerical"
+    def test_regions_of_a_rotated_extreme_state_exit_0(self, lam):
+        # the rotated heterodyne triple's det, and with it Sigma^2 =
+        # det G / v^T G v, cancelled to zero or below here, which exited 3;
+        # the eigenframe has no det to cancel
+        config = {"experiment": "regions", "samples": 4,
+                  "spec": {"mu": 1, "lambda": lam, "phi": 0.3}}
+        proc = self.run_cli("regions", "--config", "-", input=json.dumps(config))
+        assert proc.returncode == 0 and proc.stderr == ""
+        _, rows = rows_of(proc.stdout)
+        theta = np.array([float(row[0]) for row in rows])
+        e1, e2 = data_variances(1.0, lam, 1.0, SchemeKind.HETERODYNE)
+        # the squeezed axis lies at angle -phi
+        want = 1.0 / np.sqrt(np.cos(theta + 0.3) ** 2 / e1 + np.sin(theta + 0.3) ** 2 / e2)
+        assert [float(row[2]) for row in rows] == pytest.approx(want.tolist(), rel=1e-14)
 
     @pytest.mark.parametrize("config", [
         {"spec": {"mu": 1e300, "lambda": 1e16, "phi": 1e-300}, "scheme": "homodyne", "n": 4},
@@ -915,15 +921,24 @@ class TestCli:
         ("fig5", {"n_values": [4], "trials": 2,
                   "spec": {"mu": 3.14159, "lambda": 5.7176291597183525e47, "phi": 3.14159}}),
     ])
-    def test_heterodyne_covariance_that_rounds_indefinite_exits_3(self, experiment, config):
+    def test_indefinite_heterodyne_triple_finishes(self, experiment, config):
         # the rotated heterodyne triple loses its determinant to rounding, or
-        # its g3 overflows, so it has no real Cholesky factor; this exited 1
+        # its g3 overflows, so it had no real Cholesky factor and the run
+        # exited 3; the draws take L = R diag(sqrt e) from the eigenframe
         proc = self.run_cli(experiment, "--config", "-",
                             input=json.dumps({"experiment": experiment, **config}))
-        assert proc.returncode == 3, proc.stderr
-        err = json.loads(proc.stderr.strip())
-        assert err["error"] == "numerical" and "heterodyne data covariance" in err["message"]
-        assert "not positive definite in float64" in err["message"] and proc.stdout == ""
+        assert proc.returncode == 0 and proc.stderr == ""
+        header, rows = rows_of(proc.stdout)
+        if experiment == "simulate":
+            assert header == ["x", "p"] and len(rows) == config["n"]
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        elif experiment == "crb-attainment":
+            # the bound is past the float range, so the ratio is inf / inf,
+            # as at test_homodyne_fit_past_the_float_range_is_quiet
+            assert proc.stdout.split("\n", 1)[1] == \
+                "N,scheme,mean_N_times_mse,crb,ratio\n50,heterodyne,inf,inf,nan\n"
+        else:
+            assert len(rows) == 8
 
     def test_homodyne_fit_past_the_float_range_is_quiet(self):
         # the fit's curvature overflows here; it runs in one floating-point

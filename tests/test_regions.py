@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gausstomo import (Covariance2, DomainError, GaussianStateSpec, NumericalError,
-                       SchemeKind, conditional_std, critical_lambda_equal_areas,
+from gausstomo import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
+                       conditional_std, critical_lambda_equal_areas,
                        effective_covariance, marginal_std, region_areas,
                        region_boundaries)
 from gausstomo.core import data_variances
@@ -140,9 +140,13 @@ class TestRegionBoundaries:
                                      SchemeKind.HETERODYNE)
         assert Sigma.tolist() == [conditional_std(g_het, t) for t in theta.tolist()]
 
-    def test_cancelled_heterodyne_determinant_is_a_numerical_error(self):
-        with pytest.raises(NumericalError, match="heterodyne data covariance"):
-            region_boundaries(GaussianStateSpec(1.0, 1e17, 0.3), 64)
+    def test_cancelled_triple_det_matches_the_eigenframe(self):
+        # the rotated heterodyne triple's det cancels here, which raised
+        # NumericalError; the squeezed axis lies at angle -phi
+        theta, sigma, Sigma = region_boundaries(GaussianStateSpec(1.0, 1e17, 0.3), 64)
+        e1, e2 = data_variances(1.0, 1e17, 1.0, SchemeKind.HETERODYNE)
+        want = 1.0 / np.sqrt(np.cos(theta + 0.3) ** 2 / e1 + np.sin(theta + 0.3) ** 2 / e2)
+        assert Sigma == pytest.approx(want, rel=1e-14)
 
 
 class TestRegionAreas:

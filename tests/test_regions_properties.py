@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausstomo import (Covariance2, GaussianStateSpec, SchemeKind, conditional_std,
-                       effective_covariance, marginal_std, region_boundaries)
+                       marginal_std, region_boundaries)
+from gausstomo.core import data_variances
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -38,11 +39,12 @@ def test_conditional_std_is_at_most_marginal(cov, theta):
        phi=st.floats(0.0, math.pi, exclude_max=True), eta=st.floats(1e-3, 1.0),
        samples=st.integers(4, 300))
 def test_region_boundaries_are_the_scalar_functions(mu, lam, phi, eta, samples):
-    # every entry of the vectorised pass, bit for bit
+    # every entry of the vectorised pass, bit for bit, in the eigenframe:
+    # the data variances along the principal axes, the squeezed one at -phi
     spec = GaussianStateSpec(mu, lam, phi, eta)
     theta, sigma, Sigma = region_boundaries(spec, samples)
-    g_hom = effective_covariance(spec, SchemeKind.HOMODYNE)
-    g_het = effective_covariance(spec, SchemeKind.HETERODYNE)
+    g_hom = Covariance2(*data_variances(mu, lam, eta, SchemeKind.HOMODYNE), 0.0)
+    g_het = Covariance2(*data_variances(mu, lam, eta, SchemeKind.HETERODYNE), 0.0)
     assert theta.tolist() == [2.0 * math.pi * k / samples for k in range(samples)]
-    assert sigma.tolist() == [marginal_std(g_hom, t) for t in theta.tolist()]
-    assert Sigma.tolist() == [conditional_std(g_het, t) for t in theta.tolist()]
+    assert sigma.tolist() == [marginal_std(g_hom, t + phi) for t in theta.tolist()]
+    assert Sigma.tolist() == [conditional_std(g_het, t + phi) for t in theta.tolist()]

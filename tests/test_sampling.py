@@ -8,6 +8,7 @@ from gausstomo import (ContinuousSweep, DomainError, GaussianStateSpec, Numerica
                        SchemeKind, SeedSpec, UniformGrid, effective_covariance,
                        heterodyne_arrays, homodyne_arrays, raw_words)
 from gausstomo import sampling
+from gausstomo.core import data_variances
 from gausstomo.sampling import (_chi_square, _normals_in_place, _open_interval,
                                 heterodyne_moments)
 
@@ -123,6 +124,34 @@ class TestHomodyneSampling:
             homodyne_arrays(VACUUM, 0)
         with pytest.raises(DomainError):
             heterodyne_arrays(VACUUM, 0)
+
+
+class TestEigenframeDraws:
+    @staticmethod
+    def grid_draw(lam):
+        """(x, (x / z)^2, closed form) of 8 grid records of a thin state
+        whose squeezed axis lies at -pi/4, z the normals of their words."""
+        spec = GaussianStateSpec(1.0, lam, math.pi / 4, 1.0)
+        thetas, x = homodyne_arrays(spec, 8, UniformGrid(4), SeedSpec(5))
+        words = raw_words(SeedSpec(5), 0, 16)[1::2]
+        z = _normals_in_place((words >> np.uint64(11)).astype(float) * 2.0 ** -53)
+        d1, d2 = data_variances(1.0, lam, 1.0, SchemeKind.HOMODYNE)
+        want = [d1 * math.cos(t + spec.phi) ** 2 + d2 * math.sin(t + spec.phi) ** 2
+                for t in thetas.tolist()]
+        return x, (x / z) ** 2, np.array(want)
+
+    def test_squeezed_axis_records_have_the_eigenframe_variance(self):
+        # the rotated triple's g1 c^2 + g2 s^2 + sqrt2 g3 s c cancelled on
+        # the squeezed axis here, 100% off
+        _, ratio, want = self.grid_draw(1e8)
+        assert ratio == pytest.approx(want, rel=1e-12)
+
+    def test_records_of_a_thinner_state_are_finite(self):
+        # the triple's variance cancelled below zero here (NumericalError);
+        # off the closed form by the rounding of cos(theta + phi) near zero
+        x, ratio, want = self.grid_draw(1e12)
+        assert np.isfinite(x).all()
+        assert ratio == pytest.approx(want, rel=1e-7)
 
 
 class TestHeterodyneSampling:

@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gausstomo import (ContinuousSweep, DomainError, GaussianStateSpec, SchemeKind, SeedSpec,
-                       UniformGrid, effective_covariance, heterodyne_arrays, homodyne_arrays)
+                       UniformGrid, heterodyne_arrays, homodyne_arrays)
 from gausstomo import sampling
+from gausstomo.core import data_variances
 from gausstomo.sampling import heterodyne_moments, raw_words
 
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -68,7 +69,8 @@ def test_block_rows_equal_single_seed_draws(kind, seed, trials, d, n):
 
 def reference_draw(kind, d, seeds, n, start=0):
     """The (trials, n) draw made from raw_words, as the samplers once made
-    it: words -> 53-bit uniforms -> ndtri, one fresh array per step."""
+    it: words -> 53-bit uniforms -> ndtri, one fresh array per step, and
+    the eigenframe formulas on whole arrays."""
     from scipy.special import ndtri
 
     words = np.empty((len(seeds), 2 * n), dtype=np.uint64)
@@ -80,21 +82,26 @@ def reference_draw(kind, d, seeds, n, start=0):
         u = (w >> np.uint64(11)).astype(float) * 2.0 ** -53 + 2.0 ** -54
         return ndtri(np.minimum(u, 1.0 - 2.0 ** -53, out=u))
 
+    # the data covariances' eigenframe: eigenvalues (d1, d2), squeezed axis
+    # at angle -phi
+    c_phi, s_phi = math.cos(SPEC.phi), math.sin(SPEC.phi)
     if kind == "heterodyne":
-        cov = effective_covariance(SPEC, SchemeKind.HETERODYNE)
-        l11 = math.sqrt(cov.g1)
-        l21 = cov.g3 / math.sqrt(2.0) / l11
-        l22 = math.sqrt(cov.g2 - l21 * l21)
+        # L = [[c r1, s r2], [-s r1, c r2]], L L^T = G_het
+        r1, r2 = map(math.sqrt, data_variances(SPEC.mu, SPEC.lam, SPEC.eta,
+                                               SchemeKind.HETERODYNE))
         z = normal(words)
-        return l11 * z[..., 0], l21 * z[..., 0] + l22 * z[..., 1]
+        return (c_phi * r1 * z[..., 0] + s_phi * r2 * z[..., 1],
+                -s_phi * r1 * z[..., 0] + c_phi * r2 * z[..., 1])
     if kind == "sweep":
         thetas = math.pi * (words[..., 0] >> np.uint64(11)).astype(float) * 2.0 ** -53
     else:
         idx = np.arange(start, start + n) % d
         thetas = np.tile(math.pi * idx.astype(float) / d, (len(seeds), 1))
-    cov = effective_covariance(SPEC, SchemeKind.HOMODYNE)
+    d1, d2 = data_variances(SPEC.mu, SPEC.lam, SPEC.eta, SchemeKind.HOMODYNE)
     c, s = np.cos(thetas), np.sin(thetas)
-    variances = cov.g1 * c * c + cov.g2 * s * s + math.sqrt(2.0) * cov.g3 * s * c
+    # cos and sin of theta + phi
+    cp, sp = c * c_phi - s * s_phi, s * c_phi + c * s_phi
+    variances = d1 * cp * cp + d2 * sp * sp
     return thetas, np.sqrt(variances) * normal(words[..., 1])
 
 
