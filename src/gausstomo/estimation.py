@@ -183,11 +183,13 @@ def estimate_heterodyne_moments(s11: np.ndarray, s22: np.ndarray, s12: np.ndarra
 _BLOCK_SAMPLES = 2 ** 15
 
 # Newton limits of the homodyne likelihood fit: iterations per row, the
-# trace-scaled gradient norm that counts as converged, the det(g) / (g1 g2)
-# below which a row leaves for the boundary profile, and step halvings per
-# line search
+# trace-scaled gradient norm that counts as converged, the share of |loglik|
+# at or below which a Newton step's predicted gain counts as converged, the
+# det(g) / (g1 g2) below which a row leaves for the boundary profile, and
+# step halvings per line search
 _MAX_ITERATIONS = 200
 _GRADIENT_TOL = 1e-8
+_ROUNDING_FLOOR = 8 * 2.0 ** -52
 _BOUNDARY_DET = 1e-6
 _MAX_HALVINGS = 60
 
@@ -287,23 +289,38 @@ def _evaluate(p: np.ndarray, v: np.ndarray, x2: np.ndarray):
     return g, f, cvar, scales
 
 
-def _gradient(v: np.ndarray, x2: np.ndarray, cvar: np.ndarray):
-    """(grad_g, C^2): the likelihood gradient in g of each row, and the
-    squared variances, whose rows _ascent_directions takes over.
+def _derivatives(v: np.ndarray, x2: np.ndarray, cvar: np.ndarray):
+    """(grad_g, hess_g): the likelihood's gradient and Hessian in g of each
+    row, from three contractions over N; cvar's rows are overwritten.
 
-    Each gradient component is the sum over N of one (rows, N) product,
-    formed in one scratch array.
+    With r = 1/C, the gradient is 1/2 sum v (x^2 r - 1) r and the Hessian
+    -1/2 sum v v^T w, w = 2 x^2 r^3 - r^2.  Since v0 + v1 = 1 and v2^2 =
+    2 v0 v1, its six entries follow from five sums of v w and v v0 w:
+    v1 v1 = v1 - v0 v1, v1 v2 = v2 - v0 v2 and v2 v2 = 2 v0 v1.  Each
+    contraction is einsum's "tiN,tN->ti", which sums each row alone: other
+    forms, such as "twN,tbN->twb", make a row's bits depend on the rows
+    beside it.
     """
-    square = cvar * cvar
-    resid = np.divide(x2, square)
-    resid -= 1.0 / cvar
-    grad_g = np.empty((len(cvar), 3))
-    term = np.empty_like(resid)
-    for k in range(3):
-        np.multiply(v[:, k], resid, out=term)
-        np.add.reduce(term, axis=-1, out=grad_g[:, k])
+    r = np.divide(1.0, cvar, out=cvar)
+    w = np.multiply(x2, r)
+    w -= 1.0
+    w *= r
+    grad_g = np.einsum("tiN,tN->ti", v, w)
     grad_g *= 0.5
-    return grad_g, square
+    # 2 x^2 r^3 - r^2 = (2 (x^2 r - 1) r + r) r, in the rows of w
+    w *= 2.0
+    w += r
+    w *= r
+    s = np.einsum("tiN,tN->ti", v, w)
+    t = np.einsum("tiN,tN->ti", v, np.multiply(w, v[:, 0], out=r))
+    sums = np.concatenate([t, s[:, 1:] - t[:, 1:], 2.0 * t[:, 1:2]], axis=1)
+    sums *= -0.5
+    return grad_g, np.take(sums, _HESSIAN_SLOTS, axis=1).reshape(len(sums), 3, 3)
+
+
+# each row's Hessian in g, 3x3 row-major, as slots of the sums of v0 v0 w,
+# v0 v1 w, v0 v2 w, v1 v1 w, v1 v2 w and v2 v2 w
+_HESSIAN_SLOTS = np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])
 
 
 # Each row's chain-rule matrices as slots of its chain entries: the
@@ -319,17 +336,22 @@ _CHAIN_FACTORS = np.array([[2.0], [4.0]])
 _CHAIN_CONSTANTS = np.array([0.0, 2.0])
 
 
-def _ascent_directions(p, scales, v, x2, cvar, grad_g, square):
-    """(step, curved): each row's step in (ln a, b, ln c), and the mask of
-    the rows whose step is scaled by their curvature.  square holds C^2,
-    and its rows are overwritten.
+def _ascent_directions(p, scales, grad_g, hess_g, f):
+    """(step, curved, flat): each row's step in (ln a, b, ln c) from its
+    gradient grad_g and Hessian hess_g in g, the mask of the rows whose
+    step is scaled by their curvature, and the mask of the Newton rows at
+    the rounding floor of their likelihood f.
 
     A row whose chained Hessian H is negative definite takes the Newton
     step -H^-1 grad.  A row whose H is finite but not negative definite
     takes the saddle-free step Q |L|^-1 Q^T grad of H = Q L Q^T (Dauphin et
     al., NeurIPS 2014), each |eigenvalue| floored at _SADDLE_FLOOR of the
     row's largest: it ascends where unit steepest ascent would crawl along
-    an indefinite H.  Every other row takes unit steepest ascent.
+    an indefinite H.  Every other row takes unit steepest ascent.  A Newton
+    row is flat when its step's predicted gain 1/2 grad^T step, half its
+    Newton decrement, is at most _ROUNDING_FLOOR |f|: below that no step
+    can raise the likelihood by more than the rounding of its sum (Boyd &
+    Vandenberghe, Convex Optimization, 2004, sec. 9.5.1).
 
     The test and the solves call the LAPACK gufuncs that np.linalg.eigvalsh,
     np.linalg.solve and np.linalg.eigh run, without their argument checks:
@@ -337,17 +359,11 @@ def _ascent_directions(p, scales, v, x2, cvar, grad_g, square):
     saddle-free steps are formed entry by entry, so that no row's bits
     depend on the rows beside it.  A LAPACK failure gives that row nan,
     which the fit's own fallbacks meet: nan eigenvalues take unit steepest
-    ascent, and a nan Newton step never raises the likelihood, so the row
-    stalls.
+    ascent, and a nan Newton step is not flat and never raises the
+    likelihood, so the row stalls.
     """
     rows = len(p)
     b = p[:, 1]
-    # 1/C^2 - 2 x^2/C^3, in the rows of C^2
-    curv = np.divide(1.0, square, out=square)
-    twice = 2.0 * x2
-    twice /= cvar ** 3
-    curv -= twice
-    hess_g = 0.5 * np.einsum("tiN,tN,tjN->tij", v, curv, v)
     # per row: the Jacobian and the three second-derivative matrices; these
     # are added as whole matrices, so that an inf or nan gradient component
     # reaches every entry
@@ -377,24 +393,26 @@ def _ascent_directions(p, scales, v, x2, cvar, grad_g, square):
     newton = top < 0.0
     count = np.count_nonzero(newton)
     if count == rows:
-        return _umath_linalg.solve(hess_p, -grad_p[:, :, None],
-                                   signature="dd->d")[:, :, 0], newton
-    step = np.empty_like(grad_p)
-    if count:
-        step[newton] = _umath_linalg.solve(hess_p[newton], -grad_p[newton][:, :, None],
-                                           signature="dd->d")[:, :, 0]
-    saddle = top >= 0.0
-    if np.count_nonzero(saddle):
-        w, q = _umath_linalg.eigh_lo(hess_p[saddle], signature="d->dd")
-        steps = _saddle_free_steps(w, q, grad_p[saddle])
-        # an eigh failure leaves nan steps, whose rows fall through
-        ok = np.logical_and.reduce(np.isfinite(steps), axis=1)
-        saddle[saddle] = ok
-        step[saddle] = steps[ok]
-    curved = newton | saddle
-    ascent = grad_p[~curved]
-    step[~curved] = ascent / np.sqrt(np.add.reduce(ascent * ascent, axis=-1))[:, None]
-    return step, curved
+        step = _umath_linalg.solve(hess_p, -grad_p[:, :, None], signature="dd->d")[:, :, 0]
+        curved = newton
+    else:
+        step = np.empty_like(grad_p)
+        if count:
+            step[newton] = _umath_linalg.solve(hess_p[newton], -grad_p[newton][:, :, None],
+                                               signature="dd->d")[:, :, 0]
+        saddle = top >= 0.0
+        if np.count_nonzero(saddle):
+            w, q = _umath_linalg.eigh_lo(hess_p[saddle], signature="d->dd")
+            steps = _saddle_free_steps(w, q, grad_p[saddle])
+            # an eigh failure leaves nan steps, whose rows fall through
+            ok = np.logical_and.reduce(np.isfinite(steps), axis=1)
+            saddle[saddle] = ok
+            step[saddle] = steps[ok]
+        curved = newton | saddle
+        ascent = grad_p[~curved]
+        step[~curved] = ascent / np.sqrt(np.add.reduce(ascent * ascent, axis=-1))[:, None]
+    gain = 0.5 * np.add.reduce(grad_p * step, axis=1)
+    return step, curved, newton & (gain <= _ROUNDING_FLOOR * np.abs(f))
 
 
 # each |eigenvalue| of a saddle-free step is at least this share of the
@@ -521,19 +539,21 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
     """Newton ascent from the parameter rows p, one row per trial, in lockstep.
 
     A row leaves the block when its trace-scaled gradient norm reaches the
-    tolerance (converged), when no step halving raises its likelihood
-    (stalled), or when an accepted step takes det(g) below _BOUNDARY_DET g1
-    g2 and the boundary point of _boundary_fits beats the step and is a
-    maximum on the closed cone det(g) >= 0, its likelihood falling into
-    the interior (boundary): such a row drifts to the singular edge det(g)
-    = 0, which the log-Cholesky parameters reach only at infinity.  Any
-    other row below _BOUNDARY_DET iterates on, since an interior optimum
-    can lie that close to the edge on thin states, and keeps its best
-    boundary point: wherever that beats the row's last iterate, the row
-    ends there (boundary).  Rows still iterating after _MAX_ITERATIONS
-    stop there (stalled).  The arrays of a row that leaves are overwritten
-    in place (_drop_rows), and live holds the trial of each row still
-    iterating.  Returns (g, loglik, iterations, status) per trial.
+    tolerance or its Newton step's predicted gain reaches the rounding
+    floor of its likelihood (converged, see _ascent_directions), when no
+    step halving raises its likelihood (stalled), or when an accepted step
+    takes det(g) below _BOUNDARY_DET g1 g2 and the boundary point of
+    _boundary_fits beats the step and is a maximum on the closed cone
+    det(g) >= 0, its likelihood falling into the interior (boundary): such
+    a row drifts to the singular edge det(g) = 0, which the log-Cholesky
+    parameters reach only at infinity.  Any other row below _BOUNDARY_DET
+    iterates on, since an interior optimum can lie that close to the edge
+    on thin states, and keeps its best boundary point: wherever that beats
+    the row's last iterate, the row ends there (boundary).  Rows still
+    iterating after _MAX_ITERATIONS stop there (stalled).  The arrays of a
+    row that leaves are overwritten in place (_drop_rows), and live holds
+    the trial of each row still iterating.  Returns (g, loglik, iterations,
+    status) per trial.
 
     The loop runs in one floating-point state that neither warns nor
     raises: a far-off trial step overflows to inf or nan and is rejected,
@@ -552,9 +572,13 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
         for it in range(1, _MAX_ITERATIONS + 1):
             if not live.size:
                 break
-            grad_g, square = _gradient(v, x2, cvar)
+            grad_g, hess_g = _derivatives(v, x2, cvar)
+            # this pass's variances are freed before the line search, which
+            # forms the next ones
+            del cvar
+            step, curved, done = _ascent_directions(p, scales, grad_g, hess_g, f)
             # the norm as np.linalg.norm computes it
-            done = np.sqrt(np.add.reduce(grad_g * grad_g, axis=-1)) * (g[:, 0] + g[:, 1]) / n \
+            done |= np.sqrt(np.add.reduce(grad_g * grad_g, axis=-1)) * (g[:, 0] + g[:, 1]) / n \
                 <= _GRADIENT_TOL
             # the masks are tested with np.count_nonzero, which costs a third
             # of .any() or .all() on a few rows
@@ -562,14 +586,10 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
                 gone = live[done]
                 status[gone] = "converged"
                 g_out[gone], f_out[gone], iterations[gone] = g[done], f[done], it
-                live, p, g, f, cvar, scales, v, x2, grad_g, square = _drop_rows(
-                    done, [live, p, g, f, cvar, scales, v, x2, grad_g, square])
+                live, p, g, f, scales, v, x2, step, curved = _drop_rows(
+                    done, [live, p, g, f, scales, v, x2, step, curved])
                 if not live.size:
                     break
-            step, curved = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
-            # the curvature rows and this pass's variances are freed before the
-            # line search, which forms the next ones
-            del square, cvar
             found, accepted = _line_search(p, step, f, v, x2, curved)
             if np.count_nonzero(found) < len(found):
                 # likelihood flat to machine precision but gradient target missed

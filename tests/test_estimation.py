@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import statistics
@@ -430,18 +431,23 @@ def assert_empty(fit: BlockFit):
 class TestHomodyneMlBlock:
     @pytest.mark.parametrize("master_seed", [0, 1])
     @pytest.mark.parametrize("lane, n", [(0, 50), (1, 100), (2, 150)])
-    def test_rows_equal_single_fits(self, master_seed, lane, n):
+    def test_rows_equal_single_fits(self, monkeypatch, master_seed, lane, n):
         thetas, xs = fig5_lane(master_seed, lane, n)
-        block = estimate_homodyne_ml_block(thetas, xs, FIG5.eta)
-        singles = [estimate_homodyne_ml((t, x), FIG5.eta) for t, x in zip(thetas, xs)]
-        assert rows_bits(block) == [result_bits(r) for r in singles]
-        # each block holds a fit that stalls on a flat likelihood
         limit = estimation._MAX_ITERATIONS
-        assert (~block.converged & (block.iterations < limit)).any()
-        if (master_seed, n) == (1, 50):
-            # trial 15 crawled to the iteration limit on unit steepest-ascent
-            # steps before the saddle-free fallback; it ends on the boundary
-            assert block.status[15] == "boundary" and block.iterations[15] < limit
+        # with the rounding floor, and without it, as before the floor was
+        # added: then each block holds a fit that stalls on a flat likelihood
+        for floor in (estimation._ROUNDING_FLOOR, 0.0):
+            monkeypatch.setattr(estimation, "_ROUNDING_FLOOR", floor)
+            block = estimate_homodyne_ml_block(thetas, xs, FIG5.eta)
+            singles = [estimate_homodyne_ml((t, x), FIG5.eta) for t, x in zip(thetas, xs)]
+            assert rows_bits(block) == [result_bits(r) for r in singles]
+            stalled = block.status == "stalled"
+            assert stalled.any() == (floor == 0.0)
+            assert (block.iterations[stalled] < limit).all()
+            if (master_seed, n) == (1, 50):
+                # trial 15 crawled to the iteration limit on unit steepest-ascent
+                # steps before the saddle-free fallback; it ends on the boundary
+                assert block.status[15] == "boundary" and block.iterations[15] < limit
 
     def test_options_reach_every_row(self, monkeypatch):
         # the fit reads its limits at call time, in the block and in a
@@ -522,15 +528,15 @@ class TestHomodyneMlBlock:
         thetas, xs = fig5_lane(0, 0, 50, trials=3)
         v, x2 = bin_vectors(thetas), xs * xs
         p = moment_starts(v, x2, thetas)
-        _, _, cvar, scales = _evaluate(p, v, x2)
-        grad_g = 0.5 * (v * (x2 / (cvar * cvar) - 1.0 / cvar)[:, None, :]).sum(axis=-1)
+        _, f, cvar, scales = _evaluate(p, v, x2)
+        grad_g, _ = estimation._derivatives(v, x2, cvar.copy())
         cvar[1, 7] = math.nan  # reaches row 1's Hessian, not its gradient
-        steps, newton = _ascent_directions(p, scales, v, x2, cvar, grad_g, cvar * cvar)
-        alone = [_ascent_directions(*(a[t:t + 1] for a in (p, scales, v, x2, cvar, grad_g,
-                                                           cvar * cvar)))[0][0]
+        _, hess_g = estimation._derivatives(v, x2, cvar)
+        steps, curved, flat = _ascent_directions(p, scales, grad_g, hess_g, f)
+        alone = [_ascent_directions(*(a[t:t + 1] for a in (p, scales, grad_g, hess_g, f)))[0][0]
                  for t in range(3)]
         assert steps.tolist() == [step.tolist() for step in alone]
-        assert not newton[1]
+        assert not curved[1] and not flat[1]
         assert np.linalg.norm(steps[1]) == pytest.approx(1.0, rel=1e-15)
         assert np.isfinite(steps).all()
 
@@ -838,7 +844,9 @@ class TestLineSearch:
         assert [first for first, _ in blocks] == streams[::8]
 
     def test_stalled_row_stops_at_its_first_no_op_halving(self, monkeypatch):
-        # trial 1 of this block stalls at its third iteration
+        # without the rounding floor, trial 1 of this block stalls at its
+        # third iteration
+        monkeypatch.setattr(estimation, "_ROUNDING_FLOOR", 0.0)
         thetas, xs = crb_block(11, 0)
         calls = []
 
@@ -857,19 +865,24 @@ class TestLineSearch:
         assert pruned_rows < sum(calls)
 
 
-def reference_ascent_directions(p, scales, v, x2, cvar, grad_g, square):
+def reference_derivatives(v, x2, cvar):
+    """The likelihood's gradient and Hessian in g of each row, by the
+    formulas the fit took before its three contractions: 1/2 sum v (x^2/C^2
+    - 1/C), and 1/2 sum (1/C^2 - 2 x^2/C^3) v v^T by a three-operand einsum."""
+    grad = 0.5 * (v * (x2 / (cvar * cvar) - 1.0 / cvar)[:, None, :]).sum(axis=-1)
+    curv = 1.0 / (cvar * cvar) - 2.0 * x2 / cvar ** 3
+    return grad, 0.5 * np.einsum("tiN,tN,tjN->tij", v, curv, v)
+
+
+def reference_ascent_directions(p, scales, grad_g, hess_g, f):
     """_ascent_directions' steps by np.linalg: Newton steps by
     np.linalg.solve where np.linalg.eigvalsh finds the chained Hessian
     negative definite, saddle-free steps by np.linalg.eigh and matrix
     products where it does not, and unit steepest ascent where the Hessian
-    is not finite; and each row's kind of step."""
+    is not finite; each row's kind of step; and the Newton rows whose
+    predicted gain 1/2 grad^T step is at most _ROUNDING_FLOOR |f|."""
     rows = len(p)
     b = p[:, 1]
-    curv = np.divide(1.0, square, out=square)
-    twice = 2.0 * x2
-    twice /= cvar ** 3
-    curv -= twice
-    hess_g = 0.5 * np.einsum("tiN,tN,tjN->tij", v, curv, v)
     entries = np.empty((rows, 9))
     ac = scales[:, None, :]
     np.multiply(estimation._CHAIN_FACTORS * ac, ac, out=entries[:, :4].reshape(rows, 2, 2))
@@ -891,12 +904,59 @@ def reference_ascent_directions(p, scales, v, x2, cvar, grad_g, square):
         elif np.linalg.eigvalsh(hess_p[t]).max() < 0.0:
             kinds.append("newton")
             step[t] = np.linalg.solve(hess_p[t], -grad_p[t])
+            if 0.5 * np.add.reduce(grad_p[t] * step[t]) <= estimation._ROUNDING_FLOOR * abs(f[t]):
+                kinds[-1] = "flat"
         else:
             kinds.append("saddle")
             w, q = np.linalg.eigh(hess_p[t])
             mag = np.maximum(np.abs(w), 1e-12 * np.abs(w).max())
             step[t] = q @ ((q.T @ grad_p[t]) / mag)
     return step, kinds
+
+
+def thin_block():
+    """The five thin-state records of THIN_PARENT_LOGLIK at lambda = 1e4,
+    N = 2000, as (trials, N) arrays."""
+    records = [thin_record(1e4, 2000, trial) for trial in range(5)]
+    return np.stack([r[0] for r in records]), np.stack([r[1] for r in records])
+
+
+class TestDerivatives:
+    @pytest.mark.parametrize("block, eta", [(lambda: crb_block(11, 0), CRB.eta),
+                                            (lambda: fig5_lane(0, 2, 150), FIG5.eta),
+                                            (thin_block, 1.0)], ids=["crb", "fig5", "thin"])
+    def test_equal_the_per_sample_formulas(self, block, eta):
+        # at the moment starts; at the fits, where the gradient is rounding
+        # noise, the Hessian alone
+        thetas, xs = block()
+        v, x2 = bin_vectors(thetas), xs * xs
+        cvar = _evaluate(moment_starts(v, x2, thetas), v, x2)[2]
+        for got, want in zip(estimation._derivatives(v, x2, cvar.copy()),
+                             reference_derivatives(v, x2, cvar)):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+        g = estimate_homodyne_ml_block(thetas, xs, eta).g_effective
+        cvar = np.einsum("tk,tkN->tN", g, v)
+        np.testing.assert_allclose(estimation._derivatives(v, x2, cvar.copy())[1],
+                                   reference_derivatives(v, x2, cvar)[1], rtol=1e-12)
+
+    @pytest.mark.parametrize("block", [lambda: crb_block(11, 0, trials=6),
+                                       lambda: fig5_lane(0, 2, 150)], ids=["crb", "fig5"])
+    def test_rows_are_contracted_alone(self, block):
+        # each row's bits, whether alone, in its block, or in the block's
+        # rows in another order
+        thetas, xs = block()
+        v, x2 = bin_vectors(thetas), xs * xs
+        cvar = _evaluate(moment_starts(v, x2, thetas), v, x2)[2]
+        rows = len(xs)
+        alone = [[a.tobytes() for a in estimation._derivatives(v[t:t + 1], x2[t:t + 1],
+                                                               cvar[t:t + 1].copy())]
+                 for t in range(rows)]
+        stacked = estimation._derivatives(v, x2, cvar.copy())
+        assert [[a[t:t + 1].tobytes() for a in stacked] for t in range(rows)] == alone
+        order = np.random.default_rng(64).permutation(rows)
+        shuffled = estimation._derivatives(v[order], x2[order], cvar[order])
+        assert [[a[i:i + 1].tobytes() for a in shuffled] for i in range(rows)] \
+            == [alone[t] for t in order]
 
 
 class TestLapackCalls:
@@ -976,9 +1036,9 @@ class TestLapackCalls:
         ascent = estimation._ascent_directions
 
         def recording(*args):
-            step, curved = ascent(*args)
+            step, curved, flat = ascent(*args)
             steps.append(step[~curved])
-            return step, curved
+            return step, curved, flat
 
         monkeypatch.setattr(estimation, "_ascent_directions", recording)
         fit, curved = self.fit_quietly(monkeypatch, "eigh_lo")
@@ -992,11 +1052,11 @@ class TestLapackCalls:
         # bit for bit, saddle-free rows to rounding
         kinds = set()
 
-        def checking(p, scales, v, x2, cvar, grad_g, square):
-            want, kind = reference_ascent_directions(p, scales, v, x2, cvar, grad_g,
-                                                     square.copy())
-            step, curved = _ascent_directions(p, scales, v, x2, cvar, grad_g, square)
+        def checking(p, scales, grad_g, hess_g, f):
+            want, kind = reference_ascent_directions(p, scales, grad_g, hess_g, f)
+            step, curved, flat = _ascent_directions(p, scales, grad_g, hess_g, f)
             assert curved.tolist() == [k != "ascent" for k in kind]
+            assert flat.tolist() == [k == "flat" for k in kind]
             for t, k in enumerate(kind):
                 if k == "saddle":
                     np.testing.assert_allclose(step[t], want[t], rtol=1e-9,
@@ -1004,13 +1064,13 @@ class TestLapackCalls:
                 else:
                     assert step[t].tobytes() == want[t].tobytes()
             kinds.update(kind)
-            return step, curved
+            return step, curved, flat
 
         monkeypatch.setattr(estimation, "_ascent_directions", checking)
         for master in range(3):
             estimate_homodyne_ml_block(*fig5_lane(master, 0, 50), FIG5.eta)
         estimate_homodyne_ml_block(*crb_block(11, 0), CRB.eta)
-        assert kinds == {"newton", "saddle"}
+        assert kinds == {"newton", "saddle", "flat"}
 
     def test_saddle_free_step_ascends_along_every_eigenvector(self):
         # Q |L|^-1 Q^T grad: each eigen-component of grad scaled by
@@ -1044,14 +1104,15 @@ def boundary_profile(theta: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndar
 @pytest.fixture(scope="module")
 def fit_set():
     """The homodyne blocks of fig5 master seeds 0-39, N in (50, 100, 150),
-    20 trials, as (master seed, N, thetas, xs, fit), and the Newton passes
-    they took."""
+    20 trials, as (master seed, N, thetas, xs, fit), the Newton passes
+    they took, and the rows the rounding floor ended."""
     blocks, passes = [], []
     ascent = estimation._ascent_directions
 
     def counting(*args):
-        passes.append(1)
-        return ascent(*args)
+        out = ascent(*args)
+        passes.append(np.count_nonzero(out[2]))
+        return out
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimation, "_ascent_directions", counting)
@@ -1060,7 +1121,56 @@ def fit_set():
                 thetas, xs = fig5_lane(master, lane, n)
                 blocks.append((master, n, thetas, xs,
                                estimate_homodyne_ml_block(thetas, xs, FIG5.eta)))
-    return blocks, len(passes)
+    return blocks, len(passes), sum(passes)
+
+
+def newton_gain(v: np.ndarray, x2: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Each row's loglik gain from g by one full Newton step in g, taken
+    with reference_derivatives."""
+    cvar = np.einsum("tk,tkN->tN", g, v)
+    grad, hess = reference_derivatives(v, x2, cvar)
+    step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
+    return gaussian_loglik(v, x2, g + step) - gaussian_loglik(v, x2, g)
+
+
+@pytest.fixture(scope="module")
+def crb_fit_set():
+    """The homodyne lanes of the benchmark's crb workload at master seeds
+    11-14, 60 trials of N = 10^4 fitted in blocks of 3 on one thread, as
+    (fit, newton_gain of each row); the Newton passes they took, the rows
+    the rounding floor ended, and the samples each lane's line searches
+    evaluated."""
+    lanes, passes, searched = [], [], []
+    ascent, line_search, evaluate = (estimation._ascent_directions, estimation._line_search,
+                                     estimation._evaluate)
+
+    def counting(*args):
+        out = ascent(*args)
+        passes.append(np.count_nonzero(out[2]))
+        return out
+
+    def counting_evaluate(p, v, x2):
+        searched[-1] += p.size // 3 * x2.shape[-1]
+        return evaluate(p, v, x2)
+
+    def searching(*args):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(estimation, "_evaluate", counting_evaluate)
+            return line_search(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "_ascent_directions", counting)
+        patch.setattr(estimation, "_line_search", searching)
+        for master in range(11, 15):
+            searched.append(0)
+            fit = _run_trials(CRB, SchemeKind.HOMODYNE, 10_000, SeedSpec(master), 0, 60, 1)
+            gains = []
+            for first in range(0, 60, 3):
+                thetas, xs = crb_block(master, first)
+                gains.append(newton_gain(bin_vectors(thetas), xs * xs,
+                                         fit.g_effective[first:first + 3]))
+            lanes.append((fit, np.concatenate(gains)))
+    return lanes, len(passes), sum(passes), searched
 
 
 # the loglik of thin-state fits (lambda, N, trial) at mu = 2, eta = 1, seed
@@ -1175,16 +1285,46 @@ class TestBoundaryExit:
 
 class TestFitSet:
     def test_every_row_ends_before_the_iteration_limit(self, fit_set):
-        blocks, passes = fit_set
+        blocks, passes, _ = fit_set
         iterations = np.concatenate([fit.iterations for *_, fit in blocks])
         assert iterations.max() < estimation._MAX_ITERATIONS
-        # 3731 passes before the saddle-free fallback and the boundary branch
-        assert passes <= 2000
-        statuses = set(np.concatenate([fit.status for *_, fit in blocks]).tolist())
-        assert statuses == {"converged", "boundary", "stalled"}
+        # 3731 passes before the saddle-free fallback and the boundary
+        # branch, 1776 before the rounding floor, which ends each row in a
+        # pass that forms its step: 1832
+        assert passes <= 1850
+        statuses = collections.Counter(np.concatenate([fit.status for *_, fit in blocks]))
+        # 2106, 58 and 236 stalled before the rounding floor
+        assert statuses == {"converged": 2342, "boundary": 58}
+
+    def test_rows_at_the_rounding_floor_are_optima(self, fit_set):
+        # every converged row ends at the floor, and one more Newton step
+        # gains it no more than the rounding of its likelihood
+        blocks, _, floored = fit_set
+        assert floored == 2342
+        for master, n, thetas, xs, fit in blocks:
+            rows = fit.converged
+            gain = newton_gain(bin_vectors(thetas[rows]), xs[rows] ** 2, fit.g_effective[rows])
+            assert (gain <= 1e-9).all(), (master, n)
+
+    def test_crb_rows_end_converged_at_their_optimum(self, crb_fit_set):
+        lanes, passes, floored, searched = crb_fit_set
+        fits = [fit for fit, _ in lanes]
+        # 217 converged and 23 stalled before the rounding floor
+        assert collections.Counter(np.concatenate([fit.status for fit in fits])) \
+            == {"converged": 240}
+        assert floored == 240
+        assert max(fit.iterations.max() for fit in fits) < estimation._MAX_ITERATIONS
+        assert all((gain <= 1e-9).all() for _, gain in lanes)
+        # 315 lockstep passes and 847 row-iterations, against 323 and 909
+        # before the rounding floor
+        assert passes <= 320
+        assert sum(fit.iterations.sum() for fit in fits) <= 850
+        # master seed 11's lane: 1.51M samples, against 3.86M before the
+        # rounding floor, when rows at their optimum halved their steps
+        assert searched[0] <= 1_600_000
 
     def test_boundary_rows_end_at_their_profiles_maximum(self, fit_set):
-        blocks, _ = fit_set
+        blocks, _, _ = fit_set
         count = 0
         for master, n, thetas, xs, fit in blocks:
             for t in np.flatnonzero(fit.status == "boundary"):
@@ -1206,7 +1346,7 @@ class TestFitSet:
         assert count > 0
 
     def test_rows_that_crawled_end_no_lower(self, fit_set):
-        blocks, _ = fit_set
+        blocks, _, _ = fit_set
         fits = {(master, n): fit for master, n, *_, fit in blocks}
         for (master, n, t), parent in PARENT_LOGLIK.items():
             assert fits[master, n].loglik[t] >= parent - 1e-9, (master, n, t)

@@ -91,8 +91,8 @@ def test_line_search_from_the_full_step_changes_no_bit(n, master, data):
         draw = list(_homodyne_block(STATE, n, ContinuousSweep(), SeedSpec(master), rows))
         _, (v, x2, p) = _fit_inputs(STATE.eta, draw)
         g, f, cvar, scales = estimation._evaluate(p, v, x2)
-        grad_g, square = estimation._gradient(v, x2, cvar)
-        step, _ = estimation._ascent_directions(p, scales, v, x2, cvar, grad_g, square)
+        grad_g, hess_g = estimation._derivatives(v, x2, cvar)
+        step, _, _ = estimation._ascent_directions(p, scales, grad_g, hess_g, f)
         rng = np.random.default_rng(master)
         for row, kind in enumerate(data.draw(st.lists(STEPS, min_size=rows, max_size=rows),
                                              label="steps")):

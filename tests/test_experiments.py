@@ -32,12 +32,12 @@ SPLIT_CRB = {"experiment": "crb-attainment",
 # update the digest and say why.
 PINNED_SHA256 = {
     # gausstomo fig5 --trials 20 --seed 0
-    "fig5": "637dfdc52851921a389fdd70b366d8a083f50a1869ba4efb61e1d591e7125ced",
+    "fig5": "63bfbc71469f01f38b067b61c4edfe5b38e30d92c6dd3eac75e933cf087c2d36",
     # [seed, exit code, stdout, stderr] of each fig5 --trials 20 --threads 1
     # --seed 0 .. 39, as JSON
     "fig5-benchmark-seeds":
-        "11dba2cd485e8997106ba499104208e62c754b76503fd8193e0b9ad73c4e5073",
-    "split-crb": "2b9a27097e7c415142aa867511382afca6007ef72c2985b5cf2372f3dfd33fb9",
+        "43bf5cd3dd46a067078586769f0cb42222b8b178119f3eb88399b449ca2f9852",
+    "split-crb": "2c68083ec258f343c9ccbbf83b0844f743c948c41ed55dac1fc50a01ccda012c",
     # SURFACE_GRID in each mode
     "surface-real": "d040addf29b374a51d4f7dae0fc6a611fe2cdd1fd21ca377585408fbe6d52fb0",
     "surface-hypothetical":
@@ -59,8 +59,8 @@ PINNED_SHA256 = {
         "4af2bc91930a503cfeb24ce1e71edc7ab1b09f24383784221891e22c0009074f",
     "crb-heterodyne": "a65194ed0e7736d4931285ded3ee305107df5ae0df24294308071a88d0491d4f",
     # the result and ellipse of `estimate` on each simulate-*-csv table
-    "estimate-grid": "4a6811c30ab589993b53745fc895d9ef4110804ac3a79bd9d0abc7fe18c7d814",
-    "estimate-sweep": "7e5d0d39e860697d7b3b02526d323a567033c566bb87a3a4681f0427c49cf9f8",
+    "estimate-grid": "e6b39526e5e807bd7eb1bc04f4e51c798e8bd448cc0dfc11bb2f51c17530fb43",
+    "estimate-sweep": "6b16dd50bf98d13442dea552600e67aead9fc2ff2bd4f2226e60a960054daf5b",
     "estimate-heterodyne": "1ba015668021f4167b21e660be9d03e456000b6eeb8664f1bafbbe8aee3c0b51",
 }
 
