@@ -137,7 +137,8 @@ def estimate_heterodyne(data: np.ndarray, eta: float) -> EstimationResult:
     heterodyne data covariance at every N; subtracting the offset
     (2 - eta)/(2 eta) I yields the Wigner-covariance estimate that
     attains the Cramer-Rao bound asymptotically.  `data` is an (n, 2)
-    array of (x, p) pairs, n >= 2.
+    array of (x, p) pairs, n >= 2, whose moment matrix must have a
+    positive determinant: on a singular one the likelihood is unbounded.
     """
     z = np.asarray(data, dtype=float)
     if z.ndim != 2 or z.shape[1] != 2:
@@ -148,8 +149,14 @@ def estimate_heterodyne(data: np.ndarray, eta: float) -> EstimationResult:
     x, p = z[None, :, 0], z[None, :, 1]
     with np.errstate(over="ignore", invalid="ignore"):
         moments = [np.mean(a * b, axis=1) for a, b in ((x, x), (p, p), (x, p))]
-    return _single_result(estimate_heterodyne_moments(*moments, n, eta),
-                          SchemeKind.HETERODYNE)
+    result = _single_result(estimate_heterodyne_moments(*moments, n, eta),
+                            SchemeKind.HETERODYNE)
+    # a det that overflows to inf or nan is left to the caller, as a
+    # non-finite loglik
+    if result.g_effective.det <= 0.0:
+        raise DomainError("heterodyne data must have a second-moment matrix with a "
+                          f"positive determinant, got {result.g_effective.det}")
+    return result
 
 
 def estimate_heterodyne_moments(s11: np.ndarray, s22: np.ndarray, s12: np.ndarray,
@@ -185,12 +192,14 @@ _BLOCK_SAMPLES = 2 ** 15
 # Newton limits of the homodyne likelihood fit: iterations per row, the
 # trace-scaled gradient norm that counts as converged, the share of |loglik|
 # at or below which a Newton step's predicted gain counts as converged, the
-# det(g) / (g1 g2) below which a row leaves for the boundary profile, and
-# step halvings per line search
+# det(g) / (g1 g2) below which a row leaves for the boundary profile, the
+# pass from which every row still iterating is tested for it, and step
+# halvings per line search
 _MAX_ITERATIONS = 200
 _GRADIENT_TOL = 1e-8
 _ROUNDING_FLOOR = 8 * 2.0 ** -52
 _BOUNDARY_DET = 1e-6
+_BOUNDARY_PASSES = 18
 _MAX_HALVINGS = 60
 
 
@@ -546,14 +555,17 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
     _boundary_fits beats the step and is a maximum on the closed cone
     det(g) >= 0, its likelihood falling into the interior (boundary): such
     a row drifts to the singular edge det(g) = 0, which the log-Cholesky
-    parameters reach only at infinity.  Any other row below _BOUNDARY_DET
-    iterates on, since an interior optimum can lie that close to the edge
-    on thin states, and keeps its best boundary point: wherever that beats
-    the row's last iterate, the row ends there (boundary).  Rows still
-    iterating after _MAX_ITERATIONS stop there (stalled).  The arrays of a
-    row that leaves are overwritten in place (_drop_rows), and live holds
-    the trial of each row still iterating.  Returns (g, loglik, iterations,
-    status) per trial.
+    parameters reach only at infinity.  From pass _BOUNDARY_PASSES on,
+    every row is tested so, at any det(g): a drifting row then ends when
+    its boundary point first wins, not when its ln c has fallen far
+    enough, and stops holding its block's lockstep passes.  Any other
+    tested row iterates on, since an interior optimum can lie that close
+    to the edge on thin states, and keeps its best boundary point:
+    wherever that beats the row's last iterate, the row ends there
+    (boundary).  Rows still iterating after _MAX_ITERATIONS stop there
+    (stalled).  The arrays of a row that leaves are overwritten in place
+    (_drop_rows), and live holds the trial of each row still iterating.
+    Returns (g, loglik, iterations, status) per trial.
 
     The loop runs in one floating-point state that neither warns nor
     raises: a far-off trial step overflows to inf or nan and is rejected,
@@ -600,8 +612,9 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
             p, g, f, cvar, scales = accepted
             del accepted
             # det(g) = a^2 c^2 and g1 g2 = a^2 g2, so det(g) < _BOUNDARY_DET g1 g2
-            # compares c^2 with g2
+            # compares c^2 with g2; from pass _BOUNDARY_PASSES on every row is tested
             edge = scales[:, 1] * scales[:, 1] < _BOUNDARY_DET * g[:, 1]
+            edge |= it >= _BOUNDARY_PASSES
             if np.count_nonzero(edge):
                 rows = edge.nonzero()[0]
                 g_row, f_row, kkt = _boundary_fits(v[rows], x2[rows], g[rows])
@@ -779,7 +792,10 @@ def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray],
     step while the Hessian is not negative definite.  Convergence requires
     the trace-scaled per-sample gradient norm to reach _GRADIENT_TOL
     (1e-8).  A fit that drifts to the singular edge det G = 0 ends on it,
-    at the best point of the boundary profile (status "boundary").
+    at the best point of the boundary profile (status "boundary"), once
+    det G < _BOUNDARY_DET g1 g2 (1e-6) or, from pass _BOUNDARY_PASSES
+    (18) on, at any det G, where that point beats the iterate and the
+    likelihood falls from it into the interior.
 
     `data` is a (theta, x) pair of matching 1-d arrays; the angles must
     take at least three distinct values or the three-parameter model is

@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._version import __version__
-from .core import Covariance2, DomainError, GaussianStateSpec, SchemeKind, wigner_covariance
+from .core import (Covariance2, DomainError, GaussianStateSpec, NumericalError, SchemeKind,
+                   wigner_covariance)
 from .estimation import (_BLOCK_SAMPLES, BlockFit, UncertaintyEllipse, _block_fit, _fit_block,
                          _fit_inputs, estimate_heterodyne, estimate_heterodyne_moments,
                          estimate_homodyne_ml, to_ellipse)
@@ -384,7 +385,13 @@ def run_estimate(config: dict, threads: int = 1) -> str:
                       "scheme": result.scheme.value},
            "ellipse": None if ellipse is None else asdict(ellipse),
            "fingerprint": fingerprint}
-    return json.dumps(doc, indent=2) + "\n"
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        # strict JSON has no token for nan or inf, such as the loglik of a
+        # det that overflows or the offset of a tiny eta
+        raise NumericalError(f"the estimate from {path} is not finite: g_wigner "
+                             f"{result.g_wigner}, loglik {result.loglik}") from exc
 
 
 def _run_trials(spec: GaussianStateSpec, scheme: SchemeKind, n: int,

@@ -99,13 +99,18 @@ class TestToEllipse:
 
 class TestHeterodyneEstimator:
     def test_antipodal_pair_closed_form(self):
-        # sample covariance diag(1, 0); offset subtraction may leave an
-        # unphysical estimate at tiny n, reported as-is
-        data = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        # an antipodal pair spans one axis: its sample covariance diag(1, 0)
+        # is singular, where the likelihood is unbounded, and is rejected
+        with pytest.raises(DomainError, match="positive determinant"):
+            estimate_heterodyne(np.array([[1.0, 0.0], [-1.0, 0.0]]), eta=1.0)
+        # a pair mirrored in the p axis has sample covariance diag(1, 0.25);
+        # offset subtraction may leave an unphysical estimate at tiny n,
+        # reported as-is
+        data = np.array([[1.0, 0.5], [-1.0, 0.5]])
         result = estimate_heterodyne(data, eta=1.0)
-        assert result.g_effective == Covariance2(1.0, 0.0, 0.0)
+        assert result.g_effective == Covariance2(1.0, 0.25, 0.0)
         assert result.g_wigner.g1 == pytest.approx(0.5)
-        assert result.g_wigner.g2 == pytest.approx(-0.5)
+        assert result.g_wigner.g2 == pytest.approx(-0.25)
         assert result.converged
         assert not result.physical
 
@@ -160,6 +165,14 @@ class TestHeterodyneEstimator:
             estimate_heterodyne(np.zeros(10), eta=1.0)
         with pytest.raises(DomainError, match=r"eta = 0\.0 must lie in"):
             estimate_heterodyne(np.zeros((5, 2)), eta=0.0)
+
+    @pytest.mark.parametrize("data", [np.zeros((2, 2)), [[5e-324, 0.0], [0.0, 5e-324]],
+                                      [[1.0, 2.0], [-2.0, -4.0], [0.5, 1.0]]])
+    def test_rejects_a_singular_moment_matrix(self, data):
+        # zeros, squares that underflow, and collinear pairs: the likelihood
+        # grows without bound as the covariance shrinks onto their span
+        with pytest.raises(DomainError, match="positive determinant"):
+            estimate_heterodyne(np.asarray(data), eta=0.5)
 
 
 class TestHeterodyneBlock:
@@ -487,8 +500,9 @@ class TestHomodyneMlBlock:
 
     def test_stalled_rows_leave_out_of_trial_order(self, monkeypatch):
         # a row that leaves is overwritten by a later live row, which fits on
-        # from that place; every row still equals its own fit
-        thetas, xs = fig5_lane(0, 0, 50)
+        # from that place; every row still equals its own fit.  In this block
+        # trial 17 ends on the boundary at pass 13, while other rows iterate
+        thetas, xs = fig5_lane(33, 0, 50)
         refilled = []
         drop = estimation._drop_rows
 
@@ -1283,6 +1297,37 @@ class TestBoundaryExit:
                 assert fit.g_effective[trial].tobytes() == g_edge.tobytes()
 
 
+# fig5 rows past master seed 39 that the boundary test first met at pass
+# _BOUNDARY_PASSES: (master seed, N, trial) and the (status, iterations,
+# loglik) each ended with when the test waited for det < _BOUNDARY_DET g1 g2
+FLOORED_ROWS = {(157, 50, 18): ("stalled", 44, -104.18764955083265),
+                (41, 50, 19): ("converged", 30, -100.30184437955644),
+                (147, 50, 10): ("stalled", 200, -119.2933563160208),
+                (281, 100, 19): ("stalled", 200, -213.20534876766274)}
+
+
+class TestPassFloor:
+    @pytest.mark.parametrize("master, n, trial", list(FLOORED_ROWS))
+    def test_rows_end_on_a_higher_boundary_point(self, master, n, trial):
+        # an interior optimum lower than the boundary's, or a row that
+        # crawled towards the edge until it stalled, ends at pass 18 on the
+        # boundary, higher
+        _, _, parent = FLOORED_ROWS[master, n, trial]
+        thetas, xs = fig5_lane(master, (50, 100, 150).index(n), n)
+        fit = estimate_homodyne_ml_block(thetas, xs, FIG5.eta)
+        assert (fit.status[trial], fit.iterations[trial]) == ("boundary", 18)
+        assert fit.loglik[trial] > parent
+
+    def test_floor_is_read_at_call_time(self, monkeypatch):
+        # past the iteration limit the floor never acts, and the row crawls on
+        thetas, xs = fig5_lane(157, 0, 50)
+        monkeypatch.setattr(estimation, "_BOUNDARY_PASSES", estimation._MAX_ITERATIONS + 1)
+        fit = estimate_homodyne_ml_block(thetas, xs, FIG5.eta)
+        status, iterations, parent = FLOORED_ROWS[157, 50, 18]
+        assert (fit.status[18], fit.iterations[18], fit.loglik[18]) == (status, iterations,
+                                                                        parent)
+
+
 class TestFitSet:
     def test_every_row_ends_before_the_iteration_limit(self, fit_set):
         blocks, passes, _ = fit_set
@@ -1290,11 +1335,28 @@ class TestFitSet:
         assert iterations.max() < estimation._MAX_ITERATIONS
         # 3731 passes before the saddle-free fallback and the boundary
         # branch, 1776 before the rounding floor, which ends each row in a
-        # pass that forms its step: 1832
-        assert passes <= 1850
+        # pass that forms its step, 1832 before the boundary test ran on
+        # every row from pass _BOUNDARY_PASSES on: 1404
+        assert passes <= 1410
+        # 15439 row-iterations and at most 21 per row, against 15948 and 135
+        # before that pass floor
+        assert iterations.sum() <= 15450
+        assert iterations.max() <= 21
         statuses = collections.Counter(np.concatenate([fit.status for *_, fit in blocks]))
         # 2106, 58 and 236 stalled before the rounding floor
         assert statuses == {"converged": 2342, "boundary": 58}
+
+    def test_drifting_row_ends_at_the_pass_floor(self, fit_set):
+        # master 35, N = 50, trial 19 beats its iterate on the boundary and
+        # passes the first-order test from its first passes on, but reached
+        # det < _BOUNDARY_DET g1 g2 only at pass 135; the pass floor ends it
+        # at pass 18 on the same boundary point, bit for bit
+        blocks, _, _ = fit_set
+        fit = next(fit for master, n, *_, fit in blocks if (master, n) == (35, 50))
+        assert (fit.status[19], fit.iterations[19]) == ("boundary", 18)
+        assert [x.hex() for x in fit.g_effective[19].tolist()] == [
+            "0x1.876894b13867bp-11", "0x1.f416106e443e5p+3", "0x1.38d71803f7d26p-3"]
+        assert fit.loglik[19].hex() == "-0x1.b91b4ace10236p+6"
 
     def test_rows_at_the_rounding_floor_are_optima(self, fit_set):
         # every converged row ends at the floor, and one more Newton step

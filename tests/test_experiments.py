@@ -996,6 +996,28 @@ class TestCli:
         err = json.loads(proc.stderr.strip())
         assert err["error"] == "domain" and message in err["message"]
 
+    @pytest.mark.parametrize("scheme, rows, eta, code, error, message", [
+        # a singular moment matrix, whose likelihood is unbounded
+        ("heterodyne", "0,0\n0,0\n", 0.5, 2, "domain", "positive determinant"),
+        # squares that underflow to 0
+        ("heterodyne", "5e-324,0\n0,5e-324\n", 0.5, 2, "domain", "positive determinant"),
+        # the offset (2 - eta) / (2 eta), or (1 - eta) / eta, overflows
+        ("heterodyne", "1.0,2.0\n0.5,0.25\n-1.0,0.5\n", 5e-324, 3, "numerical", "not finite"),
+        ("homodyne", "0,1\n1,0.5\n2,-0.3\n0.5,2\n", 5e-324, 3, "numerical", "not finite"),
+    ], ids=["zeros", "subnormals", "heterodyne-tiny-eta", "homodyne-tiny-eta"])
+    def test_estimate_writes_no_non_finite_number(self, tmp_path, scheme, rows, eta, code,
+                                                  error, message):
+        data = tmp_path / "samples.csv"
+        data.write_text("a,b\n" + rows)
+        cfg = tmp_path / "est.json"
+        cfg.write_text(json.dumps({"experiment": "estimate", "data_path": str(data),
+                                   "scheme": scheme, "eta": eta}))
+        proc = self.run_cli("estimate", "--config", str(cfg))
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""
+        err = json.loads(proc.stderr.strip())
+        assert err["error"] == error and message in err["message"]
+
     @pytest.mark.parametrize("eta, error, message", [
         (0.5, "domain", "3 distinct angles"),
         (1.5, "config", "'eta' must lie in (0, 1]"),

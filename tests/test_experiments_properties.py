@@ -1,6 +1,7 @@
 """Property checks of configs: resolving a resolved config changes
 nothing, which is what makes embedded-config replay byte-exact; and every
-run of a config built from edge floats keeps the exit-code contract."""
+run of a config, or of estimate on a data table, built from edge floats
+keeps the exit-code contract."""
 
 import contextlib
 import io
@@ -116,13 +117,17 @@ EDGE_CONFIGS = st.one_of(
                                     "seed": EDGE_SEEDS}))
 
 
-def run_cli(config: dict, threads: int) -> tuple:
+def run_cli(config: dict, threads: int, data: str | None = None) -> tuple:
     """(exit code, stdout, stderr) of `gausstomo <experiment> --config
-    <file> --threads <threads>`, run in-process with warnings as errors."""
+    <file> --threads <threads>`, run in-process with warnings as errors;
+    data, if given, is written to a file that the config's data_path names."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
+        if data is not None:
+            config = {**config, "data_path": str(Path(tmp) / "data")}
+            Path(config["data_path"]).write_text(data)
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         try:
@@ -168,3 +173,59 @@ def test_edge_configs_keep_the_exit_code_contract(config, threads):
         if config["experiment"] in ("simulate", "regions"):
             cells = [cell for line in out.splitlines()[2:] for cell in line.split(",")]
             assert not any(cell.lstrip("-") in ("nan", "inf") for cell in cells)
+
+
+# the sample values of estimate's data tables: the float range's edges, and
+# values whose squares or products underflow or overflow
+EDGE_SAMPLES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-160, -1e-160, 1e154, -1e154,
+                                1e200, -1e200, 0.3, -1.0, 2.5])
+ROWS = st.lists(st.tuples(EDGE_SAMPLES, EDGE_SAMPLES), min_size=1, max_size=10)
+TABLES = st.one_of(
+    ROWS,
+    # one row
+    ROWS.map(lambda rows: rows[:1]),
+    # one angle, or one x, for every row
+    st.builds(lambda a, xs: [(a, x) for x in xs], EDGE_SAMPLES,
+              st.lists(EDGE_SAMPLES, min_size=1, max_size=10)),
+    # ordinary rows with one edge row, so that some fits succeed
+    st.builds(lambda rows, edge, at: rows[:at] + [edge] + rows[at:],
+              st.lists(st.tuples(st.floats(0.0, 3.1), st.floats(-3.0, 3.0)), min_size=3,
+                       max_size=10),
+              st.tuples(EDGE_SAMPLES, EDGE_SAMPLES), st.integers(0, 10)))
+ESTIMATE_ETA = st.sampled_from([5e-324, 1e-300, 0.05, 0.5, 1.0])
+
+
+def data_table(rows: list, form: str) -> str:
+    """rows as a data table in CSV, with a header, or in JSON."""
+    if form == "json":
+        return json.dumps({"columns": ["a", "b"], "rows": [list(row) for row in rows]})
+    return "a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows)
+
+
+def no_constant(token: str):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rows=TABLES, form=st.sampled_from(["csv", "json"]),
+       scheme=st.sampled_from(["homodyne", "heterodyne"]), eta=ESTIMATE_ETA)
+@example(rows=[(0.0, 0.0), (0.0, 0.0)], form="csv", scheme="heterodyne", eta=0.5)
+@example(rows=[(5e-324, 0.0), (0.0, 5e-324)], form="csv", scheme="heterodyne", eta=0.5)
+@example(rows=[(0.0, 1.0), (1.0, 0.5), (2.0, -0.3), (0.5, 2.0)], form="json",
+         scheme="homodyne", eta=5e-324)
+@example(rows=[(1.0, 2.0), (0.5, 0.25), (-1.0, 0.5)], form="json", scheme="heterodyne",
+         eta=5e-324)
+@example(rows=[(1e154, 1e154), (1e154, 1e154)], form="csv", scheme="heterodyne", eta=1.0)
+def test_estimate_inputs_keep_the_exit_code_contract(rows, form, scheme, eta):
+    # estimate of a generated data table exits 0, 2 or 3 without a warning,
+    # and what it writes on exit 0 is strict JSON: no NaN or Infinity
+    config = {"experiment": "estimate", "scheme": scheme, "eta": eta}
+    code, out, err = run_cli(config, 1, data=data_table(rows, form))
+    assert code in (0, 2, 3), err
+    if code:
+        record = json.loads(err.strip().splitlines()[-1])
+        assert isinstance(record, dict) and {"error", "message"} <= record.keys()
+    else:
+        assert err == ""
+        doc = json.loads(out, parse_constant=no_constant)
+        assert doc["result"]["scheme"] == scheme
