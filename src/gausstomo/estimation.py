@@ -190,13 +190,11 @@ def estimate_heterodyne_moments(s11: np.ndarray, s22: np.ndarray, s12: np.ndarra
 _BLOCK_SAMPLES = 2 ** 15
 
 # Newton limits of the homodyne likelihood fit: iterations per row, the
-# trace-scaled gradient norm that counts as converged, the share of |loglik|
-# at or below which a Newton step's predicted gain counts as converged, the
-# det(g) / (g1 g2) below which a row leaves for the boundary profile, the
-# pass from which every row still iterating is tested for it, and step
-# halvings per line search
+# share of |loglik| at or below which a Newton step's predicted gain counts
+# as converged, the det(g) / (g1 g2) below which a row leaves for the
+# boundary profile, the pass from which every row still iterating is tested
+# for it, and step halvings per line search
 _MAX_ITERATIONS = 200
-_GRADIENT_TOL = 1e-8
 _ROUNDING_FLOOR = 8 * 2.0 ** -52
 _BOUNDARY_DET = 1e-6
 _BOUNDARY_PASSES = 18
@@ -346,21 +344,22 @@ _CHAIN_CONSTANTS = np.array([0.0, 2.0])
 
 
 def _ascent_directions(p, scales, grad_g, hess_g, f):
-    """(step, curved, flat): each row's step in (ln a, b, ln c) from its
-    gradient grad_g and Hessian hess_g in g, the mask of the rows whose
-    step is scaled by their curvature, and the mask of the Newton rows at
-    the rounding floor of their likelihood f.
+    """(step, flat): each row's step in (ln a, b, ln c) from its gradient
+    grad_g and Hessian hess_g in g, and the mask of the Newton rows at the
+    rounding floor of their likelihood f.
 
     A row whose chained Hessian H is negative definite takes the Newton
     step -H^-1 grad.  A row whose H is finite but not negative definite
     takes the saddle-free step Q |L|^-1 Q^T grad of H = Q L Q^T (Dauphin et
     al., NeurIPS 2014), each |eigenvalue| floored at _SADDLE_FLOOR of the
     row's largest: it ascends where unit steepest ascent would crawl along
-    an indefinite H.  Every other row takes unit steepest ascent.  A Newton
-    row is flat when its step's predicted gain 1/2 grad^T step, half its
-    Newton decrement, is at most _ROUNDING_FLOOR |f|: below that no step
-    can raise the likelihood by more than the rounding of its sum (Boyd &
-    Vandenberghe, Convex Optimization, 2004, sec. 9.5.1).
+    an indefinite H.  Every other row, whose H is not finite or whose
+    LAPACK call failed, takes unit steepest ascent.  A Newton row is flat
+    when its step's predicted gain 1/2 grad^T step, half its Newton
+    decrement, is at most _ROUNDING_FLOOR |f|: below that no step can
+    raise the likelihood by more than the rounding of its sum (Boyd &
+    Vandenberghe, Convex Optimization, 2004, sec. 9.5.1).  Being flat is
+    the one way a row ends converged.
 
     The test and the solves call the LAPACK gufuncs that np.linalg.eigvalsh,
     np.linalg.solve and np.linalg.eigh run, without their argument checks:
@@ -403,7 +402,6 @@ def _ascent_directions(p, scales, grad_g, hess_g, f):
     count = np.count_nonzero(newton)
     if count == rows:
         step = _umath_linalg.solve(hess_p, -grad_p[:, :, None], signature="dd->d")[:, :, 0]
-        curved = newton
     else:
         step = np.empty_like(grad_p)
         if count:
@@ -417,11 +415,11 @@ def _ascent_directions(p, scales, grad_g, hess_g, f):
             ok = np.logical_and.reduce(np.isfinite(steps), axis=1)
             saddle[saddle] = ok
             step[saddle] = steps[ok]
-        curved = newton | saddle
-        ascent = grad_p[~curved]
-        step[~curved] = ascent / np.sqrt(np.add.reduce(ascent * ascent, axis=-1))[:, None]
+        steepest = ~(newton | saddle)
+        ascent = grad_p[steepest]
+        step[steepest] = ascent / np.sqrt(np.add.reduce(ascent * ascent, axis=-1))[:, None]
     gain = 0.5 * np.add.reduce(grad_p * step, axis=1)
-    return step, curved, newton & (gain <= _ROUNDING_FLOOR * np.abs(f))
+    return step, newton & (gain <= _ROUNDING_FLOOR * np.abs(f))
 
 
 # each |eigenvalue| of a saddle-free step is at least this share of the
@@ -464,54 +462,37 @@ def _stacks(open_: np.ndarray, n: int) -> list:
 _HALVINGS = np.ldexp(1.0, -np.arange(_MAX_HALVINGS))
 
 
-def _line_search(p, step, f, v, x2, curved):
+def _line_search(p, step, f, v, x2):
     """Each row's first step t = 0.5**k, k = 0 .. _MAX_HALVINGS - 1, whose
-    likelihood beats f[row]; curved marks the rows whose steps are Newton or
-    saddle-free steps.
+    likelihood beats f[row].
 
-    Such a step is accepted whole in most passes, so a pass with one first
-    evaluates all full steps in one stack, and the rows it fails for go on
-    at k = 1.  A pass of steepest-ascent steps alone, whose unit
-    step mostly fails, starts its halving rounds at k = 0 instead: its
-    full step p + 1.0 step is p + step, and no row's bits depend on the
-    stack it is evaluated in, so either start gives the same result.
-    Rows then try their next halvings as a (rows, window) stack of
-    candidates, a window of k at a time, until each row has a step that
-    beats f or has none left.  A round holds _BLOCK_SAMPLES / 8 samples
-    at first and twice as many each round up to _BLOCK_SAMPLES, but
-    always at least one halving per row, and is evaluated in the stacks of
-    _stacks.  A row's search also ends at its first halving that leaves
-    all three parameters unchanged: fl(p + d) is monotone in d, so every
-    later halving leaves them unchanged too, and a candidate equal to p,
-    evaluated bit for bit as p was, cannot beat f.  Returns (found, (p, g,
-    f, cvar, scales)), where the tuple holds the accepted steps' values in
-    the rows marked found.
+    A Newton or saddle-free step is accepted whole in most passes, so a
+    pass first evaluates all full steps in one stack, and the rows it
+    fails for go on at k = 1.  Rows then try their next halvings as a
+    (rows, window) stack of candidates, a window of k at a time, until
+    each row has a step that beats f or has none left.  A round holds
+    _BLOCK_SAMPLES / 8 samples at first and twice as many each round up
+    to _BLOCK_SAMPLES, but always at least one halving per row, and is
+    evaluated in the stacks of _stacks.  A row's search also ends after
+    the round in which a halving leaves all three parameters unchanged:
+    fl(p + d) is monotone in d, so every later halving leaves them
+    unchanged too, and a candidate equal to p, evaluated bit for bit as p
+    was, cannot beat f.  Returns (found, (p, g, f, cvar, scales)), where
+    the tuple holds the accepted steps' values in the rows marked found.
     """
     n = x2.shape[1]
-    if np.count_nonzero(curved):
-        cand = p + step
-        accepted = (cand, *_evaluate(cand, v, x2))
-        found = accepted[2] > f
-        k = 1
-    else:
-        size = len(p)
-        accepted = (np.empty((size, 3)), np.empty((size, 3)), np.empty(size),
-                    np.empty((size, n)), np.empty((size, 2)))
-        found = np.zeros(size, dtype=bool)
-        k = 0
+    cand = p + step
+    accepted = (cand, *_evaluate(cand, v, x2))
+    found = accepted[2] > f
     searching = ~found
-    budget = _BLOCK_SAMPLES // 8
+    k, budget = 1, _BLOCK_SAMPLES // 8
     while k < _MAX_HALVINGS and np.count_nonzero(searching):
         open_ = searching.nonzero()[0]
         w = max(1, min(_MAX_HALVINGS - k, budget // (open_.size * n)))
         cand = p[open_, None, :] + _HALVINGS[k:k + w, None] * step[open_, None, :]
-        moved = np.logical_or.reduce(cand != p[open_, None, :], axis=2)
-        # a row stops after this round once a halving in it is a no-op,
-        # and is not evaluated if the first one is
-        searching[open_[~moved[:, -1]]] = False
-        if np.count_nonzero(moved[:, 0]) < open_.size:
-            open_, cand = open_[moved[:, 0]], cand[moved[:, 0]]
-        for rows, part in _stacks(open_, n) if open_.size else ():
+        # a row stops after this round if its last halving in it is a no-op
+        searching[open_[np.logical_and.reduce(cand[:, -1] == p[open_], axis=1)]] = False
+        for rows, part in _stacks(open_, n):
             trial = cand[part]
             values = (trial, *_evaluate(trial, v[rows, None], x2[rows, None]))
             stacked = open_[part]
@@ -547,32 +528,32 @@ def _drop_rows(leaving: np.ndarray, arrays: list) -> list:
 def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
     """Newton ascent from the parameter rows p, one row per trial, in lockstep.
 
-    A row leaves the block when its trace-scaled gradient norm reaches the
-    tolerance or its Newton step's predicted gain reaches the rounding
-    floor of its likelihood (converged, see _ascent_directions), when no
-    step halving raises its likelihood (stalled), or when an accepted step
-    takes det(g) below _BOUNDARY_DET g1 g2 and the boundary point of
-    _boundary_fits beats the step and is a maximum on the closed cone
-    det(g) >= 0, its likelihood falling into the interior (boundary): such
-    a row drifts to the singular edge det(g) = 0, which the log-Cholesky
-    parameters reach only at infinity.  From pass _BOUNDARY_PASSES on,
-    every row is tested so, at any det(g): a drifting row then ends when
-    its boundary point first wins, not when its ln c has fallen far
-    enough, and stops holding its block's lockstep passes.  Any other
-    tested row iterates on, since an interior optimum can lie that close
-    to the edge on thin states, and keeps its best boundary point:
-    wherever that beats the row's last iterate, the row ends there
-    (boundary).  Rows still iterating after _MAX_ITERATIONS stop there
-    (stalled).  The arrays of a row that leaves are overwritten in place
-    (_drop_rows), and live holds the trial of each row still iterating.
-    Returns (g, loglik, iterations, status) per trial.
+    A row leaves the block when its Newton step's predicted gain reaches
+    the rounding floor of its likelihood (converged, the one convergence
+    test; see _ascent_directions), when no step halving raises its
+    likelihood (stalled), or when an accepted step takes det(g) below
+    _BOUNDARY_DET g1 g2 and the boundary point of _boundary_fits beats the
+    step and is a maximum on the closed cone det(g) >= 0, its likelihood
+    falling into the interior (boundary): such a row drifts to the
+    singular edge det(g) = 0, which the log-Cholesky parameters reach only
+    at infinity.  From pass _BOUNDARY_PASSES on, every row is tested so,
+    at any det(g): a drifting row then ends when its boundary point first
+    wins, not when its ln c has fallen far enough, and stops holding its
+    block's lockstep passes.  Any other tested row iterates on, since an
+    interior optimum can lie that close to the edge on thin states, and
+    keeps its best boundary point: wherever that beats the row's last
+    iterate, the row ends there (boundary).  Rows still iterating after
+    _MAX_ITERATIONS stop there (stalled).  The arrays of a row that leaves
+    are overwritten in place (_drop_rows), and live holds the trial of
+    each row still iterating.  Returns (g, loglik, iterations, status) per
+    trial.
 
     The loop runs in one floating-point state that neither warns nor
     raises: a far-off trial step overflows to inf or nan and is rejected,
     and a LAPACK failure is a nan row that takes steepest ascent or stalls.
     """
     with np.errstate(all="ignore"):
-        trials, n = x2.shape
+        trials = len(x2)
         g, f, cvar, scales = _evaluate(p, v, x2)
         g_out, f_out = np.empty((trials, 3)), np.empty(trials)
         iterations = np.zeros(trials, dtype=int)
@@ -588,23 +569,20 @@ def _fit_block(v: np.ndarray, x2: np.ndarray, p: np.ndarray):
             # this pass's variances are freed before the line search, which
             # forms the next ones
             del cvar
-            step, curved, done = _ascent_directions(p, scales, grad_g, hess_g, f)
-            # the norm as np.linalg.norm computes it
-            done |= np.sqrt(np.add.reduce(grad_g * grad_g, axis=-1)) * (g[:, 0] + g[:, 1]) / n \
-                <= _GRADIENT_TOL
+            step, done = _ascent_directions(p, scales, grad_g, hess_g, f)
             # the masks are tested with np.count_nonzero, which costs a third
             # of .any() or .all() on a few rows
             if np.count_nonzero(done):
                 gone = live[done]
                 status[gone] = "converged"
                 g_out[gone], f_out[gone], iterations[gone] = g[done], f[done], it
-                live, p, g, f, scales, v, x2, step, curved = _drop_rows(
-                    done, [live, p, g, f, scales, v, x2, step, curved])
+                live, p, g, f, scales, v, x2, step = _drop_rows(
+                    done, [live, p, g, f, scales, v, x2, step])
                 if not live.size:
                     break
-            found, accepted = _line_search(p, step, f, v, x2, curved)
+            found, accepted = _line_search(p, step, f, v, x2)
             if np.count_nonzero(found) < len(found):
-                # likelihood flat to machine precision but gradient target missed
+                # no halving of the step raises the likelihood
                 stalled = ~found
                 gone = live[stalled]
                 g_out[gone], f_out[gone], iterations[gone] = g[stalled], f[stalled], it
@@ -789,13 +767,13 @@ def estimate_homodyne_ml(data: tuple[np.ndarray, np.ndarray],
     effective covariance (diagonal in log scale); Newton steps use the
     analytic gradient and Hessian chained through that parametrisation,
     with step halving on likelihood decrease and a saddle-free fallback
-    step while the Hessian is not negative definite.  Convergence requires
-    the trace-scaled per-sample gradient norm to reach _GRADIENT_TOL
-    (1e-8).  A fit that drifts to the singular edge det G = 0 ends on it,
-    at the best point of the boundary profile (status "boundary"), once
-    det G < _BOUNDARY_DET g1 g2 (1e-6) or, from pass _BOUNDARY_PASSES
-    (18) on, at any det G, where that point beats the iterate and the
-    likelihood falls from it into the interior.
+    step while the Hessian is not negative definite.  A fit converges when
+    a Newton step's predicted gain, half its Newton decrement, is at most
+    _ROUNDING_FLOOR (8 2^-52) of |loglik|.  A fit that drifts to the
+    singular edge det G = 0 ends on it, at the best point of the boundary
+    profile (status "boundary"), once det G < _BOUNDARY_DET g1 g2 (1e-6)
+    or, from pass _BOUNDARY_PASSES (18) on, at any det G, where that point
+    beats the iterate and the likelihood falls from it into the interior.
 
     `data` is a (theta, x) pair of matching 1-d arrays; the angles must
     take at least three distinct values or the three-parameter model is

@@ -314,7 +314,8 @@ def run_simulate(config: dict, threads: int = 1) -> str:
 def _read_data_table(path: Path) -> tuple[np.ndarray, dict]:
     """The samples of a table `simulate` wrote, in CSV or JSON: two finite
     numbers per row, else ConfigError naming the row; and the config the
-    table embeds, {} if none, else ConfigError naming the file.  In a CSV,
+    table embeds, {} if none, else ConfigError naming the file, as for a
+    config that is not a JSON object or holds a non-finite number.  In a CSV,
     '#' lines are comments and the first other line may be a header."""
     try:
         text = path.read_text()
@@ -339,6 +340,11 @@ def _read_data_table(path: Path) -> tuple[np.ndarray, dict]:
             raise ConfigError(f"cannot read the config embedded in {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"the config embedded in {path} is not a JSON object")
+    try:
+        # json.loads takes NaN and Infinity, which strict JSON output has no token for
+        json.dumps(config, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"the config embedded in {path} holds a non-finite number") from exc
     data = []
     for place, tokens in rows:
         values = _floats(tokens)

@@ -468,7 +468,7 @@ class TestHomodyneMlBlock:
         thetas, xs = fig5_lane(1, 0, 50, trials=8)
         default = rows_bits(estimate_homodyne_ml_block(thetas, xs, FIG5.eta))
         for limit, value in (("_MAX_ITERATIONS", 0), ("_MAX_ITERATIONS", 3),
-                             ("_MAX_HALVINGS", 1), ("_GRADIENT_TOL", 1e-3)):
+                             ("_MAX_HALVINGS", 1)):
             with monkeypatch.context() as patch:
                 patch.setattr(estimation, limit, value)
                 block = estimate_homodyne_ml_block(thetas, xs, FIG5.eta)
@@ -546,11 +546,11 @@ class TestHomodyneMlBlock:
         grad_g, _ = estimation._derivatives(v, x2, cvar.copy())
         cvar[1, 7] = math.nan  # reaches row 1's Hessian, not its gradient
         _, hess_g = estimation._derivatives(v, x2, cvar)
-        steps, curved, flat = _ascent_directions(p, scales, grad_g, hess_g, f)
+        steps, flat = _ascent_directions(p, scales, grad_g, hess_g, f)
         alone = [_ascent_directions(*(a[t:t + 1] for a in (p, scales, grad_g, hess_g, f)))[0][0]
                  for t in range(3)]
         assert steps.tolist() == [step.tolist() for step in alone]
-        assert not curved[1] and not flat[1]
+        assert not flat[1]
         assert np.linalg.norm(steps[1]) == pytest.approx(1.0, rel=1e-15)
         assert np.isfinite(steps).all()
 
@@ -608,10 +608,10 @@ def lane_streams(seed: SeedSpec, lane: int, trials: int) -> list[SeedSpec]:
     return [seed.stream(1 + lane * trials + t) for t in range(trials)]
 
 
-def unpruned_line_search(p, step, f, v, x2, newton=None):
+def unpruned_line_search(p, step, f, v, x2):
     """_line_search as it was before a no-op halving ended a row's search:
-    every row that no step has beaten f for tries all _MAX_HALVINGS, and
-    every pass first evaluates all full steps, whatever newton marks."""
+    every row that no step has beaten f for tries all _MAX_HALVINGS, after
+    the pass has evaluated all full steps."""
     max_halvings = estimation._MAX_HALVINGS
     cand = p + step
     accepted = (cand, *estimation._evaluate(cand, v, x2))
@@ -754,8 +754,8 @@ class TestLineSearch:
             return _evaluate(cand, v_rows, x2_rows)
 
         monkeypatch.setattr(estimation, "_evaluate", recording)
-        # a pass with a Newton row evaluates every full step first
-        found, _ = estimation._line_search(p, step, f, v, x2, np.array([True, False, False]))
+        # a pass evaluates every full step first
+        found, _ = estimation._line_search(p, step, f, v, x2)
         assert found.tolist() == [False, True, False]
         full, *rounds = stacks
         assert full == (3, True, True) and len(rounds) > 1
@@ -768,10 +768,9 @@ class TestLineSearch:
     def test_halving_rounds_on_views_change_no_bit(self, monkeypatch, n):
         p, step, f, v, x2 = searching_rows(n)
         f[0] = _evaluate(p, v, x2)[1][0]  # row 0 finds a halving
-        newton = np.ones(3, dtype=bool)
-        want = estimation._line_search(p, step, f, v, x2, newton)
+        want = estimation._line_search(p, step, f, v, x2)
         monkeypatch.setattr(estimation, "_stacks", lambda open_, n: [(open_, slice(None))])
-        got = estimation._line_search(p, step, f, v, x2, newton)
+        got = estimation._line_search(p, step, f, v, x2)
         assert got[0].tolist() == want[0].tolist() == [True, True, False]
         assert [a[got[0]].tobytes() for a in got[1]] == [a[want[0]].tobytes() for a in want[1]]
 
@@ -858,8 +857,8 @@ class TestLineSearch:
         assert [first for first, _ in blocks] == streams[::8]
 
     def test_stalled_row_stops_at_its_first_no_op_halving(self, monkeypatch):
-        # without the rounding floor, trial 1 of this block stalls at its
-        # third iteration
+        # without the rounding floor no row can end converged: every row of
+        # this block stalls once no halving raises its likelihood
         monkeypatch.setattr(estimation, "_ROUNDING_FLOOR", 0.0)
         thetas, xs = crb_block(11, 0)
         calls = []
@@ -874,8 +873,8 @@ class TestLineSearch:
         monkeypatch.setattr(estimation, "_line_search", unpruned_line_search)
         unpruned = estimate_homodyne_ml_block(thetas, xs, CRB.eta)
         assert rows_bits(pruned) == rows_bits(unpruned)
-        assert pruned.converged.tolist() == [True, False, True]
-        assert pruned.iterations[1] < estimation._MAX_ITERATIONS
+        assert pruned.status.tolist() == ["stalled"] * 3
+        assert (pruned.iterations < estimation._MAX_ITERATIONS).all()
         assert pruned_rows < sum(calls)
 
 
@@ -1014,51 +1013,49 @@ class TestLapackCalls:
         return types.SimpleNamespace(**{**gufuncs, name: failing})
 
     def fit_quietly(self, monkeypatch, name):
-        """A fig5 lane block fitted with `name` failing, and the curvature
-        masks of its passes."""
-        masks, line_search = [], estimation._line_search
+        """A fig5 lane block fitted with `name` failing; the steps of its
+        passes, and the kind of step reference_ascent_directions gives each
+        row, which takes no call through the failing gufunc."""
+        steps, kinds = [], []
+        ascent = estimation._ascent_directions
 
-        def recording(p, step, f, v, x2, curved):
-            masks.append(curved.copy())
-            return line_search(p, step, f, v, x2, curved)
+        def recording(*args):
+            out = ascent(*args)
+            steps.append(out[0])
+            kinds.extend(reference_ascent_directions(*args)[1])
+            return out
 
-        monkeypatch.setattr(estimation, "_line_search", recording)
+        monkeypatch.setattr(estimation, "_ascent_directions", recording)
         monkeypatch.setattr(estimation, "_umath_linalg", self.failing_lapack(name))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = estimate_homodyne_ml_block(*fig5_lane(0, 0, 50), FIG5.eta)
-        return fit, np.concatenate(masks)
+        return fit, np.concatenate(steps), np.array(kinds)
 
     def test_failing_solve_stalls_every_row(self, monkeypatch):
         # a nan Newton step never raises the likelihood
-        fit, curved = self.fit_quietly(monkeypatch, "solve")
-        assert curved.any()
+        fit, steps, kinds = self.fit_quietly(monkeypatch, "solve")
+        newton = np.isin(kinds, ["newton", "flat"])
+        assert newton.any() and np.isnan(steps[newton]).all()
         assert not fit.converged.any()
         assert (fit.iterations < estimation._MAX_ITERATIONS).all()
         assert np.isfinite(fit.g_effective).all() and np.isfinite(fit.loglik).all()
 
     def test_failing_eigvalsh_takes_steepest_ascent(self, monkeypatch):
-        # nan eigenvalues fail the negativity test
-        fit, curved = self.fit_quietly(monkeypatch, "eigvalsh_lo")
-        assert curved.size and not curved.any()
+        # nan eigenvalues fail the negativity test, so Newton and saddle rows
+        # alike take unit steepest-ascent steps
+        fit, steps, kinds = self.fit_quietly(monkeypatch, "eigvalsh_lo")
+        assert "newton" in kinds and "saddle" in kinds
+        assert np.linalg.norm(steps, axis=1) == pytest.approx(1.0, rel=1e-15)
         assert np.isfinite(fit.g_effective).all() and np.isfinite(fit.loglik).all()
 
     def test_failing_eigh_takes_steepest_ascent(self, monkeypatch):
         # nan eigenvectors give nan saddle-free steps, whose rows take unit
         # steepest ascent
-        steps = []
-        ascent = estimation._ascent_directions
-
-        def recording(*args):
-            step, curved, flat = ascent(*args)
-            steps.append(step[~curved])
-            return step, curved, flat
-
-        monkeypatch.setattr(estimation, "_ascent_directions", recording)
-        fit, curved = self.fit_quietly(monkeypatch, "eigh_lo")
-        assert curved.any() and not curved.all()
-        steps = np.concatenate(steps)
-        assert np.linalg.norm(steps, axis=1) == pytest.approx(1.0, rel=1e-15)
+        fit, steps, kinds = self.fit_quietly(monkeypatch, "eigh_lo")
+        saddle = kinds == "saddle"
+        assert saddle.any() and not saddle.all()
+        assert np.linalg.norm(steps[saddle], axis=1) == pytest.approx(1.0, rel=1e-15)
         assert np.isfinite(fit.g_effective).all() and np.isfinite(fit.loglik).all()
 
     def test_ascent_directions_equal_the_numpy_linalg_steps(self, monkeypatch):
@@ -1068,8 +1065,7 @@ class TestLapackCalls:
 
         def checking(p, scales, grad_g, hess_g, f):
             want, kind = reference_ascent_directions(p, scales, grad_g, hess_g, f)
-            step, curved, flat = _ascent_directions(p, scales, grad_g, hess_g, f)
-            assert curved.tolist() == [k != "ascent" for k in kind]
+            step, flat = _ascent_directions(p, scales, grad_g, hess_g, f)
             assert flat.tolist() == [k == "flat" for k in kind]
             for t, k in enumerate(kind):
                 if k == "saddle":
@@ -1077,8 +1073,10 @@ class TestLapackCalls:
                                                atol=1e-12 * np.abs(want[t]).max())
                 else:
                     assert step[t].tobytes() == want[t].tobytes()
+                if k == "ascent":
+                    assert np.linalg.norm(step[t]) == pytest.approx(1.0, rel=1e-15)
             kinds.update(kind)
-            return step, curved, flat
+            return step, flat
 
         monkeypatch.setattr(estimation, "_ascent_directions", checking)
         for master in range(3):
@@ -1119,13 +1117,15 @@ def boundary_profile(theta: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndar
 def fit_set():
     """The homodyne blocks of fig5 master seeds 0-39, N in (50, 100, 150),
     20 trials, as (master seed, N, thetas, xs, fit), the Newton passes
-    they took, and the rows the rounding floor ended."""
-    blocks, passes = [], []
+    they took, the rows the rounding floor ended, and the count of each
+    kind of step reference_ascent_directions gives their row-passes."""
+    blocks, passes, kinds = [], [], collections.Counter()
     ascent = estimation._ascent_directions
 
     def counting(*args):
         out = ascent(*args)
-        passes.append(np.count_nonzero(out[2]))
+        passes.append(np.count_nonzero(out[1]))
+        kinds.update(reference_ascent_directions(*args)[1])
         return out
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1135,7 +1135,7 @@ def fit_set():
                 thetas, xs = fig5_lane(master, lane, n)
                 blocks.append((master, n, thetas, xs,
                                estimate_homodyne_ml_block(thetas, xs, FIG5.eta)))
-    return blocks, len(passes), sum(passes)
+    return blocks, len(passes), sum(passes), kinds
 
 
 def newton_gain(v: np.ndarray, x2: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -1152,15 +1152,17 @@ def crb_fit_set():
     """The homodyne lanes of the benchmark's crb workload at master seeds
     11-14, 60 trials of N = 10^4 fitted in blocks of 3 on one thread, as
     (fit, newton_gain of each row); the Newton passes they took, the rows
-    the rounding floor ended, and the samples each lane's line searches
-    evaluated."""
-    lanes, passes, searched = [], [], []
+    the rounding floor ended, the samples each lane's line searches
+    evaluated, and the count of each kind of step reference_ascent_directions
+    gives their row-passes."""
+    lanes, passes, searched, kinds = [], [], [], collections.Counter()
     ascent, line_search, evaluate = (estimation._ascent_directions, estimation._line_search,
                                      estimation._evaluate)
 
     def counting(*args):
         out = ascent(*args)
-        passes.append(np.count_nonzero(out[2]))
+        passes.append(np.count_nonzero(out[1]))
+        kinds.update(reference_ascent_directions(*args)[1])
         return out
 
     def counting_evaluate(p, v, x2):
@@ -1184,7 +1186,7 @@ def crb_fit_set():
                 gains.append(newton_gain(bin_vectors(thetas), xs * xs,
                                          fit.g_effective[first:first + 3]))
             lanes.append((fit, np.concatenate(gains)))
-    return lanes, len(passes), sum(passes), searched
+    return lanes, len(passes), sum(passes), searched, kinds
 
 
 # the loglik of thin-state fits (lambda, N, trial) at mu = 2, eta = 1, seed
@@ -1330,7 +1332,7 @@ class TestPassFloor:
 
 class TestFitSet:
     def test_every_row_ends_before_the_iteration_limit(self, fit_set):
-        blocks, passes, _ = fit_set
+        blocks, passes, _, _ = fit_set
         iterations = np.concatenate([fit.iterations for *_, fit in blocks])
         assert iterations.max() < estimation._MAX_ITERATIONS
         # 3731 passes before the saddle-free fallback and the boundary
@@ -1351,7 +1353,7 @@ class TestFitSet:
         # passes the first-order test from its first passes on, but reached
         # det < _BOUNDARY_DET g1 g2 only at pass 135; the pass floor ends it
         # at pass 18 on the same boundary point, bit for bit
-        blocks, _, _ = fit_set
+        blocks, _, _, _ = fit_set
         fit = next(fit for master, n, *_, fit in blocks if (master, n) == (35, 50))
         assert (fit.status[19], fit.iterations[19]) == ("boundary", 18)
         assert [x.hex() for x in fit.g_effective[19].tolist()] == [
@@ -1361,7 +1363,7 @@ class TestFitSet:
     def test_rows_at_the_rounding_floor_are_optima(self, fit_set):
         # every converged row ends at the floor, and one more Newton step
         # gains it no more than the rounding of its likelihood
-        blocks, _, floored = fit_set
+        blocks, _, floored, _ = fit_set
         assert floored == 2342
         for master, n, thetas, xs, fit in blocks:
             rows = fit.converged
@@ -1369,7 +1371,7 @@ class TestFitSet:
             assert (gain <= 1e-9).all(), (master, n)
 
     def test_crb_rows_end_converged_at_their_optimum(self, crb_fit_set):
-        lanes, passes, floored, searched = crb_fit_set
+        lanes, passes, floored, searched, _ = crb_fit_set
         fits = [fit for fit, _ in lanes]
         # 217 converged and 23 stalled before the rounding floor
         assert collections.Counter(np.concatenate([fit.status for fit in fits])) \
@@ -1385,8 +1387,36 @@ class TestFitSet:
         # rounding floor, when rows at their optimum halved their steps
         assert searched[0] <= 1_600_000
 
+    def test_step_kinds_are_pinned(self, fit_set, crb_fit_set):
+        # the kind of step each row-pass takes: a change that sends rows to
+        # a fallback moves these counts.  No row of either set takes unit
+        # steepest ascent, which only a non-finite Hessian or a LAPACK
+        # failure gives
+        # 14108 Newton row-passes, 2342 of them flat, and 1331 saddle-free
+        blocks, _, _, kinds = fit_set
+        assert kinds == {"newton": 11766, "flat": 2342, "saddle": 1331}
+        boundary = np.concatenate([fit.iterations[fit.status == "boundary"]
+                                   for *_, fit in blocks])
+        # ended by the det trigger before the pass floor, and from it on
+        early = np.count_nonzero(boundary < estimation._BOUNDARY_PASSES)
+        assert (early, boundary.size - early) == (11, 47)
+        lanes, *_, crb_kinds = crb_fit_set
+        assert crb_kinds == {"newton": 607, "flat": 240}
+        # the one convergence test ends a row at a maximum, never a saddle
+        ends = [(thetas[fit.converged], xs[fit.converged], fit.g_effective[fit.converged])
+                for _, _, thetas, xs, fit in blocks]
+        for master, (fit, _) in zip(range(11, 15), lanes):
+            for first in range(0, 60, 3):
+                rows = fit.converged[first:first + 3]
+                thetas, xs = crb_block(master, first)
+                ends.append((thetas[rows], xs[rows], fit.g_effective[first:first + 3][rows]))
+        for thetas, xs, g in ends:
+            v = bin_vectors(thetas)
+            hess = reference_derivatives(v, xs * xs, np.einsum("tk,tkN->tN", g, v))[1]
+            assert (np.linalg.eigvalsh(hess).max(axis=1) < 0.0).all()
+
     def test_boundary_rows_end_at_their_profiles_maximum(self, fit_set):
-        blocks, _, _ = fit_set
+        blocks, _, _, _ = fit_set
         count = 0
         for master, n, thetas, xs, fit in blocks:
             for t in np.flatnonzero(fit.status == "boundary"):
@@ -1408,7 +1438,7 @@ class TestFitSet:
         assert count > 0
 
     def test_rows_that_crawled_end_no_lower(self, fit_set):
-        blocks, _, _ = fit_set
+        blocks, _, _, _ = fit_set
         fits = {(master, n): fit for master, n, *_, fit in blocks}
         for (master, n, t), parent in PARENT_LOGLIK.items():
             assert fits[master, n].loglik[t] >= parent - 1e-9, (master, n, t)

@@ -1,7 +1,8 @@
 """Property checks of the homodyne fit: the distinct-angle test agrees
 with np.unique on rows that mix duplicates, NaN, +-0.0 and +-inf, and the
 fit rejects exactly the blocks it flags; and the line search returns the
-same bits whichever halving it starts at."""
+same bits as its earlier form, which skipped a row whose first halving in
+a window left its parameters unchanged."""
 
 import math
 
@@ -37,9 +38,10 @@ def test_too_few_angles_matches_np_unique(width, data):
 
 
 def parent_line_search(p, step, f, v, x2):
-    """_line_search as it was before a pass of steepest-ascent steps alone
-    started its halving rounds at the full step: every pass evaluates all
-    its full steps first, and the rows they fail for go on at k = 1."""
+    """_line_search as it was before each row whose first halving in a
+    window is a no-op was evaluated with the others: every pass evaluates
+    all its full steps first, the rows they fail for go on at k = 1, and a
+    row whose first halving in a window leaves p unchanged is skipped."""
     cand = p + step
     accepted = (cand, *estimation._evaluate(cand, v, x2))
     found = accepted[2] > f
@@ -83,16 +85,16 @@ STEPS = st.sampled_from(["fit", "no-op", "overflow", "random"])
 @given(n=st.sampled_from([3, 50, 150, 10_000]), master=st.integers(0, 2 ** 32),
        data=st.data())
 def test_line_search_from_the_full_step_changes_no_bit(n, master, data):
-    # whether a pass starts at k = 0 or tries its full steps first, each row
-    # finds the same first winning halving, or none; the pieces of a pass
-    # run in the floating-point state _fit_block runs them in
+    # with or without the skip of no-op windows, each row finds the same
+    # first winning halving, or none; the pieces of a pass run in the
+    # floating-point state _fit_block runs them in
     with np.errstate(all="ignore"):
         rows = data.draw(st.integers(1, 20), label="rows")
         draw = list(_homodyne_block(STATE, n, ContinuousSweep(), SeedSpec(master), rows))
         _, (v, x2, p) = _fit_inputs(STATE.eta, draw)
         g, f, cvar, scales = estimation._evaluate(p, v, x2)
         grad_g, hess_g = estimation._derivatives(v, x2, cvar)
-        step, _, _ = estimation._ascent_directions(p, scales, grad_g, hess_g, f)
+        step, _ = estimation._ascent_directions(p, scales, grad_g, hess_g, f)
         rng = np.random.default_rng(master)
         for row, kind in enumerate(data.draw(st.lists(STEPS, min_size=rows, max_size=rows),
                                              label="steps")):
@@ -102,10 +104,7 @@ def test_line_search_from_the_full_step_changes_no_bit(n, master, data):
                 step[row] = [800.0, 0.0, 0.0]
             elif kind == "random":
                 step[row] = rng.normal(0.0, data.draw(st.sampled_from([1e-3, 1.0, 30.0])), 3)
-        newton = np.array(data.draw(st.one_of(
-            st.just([True] * rows), st.just([False] * rows),
-            st.lists(st.booleans(), min_size=rows, max_size=rows)), label="newton"))
         want_found, want = parent_line_search(p, step, f, v, x2)
-        found, got = estimation._line_search(p, step, f, v, x2, newton)
+        found, got = estimation._line_search(p, step, f, v, x2)
     assert found.tolist() == want_found.tolist()
     assert [a[found].tobytes() for a in got] == [a[found].tobytes() for a in want]

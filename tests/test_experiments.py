@@ -1335,9 +1335,15 @@ class TestCli:
         '# gausstomo 0.1.0 config [{"seed": 1}]\nx,p\n1.0,2.0\n0.5,0.25\n-1.0,0.5\n',
         '# gausstomo 0.1.0 {"seed": 1}\nx,p\n1.0,2.0\n0.5,0.25\n-1.0,0.5\n',
         '{"config": [{"seed": 1}], "rows": [[1.0, 2.0], [0.5, 0.25], [-1.0, 0.5]]}',
-    ], ids=["not-json", "not-an-object", "no-config", "json-not-an-object"])
+        '# gausstomo 0.1.0 config {"seed": NaN}\nx,p\n1.0,2.0\n0.5,0.25\n-1.0,0.5\n',
+        '{"config": {"seed": {"master_seed": Infinity}}, '
+        '"rows": [[1.0, 2.0], [0.5, 0.25], [-1.0, 0.5]]}',
+    ], ids=["not-json", "not-an-object", "no-config", "json-not-an-object", "nan",
+            "json-infinity"])
     def test_bad_embedded_config_exits_2(self, tmp_path, text):
-        # the fingerprint's seed is read from the config a data file embeds
+        # the fingerprint's seed is read from the config a data file embeds;
+        # json.loads takes NaN and Infinity, which the strict JSON output
+        # cannot hold, though every fitted value is finite
         data = tmp_path / "samples.csv"
         data.write_text(text)
         cfg = tmp_path / "est.json"
