@@ -186,7 +186,7 @@ def estimate_heterodyne_moments(s11: np.ndarray, s22: np.ndarray, s12: np.ndarra
 
 
 # samples in one stacked (rows, N) array: trials per block in the Monte
-# Carlo runners, and candidate rows per halving chunk of the homodyne fit
+# Carlo runners, and candidate rows per halving round of the homodyne fit
 _BLOCK_SAMPLES = 2 ** 15
 
 # Newton limits of the homodyne likelihood fit: iterations per row, the
@@ -439,25 +439,6 @@ def _saddle_free_steps(w: np.ndarray, q: np.ndarray, grad: np.ndarray) -> np.nda
     return q[:, :, 0] * y[:, 0, None] + q[:, :, 1] * y[:, 1, None] + q[:, :, 2] * y[:, 2, None]
 
 
-def _stacks(open_: np.ndarray, n: int) -> list:
-    """(rows, part) of each stack in which a halving round evaluates the
-    open rows: rows indexes v and x^2, part the stack's entries of open_.
-
-    Consecutive rows are one stack on views.  Other rows are one stack on
-    copies of their rows of v and x^2 when those hold no more floats (4 a
-    sample) than a round at its full budget of _BLOCK_SAMPLES samples may
-    stack, and else one stack per run of consecutive rows, each on views:
-    a small block is evaluated in one call, and a large one is not copied.
-    """
-    first, last = open_[0], open_[-1]
-    if last - first + 1 == open_.size:
-        return [(slice(first, last + 1), slice(None))]
-    if 4 * open_.size * n <= _BLOCK_SAMPLES:
-        return [(open_, slice(None))]
-    ends = [0, *(np.flatnonzero(np.diff(open_) != 1) + 1).tolist(), open_.size]
-    return [(slice(open_[a], open_[b - 1] + 1), slice(a, b)) for a, b in zip(ends, ends[1:])]
-
-
 # the halving factors 0.5**k, k = 0 .. _MAX_HALVINGS - 1, of _line_search
 _HALVINGS = np.ldexp(1.0, -np.arange(_MAX_HALVINGS))
 
@@ -473,12 +454,17 @@ def _line_search(p, step, f, v, x2):
     each row has a step that beats f or has none left.  A round holds
     _BLOCK_SAMPLES / 8 samples at first and twice as many each round up
     to _BLOCK_SAMPLES, but always at least one halving per row, and is
-    evaluated in the stacks of _stacks.  A row's search also ends after
-    the round in which a halving leaves all three parameters unchanged:
-    fl(p + d) is monotone in d, so every later halving leaves them
-    unchanged too, and a candidate equal to p, evaluated bit for bit as p
-    was, cannot beat f.  Returns (found, (p, g, f, cvar, scales)), where
-    the tuple holds the accepted steps' values in the rows marked found.
+    evaluated in one call: on views of v and x^2 when its rows are
+    consecutive, and else on copies of their rows.  A copy holds 4 floats
+    a sample of its rows; rows are not consecutive only in a block of 3
+    or more trials, and a Monte Carlo block of 3 or more holds at most
+    _BLOCK_SAMPLES samples, so there a copy takes at most 1 MiB.  A row's
+    search also ends after the round in which a halving leaves all three
+    parameters unchanged: fl(p + d) is monotone in d, so every later
+    halving leaves them unchanged too, and a candidate equal to p,
+    evaluated bit for bit as p was, cannot beat f.  Returns (found, (p, g,
+    f, cvar, scales)), where the tuple holds the accepted steps' values in
+    the rows marked found.
     """
     n = x2.shape[1]
     cand = p + step
@@ -492,21 +478,19 @@ def _line_search(p, step, f, v, x2):
         cand = p[open_, None, :] + _HALVINGS[k:k + w, None] * step[open_, None, :]
         # a row stops after this round if its last halving in it is a no-op
         searching[open_[np.logical_and.reduce(cand[:, -1] == p[open_], axis=1)]] = False
-        for rows, part in _stacks(open_, n):
-            trial = cand[part]
-            values = (trial, *_evaluate(trial, v[rows, None], x2[rows, None]))
-            stacked = open_[part]
-            wins = values[2] > f[stacked, None]
-            hit = np.logical_or.reduce(wins, axis=1).nonzero()[0]
-            if hit.size:
-                # the first winning halving of each row that has one
-                first = wins[hit].argmax(axis=1)
-                won = stacked[hit]
-                for target, value in zip(accepted, values):
-                    target[won] = value[hit, first]
-                found[won] = True
-                searching[won] = False
-            del values  # freed before the next stack is evaluated
+        rows = slice(open_[0], open_[-1] + 1) \
+            if open_[-1] - open_[0] + 1 == open_.size else open_
+        values = (cand, *_evaluate(cand, v[rows, None], x2[rows, None]))
+        wins = values[2] > f[open_, None]
+        hit = np.logical_or.reduce(wins, axis=1).nonzero()[0]
+        if hit.size:
+            # the first winning halving of each row that has one
+            first = wins[hit].argmax(axis=1)
+            won = open_[hit]
+            for target, value in zip(accepted, values):
+                target[won] = value[hit, first]
+            found[won] = True
+            searching[won] = False
         k += w
         budget = min(2 * budget, _BLOCK_SAMPLES)
     return found, accepted

@@ -135,8 +135,18 @@ def critical_lambda_equal_areas(eta: float) -> float:
     sqrt(eta^2 - 2 eta + 4) >= sqrt(3) > eta - 1.  The branch is
     lambda = 1/(t* + sqrt(t*^2 - 1)), written without cancellation; its
     reciprocal is the lambda > 1 solution of the same state rotated by pi/2.
+    Below eta ~ 2e-154, where t*^2 overflows, the branch is eta/(2 s), s =
+    1 + sqrt(eta^2 - 2 eta + 4), to rounding; NumericalError where that
+    rounds to 0, below eta ~ 1.5e-323.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta = {eta} must lie in (0, 1]")
-    t = (1.0 + math.sqrt(eta * eta - 2.0 * eta + 4.0)) / eta
-    return 1.0 / (t + math.sqrt(t * t - 1.0))
+    s = 1.0 + math.sqrt(eta * eta - 2.0 * eta + 4.0)
+    t = s / eta
+    if t * t < math.inf:
+        return 1.0 / (t + math.sqrt(t * t - 1.0))
+    lam = eta / (2.0 * s)
+    if lam == 0.0:
+        raise NumericalError(f"the critical lambda at eta = {eta} is below the "
+                             "float range")
+    return lam

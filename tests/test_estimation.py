@@ -639,6 +639,54 @@ def unpruned_line_search(p, step, f, v, x2):
     return found, accepted
 
 
+def three_layout_line_search(p, step, f, v, x2):
+    """_line_search as it was before each halving round was one call: a
+    round's open rows were one stack on views when consecutive, one stack
+    on copies of their rows of v and x^2 when those held at most
+    _BLOCK_SAMPLES floats, and else one stack per run of consecutive rows,
+    each on views."""
+
+    def stacks(open_, n):
+        first, last = open_[0], open_[-1]
+        if last - first + 1 == open_.size:
+            return [(slice(first, last + 1), slice(None))]
+        if 4 * open_.size * n <= _BLOCK_SAMPLES:
+            return [(open_, slice(None))]
+        ends = [0, *(np.flatnonzero(np.diff(open_) != 1) + 1).tolist(), open_.size]
+        return [(slice(open_[a], open_[b - 1] + 1), slice(a, b))
+                for a, b in zip(ends, ends[1:])]
+
+    max_halvings = estimation._MAX_HALVINGS
+    cand = p + step
+    accepted = (cand, *estimation._evaluate(cand, v, x2))
+    found = accepted[2] > f
+    searching = ~found
+    n = x2.shape[1]
+    k, budget = 1, _BLOCK_SAMPLES // 8
+    while k < max_halvings and np.count_nonzero(searching):
+        open_ = np.flatnonzero(searching)
+        w = max(1, min(max_halvings - k, budget // (open_.size * n)))
+        t = np.ldexp(1.0, -np.arange(k, k + w))
+        cand = p[open_, None, :] + t[:, None] * step[open_, None, :]
+        searching[open_[(cand[:, -1] == p[open_]).all(axis=1)]] = False
+        for rows, part in stacks(open_, n):
+            trial = cand[part]
+            values = (trial, *estimation._evaluate(trial, v[rows, None], x2[rows, None]))
+            stacked = open_[part]
+            wins = values[2] > f[stacked, None]
+            hit = np.flatnonzero(wins.any(axis=1))
+            if hit.size:
+                first = wins[hit].argmax(axis=1)
+                won = stacked[hit]
+                for target, value in zip(accepted, values):
+                    target[won] = value[hit, first]
+                found[won] = True
+                searching[won] = False
+        k += w
+        budget = min(2 * budget, _BLOCK_SAMPLES)
+    return found, accepted
+
+
 class TestBlockMemory:
     def test_monte_carlo_block_holds_about_ten_float64_per_sample(self):
         # a homodyne job keeps no reference to its draw once v (3 per
@@ -663,7 +711,7 @@ class TestBlockMemory:
         # its variances in two arrays, the set-up frees each array of the
         # draw once it is used and writes v into the buffer, and the Newton
         # loop frees the last pass's variances before a line search, whose
-        # halving rounds evaluate large rows on views
+        # full steps these blocks all accept
         import numpy.random  # noqa: F401 -- imported before tracing starts
         import scipy.special  # noqa: F401
 
@@ -741,10 +789,12 @@ def searching_rows(n: int):
 
 
 class TestLineSearch:
-    @pytest.mark.parametrize("n, calls", [(10_000, 2), (50, 1)])
-    def test_halving_rounds_copy_only_small_rows(self, monkeypatch, n, calls):
-        # rows 0 and 2 of a large block are evaluated on views of v, one
-        # call each per round; a small block's are one call on a copy
+    @pytest.mark.parametrize("n", [10_000, 50])
+    def test_each_halving_round_is_one_call(self, monkeypatch, n):
+        # after the full steps, each round evaluates all its open rows in
+        # one call: rows 0 and 2 on copies of their rows of v and x^2, at
+        # any N, and rows 0 and 1, which are consecutive, on views; once
+        # one row's search has ended, the other's rounds are on views
         p, step, f, v, x2 = searching_rows(n)
         stacks = []
 
@@ -754,22 +804,23 @@ class TestLineSearch:
             return _evaluate(cand, v_rows, x2_rows)
 
         monkeypatch.setattr(estimation, "_evaluate", recording)
-        # a pass evaluates every full step first
-        found, _ = estimation._line_search(p, step, f, v, x2)
-        assert found.tolist() == [False, True, False]
-        full, *rounds = stacks
-        assert full == (3, True, True) and len(rounds) > 1
-        if calls == 2:
-            assert set(rounds) == {(1, True, True)}
-        else:
-            assert set(rounds) == {(2, False, False)}
+        for f, searched, views in ((f, [True, False, True], False),
+                                   (f[[0, 2, 1]], [True, True, False], True)):
+            stacks.clear()
+            found, _ = estimation._line_search(p, step, f, v, x2)
+            assert (~found).tolist() == searched
+            full, *rounds = stacks
+            assert full == (3, True, True) and rounds[0] == (2, views, views)
+            assert set(rounds) <= {(2, views, views), (1, True, True)}
+            assert rounds == sorted(rounds, reverse=True)
 
     @pytest.mark.parametrize("n", [10_000, 50])
-    def test_halving_rounds_on_views_change_no_bit(self, monkeypatch, n):
+    def test_halving_rounds_on_views_change_no_bit(self, n):
+        # rows 0 and 2 were evaluated on views, one run each, at N = 10^4,
+        # and on copies at N = 50; both give the bits of one call on copies
         p, step, f, v, x2 = searching_rows(n)
         f[0] = _evaluate(p, v, x2)[1][0]  # row 0 finds a halving
-        want = estimation._line_search(p, step, f, v, x2)
-        monkeypatch.setattr(estimation, "_stacks", lambda open_, n: [(open_, slice(None))])
+        want = three_layout_line_search(p, step, f, v, x2)
         got = estimation._line_search(p, step, f, v, x2)
         assert got[0].tolist() == want[0].tolist() == [True, True, False]
         assert [a[got[0]].tobytes() for a in got[1]] == [a[want[0]].tobytes() for a in want[1]]
@@ -1113,13 +1164,34 @@ def boundary_profile(theta: np.ndarray, x: np.ndarray, a: np.ndarray) -> np.ndar
     return -0.5 * theta.size * np.log(r) - 0.5 * np.log(w).sum(axis=1)
 
 
+def layout_counting(rounds: collections.Counter, evaluate=_evaluate):
+    """A _line_search that counts in rounds the layout each of its halving
+    rounds is evaluated in, on views of v and x^2 or on copies of their
+    rows, and evaluates with evaluate."""
+    line_search = estimation._line_search
+
+    def searching(p, step, f, v, x2):
+        def recording(cand, v_rows, x2_rows):
+            # a halving round's candidates are a (rows, window) stack
+            if cand.ndim == 3:
+                rounds["views" if np.may_share_memory(v_rows, v) else "copies"] += 1
+            return evaluate(cand, v_rows, x2_rows)
+
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(estimation, "_evaluate", recording)
+            return line_search(p, step, f, v, x2)
+
+    return searching
+
+
 @pytest.fixture(scope="module")
 def fit_set():
     """The homodyne blocks of fig5 master seeds 0-39, N in (50, 100, 150),
     20 trials, as (master seed, N, thetas, xs, fit), the Newton passes
-    they took, the rows the rounding floor ended, and the count of each
-    kind of step reference_ascent_directions gives their row-passes."""
-    blocks, passes, kinds = [], [], collections.Counter()
+    they took, the rows the rounding floor ended, the count of each kind
+    of step reference_ascent_directions gives their row-passes, and the
+    count of each layout their halving rounds were evaluated in."""
+    blocks, passes, kinds, rounds = [], [], collections.Counter(), collections.Counter()
     ascent = estimation._ascent_directions
 
     def counting(*args):
@@ -1130,12 +1202,13 @@ def fit_set():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimation, "_ascent_directions", counting)
+        patch.setattr(estimation, "_line_search", layout_counting(rounds))
         for master in range(40):
             for lane, n in enumerate((50, 100, 150)):
                 thetas, xs = fig5_lane(master, lane, n)
                 blocks.append((master, n, thetas, xs,
                                estimate_homodyne_ml_block(thetas, xs, FIG5.eta)))
-    return blocks, len(passes), sum(passes), kinds
+    return blocks, len(passes), sum(passes), kinds, rounds
 
 
 def newton_gain(v: np.ndarray, x2: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -1153,11 +1226,12 @@ def crb_fit_set():
     11-14, 60 trials of N = 10^4 fitted in blocks of 3 on one thread, as
     (fit, newton_gain of each row); the Newton passes they took, the rows
     the rounding floor ended, the samples each lane's line searches
-    evaluated, and the count of each kind of step reference_ascent_directions
-    gives their row-passes."""
-    lanes, passes, searched, kinds = [], [], [], collections.Counter()
-    ascent, line_search, evaluate = (estimation._ascent_directions, estimation._line_search,
-                                     estimation._evaluate)
+    evaluated, the count of each kind of step reference_ascent_directions
+    gives their row-passes, and the count of each layout their halving
+    rounds were evaluated in."""
+    lanes, passes, searched = [], [], []
+    kinds, rounds = collections.Counter(), collections.Counter()
+    ascent = estimation._ascent_directions
 
     def counting(*args):
         out = ascent(*args)
@@ -1167,16 +1241,11 @@ def crb_fit_set():
 
     def counting_evaluate(p, v, x2):
         searched[-1] += p.size // 3 * x2.shape[-1]
-        return evaluate(p, v, x2)
-
-    def searching(*args):
-        with pytest.MonkeyPatch.context() as inner:
-            inner.setattr(estimation, "_evaluate", counting_evaluate)
-            return line_search(*args)
+        return _evaluate(p, v, x2)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimation, "_ascent_directions", counting)
-        patch.setattr(estimation, "_line_search", searching)
+        patch.setattr(estimation, "_line_search", layout_counting(rounds, counting_evaluate))
         for master in range(11, 15):
             searched.append(0)
             fit = _run_trials(CRB, SchemeKind.HOMODYNE, 10_000, SeedSpec(master), 0, 60, 1)
@@ -1186,7 +1255,7 @@ def crb_fit_set():
                 gains.append(newton_gain(bin_vectors(thetas), xs * xs,
                                          fit.g_effective[first:first + 3]))
             lanes.append((fit, np.concatenate(gains)))
-    return lanes, len(passes), sum(passes), searched, kinds
+    return lanes, len(passes), sum(passes), searched, kinds, rounds
 
 
 # the loglik of thin-state fits (lambda, N, trial) at mu = 2, eta = 1, seed
@@ -1332,7 +1401,7 @@ class TestPassFloor:
 
 class TestFitSet:
     def test_every_row_ends_before_the_iteration_limit(self, fit_set):
-        blocks, passes, _, _ = fit_set
+        blocks, passes, *_ = fit_set
         iterations = np.concatenate([fit.iterations for *_, fit in blocks])
         assert iterations.max() < estimation._MAX_ITERATIONS
         # 3731 passes before the saddle-free fallback and the boundary
@@ -1353,7 +1422,7 @@ class TestFitSet:
         # passes the first-order test from its first passes on, but reached
         # det < _BOUNDARY_DET g1 g2 only at pass 135; the pass floor ends it
         # at pass 18 on the same boundary point, bit for bit
-        blocks, _, _, _ = fit_set
+        blocks, *_ = fit_set
         fit = next(fit for master, n, *_, fit in blocks if (master, n) == (35, 50))
         assert (fit.status[19], fit.iterations[19]) == ("boundary", 18)
         assert [x.hex() for x in fit.g_effective[19].tolist()] == [
@@ -1363,7 +1432,7 @@ class TestFitSet:
     def test_rows_at_the_rounding_floor_are_optima(self, fit_set):
         # every converged row ends at the floor, and one more Newton step
         # gains it no more than the rounding of its likelihood
-        blocks, _, floored, _ = fit_set
+        blocks, _, floored, *_ = fit_set
         assert floored == 2342
         for master, n, thetas, xs, fit in blocks:
             rows = fit.converged
@@ -1371,7 +1440,7 @@ class TestFitSet:
             assert (gain <= 1e-9).all(), (master, n)
 
     def test_crb_rows_end_converged_at_their_optimum(self, crb_fit_set):
-        lanes, passes, floored, searched, _ = crb_fit_set
+        lanes, passes, floored, searched, *_ = crb_fit_set
         fits = [fit for fit, _ in lanes]
         # 217 converged and 23 stalled before the rounding floor
         assert collections.Counter(np.concatenate([fit.status for fit in fits])) \
@@ -1393,14 +1462,14 @@ class TestFitSet:
         # steepest ascent, which only a non-finite Hessian or a LAPACK
         # failure gives
         # 14108 Newton row-passes, 2342 of them flat, and 1331 saddle-free
-        blocks, _, _, kinds = fit_set
+        blocks, _, _, kinds, _ = fit_set
         assert kinds == {"newton": 11766, "flat": 2342, "saddle": 1331}
         boundary = np.concatenate([fit.iterations[fit.status == "boundary"]
                                    for *_, fit in blocks])
         # ended by the det trigger before the pass floor, and from it on
         early = np.count_nonzero(boundary < estimation._BOUNDARY_PASSES)
         assert (early, boundary.size - early) == (11, 47)
-        lanes, *_, crb_kinds = crb_fit_set
+        lanes, *_, crb_kinds, _ = crb_fit_set
         assert crb_kinds == {"newton": 607, "flat": 240}
         # the one convergence test ends a row at a maximum, never a saddle
         ends = [(thetas[fit.converged], xs[fit.converged], fit.g_effective[fit.converged])
@@ -1415,8 +1484,19 @@ class TestFitSet:
             hess = reference_derivatives(v, xs * xs, np.einsum("tk,tkN->tN", g, v))[1]
             assert (np.linalg.eigvalsh(hess).max(axis=1) < 0.0).all()
 
+    def test_halving_rounds_are_pinned(self, fit_set, crb_fit_set):
+        # the layout each halving round is evaluated in: a change that moves
+        # rounds between layouts, or adds or drops rounds, moves these
+        # counts.  fig5's blocks of 20 rows halve on views when the open
+        # rows are consecutive and on copies of their rows when not; crb's
+        # rows accept every full step
+        *_, rounds = fit_set
+        assert rounds == {"views": 282, "copies": 198}
+        *_, crb_rounds = crb_fit_set
+        assert crb_rounds == {}
+
     def test_boundary_rows_end_at_their_profiles_maximum(self, fit_set):
-        blocks, _, _, _ = fit_set
+        blocks, *_ = fit_set
         count = 0
         for master, n, thetas, xs, fit in blocks:
             for t in np.flatnonzero(fit.status == "boundary"):
@@ -1438,7 +1518,7 @@ class TestFitSet:
         assert count > 0
 
     def test_rows_that_crawled_end_no_lower(self, fit_set):
-        blocks, _, _, _ = fit_set
+        blocks, *_ = fit_set
         fits = {(master, n): fit for master, n, *_, fit in blocks}
         for (master, n, t), parent in PARENT_LOGLIK.items():
             assert fits[master, n].loglik[t] >= parent - 1e-9, (master, n, t)

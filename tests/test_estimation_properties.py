@@ -41,7 +41,22 @@ def parent_line_search(p, step, f, v, x2):
     """_line_search as it was before each row whose first halving in a
     window is a no-op was evaluated with the others: every pass evaluates
     all its full steps first, the rows they fail for go on at k = 1, and a
-    row whose first halving in a window leaves p unchanged is skipped."""
+    row whose first halving in a window leaves p unchanged is skipped.
+    A round's rows were one stack on views when consecutive, one stack on
+    copies of their rows of v and x^2 when those held at most
+    _BLOCK_SAMPLES floats, and else one stack per run of consecutive rows,
+    each on views."""
+
+    def stacks(open_, n):
+        first, last = open_[0], open_[-1]
+        if last - first + 1 == open_.size:
+            return [(slice(first, last + 1), slice(None))]
+        if 4 * open_.size * n <= estimation._BLOCK_SAMPLES:
+            return [(open_, slice(None))]
+        ends = [0, *(np.flatnonzero(np.diff(open_) != 1) + 1).tolist(), open_.size]
+        return [(slice(open_[a], open_[b - 1] + 1), slice(a, b))
+                for a, b in zip(ends, ends[1:])]
+
     cand = p + step
     accepted = (cand, *estimation._evaluate(cand, v, x2))
     found = accepted[2] > f
@@ -57,7 +72,7 @@ def parent_line_search(p, step, f, v, x2):
         searching[open_[~moved[:, -1]]] = False
         if np.count_nonzero(moved[:, 0]) < open_.size:
             open_, cand = open_[moved[:, 0]], cand[moved[:, 0]]
-        for rows, part in estimation._stacks(open_, n) if open_.size else ():
+        for rows, part in stacks(open_, n) if open_.size else ():
             trial = cand[part]
             values = (trial, *estimation._evaluate(trial, v[rows, None], x2[rows, None]))
             stacked = open_[part]

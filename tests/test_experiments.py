@@ -1054,6 +1054,21 @@ class TestCli:
         areas = region_areas(GaussianStateSpec(1.0, lam, eta=1e-6))
         assert areas.s_sigma == pytest.approx(areas.s_Sigma, rel=1e-10)
 
+    def test_lambda_crit_below_the_squared_range(self):
+        # t* = s/eta squares past the float range below eta ~ 2e-154; the
+        # table once read lambda_crit 0 there, with exit 0
+        proc = self.run_cli("lambda-crit", "--config", "-",
+                            input='{"eta_values": [1e-160, 1e-300]}')
+        assert proc.returncode == 0, proc.stderr
+        header, rows = rows_of(proc.stdout)
+        lams = [float(dict(zip(header, row))["lambda_crit"]) for row in rows]
+        # 1/(t* + sqrt(t*^2 - 1)) in 50-digit arithmetic, rounded to float
+        assert lams == [1.6666666666666667e-161, 1.6666666666666667e-301]
+        # below eta ~ 1.5e-323 lambda rounds to 0: a numerical failure
+        proc = self.run_cli("lambda-crit", "--config", "-", input='{"eta_values": [5e-324]}')
+        assert proc.returncode == 3 and not proc.stdout
+        assert json.loads(proc.stderr.strip())["error"] == "numerical"
+
     def test_mismatched_experiment_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "fig5", "trials": 1}))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gausstomo import (Covariance2, DomainError, GaussianStateSpec, SchemeKind,
-                       conditional_std, critical_lambda_equal_areas,
+from gausstomo import (Covariance2, DomainError, GaussianStateSpec, NumericalError,
+                       SchemeKind, conditional_std, critical_lambda_equal_areas,
                        effective_covariance, marginal_std, region_areas,
                        region_boundaries)
 from gausstomo.core import data_variances
@@ -228,6 +228,21 @@ class TestCriticalLambdaEqualAreas:
     def test_rejects_bad_eta(self):
         with pytest.raises(DomainError):
             critical_lambda_equal_areas(0.0)
+
+    @pytest.mark.parametrize("eta", [1e-150, 2.3e-154, 2.2e-154, 1e-160, 1e-300, 2e-323])
+    def test_tiny_efficiency_is_eta_over_2s(self, eta):
+        # below eta ~ 2e-154, t* = s/eta squares past the float range, and
+        # 1/(t* + sqrt(t*^2 - 1)) read 0; the branch is eta/(2 s) to
+        # rounding, which the closed form meets where t*^2 is finite
+        s = 1.0 + math.sqrt(eta * eta - 2.0 * eta + 4.0)
+        assert 0.0 < critical_lambda_equal_areas(eta) == pytest.approx(eta / (2.0 * s),
+                                                                        rel=1e-15)
+
+    @pytest.mark.parametrize("eta", [5e-324, 1e-323, 1.5e-323])
+    def test_lambda_that_rounds_to_zero_is_a_numerical_error(self, eta):
+        # eta/(2 s) is at most half the least subnormal here
+        with pytest.raises(NumericalError, match="below the float range"):
+            critical_lambda_equal_areas(eta)
 
 
 class TestAreaScanCsv:

@@ -1,6 +1,7 @@
 """The repository's tooling: the pytest settings and tools/bench_pairs.py."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 import textwrap
@@ -149,3 +150,33 @@ def test_bench_pairs_summary_gives_verdicts_and_failure_shares(bench_pairs):
     assert summary["fig5"]["more_failed"] is False  # the same share, 13 of 40
     assert summary["crb"]["wall_s"]["verdict"] == "no_worse"
     assert summary["crb"]["more_failed"] is True
+
+
+def test_bench_pairs_keeps_the_pairs_run_before_a_run_fails(bench_pairs, monkeypatch,
+                                                            tmp_path, capsys):
+    # fig5 seed 7 is a complete pair; at seed 8 the change runs first and
+    # fails, and nothing runs after it
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        calls.append((workload, seed, root == bench_pairs.ROOT))
+        if len(calls) == 3:
+            return {"exit": 3, "stderr": "NumericalError: boom"}
+        return {"result": result(float(len(calls)))}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, target: "abc1234")
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "host", lambda: "a host")
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--runs", "fig5=2", "crb=2", "--first-seed", "7",
+                             "--seconds", "1", "--out", str(out)]) == 1
+    assert calls == [("fig5", 7, False), ("fig5", 7, True), ("fig5", 8, True)]
+    doc = json.loads(out.read_text())
+    assert [(r["side"], r["seed"]) for r in doc["runs"]] == \
+        [("parent", 7), ("change", 7), ("change", 8)]
+    assert doc["runs"][-1] == {"side": "change", "workload": "fig5", "seed": 8, "exit": 3,
+                               "stderr": "NumericalError: boom"}
+    assert list(doc["summary"]) == ["fig5"]
+    wall = doc["summary"]["fig5"]["wall_s"]
+    assert wall["pairs"] == 1 and wall["change_lower_in_pairs"] == 0
+    assert "change fig5 seed 8 exited 3" in capsys.readouterr().err

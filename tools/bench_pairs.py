@@ -15,7 +15,10 @@ under `summary` each metric's median and quartiles per side, the number of
 pairs in which the change reads lower, the relative change of the medians
 and, for the end-to-end metrics of BENCHMARK.json, the verdict of the
 acceptance rule (see `verdict`); and per workload whether the change
-failed a larger share of its attempts.  Standard library only.
+failed a larger share of its attempts.  A run that exits nonzero ends the
+sequence: it is recorded under `runs` with its exit code and the tail of
+its stderr, the JSON is written with the summary of the complete pairs,
+and the script exits 1.  Standard library only.
 """
 
 from __future__ import annotations
@@ -53,14 +56,15 @@ def export(rev: str, target: Path) -> str:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one benchmark run from the checkout at root."""
+    """One benchmark run from the checkout at root: its result line under
+    "result", or, if it exits nonzero, its exit code under "exit" and the
+    tail of its stderr under "stderr"."""
     proc = subprocess.run([sys.executable, str(RUN), "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{workload} seed {seed} in {root} exited {proc.returncode}:\n"
-                           f"{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+        return {"exit": proc.returncode, "stderr": proc.stderr[-2000:]}
+    return {"result": json.loads(proc.stdout.strip().splitlines()[-1])}
 
 
 def spread(values: list[float]) -> dict:
@@ -98,19 +102,21 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
 
 
 def summarize(runs: list[dict], rules: list[dict] = ()) -> dict:
-    """Per workload: each metric's spread per side, the pairs the change
-    reads lower in (ties count for neither) and, for a metric named in
-    rules (BENCHMARK.json's end_to_end entries), its verdict; then
-    failures, whether the change failed a larger share of its attempts,
-    and checks."""
+    """Per workload with a complete pair: each metric's spread per side,
+    the pairs the change reads lower in (ties count for neither) and, for
+    a metric named in rules (BENCHMARK.json's end_to_end entries), its
+    verdict; then failures, whether the change failed a larger share of
+    its attempts, and checks.  A run without a result line is left out."""
     rules = {rule["name"]: rule for rule in rules}
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
         for r in runs:
-            if r["workload"] == workload:
+            if r["workload"] == workload and "result" in r:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]
         pairs = {seed: sides for seed, sides in pairs.items() if len(sides) == 2}
+        if not pairs:
+            continue
         sides = {side: [p[side] for p in pairs.values()] for side in ("parent", "change")}
         out: dict = {}
         for name in sides["parent"][0]["metrics"]:
@@ -181,15 +187,20 @@ def main(argv=None) -> int:
     scratch = Path(tempfile.mkdtemp(prefix="bench-parent-"))
     try:
         parent = export(args.parent, scratch)
+        order = [("parent", scratch), ("change", ROOT)]
+        sequence = [(args.first_seed + position, workload, side, root)
+                    for position, workload in enumerate(plan)
+                    for side, root in (order if position % 2 == 0 else order[::-1])]
         runs = []
-        for position, workload in enumerate(plan):
-            seed = args.first_seed + position
-            order = [("parent", scratch), ("change", ROOT)]
-            for side, root in order if position % 2 == 0 else order[::-1]:
-                result = run_once(root, workload, seed, seconds)
-                runs.append({"side": side, "workload": workload, "seed": seed,
-                             "result": result})
-                print(side, workload, seed, json.dumps(result["metrics"]), flush=True)
+        for seed, workload, side, root in sequence:
+            run = {"side": side, "workload": workload, "seed": seed,
+                   **run_once(root, workload, seed, seconds)}
+            runs.append(run)
+            if "exit" in run:
+                print(f"{side} {workload} seed {seed} exited {run['exit']}; stopping:\n"
+                      f"{run['stderr']}", file=sys.stderr, flush=True)
+                break
+            print(side, workload, seed, json.dumps(run["result"]["metrics"]), flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -206,7 +217,7 @@ def main(argv=None) -> int:
            "summary": summarize(runs, bench["end_to_end"]),
            "runs": runs}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    return 0
+    return 1 if "exit" in runs[-1] else 0
 
 
 if __name__ == "__main__":
